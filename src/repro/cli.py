@@ -35,10 +35,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         "or real OS processes (default: env or virtual)")
     parser.add_argument("--transport", default=None,
                         choices=["queue", "shm"],
-                        help="process backend wire transport: portable "
-                        "multiprocessing queues or shared-memory rings "
-                        "with batched fixed-width records (default: env "
-                        "or queue)")
+                        help="process backend wire transport: one pipe per "
+                        "node carrying pickled batches, or shared-memory "
+                        "rings of fixed-width records (default: env or "
+                        "queue)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record a JSONL trace of every Time Warp run "
                         "(rollbacks, GVT rounds, queue depths); summarize "

@@ -83,10 +83,9 @@ class ExperimentConfig:
     #: modelled machine (the paper-reproduction default), "process" runs
     #: one OS process per node and reports measured wall-clock.
     backend: str = "virtual"
-    #: Wire transport of the process backend: "queue" (portable
-    #: multiprocessing.Queue inboxes) or "shm" (shared-memory rings of
-    #: struct-packed records with batched sends).  Ignored by the
-    #: virtual backend.
+    #: Wire transport of the process backend: "queue" (one pipe per
+    #: node carrying pickled batches) or "shm" (shared-memory rings of
+    #: struct-packed records).  Ignored by the virtual backend.
     transport: str = "queue"
     #: JSONL trace destination (None disables tracing).  Every run the
     #: harness executes appends a distinct file derived from this base

@@ -9,6 +9,7 @@ from repro.warped.parallel.node import NodeEngine
 from repro.warped.parallel.ring import WorkerRing
 from repro.warped.parallel.protocol import GvtClerk, GvtToken
 from repro.warped.parallel.transport import (
+    PipeChannel,
     QueueTransport,
     SendBuffer,
     ShmChannel,
@@ -25,6 +26,7 @@ __all__ = [
     "GvtToken",
     "NodeEngine",
     "NodeLoop",
+    "PipeChannel",
     "ProcessTimeWarpSimulator",
     "QueueTransport",
     "SendBuffer",

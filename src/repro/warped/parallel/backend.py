@@ -7,19 +7,19 @@ but executes the simulation on **real OS processes**: one
 cluster behind a :class:`~repro.warped.parallel.node.NodeEngine`.
 Signal and anti-messages travel over per-node inboxes built by a
 pluggable :class:`~repro.warped.parallel.transport.Transport` —
-``queue`` (one ``multiprocessing.Queue`` per node, the portable
-default) or ``shm`` (shared-memory rings carrying struct-packed
-fixed-width records, with per-destination send batching and
-anti-message coalescing; an order of magnitude faster on
-latency-bound rings).  GVT is computed by the colored token ring of
+``queue`` (one OS pipe per node carrying pickled item batches, the
+portable default) or ``shm`` (shared-memory rings carrying
+struct-packed fixed-width records).  Either way sends are batched per
+destination, with anti-message coalescing in the send buffer.  GVT is
+computed by the colored token ring of
 :mod:`repro.warped.parallel.protocol` and broadcast for fossil
 collection; a GVT of ``+inf`` proves quiescence and shuts the ring
 down.
 
 Each worker runs a :class:`NodeLoop` — the event/GVT loop factored out
 of the process entry point so tests can drive a full ring inside one
-process with plain ``queue.Queue`` transports (the GVT regression
-tests do exactly that).
+process with ``queue.Queue`` stand-ins (the GVT regression tests do
+exactly that).
 
 Timing semantics differ from the virtual backend by design: the
 virtual machine *models* a cluster's clock deterministically, while
@@ -30,11 +30,10 @@ message interleaving — and the differential test layer holds both
 backends to that.
 
 Liveness at the parent is deliberately conservative: worker death is
-detected from exit codes with a drain grace period (never from
-``Queue.empty()``, which is documented-unreliable and can report empty
-while a finished worker's payload is still in the feeder pipe), and
-shutdown drains every inbox while joining so a worker blocked flushing
-a full queue at exit can always get out (see ``_shutdown``).
+detected from exit codes with a drain grace period (a finished
+worker's payload may still be in the control pipe), and shutdown
+drains every inbox while joining so a worker waiting out a full inbox
+can always get out (see ``_shutdown``).
 
 Fault tolerance: with ``machine.checkpoint_interval`` set, every node
 snapshots its full state (LP histories, pending queue, GVT clerk,
@@ -57,8 +56,8 @@ list of ``node:mode[:arg]`` clauses applied inside the matching worker
 — ``raise`` (throw at startup, exercising the ERROR wire path),
 ``exit`` (``os._exit(arg)``, silent death), ``hang`` (sleep *arg*
 seconds), ``flood`` (stuff ~4k messages into node *arg*'s inbox via
-``put_nowait`` — dropping, never blocking, when the inbox is bounded —
-and exit without reporting, wedging this worker's queue feeder),
+``put_nowait`` — dropping, never blocking, once the inbox is full —
+and exit without reporting),
 ``exit-at`` (``os._exit`` after *arg* locally processed events — the
 mid-run crash the recovery tests inject), and ``late-report`` (sleep
 *arg* seconds between finishing and reporting — the race the grace
@@ -115,22 +114,16 @@ from repro.warped.stats import NodeStats, TimeWarpResult
 #: vs. polling overhead).
 _BATCH = 16
 #: Blocking-receive timeout when a node has nothing processable (s).
-_IDLE_WAIT = 0.005
-#: Minimum spacing between idle-triggered GVT computations (s).
-_IDLE_GVT_SPACING = 0.001
-#: Batched-transport variants of the two idle knobs.  The shm ring
-#: delivers in tens of microseconds (no feeder-thread pipe hop), so a
-#: window-throttled ring can afford idle-triggered GVT rounds spaced
-#: two orders of magnitude closer — which is exactly where the queue
-#: transport's s27 throughput went (97% idle between 1 ms rounds).
 _BATCH_IDLE_WAIT = 0.0005
+#: Minimum spacing between idle-triggered GVT computations (s).  Both
+#: channels deliver in tens of microseconds, so a window-throttled ring
+#: can afford idle rounds this close — where it spends its life.
 _BATCH_IDLE_GVT_SPACING = 0.00005
 #: Buffered outgoing messages (across all destinations) that force a
 #: wire flush between the GVT-mandated flush points.
 _WIRE_BATCH = 32
 #: How long a dead-but-unreported worker's payload may stay in flight
-#: before the parent declares the node lost (Queue feeder flushes are
-#: normally milliseconds; this absorbs a loaded machine).
+#: before the parent declares the node lost (absorbs a loaded machine).
 _DEATH_GRACE = 2.0
 #: Shutdown join budget on the success path (workers should exit
 #: almost immediately after the GVT=+inf broadcast).
@@ -234,11 +227,10 @@ def _apply_startup_faults(
             dropped = 0
             for _ in range(4096):
                 try:
-                    # Never block: a bounded inbox nobody drains would
+                    # Never block: an inbox nobody drains would
                     # otherwise deadlock the injector against its own
-                    # flood.  Dropping is fine — the point is wedging
-                    # the feeder with a full pipe, which the successful
-                    # puts already achieve.
+                    # flood.  Dropping is fine — the point is a full
+                    # inbox, which the successful puts already achieve.
                     inboxes[dest].put_nowait((GVT, 0, 0.0))
                 except queue_mod.Full:
                     dropped += 1
@@ -248,19 +240,30 @@ def _apply_startup_faults(
                     f"a full inbox {dest}",
                     flush=True,
                 )
-            return True  # exit without reporting; the feeder must flush
+            return True  # exit without reporting
     return False
 
 
-def _put_wire(q, item) -> None:
+def _wait_out_full(own, delay: float) -> None:
+    """Spend one retry backoff; on a channel that can, spend it draining
+    the sender's *own* inbox (``pump``) so two nodes never sleep on each
+    other's full inboxes."""
+    pump = getattr(own, "pump", None)
+    if pump is None:
+        time.sleep(delay)
+    else:
+        pump(delay)
+
+
+def _put_wire(q, item, own=None) -> None:
     """Put *item* with bounded retry and exponential backoff.
 
-    Unbounded queues (the default) never raise ``Full``, so this is a
-    single ``put_nowait`` on the hot path.  Against a bounded transport
-    the sender backs off exponentially and, if the queue stays full past
-    the retry budget (a dead or wedged peer), raises instead of blocking
-    forever — turning a silent distributed deadlock into a diagnosable,
-    restartable node failure.
+    A channel with room takes it at once, so this is a single
+    ``put_nowait`` on the hot path.  Against a full one the sender backs
+    off exponentially (see :func:`_wait_out_full` for what *own* buys)
+    and, if the channel stays full past the retry budget (a dead or
+    wedged peer), raises instead of blocking forever — turning a silent
+    distributed deadlock into a diagnosable, restartable node failure.
     """
     delay = _PUT_BACKOFF
     for remaining in range(_PUT_RETRIES, 0, -1):
@@ -273,29 +276,23 @@ def _put_wire(q, item) -> None:
                     f"transport put failed {_PUT_RETRIES} times against a "
                     "full queue — receiver dead or wedged"
                 ) from None
-            time.sleep(delay)
+            _wait_out_full(own, delay)
             delay *= 2
 
 
-def _put_wire_batch(chan, items: list) -> None:
-    """Batched :func:`_put_wire`: one lock acquisition per flush.
+def _put_wire_batch(chan, items: list, own=None) -> None:
+    """Batched :func:`_put_wire`: one channel write per flush.
 
-    Channels without ``put_batch`` (plain queues) degrade to per-item
-    puts.  Partial writes against a bounded ring make progress across
+    Partial writes against a bounded channel make progress across
     retries — only a channel accepting *nothing* for the whole budget
     (dead or wedged receiver) raises, with the same diagnosis and the
     same restartable-failure semantics as the single-item path.
     """
-    put_batch = getattr(chan, "put_batch", None)
-    if put_batch is None:
-        for item in items:
-            _put_wire(chan, item)
-        return
     delay = _PUT_BACKOFF
     stalls = 0
     while items:
         try:
-            sent = put_batch(items)
+            sent = chan.put_batch(items)
         except queue_mod.Full:  # lock timeout: peer died holding it
             sent = 0
         if sent:
@@ -311,7 +308,7 @@ def _put_wire_batch(chan, items: list) -> None:
                 f"transport put failed {_PUT_RETRIES} times against a "
                 "full queue — receiver dead or wedged"
             )
-        time.sleep(delay)
+        _wait_out_full(own, delay)
         delay *= 2
 
 
@@ -363,9 +360,9 @@ class JobSpec:
 class NodeLoop:
     """One node's Time Warp event/GVT loop over abstract inboxes.
 
-    ``inboxes`` only needs ``put``/``get``/``get_nowait``/``qsize`` —
-    ``multiprocessing`` queues in production, ``queue.Queue`` (or
-    anything list-like wrapped in one) in the in-process ring tests.
+    ``inboxes`` only needs ``put_nowait``/``put_batch``/``get``/
+    ``get_nowait``/``qsize`` — transport channels in production, a
+    ``queue.Queue`` with a ``put_batch`` in the in-process ring tests.
     Node 0 is the GVT initiator; every node applies broadcast GVT
     values, resets its ``since_gvt`` progress counter and compacts its
     :class:`~repro.warped.parallel.protocol.GvtClerk` tables on each
@@ -398,22 +395,11 @@ class NodeLoop:
         self.inbox = inboxes[node]
         self.gvt_interval = gvt_interval
         self.tracer = tracer
-        #: Batched wire mode, advertised by the channel itself (the shm
-        #: ring sets ``batched = True``; queues and the in-process ring
-        #: tests' plain ``queue.Queue`` transports don't and keep the
-        #: original eager per-message path).  Outgoing messages park in
-        #: ``sendbuf`` — annihilating (positive, anti) pairs in place —
-        #: and hit the wire in per-destination batches at
-        #: :meth:`flush_wire`, which is where GVT colors and recovery
+        #: Outgoing messages park here — annihilating (positive, anti)
+        #: pairs in place — and hit the wire in per-destination batches
+        #: at :meth:`flush_wire`, which is where GVT colors and recovery
         #: sequence numbers are assigned.
-        self.batched = bool(getattr(self.inbox, "batched", False))
-        self.sendbuf = SendBuffer() if self.batched else None
-        #: Idle knobs, transport-dependent: a ring that delivers in
-        #: microseconds affords much tighter idle-GVT pacing.
-        self.idle_wait = _BATCH_IDLE_WAIT if self.batched else _IDLE_WAIT
-        self.idle_gvt_spacing = (
-            _BATCH_IDLE_GVT_SPACING if self.batched else _IDLE_GVT_SPACING
-        )
+        self.sendbuf = SendBuffer()
         #: Crash-recovery checkpointing: with an interval set, a state
         #: snapshot goes to ``ckpt_dir`` each time an applied GVT value
         #: crosses a multiple of the interval (virtual time units).
@@ -499,38 +485,27 @@ class NodeLoop:
         self._round_trips = 0      # ring circuits of the active computation
 
     # -- plumbing ------------------------------------------------------
+    def put(self, dest: int, item) -> None:
+        """Send one protocol item to node *dest* (bounded retry)."""
+        _put_wire(self.inboxes[dest], item, self.inbox)
+
     def flush_outbox(self) -> None:
-        if self.batched:
-            # Park in the send buffer (coalescing anti-messages against
-            # still-buffered positives); the wire flush happens at the
-            # GVT-mandated flush points or when the buffer fills.
-            buffer = self.sendbuf
-            for dest, msg in self.engine.outbox:
-                buffer.add(dest, msg)
-            self.engine.outbox.clear()
-            if len(buffer) >= _WIRE_BATCH:
-                self.flush_wire()
+        """Park the engine's new remote messages in the send buffer
+        (coalescing anti-messages against still-buffered positives);
+        the wire flush happens at the GVT-mandated flush points or when
+        the buffer fills."""
+        outbox = self.engine.outbox
+        if not outbox:
             return
-        if self.recovery:
-            # Recovery wire format: each MSG carries (src, chan_seq) and
-            # is logged so a restart can replay exactly the in-flight
-            # tail of this channel.  The log lives *inside* this node's
-            # checkpoints — a crash can never lose it.
-            for dest, msg in self.engine.outbox:
-                color = self.clerk.note_send(msg.time)
-                seq = self.send_seq.get(dest, 0) + 1
-                self.send_seq[dest] = seq
-                self.send_log.setdefault(dest, []).append((seq, color, msg))
-                _put_wire(self.inboxes[dest], (MSG, color, msg, self.node, seq))
-            self.engine.outbox.clear()
-            return
-        for dest, msg in self.engine.outbox:
-            color = self.clerk.note_send(msg.time)
-            _put_wire(self.inboxes[dest], (MSG, color, msg))
-        self.engine.outbox.clear()
+        buffer = self.sendbuf
+        for dest, msg in outbox:
+            buffer.add(dest, msg)
+        outbox.clear()
+        if len(buffer) >= _WIRE_BATCH:
+            self.flush_wire()
 
     def flush_wire(self) -> None:
-        """Ship every buffered message (batched transports only).
+        """Ship every buffered message.
 
         GVT colors and recovery sequence numbers are assigned *here*,
         at wire time — never at buffer time — so a message the clerk
@@ -540,10 +515,14 @@ class NodeLoop:
         needs: whenever this node contributes to a GVT cut or snapshots
         its state, its send buffer is empty.
         """
-        if not self.batched or not len(self.sendbuf):
+        if not len(self.sendbuf):
             return
         for dest, messages in self.sendbuf.drain():
             if self.recovery:
+                # Recovery wire format: each MSG carries (src, chan_seq)
+                # and is logged so a restart can replay exactly the
+                # in-flight tail of this channel.  The log lives *inside*
+                # this node's checkpoints — a crash can never lose it.
                 seq = self.send_seq.get(dest, 0)
                 log = self.send_log.setdefault(dest, [])
                 items = []
@@ -558,7 +537,7 @@ class NodeLoop:
                     (MSG, self.clerk.note_send(msg.time), msg)
                     for msg in messages
                 ]
-            _put_wire_batch(self.inboxes[dest], items)
+            _put_wire_batch(self.inboxes[dest], items, self.inbox)
 
     def local_min(self) -> float:
         t = self.engine.min_pending()
@@ -569,11 +548,15 @@ class NodeLoop:
         its busy window since the last applied broadcast — into *token*."""
         self.clerk.fold_token(token, self.local_min())
         if self.migrating:
-            token.fold_load(
-                self.node,
-                int((self.busy - self._busy_at_gvt) * 1e6),
-                self.engine.counters["events"] - self._events_at_gvt,
-            )
+            token.fold_load(self.node, *self.load_window())
+
+    def load_window(self) -> tuple[int, int]:
+        """``(busy µs, events)`` since the last applied GVT broadcast —
+        this node's entry in the token's hot/cold fold."""
+        return (
+            int((self.busy - self._busy_at_gvt) * 1e6),
+            self.engine.counters["events"] - self._events_at_gvt,
+        )
 
     # -- GVT -----------------------------------------------------------
     def apply_gvt(self, cid: int, value: float) -> None:
@@ -756,7 +739,7 @@ class NodeLoop:
             decision = self._migration_decision(token, value)
             for other in range(self.num_nodes):
                 if other != self.node:
-                    _put_wire(self.inboxes[other], (GVT, token.cid, value))
+                    self.put(other, (GVT, token.cid, value))
             if decision is not None:
                 hot, cold = decision
                 if hot != self.node:
@@ -764,7 +747,7 @@ class NodeLoop:
                     # just got, so FIFO delivery guarantees it applies
                     # the GVT (and writes the epoch checkpoint) before
                     # it extracts and ships a single LP.
-                    _put_wire(self.inboxes[hot], (MIGCMD, token.cid, value, cold))
+                    self.put(hot, (MIGCMD, token.cid, value, cold))
             self.active_cid = 0
             self.apply_gvt(token.cid, value)
             if decision is not None and decision[0] == self.node:
@@ -778,9 +761,7 @@ class NodeLoop:
             self._round_trips += 1
             fresh = GvtToken(cid=token.cid)
             self.fold_token(fresh)
-            _put_wire(
-                self.inboxes[(self.node + 1) % self.num_nodes], (TOKEN, fresh)
-            )
+            self.put((self.node + 1) % self.num_nodes, (TOKEN, fresh))
 
     # -- adaptive LP migration -----------------------------------------
     def _migration_decision(self, token: GvtToken, value: float) -> tuple[int, int] | None:
@@ -815,13 +796,12 @@ class NodeLoop:
         flight; it is *not* sequence-logged, because a restore to epoch
         ``cid`` lands pre-migration on both ends and simply re-decides.
         """
-        if self.batched:
-            self.flush_wire()
+        self.flush_wire()
         payload = self.engine.extract_migrants(dest, self.migration_fraction, cid)
         if payload is None:
             return
         color = self.clerk.note_send(int(value))
-        _put_wire(self.inboxes[dest], (MIGRATE, color, self.node, cid, payload))
+        self.put(dest, (MIGRATE, color, self.node, cid, payload))
         if self.tracer is not None:
             self.tracer.emit(
                 "migr",
@@ -842,10 +822,7 @@ class NodeLoop:
             if other == self.node or other == src:
                 continue
             ann_color = self.clerk.note_send(int(self.gvt))
-            _put_wire(
-                self.inboxes[other],
-                (MIGRATE, ann_color, self.node, cid, announcement),
-            )
+            self.put(other, (MIGRATE, ann_color, self.node, cid, announcement))
 
     def maybe_initiate(self) -> None:
         """Initiator: start a GVT computation when one is due.
@@ -858,10 +835,9 @@ class NodeLoop:
         now = time.perf_counter()
         idle = not self.engine.processable(self.gvt)
         if self.since_gvt >= self.gvt_interval or (
-            idle and now - self.last_initiate >= self.idle_gvt_spacing
+            idle and now - self.last_initiate >= _BATCH_IDLE_GVT_SPACING
         ):
-            if self.batched:
-                self.flush_wire()  # fold with an empty send buffer
+            self.flush_wire()  # fold with an empty send buffer
             self.next_cid += 1
             self.active_cid = self.next_cid
             self.last_initiate = now
@@ -872,7 +848,7 @@ class NodeLoop:
             if self.num_nodes == 1:
                 self.conclude(token)
             else:
-                _put_wire(self.inboxes[1], (TOKEN, token))
+                self.put(1, (TOKEN, token))
 
     # -- wire dispatch -------------------------------------------------
     def handle(self, item) -> None:
@@ -894,26 +870,21 @@ class NodeLoop:
             self.engine.handle_remote(msg)
             self.flush_outbox()  # a straggler's rollback emits anti-messages
         elif tag == TOKEN:
-            if self.batched:
-                # Empty the send buffer before folding (or concluding)
-                # so every message the fold's white balance counts is
-                # really in flight — the invariant the GVT proof needs.
-                self.flush_wire()
+            # Empty the send buffer before folding (or concluding) so
+            # every message the fold's white balance counts is really
+            # in flight — the invariant the GVT proof needs.
+            self.flush_wire()
             token = item[1]
             if self.node == 0 and token.cid == self.active_cid:
                 self.conclude(token)  # the round came home
             else:
                 self.fold_token(token)
-                _put_wire(
-                    self.inboxes[(self.node + 1) % self.num_nodes],
-                    (TOKEN, token),
-                )
+                self.put((self.node + 1) % self.num_nodes, (TOKEN, token))
         elif tag == GVT:
-            if self.batched:
-                # A checkpoint written inside apply_gvt must capture an
-                # empty send buffer (buffered messages are neither
-                # logged nor clerk-counted yet).
-                self.flush_wire()
+            # A checkpoint written inside apply_gvt must capture an
+            # empty send buffer (buffered messages are neither logged
+            # nor clerk-counted yet).
+            self.flush_wire()
             self.apply_gvt(item[1], item[2])
         elif tag == MIGCMD:
             # Initiator's verdict: this node ran hottest over the epoch
@@ -998,12 +969,11 @@ class NodeLoop:
             self.maybe_initiate()
             # Nothing processable and nothing drained: wait for the wire.
             if not worked:
-                if self.batched:
-                    # Never block on buffered sends — the peers need
-                    # them to make the progress this node is awaiting.
-                    self.flush_wire()
+                # Never block on buffered sends — the peers need them
+                # to make the progress this node is awaiting.
+                self.flush_wire()
                 try:
-                    item = self.inbox.get(timeout=self.idle_wait)
+                    item = self.inbox.get(timeout=_BATCH_IDLE_WAIT)
                 except queue_mod.Empty:
                     continue
                 self.handle(item)
@@ -1036,20 +1006,11 @@ def _worker_main(
     except BaseException:  # noqa: BLE001 - ship the diagnosis to the parent
         result_queue.put((ERROR, node, traceback.format_exc()))
         return
-    # Clean completion: the DONE payload is already flushed into the
-    # control pipe (SimpleQueue writes synchronously) and the parent
-    # joins us inside the measured run — so skip the interpreter
-    # teardown of a fork-copied heap and exit immediately.  Queue
-    # feeders are flushed first: the concluder's GVT=+inf broadcast may
-    # still sit in a feeder thread, and _exit would silently drop it.
-    for q in inboxes:
-        try:
-            q.close()
-            join = getattr(q, "join_thread", None)
-            if join is not None:
-                join()
-        except (OSError, ValueError):  # pragma: no cover - raced close
-            pass
+    # Clean completion: the DONE payload and the concluder's GVT=+inf
+    # broadcast are already in their pipes (every channel writes
+    # synchronously, from this thread) and the parent joins us inside
+    # the measured run — so skip the interpreter teardown of a
+    # fork-copied heap and exit immediately.
     os._exit(0)
 
 
@@ -1232,25 +1193,29 @@ class _ControlQueue:
     def get_nowait(self):
         return self.get(timeout=0)
 
-    def cancel_join_thread(self) -> None:
-        """No feeder thread to cancel — present for Queue compatibility."""
-
     def close(self) -> None:
         self._q.close()
 
 
 def _drain_queue(q) -> int:
-    """Discard whatever *q* currently holds; returns the count."""
+    """Discard whatever *q* currently holds; returns the count.
+
+    A channel with a ``drain`` of its own (the pipe channel: local
+    deque and half-reassembled blobs besides the pipe) is asked to.
+    """
+    drain = getattr(q, "drain", None)
     drained = 0
-    while True:
-        try:
+    try:
+        if drain is not None:
+            return drain()
+        while True:
             q.get_nowait()
-        except (queue_mod.Empty, OSError, ValueError, ProtocolError):
-            # ProtocolError: a just-terminated worker can in principle
-            # leave a torn record at the shm ring frontier; shutdown
-            # drains must never die over garbage they are discarding.
-            return drained
-        drained += 1
+            drained += 1
+    except (queue_mod.Empty, OSError, ValueError, ProtocolError):
+        # ProtocolError: a just-terminated worker can in principle
+        # leave a torn record at the shm ring frontier; shutdown
+        # drains must never die over garbage they are discarding.
+        return drained
 
 
 class ProcessTimeWarpSimulator:
@@ -1343,11 +1308,12 @@ class ProcessTimeWarpSimulator:
         #: run; set it to keep epochs for post-mortem).
         self.max_restarts = max_restarts
         self.checkpoint_dir = checkpoint_dir
-        #: Bound on each node's inbox (None = unbounded).  Senders use
-        #: bounded-retry ``put_nowait`` with exponential backoff, so a
-        #: full inbox degrades into a diagnosable node failure instead
-        #: of a silent distributed deadlock.  (The shm transport's rings
-        #: are always bounded; None selects their default capacity.)
+        #: Bound on each node's inbox, in records (None = the
+        #: channel's own capacity: one pipe buffer on ``queue``, the
+        #: default ring on ``shm``).  Senders use bounded-retry
+        #: ``put_nowait`` with exponential backoff, so a full inbox
+        #: degrades into a diagnosable node failure instead of a silent
+        #: distributed deadlock.
         self.inbox_maxsize = inbox_maxsize
         #: Wire transport name ("queue" or "shm"); None resolves the
         #: ``REPRO_TW_TRANSPORT`` environment default so CI can sweep
@@ -1697,12 +1663,11 @@ class ProcessTimeWarpSimulator:
     def _shutdown(self, workers, inboxes, results, *, patience: float) -> None:
         """Join workers, draining queues so none can wedge at exit.
 
-        A worker blocked flushing its queue feeder into a full pipe
-        (e.g. messages addressed to a node that already died) can only
-        exit once someone drains the pipe — so inboxes are drained
-        *while* joining, and ``cancel_join_thread()``/``close()`` only
-        run on queues that are already empty.  Workers still alive
-        after *patience* seconds are terminated.
+        A worker waiting out a full inbox (e.g. messages addressed to a
+        node that already died) gets out sooner once someone drains it
+        — so inboxes are drained *while* joining.  Workers still alive
+        after *patience* seconds are terminated.  ``close()`` releases
+        the parent's ends of every pipe.
         """
         queues = (*inboxes, results)
         join_deadline = time.monotonic() + patience
@@ -1721,7 +1686,6 @@ class ProcessTimeWarpSimulator:
             w.join(timeout=5.0)
         for q in queues:
             _drain_queue(q)
-            q.cancel_join_thread()
             q.close()
         self.worker_exitcodes = {
             i: w.exitcode for i, w in enumerate(workers)

@@ -77,9 +77,13 @@ class NodeEngine:
         #: quiescence the log holds exactly the committed capture
         #: history — the quantity the differential suite compares.
         self.capture_log: dict[tuple[int, int], int] = {}
-        #: Largest local history (sum of LP record counts) seen at any
-        #: fossil-collection point.
+        #: Local history (sum of LP record counts), maintained on every
+        #: process/undo/free step, and its true high-water mark.
+        self._history = 0
         self.peak_history = 0
+        #: LPs currently holding history -> virtual time of their oldest
+        #: record: the only LPs a fossil sweep visits, and its skip test.
+        self._oldest: dict[int, int] = {}
         self.counters = {
             "events": 0,
             "rolled_back": 0,
@@ -183,6 +187,9 @@ class NodeEngine:
                 self._dispatch_anti(em)
             if antis is not None:
                 antis.extend(em.uid for em in record.emissions)
+        self._history -= undone
+        if not lp.processed:
+            self._oldest.pop(lp.gate.index, None)
         self.counters["rollbacks"] += 1
         self.counters["rolled_back"] += undone
         self.stats.rollbacks += 1
@@ -278,6 +285,11 @@ class NodeEngine:
         msg = self.queue.pop()
         lp = self.lps[msg.dest]
         record = lp.process(msg, self._next_uid)
+        self._history += 1
+        if self._history > self.peak_history:
+            self.peak_history = self._history
+        if msg.dest not in self._oldest:
+            self._oldest[msg.dest] = msg.time
         self.counters["events"] += 1
         self.stats.events_processed += 1
         if self.counters["events"] > self.max_events:
@@ -303,28 +315,34 @@ class NodeEngine:
         return remote
 
     def fossil_collect(self, gvt: float) -> None:
-        """Free history below *gvt* (records the high-water mark first).
+        """Free history below *gvt*, visiting only LPs that hold some.
 
         Freed records are committed: with tracing on, each sweep emits
         one ``commit`` timeline record per LP it freed work from.
         """
-        history = sum(len(lp.processed) for lp in self.lps.values())
-        if history > self.peak_history:
-            self.peak_history = history
-        if gvt != float("inf"):
-            floor_t = int(gvt)
-            tracer = self.tracer
-            for index, lp in self.lps.items():
-                oldest = lp.processed[0].msg.time if lp.processed else None
-                freed = lp.fossil_collect(floor_t)
-                if tracer is not None and freed:
-                    tracer.emit(
-                        "commit",
-                        lp=index,
-                        n=freed,
-                        t_lo=int(oldest),
-                        t_hi=floor_t,
-                    )
+        if gvt == float("inf"):
+            return
+        floor_t = int(gvt)
+        tracer = self.tracer
+        oldest_times = self._oldest
+        for index, oldest in list(oldest_times.items()):
+            if oldest >= floor_t:
+                continue  # nothing below the floor: the common case
+            lp = self.lps[index]
+            freed = lp.fossil_collect(floor_t)
+            self._history -= freed
+            if lp.processed:
+                oldest_times[index] = lp.processed[0].msg.time
+            else:
+                del oldest_times[index]
+            if tracer is not None and freed:
+                tracer.emit(
+                    "commit",
+                    lp=index,
+                    n=freed,
+                    t_lo=int(oldest),
+                    t_hi=floor_t,
+                )
 
     def flush_committed(self) -> None:
         """Emit the quiescence ``commit`` flush: all surviving history.
@@ -398,6 +416,8 @@ class NodeEngine:
         states = {}
         for index in moving:
             lp = self.lps.pop(index)
+            self._history -= len(lp.processed)
+            self._oldest.pop(index, None)
             states[index] = (
                 list(lp._fanin_values),
                 lp.output_value,
@@ -444,6 +464,7 @@ class NodeEngine:
             lp.processed_uids = {record.msg.uid for record in processed}
             lp.emission_seq = eseq
             self.lps[index] = lp
+            self._note_history(index, processed)
         for msg in payload["queue"]:
             self.queue.push(msg)
         self._waiting_antis.update(payload["waiting_antis"])
@@ -452,6 +473,12 @@ class NodeEngine:
         self.counters["migrations_in"] += len(gates)
         self.stats.num_lps = len(self.lps)
         return gates
+
+    def _note_history(self, index: int, processed: list) -> None:
+        """Account for the history an installed LP arrives with."""
+        if processed:
+            self._history += len(processed)
+            self._oldest[index] = processed[0].msg.time
 
     def apply_ownership(self, gates, owner: int, version: int) -> None:
         """Apply an ownership announcement, ignoring stale versions."""
@@ -522,6 +549,7 @@ class NodeEngine:
             lp.processed = processed
             lp.processed_uids = {record.msg.uid for record in processed}
             lp.emission_seq = eseq
+            self._note_history(index, processed)
         for msg in snap["queue"]:
             self.queue.push(msg)
         self._waiting_antis = snap["waiting_antis"]

@@ -112,9 +112,8 @@ def _ring_worker_main(
     own copy.  The early starter's first remote messages would land in
     the late peer's inbox only to be thrown away by that peer's arming
     drain — messages the sender's GVT clerk counts as sent, so no GVT
-    round could ever balance and the job would livelock.  (The shm
-    transport hit this reliably; queue-transport latency merely hid
-    it.)  No node may send until every node has drained and armed.
+    round could ever balance and the job would livelock.  No node may
+    send until every node has drained and armed.
     """
     _close_inherited_sockets()
     try:
@@ -132,17 +131,8 @@ def _ring_worker_main(
     except BaseException:  # noqa: BLE001 - ship the diagnosis, then die
         results.put((ERROR, node, traceback.format_exc()))
         return
-    # Clean shutdown mirrors the cold worker: flush queue feeders (a
-    # peer may still need our last broadcast), then skip interpreter
-    # teardown of the fork-copied heap.
-    for q in inboxes:
-        try:
-            q.close()
-            join = getattr(q, "join_thread", None)
-            if join is not None:
-                join()
-        except (OSError, ValueError):  # pragma: no cover - raced close
-            pass
+    # Clean shutdown mirrors the cold worker: everything sent is already
+    # in its pipe, so skip interpreter teardown of the fork-copied heap.
     os._exit(0)
 
 
@@ -388,15 +378,20 @@ class WorkerRing:
         self._release_channels()
 
     def _release_channels(self) -> None:
+        """Give back every fd the ring holds in this process: both ends
+        of each inbox and job pipe, the control pipe, and (by dropping
+        the joined handles) the workers' sentinels."""
         for q in (*(self._inboxes or ()), self._results):
             if q is None:
                 continue
             try:
                 _drain_queue(q)
-                q.cancel_join_thread()
                 q.close()
             except (OSError, ValueError):  # pragma: no cover
                 pass
+        for q in self._job_queues:
+            q.close()
+        self._workers = []
         self._transport.cleanup()
 
     # ------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 The :class:`~repro.warped.parallel.backend.NodeLoop` has been
 transport-agnostic since PR 2 — it only ever calls ``put_nowait`` /
-``get`` / ``get_nowait`` / ``qsize`` on its inboxes.  This module makes
-the substrate an explicit, selectable :class:`Transport`:
+``put_batch`` / ``get`` / ``get_nowait`` / ``qsize`` on its inboxes.
+This module makes the substrate an explicit, selectable
+:class:`Transport`:
 
-- ``queue`` — the original per-node ``multiprocessing.Queue`` inboxes.
-  Correct and portable, but every message costs a pickle round-trip plus
-  a feeder-thread hop through an OS pipe (~0.5–1 ms of latency per
-  wakeup), which is what capped the process backend at a few thousand
-  events/sec (BENCH_1.json, ROADMAP top item).
+- ``queue`` — one OS pipe per node (:class:`PipeChannel`): every flush
+  is one length-prefixed pickle of a *list* of wire items, written with
+  a single non-blocking ``os.write`` from the sending node's own thread
+  (no feeder thread anywhere) and read back many items per ``os.read``.
+  Portable, and the transport both process workloads of the benchmark
+  run on.
 
 - ``shm`` — one ``multiprocessing.shared_memory`` ring buffer per node,
   carrying **struct-packed fixed-width records** (no pickling) of every
@@ -47,13 +49,28 @@ byte, including inside the crc itself — is detected and surfaced as a
 :class:`~repro.errors.ProtocolError` — never a bare ``struct.error`` or
 a silently wrong ``Message``.
 
+Pipe frame layout (``queue`` transport)::
+
+    <HBxI   u16 payload length, u8 flags (FIRST=1, LAST=2), pad, u32 pid
+    ...     payload: pickle of a list of wire items (or a fragment of one)
+
+``MSG``/``RESUME`` items travel inside the list as flat int tuples
+``(color, time, prio, src, n, value, dest, uid, sign[, src_node,
+chan_seq])`` and are rebuilt into :class:`Message` on receive.  A frame
+never exceeds ``PIPE_BUF`` bytes, so POSIX makes its non-blocking write
+all-or-``EAGAIN`` and concurrent producers cannot interleave bytes —
+per-producer FIFO needs no lock.  A pickle too large for one frame (a
+``MIGRATE`` blob) is cut into FIRST…LAST fragments which the consumer
+reassembles per producer pid and delivers only when complete.
+
 Batching and anti-message coalescing live in :class:`SendBuffer`: the
 node loop parks outgoing messages per destination and flushes them as
-one locked batch.  A (positive, anti) pair that meets *inside* the
-buffer annihilates before reaching the wire at all — sound because the
-pair was not yet GVT-colored or sequence-stamped (both happen at flush
-time), so the wire looks exactly as if the receiver had annihilated the
-pair in its input queue, an interleaving Time Warp already tolerates.
+one batch per destination.  A (positive, anti) pair that meets *inside*
+the buffer annihilates before reaching the wire at all — sound because
+the pair was not yet GVT-colored or sequence-stamped (both happen at
+flush time), so the wire looks exactly as if the receiver had
+annihilated the pair in its input queue, an interleaving Time Warp
+already tolerates.
 """
 
 from __future__ import annotations
@@ -66,7 +83,8 @@ import struct
 import time
 import uuid
 import zlib
-from multiprocessing import shared_memory
+from collections import deque
+from multiprocessing import reduction, shared_memory
 
 from repro.errors import ConfigError, ProtocolError
 from repro.warped.messages import ANTI, POSITIVE, Message
@@ -310,16 +328,29 @@ _DECODE_RETRIES = 8
 _sched_yield = getattr(os, "sched_yield", None)
 
 
-class ShmChannel:
+class _PollingPut:
+    """Blocking ``put`` for channels whose ``put_nowait`` raises Full."""
+
+    def put(self, item: tuple, timeout: float | None = None) -> None:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            try:
+                self.put_nowait(item)
+                return
+            except queue_mod.Full:
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise
+                time.sleep(_POLL_SLEEP)
+
+
+class ShmChannel(_PollingPut):
     """One node's inbox: a fixed-width MPSC ring in shared memory.
 
     Many producers (serialised by *lock*), exactly one consumer (the
     owning node).  Implements the same ``put_nowait`` / ``get`` /
-    ``get_nowait`` / ``qsize`` surface as ``multiprocessing.Queue`` —
-    raising the stdlib ``queue.Full`` / ``queue.Empty`` — plus
-    ``put_batch`` for one-lock batched sends.  ``batched = True``
-    advertises to the node loop that sends should be buffered and
-    flushed in batches.
+    ``get_nowait`` / ``qsize`` surface as the stdlib ``queue.Queue`` —
+    raising its ``queue.Full`` / ``queue.Empty`` — plus
+    ``put_batch`` for one-lock batched sends.
 
     Blocking receives park on a pipe *doorbell*: a producer that finds
     the ring empty writes one byte after publishing, so a waiting
@@ -333,8 +364,6 @@ class ShmChannel:
     forked worker inherits the mapping and fds directly.  Only the
     creating parent ever calls ``unlink``.
     """
-
-    batched = True
 
     def __init__(self, name: str, capacity: int, lock, *, create: bool = False):
         self.name = name
@@ -357,11 +386,10 @@ class ShmChannel:
 
     # -- pickling (spawn) / inheritance (fork) -------------------------
     def __getstate__(self) -> dict:
-        # DupFd ships the doorbell fds the same way mp.Queue ships its
-        # pipe: duplicated into the receiving process by the reduction
-        # machinery (spawn) or the resource sharer (explicit pickling).
-        from multiprocessing import reduction
-
+        # DupFd ships the doorbell fds the way multiprocessing ships a
+        # Connection: duplicated into the receiving process by the
+        # reduction machinery (spawn) or the resource sharer (explicit
+        # pickling).
         return {
             "name": self.name,
             "capacity": self.capacity,
@@ -475,17 +503,6 @@ class ShmChannel:
             return
         if self._write([encode_record(item)]) == 0:
             raise queue_mod.Full
-
-    def put(self, item: tuple, timeout: float | None = None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                self.put_nowait(item)
-                return
-            except queue_mod.Full:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-                time.sleep(_POLL_SLEEP)
 
     def put_batch(self, items: list[tuple]) -> int:
         """Write as many of *items* as fit, in order, under one lock
@@ -609,10 +626,7 @@ class ShmChannel:
             - _CURSOR.unpack_from(buf, _READ_OFF)[0],
         )
 
-    # -- lifecycle (Queue-compatible surface) --------------------------
-    def cancel_join_thread(self) -> None:
-        """No feeder thread to cancel — present for Queue compatibility."""
-
+    # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Drop this process's mapping and fds (idempotent; never
         unlinks)."""
@@ -654,6 +668,289 @@ class ShmChannel:
             pass
         if shm is not self._shm:
             shm.close()
+
+
+# ----------------------------------------------------------------------
+# the pipe channel
+# ----------------------------------------------------------------------
+_FRAME = struct.Struct("<HBxI")
+_F_FIRST = 0x01
+_F_LAST = 0x02
+_F_WHOLE = _F_FIRST | _F_LAST
+#: Largest frame payload: header + payload stay within ``PIPE_BUF``, the
+#: size up to which POSIX keeps a pipe write atomic — and, on a
+#: non-blocking descriptor, all-or-``EAGAIN``.
+_PAYLOAD_MAX = select.PIPE_BUF - _FRAME.size
+#: Items tried per frame before measuring (a flat MSG pickles to ~30-40
+#: bytes); a batch whose pickle overshoots the frame is halved.
+_FRAME_ITEMS = 64
+#: One read drains a default-sized (64 KiB) pipe completely.
+_READ_SIZE = 65536
+
+
+def _flatten(item: tuple) -> tuple:
+    """Wire item -> what is pickled: MSG/RESUME lose their ``Message``."""
+    tag = item[0]
+    if tag == MSG:
+        msg = item[2]
+        flat = (
+            item[1], msg.time, msg.prio, msg.src, msg.n,
+            msg.value, msg.dest, msg.uid, msg.sign,
+        )
+        return flat if len(item) == 3 else flat + item[3:]
+    if tag == RESUME:
+        _, src, seq, color, msg = item
+        return (
+            RESUME, color, msg.time, msg.prio, msg.src, msg.n,
+            msg.value, msg.dest, msg.uid, msg.sign, src, seq,
+        )
+    return item
+
+
+def _inflate(flat: tuple) -> tuple:
+    """Inverse of :func:`_flatten` (an int in front marks a flat MSG)."""
+    head = flat[0]
+    if head.__class__ is int:
+        msg = Message(*flat[1:9])
+        if len(flat) == 9:
+            return (MSG, head, msg)
+        return (MSG, head, msg, flat[9], flat[10])
+    if head == RESUME:
+        return (RESUME, flat[10], flat[11], flat[1], Message(*flat[2:10]))
+    return flat
+
+
+def _fragment(payload: bytes) -> list[bytes]:
+    """Cut an oversized pickle into FIRST…LAST frames of this producer."""
+    pid = os.getpid()
+    last = (len(payload) - 1) // _PAYLOAD_MAX
+    frames = []
+    for index in range(last + 1):
+        chunk = payload[index * _PAYLOAD_MAX:(index + 1) * _PAYLOAD_MAX]
+        flags = (_F_FIRST if index == 0 else 0) | (_F_LAST if index == last else 0)
+        frames.append(_FRAME.pack(len(chunk), flags, pid) + chunk)
+    return frames
+
+
+class PipeChannel(_PollingPut):
+    """One node's inbox: an OS pipe carrying pickled item batches.
+
+    Many producers, exactly one consumer (the owning node), no thread
+    and no lock: every frame is at most ``PIPE_BUF`` bytes, so the
+    kernel serialises concurrent writers frame by frame and a full pipe
+    refuses a frame whole (``EAGAIN``, surfaced as ``queue.Full``).  The
+    consumer moves whole frames into a local deque — one ``os.read``
+    for everything the pipe holds — and ``get``/``get_nowait`` serve
+    from there.  Same surface as :class:`ShmChannel`, ``put_batch``
+    included.
+
+    *maxsize* bounds the records **in the pipe** (a semaphore taken per
+    record on send and returned when the consumer reads the frame); the
+    local deque is deliberately unbounded, because draining into it is
+    how a node that is itself waiting out ``Full`` keeps its peers'
+    sends moving (:meth:`pump`).  ``None`` leaves the pipe's own
+    capacity (64 KiB on Linux) as the only bound.
+
+    A forked worker inherits the fds; a spawned one receives duplicates
+    (``DupFd``), exactly as for :class:`ShmChannel`'s doorbell.
+    """
+
+    def __init__(self, ctx, maxsize: int | None = None) -> None:
+        self._rfd, self._wfd = os.pipe()
+        os.set_blocking(self._rfd, False)
+        os.set_blocking(self._wfd, False)
+        self._slots = (
+            ctx.BoundedSemaphore(maxsize) if maxsize is not None else None
+        )
+        self._init_local()
+
+    def _init_local(self) -> None:
+        #: Consumer side: decoded items, the bytes of a frame the last
+        #: read cut short, and blob fragments per producer pid.
+        self._ready: deque = deque()
+        self._tail = b""
+        self._partial: dict[int, list[bytes]] = {}
+        #: Producer side: ``(item, unwritten frames)`` of a blob whose
+        #: put hit ``Full`` midway; the retry of that item resumes it.
+        self._resume: tuple | None = None
+
+    def __getstate__(self) -> dict:
+        return {
+            "rfd": reduction.DupFd(self._rfd),
+            "wfd": reduction.DupFd(self._wfd),
+            "slots": self._slots,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self._rfd = state["rfd"].detach()
+        self._wfd = state["wfd"].detach()
+        self._slots = state["slots"]
+        self._init_local()
+
+    # -- producer side -------------------------------------------------
+    def _take_slots(self, want: int) -> int:
+        slots = self._slots
+        if slots is None:
+            return want
+        got = 0
+        while got < want and slots.acquire(False):
+            got += 1
+        return got
+
+    def _give_slots(self, count: int) -> None:
+        if self._slots is not None:
+            for _ in range(count):
+                self._slots.release()
+
+    def put_batch(self, items) -> int:
+        """Write a prefix of *items* as one frame; returns its length
+        (0 = the channel is full, nothing was written)."""
+        if not items:
+            return 0
+        if self._resume is not None and self._resume[0] is items[0]:
+            return self._write_blob(items[0], self._resume[1])
+        count = self._take_slots(min(len(items), _FRAME_ITEMS))
+        if not count:
+            return 0
+        flat = [_flatten(item) for item in items[:count]]
+        payload = pickle.dumps(flat, pickle.HIGHEST_PROTOCOL)
+        while len(payload) > _PAYLOAD_MAX:
+            if count == 1:
+                return self._write_blob(items[0], _fragment(payload))
+            self._give_slots(count - count // 2)
+            count //= 2
+            payload = pickle.dumps(flat[:count], pickle.HIGHEST_PROTOCOL)
+        try:
+            os.write(
+                self._wfd, _FRAME.pack(len(payload), _F_WHOLE, 0) + payload
+            )
+        except BlockingIOError:
+            self._give_slots(count)
+            return 0
+        return count
+
+    def _write_blob(self, item, frames: list[bytes]) -> int:
+        """Write the fragments of one oversized item (its record slot is
+        already held).  A pipe filling midway parks the unwritten rest
+        in ``_resume`` and reports Full; the sender's retry of the same
+        item continues where this left off, so a blob larger than the
+        pipe still gets through as the consumer drains."""
+        self._resume = None
+        for index, frame in enumerate(frames):
+            try:
+                os.write(self._wfd, frame)
+            except BlockingIOError:
+                self._resume = (item, frames[index:])
+                return 0
+        return 1
+
+    def put_nowait(self, item: tuple) -> None:
+        if not self.put_batch((item,)):
+            raise queue_mod.Full
+
+    # -- consumer side -------------------------------------------------
+    def _fill(self) -> bool:
+        """Move every complete frame in the pipe to the local deque;
+        False when the pipe was empty."""
+        try:
+            data = os.read(self._rfd, _READ_SIZE)
+        except BlockingIOError:
+            return False
+        if self._tail:
+            data = self._tail + data
+        pos, end = 0, len(data)
+        while end - pos >= _FRAME.size:
+            length, flags, pid = _FRAME.unpack_from(data, pos)
+            stop = pos + _FRAME.size + length
+            if stop > end:
+                break
+            payload = data[pos + _FRAME.size:stop]
+            pos = stop
+            if flags != _F_WHOLE:
+                if flags & _F_FIRST:
+                    # A fresh FIRST supersedes whatever run this producer
+                    # abandoned (it gave up on a Full and died, say).
+                    self._partial[pid] = []
+                parts = self._partial.get(pid)
+                if parts is None:
+                    continue  # orphan of a run discarded by drain()
+                parts.append(payload)
+                if not flags & _F_LAST:
+                    continue
+                payload = b"".join(self._partial.pop(pid))
+            items = pickle.loads(payload)
+            self._ready.extend(map(_inflate, items))
+            self._give_slots(len(items))
+        self._tail = data[pos:]
+        return True
+
+    def get_nowait(self) -> tuple:
+        ready = self._ready
+        if not ready:
+            self._fill()
+            if not ready:
+                raise queue_mod.Empty
+        return ready.popleft()
+
+    def get(self, timeout: float | None = None) -> tuple:
+        ready = self._ready
+        if not ready:
+            wait = deadline = None
+            if timeout is not None:
+                wait = max(timeout, 0.0)
+                deadline = time.monotonic() + wait
+            while True:
+                if select.select([self._rfd], [], [], wait)[0]:
+                    self._fill()
+                    if ready:
+                        break
+                if deadline is not None:
+                    wait = deadline - time.monotonic()
+                    if wait <= 0:
+                        raise queue_mod.Empty
+        return ready.popleft()
+
+    def pump(self, timeout: float) -> None:
+        """Sleep *timeout* seconds, moving whatever arrives meanwhile
+        into the local deque.
+
+        The mutual-drain rule: a node waiting out a peer's full pipe
+        spends the wait here, on its *own* inbox, so the peer — who may
+        be waiting out this node's full pipe — always finds room.  Two
+        nodes can therefore never sleep on each other's full pipes.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            if select.select([self._rfd], [], [], remaining)[0]:
+                self._fill()
+
+    def qsize(self) -> int:
+        """Records awaiting ``get`` (consumer-side: drains the pipe)."""
+        self._fill()
+        return len(self._ready)
+
+    def drain(self) -> int:
+        """Discard everything in flight — pipe contents, the local deque
+        and half-reassembled blobs; returns the records dropped."""
+        while self._fill():
+            pass
+        dropped = len(self._ready)
+        self._ready.clear()
+        self._give_slots(len(self._partial))
+        self._partial.clear()
+        self._tail = b""
+        return dropped
+
+    def close(self) -> None:
+        """Close this process's two pipe ends (idempotent)."""
+        for attr in ("_rfd", "_wfd"):
+            fd = getattr(self, attr)
+            if fd >= 0:
+                setattr(self, attr, -1)
+                os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -721,8 +1018,6 @@ class Transport:
     """
 
     name = "abstract"
-    #: Whether the node loop should batch sends (see ``ShmChannel``).
-    batched = False
 
     def make_inboxes(self, ctx, n: int, maxsize: int | None) -> list:
         raise NotImplementedError
@@ -732,21 +1027,28 @@ class Transport:
 
 
 class QueueTransport(Transport):
-    """The original substrate: one ``multiprocessing.Queue`` per node."""
+    """One :class:`PipeChannel` per node."""
 
     name = "queue"
 
+    def __init__(self) -> None:
+        self._channels: list[PipeChannel] = []
+
     def make_inboxes(self, ctx, n: int, maxsize: int | None) -> list:
-        if maxsize is not None:
-            return [ctx.Queue(maxsize) for _ in range(n)]
-        return [ctx.Queue() for _ in range(n)]
+        channels = [PipeChannel(ctx, maxsize) for _ in range(n)]
+        self._channels.extend(channels)
+        return channels
+
+    def cleanup(self) -> None:
+        for channel in self._channels:
+            channel.close()
+        self._channels.clear()
 
 
 class ShmTransport(Transport):
     """Shared-memory rings with batched fixed-width records."""
 
     name = "shm"
-    batched = True
 
     def __init__(self) -> None:
         self._channels: list[ShmChannel] = []

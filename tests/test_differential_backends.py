@@ -60,8 +60,8 @@ def _assert_backends_agree(case, algorithm, k, *, window=None, gvt_interval=64):
     virtual = TimeWarpSimulator(circuit, assignment, stimulus, machine).run()
     # The process backend runs once per wire transport: the queue and
     # shm substrates race messages completely differently (pickled
-    # feeder pipes vs. batched fixed-width rings with anti-message
-    # coalescing), yet rollback must erase every trace of that.
+    # batches over pipes vs. fixed-width records in locked rings), yet
+    # rollback must erase every trace of that.
     by_transport = {
         transport: ProcessTimeWarpSimulator(
             circuit, assignment, stimulus, machine, transport=transport

@@ -1,14 +1,16 @@
 """GVT ring liveness and bookkeeping, driven in-process via NodeLoop.
 
 The loop is transport-agnostic, so these tests run a full node ring on
-stdlib ``queue.Queue`` inboxes inside one process — deterministic, no
-forks — and pin down the two bookkeeping regressions the multiprocess
+stdlib ``queue.Queue`` inboxes (plus the channels' ``put_batch``) inside
+one process — deterministic, no forks — and pin down the two bookkeeping regressions the multiprocess
 backend shipped with: non-initiator nodes never resetting their
 ``since_gvt`` progress counter, and clerk color tables growing without
 bound off the initiator (``forget_before`` only ever ran on node 0).
 Plus the protocol property the restart path depends on: an
 inconclusive round (whites still in flight) must extend the same
-computation until the stragglers land, then conclude correctly.
+computation until the stragglers land, then conclude correctly.  And the
+migration protocol under an *injected* load fold, so that whether LPs
+move is decided by the test, not by the host's scheduler.
 """
 
 from __future__ import annotations
@@ -21,6 +23,15 @@ from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped.parallel import NodeEngine, NodeLoop
 from repro.warped.parallel.protocol import T_INF
+
+
+class BatchQueue(queue.Queue):
+    """``queue.Queue`` with the transport channels' ``put_batch``."""
+
+    def put_batch(self, items) -> int:
+        for item in items:
+            self.put_nowait(item)
+        return len(items)
 
 
 class IdleEngine:
@@ -44,7 +55,7 @@ class IdleEngine:
 
 
 def make_ring(k, engines=None, **kw):
-    inboxes = [queue.Queue() for _ in range(k)]
+    inboxes = [BatchQueue() for _ in range(k)]
     engines = engines or [IdleEngine() for _ in range(k)]
     return [
         NodeLoop(node, k, engines[node], inboxes, **kw) for node in range(k)
@@ -82,7 +93,7 @@ class TestRingQuiescence:
         sequential = SequentialSimulator(s27, stimulus).run()
         k = 3
         assignment = get_partitioner("Random", seed=4).partition(s27, k)
-        inboxes = [queue.Queue() for _ in range(k)]
+        inboxes = [BatchQueue() for _ in range(k)]
         engines = [
             NodeEngine(s27, assignment.assignment, node, k, stimulus)
             for node in range(k)
@@ -118,7 +129,7 @@ class TestSinceGvtReset:
         stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
         k = 3
         assignment = get_partitioner("Random", seed=4).partition(s27, k)
-        inboxes = [queue.Queue() for _ in range(k)]
+        inboxes = [BatchQueue() for _ in range(k)]
         engines = [
             NodeEngine(s27, assignment.assignment, node, k, stimulus)
             for node in range(k)
@@ -148,7 +159,7 @@ class TestSinceGvtReset:
         stimulus = RandomStimulus(s27, num_cycles=30, period=20, seed=11)
         k = 3
         assignment = get_partitioner("Random", seed=4).partition(s27, k)
-        inboxes = [queue.Queue() for _ in range(k)]
+        inboxes = [BatchQueue() for _ in range(k)]
         engines = [
             NodeEngine(s27, assignment.assignment, node, k, stimulus)
             for node in range(k)
@@ -253,3 +264,59 @@ class TestInconclusiveRound:
     def test_idle_engine_min_is_infinite(self):
         (loop,) = make_ring(1)
         assert loop.local_min() == T_INF
+
+
+class FixedLoadLoop(NodeLoop):
+    """A node whose token load fold reports a fixed (busy µs, events)
+    window instead of its measured wall-clock busy time."""
+
+    window = (0, 0)
+
+    def load_window(self):
+        return self.window
+
+
+class TestInjectedLoadMigration:
+    @pytest.mark.parametrize("hot", [0, 1])
+    def test_hot_node_sheds_lps_and_results_hold(self, s27, hot):
+        """With node *hot* reporting 100x the busy window of its peer,
+        every finite conclusive round must order a migration — issued
+        locally when the initiator itself is hot, via MIGCMD otherwise —
+        and the committed results must not notice."""
+        stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
+        sequential = SequentialSimulator(s27, stimulus).run()
+        k = 2
+        assignment = get_partitioner("Random", seed=4).partition(s27, k)
+        inboxes = [BatchQueue() for _ in range(k)]
+        engines = [
+            NodeEngine(
+                s27, list(assignment.assignment), node, k, stimulus,
+                migration_enabled=True,
+            )
+            for node in range(k)
+        ]
+        for engine in engines:
+            engine.schedule_initial()
+        loops = [
+            FixedLoadLoop(
+                node, k, engines[node], inboxes, gvt_interval=16,
+                migration_threshold=1.2, migration_fraction=0.25,
+            )
+            for node in range(k)
+        ]
+        for loop in loops:
+            loop.window = (10_000, 64) if loop.node == hot else (100, 4)
+        drive(loops)
+        for engine in engines:
+            engine.check_quiescent()
+        moved = engines[hot].counters["migrations_out"]
+        assert moved >= 1
+        assert engines[1 - hot].counters["migrations_in"] == moved
+        assert engines[1 - hot].counters["migrations_out"] == 0
+        assert sum(len(engine.lps) for engine in engines) == s27.num_gates
+        values = {}
+        for engine in engines:
+            values.update(engine.final_values())
+        assert [values[i] for i in range(s27.num_gates)] == (
+            sequential.final_values
+        )

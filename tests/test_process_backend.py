@@ -364,13 +364,12 @@ class TestWorkerDeath:
         """Regression for the shutdown-path queue handling.
 
         Node 0 stuffs ~4k messages into its *own* inbox (which nobody
-        drains) and exits without reporting: its queue feeder thread
-        blocks flushing into the full pipe, so the process cannot exit
-        on its own.  The old shutdown called ``cancel_join_thread()``
-        and gave up after a 5s join, terminating the worker (exitcode
-        -SIGTERM).  The fixed shutdown drains inboxes *while* joining,
-        which unwedges the feeder and lets the worker exit cleanly —
-        observable as exitcode 0.
+        drains) and exits without reporting.  When inboxes were
+        ``multiprocessing.Queue`` s, its feeder thread blocked flushing
+        into the full pipe and the process could not exit on its own;
+        shutdown drains inboxes *while* joining to unwedge it.  The pipe
+        channel has no feeder — the flood stops at ``Full`` — and the
+        contract stands: the flooder exits cleanly, exitcode 0.
         """
         monkeypatch.setenv("REPRO_TW_FAULT", "0:flood:0")
         sim = self._sim(s27_setup, timeout=2.0, death_grace=0.5)
@@ -455,10 +454,11 @@ class TestProcessMigration:
     """End-to-end adaptive repartitioning over both wire transports.
 
     The decisions are wall-clock driven (real CPU time per node), so
-    the tests pin a partition skewed enough that the hot/cold verdict
-    is not in doubt, and assert on outcomes the protocol guarantees:
-    nonzero reported migrations, conserved LP residency, and committed
-    results identical to the sequential oracle.
+    whether any LP moves on a run this short is up to the host's
+    scheduler: these tests assert only what holds either way — committed
+    results identical to the sequential oracle, trace records matching
+    the reported count.  That a skewed load fold *does* order a
+    migration is pinned in ``test_gvt_ring.py`` with an injected fold.
     """
 
     def _skewed(self, circuit, k=2, frac=0.8):
@@ -484,7 +484,6 @@ class TestProcessMigration:
             circuit, self._skewed(circuit), stimulus, machine,
             transport=transport,
         ).run()
-        assert result.migrations >= 1
         assert result.final_values == sequential.final_values
         assert result.committed_captures == sequential.committed_captures
 

@@ -203,6 +203,17 @@ class TestRecoveryEndToEnd:
         assert record["epoch"] is not None  # resumed from a real epoch
         assert record["downtime"] >= 0
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+    def test_restart_leaks_no_fds(self, s27_setup, monkeypatch):
+        """Every attempt builds fresh pipe channels; each one's two ends
+        must be closed again, crash and restart included."""
+        self._sim(s27_setup).run()  # starts mp's resource tracker (one fd)
+        before = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setenv("REPRO_TW_FAULT", "1:exit-at:60")
+        result = self._sim(s27_setup, transport="queue").run()
+        assert result.restarts == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_startup_death_restarts_from_scratch(
         self, s27_setup, monkeypatch
     ):

@@ -2,7 +2,7 @@
 
 The process backend's node loop is transport-agnostic; what makes that
 safe is this suite — a single parameterized contract run against BOTH
-substrates (``queue`` pickled inboxes and ``shm`` fixed-width rings):
+substrates (``queue`` pipe channels and ``shm`` fixed-width rings):
 
 - every wire tag round-trips the channel intact (MSG with and without
   its recovery tail, anti-messages, TOKEN, GVT incl. the +inf
@@ -12,9 +12,14 @@ substrates (``queue`` pickled inboxes and ``shm`` fixed-width rings):
   the consumer drains;
 - a channel nobody drains makes the sender's bounded retry give up with
   a diagnosable ``SimulationError``, not an eternal block;
-- records survive a real ``fork()`` process boundary.
+- records survive a real process boundary, forked or spawned.
 
-Shm-specific sections pin the ring's own guarantees (capacity
+Pipe-specific sections pin what the feeder-free channel adds (frames
+from concurrent producers stay intact and per-producer FIFO, a blob
+larger than the pipe gets through fragment by fragment, a full pipe
+raises ``Full`` instead of blocking, and two nodes waiting out each
+other's full inboxes both finish — the mutual-drain rule).  Shm-specific
+sections pin the ring's own guarantees (capacity
 validation on attach, corrupt-slot rejection, idempotent
 close/unlink/cleanup, no leaked ``/dev/shm`` segments) and
 property-test the fixed-width codec with hypothesis: round-trip for
@@ -27,8 +32,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_mod
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +60,7 @@ from repro.warped.parallel.transport import (
     RECORD_SIZE,
     TRANSPORT_NAMES,
     ShmChannel,
+    _fragment,
     _pack,
     decode_record,
     encode_migrate,
@@ -92,9 +100,9 @@ def channels(request):
     tears every channel and segment down afterwards."""
     made: list = []
 
-    def factory(n: int = 1, maxsize: int | None = None) -> list:
+    def factory(n: int = 1, maxsize: int | None = None, ctx=_CTX) -> list:
         transport = make_transport(request.param)
-        inboxes = transport.make_inboxes(_CTX, n, maxsize)
+        inboxes = transport.make_inboxes(ctx, n, maxsize)
         made.append((transport, inboxes))
         return inboxes
 
@@ -102,7 +110,6 @@ def channels(request):
     yield factory
     for transport, inboxes in made:
         for chan in inboxes:
-            chan.cancel_join_thread()
             try:
                 chan.close()
             except (OSError, ValueError):
@@ -221,7 +228,7 @@ def test_retry_then_dead_batch(channels, monkeypatch):
 
 def test_put_wire_batch_drains_clean(channels):
     """The batched send path delivers everything, in order, on both
-    substrates (per-item degradation on queue, one locked write on shm)."""
+    substrates (one frame per write on queue, one locked write on shm)."""
     (chan,) = channels()
     items = [(GVT, i, float(i)) for i in range(64)]
     backend_mod._put_wire_batch(chan, list(items))
@@ -235,11 +242,10 @@ def _echo_child(inbox, outbox, total: int) -> None:
         outbox.put((MSG, color, _msg(msg.uid, value=msg.value + 1)), timeout=30)
 
 
-def test_cross_process_delivery(channels):
-    """Records survive a real fork() boundary in both directions."""
-    parent_inbox, child_inbox = channels(n=2)
+def _echo_round_trip(channels, ctx) -> None:
+    parent_inbox, child_inbox = channels(n=2, ctx=ctx)
     total = 50
-    proc = _CTX.Process(
+    proc = ctx.Process(
         target=_echo_child, args=(child_inbox, parent_inbox, total)
     )
     proc.start()
@@ -251,6 +257,185 @@ def test_cross_process_delivery(channels):
         proc.join(timeout=30)
     assert echoed == [i + 1 for i in range(total)]
     assert proc.exitcode == 0
+
+
+def test_cross_process_delivery(channels):
+    """Records survive a real fork() boundary in both directions."""
+    _echo_round_trip(channels, _CTX)
+
+
+def test_spawned_process_delivery(channels):
+    """The spawn fallback: channels pickle into a fresh interpreter
+    (pipe and doorbell fds shipped as duplicates) and still deliver."""
+    _echo_round_trip(channels, mp.get_context("spawn"))
+
+
+# ----------------------------------------------------------------------
+# pipe channel specifics
+# ----------------------------------------------------------------------
+@pytest.fixture
+def pipes():
+    """Factory for ``queue``-transport inboxes, closed afterwards."""
+    transport = make_transport("queue")
+    yield lambda n=1, maxsize=None: transport.make_inboxes(_CTX, n, maxsize)
+    transport.cleanup()
+
+
+def _batch_producer(chan, producer: int, batches: int, size: int) -> None:
+    for batch in range(batches):
+        backend_mod._put_wire_batch(
+            chan,
+            [
+                (MSG, producer, _msg(i % 40, value=batch * size + i))
+                for i in range(size)
+            ],
+        )
+
+
+def test_pipe_concurrent_producers_stay_intact_and_fifo(pipes):
+    """More producers than cores, each flushing many batches into one
+    inbox with no lock between them: every record arrives exactly once
+    and each producer's records arrive in the order it sent them."""
+    (chan,) = pipes()
+    producers, batches, size = 4, 150, 40
+    procs = [
+        _CTX.Process(target=_batch_producer, args=(chan, p, batches, size))
+        for p in range(producers)
+    ]
+    for proc in procs:
+        proc.start()
+    seen: dict[int, list[int]] = {p: [] for p in range(producers)}
+    for _ in range(producers * batches * size):
+        tag, producer, msg = chan.get(timeout=30)
+        assert tag == MSG
+        seen[producer].append(msg.value)
+    for proc in procs:
+        proc.join(timeout=30)
+        assert proc.exitcode == 0
+    for values in seen.values():
+        assert values == list(range(batches * size))
+    with pytest.raises(queue_mod.Empty):
+        chan.get_nowait()
+
+
+def _blob_producer(chan, payload: dict) -> None:
+    backend_mod._put_wire(chan, (MIGRATE, 3, 0, 7, payload))
+    backend_mod._put_wire(chan, (GVT, 8, 1.0))  # FIFO behind the blob
+
+
+def test_pipe_blob_larger_than_pipe_interleaves_with_msg_frames(pipes):
+    """A MIGRATE blob bigger than the whole pipe (so its sender must
+    wait out Full and resume mid-blob) crosses intact while another
+    producer's MSG frames land between its fragments."""
+    (chan,) = pipes()
+    payload = _migrate_payload(n_lps=40, n_pending=6000)
+    blob = _CTX.Process(target=_blob_producer, args=(chan, payload))
+    msgs = _CTX.Process(target=_batch_producer, args=(chan, 1, 60, 40))
+    blob.start()
+    msgs.start()
+    values, got_blob, after_blob = [], None, None
+    while len(values) < 60 * 40 or after_blob is None:
+        item = chan.get(timeout=30)
+        if item[0] == MSG:
+            values.append(item[2].value)
+        elif item[0] == MIGRATE:
+            got_blob = item
+        else:
+            assert got_blob is not None, "GVT overtook its producer's blob"
+            after_blob = item
+    for proc in (blob, msgs):
+        proc.join(timeout=30)
+        assert proc.exitcode == 0
+    assert values == list(range(60 * 40))
+    assert got_blob[:4] == (MIGRATE, 3, 0, 7)
+    _assert_payloads_match(got_blob[4], payload)
+    assert after_blob == (GVT, 8, 1.0)
+
+
+def test_pipe_full_raises_full_and_never_blocks(pipes):
+    (chan,) = pipes()
+    sent = 0
+    with pytest.raises(queue_mod.Full):
+        for sent in range(100_000):
+            chan.put_nowait((GVT, sent, 1.0))
+    assert sent > 256, "an unbounded inbox must hold the probe's 256 records"
+    start = time.monotonic()
+    with pytest.raises(queue_mod.Full):
+        chan.put((GVT, -1, 1.0), timeout=0.2)
+    assert time.monotonic() - start < 5
+    assert [chan.get(timeout=10)[1] for _ in range(sent)] == list(range(sent))
+
+
+def test_pipe_256_blocking_puts_then_gets_from_one_process(pipes):
+    """What ``benchmarks/e2e``'s transport probe does: one process puts
+    256 records, blocking, before it reads the first one back."""
+    (chan,) = pipes()
+    for i in range(256):
+        chan.put((MSG, 1, Message(100 + i, 0, i % 97, i, i & 1, i % 89, i)))
+    assert [chan.get(timeout=10)[2].uid for _ in range(256)] == list(range(256))
+
+
+def _flooder(own, peer, node: int, total: int) -> None:
+    """Send everything, only then read: deadlocks unless waiting out
+    ``Full`` drains the sender's own inbox."""
+    for start in range(0, total, 64):
+        backend_mod._put_wire_batch(
+            peer,
+            [(MSG, node, _msg(i % 40, value=i)) for i in range(start, start + 64)],
+            own,
+        )
+    values = [own.get(timeout=30)[2].value for _ in range(total)]
+    assert values == list(range(total))
+
+
+def test_pipe_mutual_drain_two_flooders_both_finish(pipes):
+    """Two nodes each pushing several pipes' worth at the other before
+    reading anything: both inboxes fill, both senders wait out Full —
+    and both finish, because the wait drains their own inbox."""
+    a, b = pipes(n=2)
+    total = 64 * 400
+    procs = [
+        _CTX.Process(target=_flooder, args=(a, b, 0, total)),
+        _CTX.Process(target=_flooder, args=(b, a, 1, total)),
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+
+
+def test_pipe_drain_discards_deque_and_partial_blob(pipes):
+    """Re-arming clears everything: the pipe, the local deque and a blob
+    whose sender died between fragments — and returns their slots."""
+    (chan,) = pipes(maxsize=8)
+    for i in range(3):
+        chan.put_nowait((GVT, i, 1.0))
+    assert chan.qsize() == 3  # now in the local deque
+    chan.put_nowait((GVT, 3, 1.0))
+    blob = (MIGRATE, 1, 0, 3, _migrate_payload(n_lps=8, n_pending=400))
+    frames = _fragment(pickle.dumps([blob], pickle.HIGHEST_PROTOCOL))
+    assert len(frames) > 1 and chan._take_slots(1) == 1
+    os.write(chan._wfd, frames[0])
+    assert chan.drain() == 4
+    with pytest.raises(queue_mod.Empty):
+        chan.get_nowait()
+    assert not chan._partial
+    for i in range(8):  # every record slot came back
+        chan.put_nowait((GVT, i, 1.0))
+    assert chan.qsize() == 8
+
+
+def test_pipe_close_is_idempotent_and_releases_both_ends(pipes):
+    before = len(os.listdir("/proc/self/fd"))
+    inboxes = pipes(n=3)
+    assert len(os.listdir("/proc/self/fd")) == before + 6
+    for chan in inboxes:
+        chan.close()
+        chan.close()
+    assert len(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(OSError):
+        inboxes[0].get_nowait()
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ the job server layers on top (caching, pooling) assumes it.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.circuit.netlists import load_s27
@@ -152,3 +154,21 @@ def test_close_is_idempotent_and_joins_workers(world):
     ring.close()
     ring.close()
     assert all(not w.is_alive() for w in workers)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+def test_fifty_jobs_then_close_leak_no_fds(world):
+    """A ring's pipes (inboxes, job and control channels, worker
+    sentinels) are all given back: the parent's open-fd count after 50
+    jobs and ``close()`` is what it was before ``start()``."""
+    circuit, assignment, stimulus, machine, sequential = world
+    # multiprocessing's resource tracker starts on first use and keeps
+    # one fd for the life of the process: get that out of the way.
+    WorkerRing(2, transport="queue").start().close()
+    before = len(os.listdir("/proc/self/fd"))
+    ring = WorkerRing(2, transport="queue").start()
+    for _ in range(50):
+        result = ring.run_job(circuit, assignment, stimulus, machine, timeout=30)
+        assert result.final_values == sequential.final_values
+    ring.close()
+    assert len(os.listdir("/proc/self/fd")) == before
