@@ -70,6 +70,7 @@ restart-budget-exhaustion path is exercised.  Malformed clauses raise
 
 from __future__ import annotations
 
+import gc
 import glob
 import json
 import multiprocessing as mp
@@ -941,22 +942,32 @@ class NodeLoop:
         return handled
 
     def work_batch(self) -> int:
-        """Optimistically process a slice of local events."""
-        worked = 0
-        while worked < _BATCH and self.engine.processable(self.gvt):
-            t0 = time.perf_counter()
-            self.engine.process_one()
+        """Optimistically process a slice of local events.
+
+        One engine call, one clock pair and one outbox flush per batch.
+        The flush keeps the invariant the wire rests on: ``engine.outbox``
+        is empty whenever :meth:`handle`, :meth:`maybe_initiate` or a
+        token fold runs, so no message is ever invisible to a GVT cut,
+        and the outbox list's anti-after-positive order reaches the
+        send buffer — and hence each FIFO channel — intact.
+        """
+        engine = self.engine
+        limit = _BATCH
+        if self.exit_at is not None:
+            limit = min(limit, self.exit_at - engine.counters["events"])
+        t0 = time.perf_counter()
+        worked = engine.run_batch(limit, self.gvt)
+        if worked:
             self.flush_outbox()
             self.busy += time.perf_counter() - t0
-            worked += 1
-            self.since_gvt += 1
-            if (
-                self.exit_at is not None
-                and self.engine.counters["events"] >= self.exit_at
-            ):
-                # Injected mid-run crash (exit-at fault): die exactly
-                # like a segfaulted worker would — no report, no flush.
-                os._exit(13)
+            self.since_gvt += worked
+        if (
+            self.exit_at is not None
+            and engine.counters["events"] >= self.exit_at
+        ):
+            # Injected mid-run crash (exit-at fault): die exactly
+            # like a segfaulted worker would — no report, no flush.
+            os._exit(13)
         return worked
 
     def run(self) -> None:
@@ -1081,7 +1092,19 @@ def _run_node(
                 # including before the first GVT-crossing checkpoint —
                 # leaves something to restart from.
                 loop.write_checkpoint(0, 0.0)
-        loop.run()
+        # The loop allocates heavily (messages, history records, key
+        # tuples) but never creates reference cycles: everything dies
+        # by refcount.  Generational GC passes over the live history are
+        # pure overhead, so — the kernel's argument verbatim — they are
+        # suspended for the run and restored on every exit path (a ring
+        # worker gets its collector back between jobs).
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loop.run()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         engine.check_quiescent()
         engine.flush_committed()
         wall = time.perf_counter() - start

@@ -19,15 +19,18 @@ suite checks.
 
 from __future__ import annotations
 
+from bisect import insort as bisect_insort
 from collections import deque
+from itertools import count
 
 from repro.circuit.gate import FALSE
 from repro.circuit.graph import CircuitGraph
 from repro.errors import SimulationError
 from repro.sim.event import CAPTURE, SIG, STIM
 from repro.sim.stimulus import Stimulus
-from repro.warped.lp import LogicalProcess
+from repro.warped.lp import LogicalProcess, ProcessedRecord
 from repro.warped.messages import ANTI, Message
+from repro.warped.parallel.protocol import T_INF
 from repro.warped.queues import NodeQueue
 from repro.warped.stats import NodeStats
 
@@ -277,42 +280,276 @@ class NodeEngine:
         return self.window is None or t <= gvt + self.window
 
     def process_one(self) -> int:
-        """Process the earliest pending event; returns remote sends made.
+        """Process the earliest pending event (1), or nothing if idle (0)."""
+        return self.run_batch(1, T_INF)
 
-        New remote messages land in :attr:`outbox`; the caller flushes
-        them to the wire (stamping GVT colors on the way out).
+    def run_batch(self, limit: int, gvt: float) -> int:
+        """Process up to *limit* pending events inside the optimism
+        window at *gvt*; returns how many ran.
+
+        This is the engine's one event path.  New remote messages land
+        in :attr:`outbox`, in emission order (an anti-message always
+        behind the positive copy it chases — what per-channel FIFO
+        rests on); the caller flushes them to the wire, stamping GVT
+        colors on the way out.
+
+        The per-event block is the virtual executive's, line for line
+        (:meth:`repro.warped.kernel.TimeWarpSimulator.run`): queue pop,
+        :meth:`LogicalProcess.process` and the same-node insert run
+        inline, with the same local names, and any change here must
+        mirror ``lp.py`` and that loop.  The scalars the block advances
+        — event and message counts, ``_uid_next``, ``_history``,
+        ``peak_history`` — ride in locals and are written back before
+        every call into the slow path (``_rollback``,
+        ``_drain_cancels``; it reads them, and of them writes only
+        ``_history``) and on every exit, exceptions included.  The
+        ``max_events`` guard fires once per batch, as the kernel's does
+        once per GVT interval.
         """
-        msg = self.queue.pop()
-        lp = self.lps[msg.dest]
-        record = lp.process(msg, self._next_uid)
-        self._history += 1
-        if self._history > self.peak_history:
-            self.peak_history = self._history
-        if msg.dest not in self._oldest:
-            self._oldest[msg.dest] = msg.time
-        self.counters["events"] += 1
-        self.stats.events_processed += 1
-        if self.counters["events"] > self.max_events:
+        node = self.node
+        lps = self.lps
+        assignment = self.assignment
+        proc_queue = self.queue
+        qlist = proc_queue._list
+        uid_keys = proc_queue._uid_keys
+        outbox = self.outbox
+        waiting_antis = self._waiting_antis
+        pending_cancels = self._pending_cancels
+        capture_log = self.capture_log
+        oldest_setdefault = self._oldest.setdefault
+        counters = self.counters
+        horizon = T_INF if self.window is None else gvt + self.window
+        stride = self.num_nodes
+        insort = bisect_insort
+        msg_new = Message.__new__
+        rec_new = ProcessedRecord.__new__
+        first_event = events = counters["events"]
+        last_event = events + limit
+        local_messages = counters["local_messages"]
+        app_messages = counters["app_messages"]
+        uid_next = self._uid_next
+        history_total = self._history
+        peak_history = self.peak_history
+        try:
+            while events < last_event:
+                t = proc_queue.min_time
+                if t is None or t > horizon:
+                    break
+                # --- NodeQueue.pop, inlined ------------------------------
+                _, _, msg = qlist.pop()
+                del uid_keys[msg.uid]
+                if qlist:
+                    head_key = qlist[-1][1]
+                    proc_queue.min_key = head_key
+                    proc_queue.min_time = head_key[0]
+                else:
+                    proc_queue.min_key = None
+                    proc_queue.min_time = None
+                # --- end inlined pop -------------------------------------
+                dest = msg.dest
+                lp = lps[dest]
+                # --- LogicalProcess.process, inlined ---------------------
+                # The method stays the reference (conservative kernel,
+                # component tests, tests/test_node_engine_batch.py).  Its
+                # straggler guard is kept: messages reach this queue from
+                # three directions (local sends, the wire, migration) and
+                # this is the one place that checks every one of them
+                # rolled back first.  Engine LPs never checkpoint
+                # (incremental state saving only), so that branch of the
+                # method is absent.
+                if msg.key <= lp.last_key:
+                    raise SimulationError(
+                        f"LP {lp.gate.name}: straggler {msg!r} reached "
+                        f"process() (last key {lp.last_key}); kernel must "
+                        "roll back first"
+                    )
+                values = lp._fanin_values
+                old_output = lp.output_value
+                old_input = None
+                # The shared empty tuple stands in for "no emissions";
+                # every consumer only iterates it.
+                emissions = ()
+                prio = msg.prio
+                if prio == SIG or (prio == STIM and msg.src != lp.gate_index):
+                    # Signal (or stimulus copy) from a driving LP.
+                    slots = lp._src_slots[msg.src]
+                    if type(slots) is int:
+                        old_input = values[slots]
+                        values[slots] = msg.value
+                    else:
+                        old_input = values[slots[0]]
+                        value = msg.value
+                        for position in slots:
+                            values[position] = value
+                    if lp._is_comb:
+                        nv = lp._eval(values)
+                        if nv != old_output:
+                            lp.output_value = nv
+                            n_seq = lp.emission_seq
+                            lp.emission_seq = n_seq + 1
+                            t_out = msg.time + lp.delay
+                            gi = lp.gate_index
+                            sinks = lp._sink_list
+                            n_sinks = len(sinks)
+                            key_out = (t_out, SIG, gi, n_seq)
+                            if n_sinks == 1:
+                                em = msg_new(Message)
+                                em.time = t_out
+                                em.prio = SIG
+                                em.src = gi
+                                em.n = n_seq
+                                em.value = nv
+                                em.dest = sinks[0]
+                                em.uid = uid_next
+                                em.sign = 1
+                                em.key = key_out
+                                emissions = [em]
+                            elif n_sinks == 2:
+                                em = msg_new(Message)
+                                em.time = t_out
+                                em.prio = SIG
+                                em.src = gi
+                                em.n = n_seq
+                                em.value = nv
+                                em.dest = sinks[0]
+                                em.uid = uid_next
+                                em.sign = 1
+                                em.key = key_out
+                                em2 = msg_new(Message)
+                                em2.time = t_out
+                                em2.prio = SIG
+                                em2.src = gi
+                                em2.n = n_seq
+                                em2.value = nv
+                                em2.dest = sinks[1]
+                                em2.uid = uid_next + stride
+                                em2.sign = 1
+                                em2.key = key_out
+                                emissions = [em, em2]
+                            else:
+                                emissions = [
+                                    Message(t_out, SIG, gi, n_seq, nv, s, uid)
+                                    for s, uid in zip(
+                                        sinks, count(uid_next, stride)
+                                    )
+                                ]
+                            uid_next += stride * n_sinks
+                elif prio == CAPTURE:
+                    data = values[0]
+                    if data != old_output:
+                        lp.output_value = data
+                        capture_log[(dest, msg.n)] = data
+                        n_seq = lp.emission_seq
+                        lp.emission_seq = n_seq + 1
+                        t_out = msg.time + lp.delay
+                        gi = lp.gate_index
+                        sinks = lp._sink_list
+                        emissions = [
+                            Message(t_out, SIG, gi, n_seq, data, s, uid)
+                            for s, uid in zip(sinks, count(uid_next, stride))
+                        ]
+                        uid_next += stride * len(sinks)
+                else:
+                    # Own stimulus: apply, fan the SAME key out to the sinks.
+                    value = msg.value
+                    if value != old_output:
+                        lp.output_value = value
+                        gi = lp.gate_index
+                        sinks = lp._sink_list
+                        emissions = [
+                            Message(msg.time, STIM, gi, msg.n, value, s, uid)
+                            for s, uid in zip(sinks, count(uid_next, stride))
+                        ]
+                        uid_next += stride * len(sinks)
+                record = rec_new(ProcessedRecord)
+                record.msg = msg
+                record.old_input = old_input
+                record.old_output = old_output
+                record.emissions = emissions
+                lp.processed.append(record)
+                lp.processed_uids.add(msg.uid)
+                lp.last_key = msg.key
+                # --- end inlined process ---------------------------------
+                events += 1
+                history_total += 1
+                if history_total > peak_history:
+                    peak_history = history_total
+                oldest_setdefault(dest, msg.time)
+                for em in emissions:
+                    dest_node = assignment[em.dest]
+                    if dest_node == node:
+                        local_messages += 1
+                        # _insert_positive, inlined for the same-node case
+                        # (the overwhelming majority of traffic under a good
+                        # partition).
+                        if waiting_antis and em.uid in waiting_antis:
+                            del waiting_antis[em.uid]
+                            continue
+                        dest_lp = lps[em.dest]
+                        if em.key <= dest_lp.last_key:
+                            self._write_back(
+                                events, local_messages, app_messages,
+                                uid_next, history_total, peak_history,
+                            )
+                            self._rollback(
+                                dest_lp, em.key, cancel_uid=None, cause_msg=em
+                            )
+                            history_total = self._history
+                        # NodeQueue.push, inlined (rollback never rebinds
+                        # the queue's list).
+                        sk = (em.time, em.prio, em.src, em.n, em.dest, em.uid)
+                        nk = (-em.time, -em.prio, -em.src, -em.n, -em.dest, -em.uid)
+                        insort(qlist, (nk, sk, em))
+                        uid_keys[em.uid] = nk
+                        mk = proc_queue.min_key
+                        if mk is None or sk < mk:
+                            proc_queue.min_key = sk
+                            proc_queue.min_time = em.time
+                    else:
+                        outbox.append((dest_node, em))
+                        app_messages += 1
+                if pending_cancels:
+                    self._write_back(
+                        events, local_messages, app_messages,
+                        uid_next, history_total, peak_history,
+                    )
+                    self._drain_cancels()
+                    history_total = self._history
+        finally:
+            self._write_back(
+                events, local_messages, app_messages,
+                uid_next, history_total, peak_history,
+            )
+        if events > self.max_events:
             raise SimulationError(
-                f"node {self.node} exceeded max_events={self.max_events}; "
+                f"node {node} exceeded max_events={self.max_events}; "
                 "thrashing rollbacks or workload too large"
             )
-        if msg.prio == CAPTURE and record.old_output != lp.output_value:
-            self.capture_log[(msg.dest, msg.n)] = lp.output_value
-        remote = 0
-        for em in record.emissions:
-            dest_node = self.owner(em.dest)
-            if dest_node == self.node:
-                self.counters["local_messages"] += 1
-                self.stats.messages_sent_local += 1
-                self._insert_positive(em)
-            else:
-                self.outbox.append((dest_node, em))
-                self.counters["app_messages"] += 1
-                self.stats.messages_sent_remote += 1
-                remote += 1
-        self._drain_cancels()
-        return remote
+        return events - first_event
+
+    def _write_back(
+        self,
+        events: int,
+        local_messages: int,
+        app_messages: int,
+        uid_next: int,
+        history_total: int,
+        peak_history: int,
+    ) -> None:
+        """Store :meth:`run_batch`'s local scalars into the engine.
+
+        ``counters[...]`` and the :class:`NodeStats` field of the same
+        quantity advance in lock-step (in ``run_batch`` and nowhere
+        else), so one value serves both.
+        """
+        counters = self.counters
+        stats = self.stats
+        counters["events"] = stats.events_processed = events
+        counters["local_messages"] = stats.messages_sent_local = local_messages
+        counters["app_messages"] = stats.messages_sent_remote = app_messages
+        self._uid_next = uid_next
+        self._history = history_total
+        self.peak_history = peak_history
 
     def fossil_collect(self, gvt: float) -> None:
         """Free history below *gvt*, visiting only LPs that hold some.
@@ -320,29 +557,44 @@ class NodeEngine:
         Freed records are committed: with tracing on, each sweep emits
         one ``commit`` timeline record per LP it freed work from.
         """
-        if gvt == float("inf"):
+        if gvt == T_INF:
             return
         floor_t = int(gvt)
         tracer = self.tracer
+        lps = self.lps
         oldest_times = self._oldest
-        for index, oldest in list(oldest_times.items()):
-            if oldest >= floor_t:
-                continue  # nothing below the floor: the common case
-            lp = self.lps[index]
-            freed = lp.fossil_collect(floor_t)
-            self._history -= freed
-            if lp.processed:
-                oldest_times[index] = lp.processed[0].msg.time
-            else:
-                del oldest_times[index]
-            if tracer is not None and freed:
+        freed = 0
+        for index in [i for i, t in oldest_times.items() if t < floor_t]:
+            # Engine LPs save state incrementally, so a sweep frees a
+            # plain prefix — inlined, single pass, as the kernel's GVT
+            # round does (this touches every committed record once over
+            # a run).  ``_oldest[index]`` is the time of the LP's first
+            # record, so at least that one goes.
+            lp = lps[index]
+            processed = lp.processed
+            uids = lp.processed_uids
+            keep_from = 0
+            for record in processed:
+                msg = record.msg
+                if msg.time >= floor_t:
+                    break
+                uids.discard(msg.uid)
+                keep_from += 1
+            del processed[:keep_from]
+            freed += keep_from
+            if tracer is not None:
                 tracer.emit(
                     "commit",
                     lp=index,
-                    n=freed,
-                    t_lo=int(oldest),
+                    n=keep_from,
+                    t_lo=int(oldest_times[index]),
                     t_hi=floor_t,
                 )
+            if processed:
+                oldest_times[index] = processed[0].msg.time
+            else:
+                del oldest_times[index]
+        self._history -= freed
 
     def flush_committed(self) -> None:
         """Emit the quiescence ``commit`` flush: all surviving history.
@@ -478,6 +730,8 @@ class NodeEngine:
         """Account for the history an installed LP arrives with."""
         if processed:
             self._history += len(processed)
+            if self._history > self.peak_history:
+                self.peak_history = self._history
             self._oldest[index] = processed[0].msg.time
 
     def apply_ownership(self, gates, owner: int, version: int) -> None:

@@ -44,8 +44,8 @@ class IdleEngine:
     def processable(self, gvt):
         return False
 
-    def process_one(self):  # pragma: no cover
-        raise AssertionError("idle engine asked to process")
+    def run_batch(self, limit, gvt):
+        return 0
 
     def min_pending(self):
         return None

@@ -172,3 +172,40 @@ def test_fifty_jobs_then_close_leak_no_fds(world):
         assert result.final_values == sequential.final_values
     ring.close()
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+def _vm_rss_kb(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no VmRSS for pid {pid}")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs Linux /proc"
+)
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_ring_worker_rss_stays_flat_across_jobs(medium_circuit, tmp_path, traced):
+    """Workers suspend the cyclic collector for each job's run and get
+    it back between jobs: whatever one job leaves behind must be
+    reclaimed before it piles up.  (A traced ``NodeLoop`` sits in a
+    reference cycle with its timed handler, so its whole engine is
+    collector-only garbage — the case suspension could leak.)"""
+    circuit = medium_circuit
+    stimulus = RandomStimulus(circuit, num_cycles=10, period=100, seed=7)
+    assignment = get_partitioner("Multilevel", seed=3).partition(circuit, 2)
+    machine = VirtualMachine(num_nodes=2, gvt_interval=128, optimism_window=100)
+    trace_path = str(tmp_path / "job.trace.jsonl") if traced else None
+    with WorkerRing(2, transport="queue") as ring:
+        pids = list(ring.worker_pids.values())
+        rss = {}
+        for job in range(1, 61):
+            ring.run_job(
+                circuit, assignment, stimulus, machine,
+                timeout=30, trace_path=trace_path,
+            )
+            if job in (20, 60):
+                rss[job] = [_vm_rss_kb(pid) for pid in pids]
+    for after_20, after_60 in zip(rss[20], rss[60]):
+        assert after_60 <= after_20 * 1.05, rss
