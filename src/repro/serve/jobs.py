@@ -33,6 +33,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,6 +74,11 @@ class JobState(str, Enum):
 #: Hard ceiling on a client-supplied timeout (a server must not let one
 #: job camp on a worker slot for hours).
 MAX_TIMEOUT = 600.0
+#: Finished jobs the table remembers.  Each holds its whole
+#: :class:`TimeWarpResult`, so an unbounded table is a leak the size of
+#: the server's lifetime; an evicted id answers 404 like an unknown one.
+#: (The result cache is separate: a repeat of an evicted job still hits.)
+MAX_TERMINAL_JOBS = 1024
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,8 @@ class JobManager:
             max_workers=max_concurrency, thread_name_prefix="serve-job"
         )
         self._jobs: dict[str, Job] = {}
+        #: Ids of terminal jobs, oldest finish first (eviction order).
+        self._finished: deque[str] = deque()
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
         self._closed = False
@@ -244,6 +252,10 @@ class JobManager:
             if self.status_dir is not None:
                 job.status_base = os.path.join(self.status_dir, job_id)
             self._jobs[job_id] = job
+            # Only terminal ids are ever in _finished, so a queued or
+            # running job cannot be evicted.
+            while len(self._finished) > MAX_TERMINAL_JOBS:
+                self._jobs.pop(self._finished.popleft(), None)
         self.metrics.inc("jobs_submitted")
         job._future = self._executor.submit(self._execute, job)
         return job
@@ -429,6 +441,7 @@ class JobManager:
         job.error = error
         job.finished = time.time()
         self.metrics.inc(f"jobs_{state.value}")
+        self._finished.append(job.id)
         job._done_event.set()
 
     # ------------------------------------------------------------------

@@ -114,15 +114,17 @@ from repro.warped.stats import NodeStats, TimeWarpResult
 #: Local events processed between inbox polls (rollback responsiveness
 #: vs. polling overhead).
 _BATCH = 16
-#: Blocking-receive timeout when a node has nothing processable (s).
+#: How long an idle node keeps polling — lapping the main loop with one
+#: ``sched_yield`` per lap — before it parks in a blocking receive (s).
+#: A wake-up through ``select`` costs 50-180 µs, a polled delivery a few;
+#: 100 µs buys about half the gain, 1 ms nothing more.
+_IDLE_SPIN = 0.0003
+#: Blocking-receive timeout once a node has been idle that long (s).
 _BATCH_IDLE_WAIT = 0.0005
 #: Minimum spacing between idle-triggered GVT computations (s).  Both
 #: channels deliver in tens of microseconds, so a window-throttled ring
 #: can afford idle rounds this close — where it spends its life.
 _BATCH_IDLE_GVT_SPACING = 0.00005
-#: Buffered outgoing messages (across all destinations) that force a
-#: wire flush between the GVT-mandated flush points.
-_WIRE_BATCH = 32
 #: How long a dead-but-unreported worker's payload may stay in flight
 #: before the parent declares the node lost (absorbs a loaded machine).
 _DEATH_GRACE = 2.0
@@ -469,6 +471,10 @@ class NodeLoop:
         #: with tracing on (the timed wrapper shadows ``handle``), so
         #: the untraced wire path stays bare.
         self.recv_busy = 0.0
+        #: Seconds and count of blocking receives (:meth:`run`'s park):
+        #: one clock pair around a call that is rare by construction.
+        self.park = 0.0
+        self.parks = 0
         if tracer is not None:
             self._handle_inner = self.handle
             self.handle = self._timed_handle
@@ -493,8 +499,8 @@ class NodeLoop:
     def flush_outbox(self) -> None:
         """Park the engine's new remote messages in the send buffer
         (coalescing anti-messages against still-buffered positives);
-        the wire flush happens at the GVT-mandated flush points or when
-        the buffer fills."""
+        they hit the wire at the end of the batch that made them, or at
+        the next GVT-mandated flush point if that comes first."""
         outbox = self.engine.outbox
         if not outbox:
             return
@@ -502,19 +508,20 @@ class NodeLoop:
         for dest, msg in outbox:
             buffer.add(dest, msg)
         outbox.clear()
-        if len(buffer) >= _WIRE_BATCH:
-            self.flush_wire()
 
     def flush_wire(self) -> None:
         """Ship every buffered message.
 
         GVT colors and recovery sequence numbers are assigned *here*,
         at wire time — never at buffer time — so a message the clerk
-        has counted as sent is always really on the wire.  Calling this
-        before every token fold, GVT application, and idle block keeps
-        the invariant the Mattern proof (and checkpoint consistency)
-        needs: whenever this node contributes to a GVT cut or snapshots
-        its state, its send buffer is empty.
+        has counted as sent is always really on the wire.  Every
+        :meth:`work_batch` ends here, so a send waits for at most the
+        batch that made it; calling it as well before every token fold
+        and GVT application (``handle`` can park a rollback's
+        anti-messages between batches) keeps the invariant the Mattern
+        proof (and checkpoint consistency) needs: whenever this node
+        contributes to a GVT cut or snapshots its state, its send
+        buffer is empty.
         """
         if not len(self.sendbuf):
             return
@@ -562,7 +569,11 @@ class NodeLoop:
     # -- GVT -----------------------------------------------------------
     def apply_gvt(self, cid: int, value: float) -> None:
         """Fossil-collect at *value* and reset per-round bookkeeping."""
-        self.engine.fossil_collect(value)
+        # A round that did not advance GVT has nothing new to free (every
+        # record made since the last sweep is at or above it), and polling
+        # idle nodes make such rounds common: skip the sweep's scan.
+        if value > self.gvt:
+            self.engine.fossil_collect(value)
         # Every node resets its progress counter and compacts clerk
         # state here — on the initiator this used to live in
         # ``conclude``; non-initiators never did either (the since_gvt
@@ -942,14 +953,20 @@ class NodeLoop:
         return handled
 
     def work_batch(self) -> int:
-        """Optimistically process a slice of local events.
+        """Optimistically process a slice of local events and ship what
+        they sent.
 
-        One engine call, one clock pair and one outbox flush per batch.
-        The flush keeps the invariant the wire rests on: ``engine.outbox``
-        is empty whenever :meth:`handle`, :meth:`maybe_initiate` or a
-        token fold runs, so no message is ever invisible to a GVT cut,
-        and the outbox list's anti-after-positive order reaches the
-        send buffer — and hence each FIFO channel — intact.
+        One engine call, one clock pair, one outbox flush and one wire
+        flush per batch.  The outbox flush keeps the invariant the wire
+        rests on: ``engine.outbox`` is empty whenever :meth:`handle`,
+        :meth:`maybe_initiate` or a token fold runs, so no message is
+        ever invisible to a GVT cut, and the outbox list's
+        anti-after-positive order reaches the send buffer — and hence
+        each FIFO channel — intact.  The wire flush is the latency rule:
+        a remote message leaves with the batch that made it (and with it
+        whatever anti-messages :meth:`handle` parked since the previous
+        batch), so the send buffer is empty after every call — worked or
+        not — and an idle node never sits on a peer's input.
         """
         engine = self.engine
         limit = _BATCH
@@ -957,8 +974,9 @@ class NodeLoop:
             limit = min(limit, self.exit_at - engine.counters["events"])
         t0 = time.perf_counter()
         worked = engine.run_batch(limit, self.gvt)
+        self.flush_outbox()
+        self.flush_wire()
         if worked:
-            self.flush_outbox()
             self.busy += time.perf_counter() - t0
             self.since_gvt += worked
         if (
@@ -966,28 +984,46 @@ class NodeLoop:
             and engine.counters["events"] >= self.exit_at
         ):
             # Injected mid-run crash (exit-at fault): die exactly
-            # like a segfaulted worker would — no report, no flush.
+            # like a segfaulted worker would — no report.
             os._exit(13)
         return worked
 
     def run(self) -> None:
-        """Drive the node to quiescence (GVT == +inf)."""
+        """Drive the node to quiescence (GVT == +inf).
+
+        One idle path for every channel: a node with nothing drained and
+        nothing worked keeps lapping the *whole* loop — so the
+        initiator's idle-GVT rule stays live — yielding the core once
+        per lap, and parks in a blocking receive only after
+        ``_IDLE_SPIN`` without a handled item or a processed event.
+        The yield hands the core to a runnable peer, so the same rule
+        serves hosts with more cores than nodes and fewer.
+        """
+        idle_since = None
         while not self.done:
-            self.poll()
+            handled = self.poll()
             if self.done:
                 break
             worked = self.work_batch()
             self.maybe_initiate()
-            # Nothing processable and nothing drained: wait for the wire.
-            if not worked:
-                # Never block on buffered sends — the peers need them
-                # to make the progress this node is awaiting.
-                self.flush_wire()
-                try:
-                    item = self.inbox.get(timeout=_BATCH_IDLE_WAIT)
-                except queue_mod.Empty:
-                    continue
+            if handled or worked:
+                idle_since = None
+                continue
+            now = time.perf_counter()
+            if idle_since is None:
+                idle_since = now
+            if now - idle_since < _IDLE_SPIN:
+                os.sched_yield()
+                continue
+            try:
+                item = self.inbox.get(timeout=_BATCH_IDLE_WAIT)
+            except queue_mod.Empty:
+                item = None
+            self.park += time.perf_counter() - now
+            self.parks += 1
+            if item is not None:
                 self.handle(item)
+                idle_since = None
         if self.status_path is not None:
             self.write_status(force=True)  # the final "done" snapshot
 
@@ -1113,9 +1149,10 @@ def _run_node(
         stats.busy_time = loop.busy
         if tracer is not None:
             # Measured attribution: compute is the event-processing
-            # batch clock (local rollbacks included), transport the
-            # timed wire handler (ingest + remote-triggered rollbacks),
-            # idle the remainder.
+            # batch clock (local rollbacks and the batch's wire flush
+            # included), transport the timed wire handler (ingest +
+            # remote-triggered rollbacks), park the blocking receives,
+            # idle the remainder (polling laps, GVT folds, arming).
             tracer.emit(
                 "node_summary",
                 busy=loop.busy,
@@ -1128,10 +1165,14 @@ def _run_node(
                 sent_local=engine.counters["local_messages"],
                 gvt_rounds=loop.gvt_rounds_seen,
                 num_lps=len(engine.lps),
+                parks=loop.parks,
                 attr={
                     "compute": loop.busy,
                     "transport": loop.recv_busy,
-                    "idle": max(0.0, wall - loop.busy - loop.recv_busy),
+                    "park": loop.park,
+                    "idle": max(
+                        0.0, wall - loop.busy - loop.recv_busy - loop.park
+                    ),
                 },
             )
     finally:

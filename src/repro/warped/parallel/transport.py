@@ -17,8 +17,7 @@ This module makes the substrate an explicit, selectable
   carrying **struct-packed fixed-width records** (no pickling) of every
   wire tag in :mod:`repro.warped.parallel.protocol`.  Producers batch
   under a per-ring lock; the single consumer (the owning node) is
-  lock-free; blocked readers poll with ``sched_yield`` so a delivery
-  costs tens of microseconds instead of a pipe wakeup.
+  lock-free; a blocked reader parks on a pipe doorbell.
 
 Ring layout (one segment per node, created by the parent)::
 
@@ -305,12 +304,6 @@ def decode_record(data: bytes) -> tuple:
 #: Default ring capacity in records when the simulator sets no inbox
 #: bound (432 KiB per node; deep enough that only a flood fills it).
 DEFAULT_CAPACITY = 4096
-#: Blocking receives spin-yield this briefly before parking on the
-#: doorbell pipe.  The spin catches back-to-back traffic for free; it
-#: is kept short because a long yield-spin on a saturated host inflates
-#: the spinner's scheduler debt and the *next* wakeup pays it in
-#: milliseconds of latency (the tail that sank the first prototype).
-_SPIN_YIELDS = 24
 #: Retry pacing for full-ring producer backoff and decode retries.
 _POLL_SLEEP = 0.0002
 #: Upper bound on one doorbell park.  The doorbell protocol has no lost
@@ -324,8 +317,6 @@ _LOCK_TIMEOUT = 2.0
 #: Checksum-retry budget in ``get_nowait`` (absorbs the store-ordering
 #: window between a producer's slot write and cursor publish).
 _DECODE_RETRIES = 8
-
-_sched_yield = getattr(os, "sched_yield", None)
 
 
 class _PollingPut:
@@ -354,10 +345,9 @@ class ShmChannel(_PollingPut):
 
     Blocking receives park on a pipe *doorbell*: a producer that finds
     the ring empty writes one byte after publishing, so a waiting
-    consumer sleeps in ``select`` (cheap, promptly woken by the kernel)
-    instead of burning its scheduler budget yield-spinning — on a
-    saturated host a long spin makes the *next* wakeup pay multi-ms of
-    accumulated scheduling debt.
+    consumer sleeps in ``select`` and the kernel wakes it.  The channel
+    itself never spins — how long to poll ``get_nowait`` before paying
+    for a park is the node loop's one policy for every channel.
 
     The channel pickles by (name, capacity, lock, duped doorbell fds):
     a spawned worker re-attaches the segment lazily on first use; a
@@ -578,24 +568,17 @@ class ShmChannel(_PollingPut):
         return decode_record(bytes(buf[slot:slot + RECORD_SIZE]))
 
     def get(self, timeout: float | None = None) -> tuple:
-        """Blocking receive: spin-yield briefly, then park on the
-        doorbell pipe.
+        """Blocking receive: park on the doorbell pipe.
 
-        The spin phase catches back-to-back traffic without a syscall;
-        the select() phase sleeps with zero CPU until a producer rings
-        the doorbell.  Lost-wakeup safety: the consumer drains pending
-        doorbell bytes *before* re-checking the ring and only then
-        blocks, while a producer rings *after* publishing its cursor —
-        so any publish that races the final check leaves either a
-        visible record or a readable byte.
+        ``select()`` sleeps with zero CPU until a producer rings the
+        doorbell; polling before parking is the caller's policy
+        (``NodeLoop.run``), not the channel's.  Lost-wakeup safety: the
+        consumer drains pending doorbell bytes *before* re-checking the
+        ring and only then blocks, while a producer rings *after*
+        publishing its cursor — so any publish that races the final
+        check leaves either a visible record or a readable byte.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        for _ in range(_SPIN_YIELDS):
-            try:
-                return self.get_nowait()
-            except queue_mod.Empty:
-                if _sched_yield is not None:
-                    _sched_yield()
         rfd = self._rfd
         while True:
             if rfd is not None:

@@ -176,6 +176,29 @@ class TestEngineReconciliation:
         ).run()
         _reconcile(read_trace(path), result)
 
+    def test_process_attribution_sums_to_wall(self, s27, tmp_path):
+        path = str(tmp_path / "pattr.jsonl")
+        stimulus = RandomStimulus(s27, num_cycles=20, period=20, seed=5)
+        assignment = get_partitioner("Multilevel", seed=3).partition(s27, 2)
+        ProcessTimeWarpSimulator(
+            s27, assignment, stimulus,
+            VirtualMachine(num_nodes=2, gvt_interval=32),
+            trace_path=path,
+        ).run()
+        analysis = analyze_trace(read_trace(path))
+        attribution = analysis["attribution"]
+        assert len(attribution["nodes"]) == 2
+        for bucket in attribution["nodes"].values():
+            attr = bucket["attr"]
+            assert set(attr) == {"compute", "transport", "park", "idle"}
+            assert attr["compute"] == pytest.approx(bucket["busy"])
+            # idle is the residual, so the four parts are the node wall.
+            assert sum(attr.values()) == pytest.approx(
+                bucket["wall"], rel=1e-9
+            )
+            assert all(v >= 0 for v in attr.values())
+        assert "park" in render_analysis(analysis)
+
     def test_virtual_attribution_decomposes_busy(self, s27, tmp_path):
         path = str(tmp_path / "attr.jsonl")
         stimulus = RandomStimulus(s27, num_cycles=30, period=20, seed=5)

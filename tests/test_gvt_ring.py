@@ -10,19 +10,28 @@ Plus the protocol property the restart path depends on: an
 inconclusive round (whites still in flight) must extend the same
 computation until the stragglers land, then conclude correctly.  And the
 migration protocol under an *injected* load fold, so that whether LPs
-move is decided by the test, not by the host's scheduler.
+move is decided by the test, not by the host's scheduler.  And the two
+latency rules of the wire: a batch's sends are on the wire when
+``work_batch`` returns, and an idle ``run()`` polls — the whole loop,
+idle-GVT rule included — for ``_IDLE_SPIN`` before it parks in a
+blocking receive.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import queue
+import threading
+from collections import Counter, deque
 
 import pytest
 
 from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped.parallel import NodeEngine, NodeLoop
-from repro.warped.parallel.protocol import T_INF
+from repro.warped.parallel import backend as backend_mod
+from repro.warped.parallel import transport as transport_mod
+from repro.warped.parallel.protocol import GVT, MSG, T_INF
 
 
 class BatchQueue(queue.Queue):
@@ -54,12 +63,39 @@ class IdleEngine:
         self.fossil_gvts.append(gvt)
 
 
+class PendingEngine(IdleEngine):
+    """An idle engine still holding one event at virtual time ``t``."""
+
+    t: int | None = 42
+
+    def min_pending(self):
+        return self.t
+
+
 def make_ring(k, engines=None, **kw):
     inboxes = [BatchQueue() for _ in range(k)]
     engines = engines or [IdleEngine() for _ in range(k)]
     return [
         NodeLoop(node, k, engines[node], inboxes, **kw) for node in range(k)
     ]
+
+
+def make_s27_ring(s27, k, *, cycles=15, loop_cls=NodeLoop, **kw):
+    """A scheduled *k*-node ring of real engines on s27 (Random
+    partition); returns ``(stimulus, inboxes, engines, loops)``."""
+    stimulus = RandomStimulus(s27, num_cycles=cycles, period=20, seed=11)
+    assignment = get_partitioner("Random", seed=4).partition(s27, k)
+    inboxes = [BatchQueue() for _ in range(k)]
+    engines = [
+        NodeEngine(s27, assignment.assignment, node, k, stimulus)
+        for node in range(k)
+    ]
+    for engine in engines:
+        engine.schedule_initial()
+    loops = [
+        loop_cls(node, k, engines[node], inboxes, **kw) for node in range(k)
+    ]
+    return stimulus, inboxes, engines, loops
 
 
 def drive(loops, max_iters=500_000):
@@ -89,21 +125,8 @@ class TestRingQuiescence:
         assert all(loop.gvt_rounds_seen >= 1 for loop in loops)
 
     def test_real_workload_ring_matches_sequential(self, s27):
-        stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
+        stimulus, _, engines, loops = make_s27_ring(s27, 3, gvt_interval=32)
         sequential = SequentialSimulator(s27, stimulus).run()
-        k = 3
-        assignment = get_partitioner("Random", seed=4).partition(s27, k)
-        inboxes = [BatchQueue() for _ in range(k)]
-        engines = [
-            NodeEngine(s27, assignment.assignment, node, k, stimulus)
-            for node in range(k)
-        ]
-        for engine in engines:
-            engine.schedule_initial()
-        loops = [
-            NodeLoop(node, k, engines[node], inboxes, gvt_interval=32)
-            for node in range(k)
-        ]
         drive(loops)
         for engine in engines:
             engine.check_quiescent()
@@ -126,20 +149,7 @@ class TestSinceGvtReset:
         which ends with a final broadcast round — all counters read 0
         while the engines demonstrably processed events.
         """
-        stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
-        k = 3
-        assignment = get_partitioner("Random", seed=4).partition(s27, k)
-        inboxes = [BatchQueue() for _ in range(k)]
-        engines = [
-            NodeEngine(s27, assignment.assignment, node, k, stimulus)
-            for node in range(k)
-        ]
-        for engine in engines:
-            engine.schedule_initial()
-        loops = [
-            NodeLoop(node, k, engines[node], inboxes, gvt_interval=32)
-            for node in range(k)
-        ]
+        _, _, engines, loops = make_s27_ring(s27, 3, gvt_interval=32)
         drive(loops)
         assert all(e.counters["events"] > 0 for e in engines)
         assert all(loop.since_gvt == 0 for loop in loops)
@@ -156,21 +166,8 @@ class TestSinceGvtReset:
         many computations (pre-fix they held one entry per color ever
         used on non-initiators).
         """
-        stimulus = RandomStimulus(s27, num_cycles=30, period=20, seed=11)
-        k = 3
-        assignment = get_partitioner("Random", seed=4).partition(s27, k)
-        inboxes = [BatchQueue() for _ in range(k)]
-        engines = [
-            NodeEngine(s27, assignment.assignment, node, k, stimulus)
-            for node in range(k)
-        ]
-        for engine in engines:
-            engine.schedule_initial()
         # A tiny interval forces many GVT computations.
-        loops = [
-            NodeLoop(node, k, engines[node], inboxes, gvt_interval=4)
-            for node in range(k)
-        ]
+        _, _, _, loops = make_s27_ring(s27, 3, cycles=30, gvt_interval=4)
         drive(loops)
         assert loops[0].gvt_computations >= 5
         for loop in loops:
@@ -216,13 +213,6 @@ class TestInconclusiveRound:
 
     def test_pending_event_bounds_gvt_via_m_clock(self):
         """A pending event's virtual time must cap the concluded GVT."""
-
-        class PendingEngine(IdleEngine):
-            t: int | None = 42
-
-            def min_pending(self):
-                return self.t
-
         engines = [IdleEngine(), PendingEngine()]
         loops = make_ring(2, engines=engines)
         l0, l1 = loops
@@ -238,6 +228,22 @@ class TestInconclusiveRound:
         engines[1].t = None
         drive(loops)
         assert l0.done and l1.done
+
+    def test_round_that_does_not_advance_gvt_skips_the_fossil_sweep(self):
+        """Polling idle nodes make no-progress rounds common; such a
+        round has nothing new to free, so it must not pay for a sweep."""
+        engines = [IdleEngine(), PendingEngine()]
+        l0, l1 = make_ring(2, engines=engines)
+        for _ in range(3):
+            l0.last_initiate = 0.0  # waive the idle-round spacing
+            l0.maybe_initiate()
+            l1.poll()
+            l0.poll()
+            l1.poll()
+        assert l0.gvt_computations == 3
+        assert l0.gvt_rounds_seen == l1.gvt_rounds_seen == 3
+        assert l0.gvt == l1.gvt == 42
+        assert engines[0].fossil_gvts == engines[1].fossil_gvts == [42]
 
     def test_red_send_bounds_gvt_via_m_send(self):
         """A red in-flight message's timestamp must cap the GVT.
@@ -320,3 +326,161 @@ class TestInjectedLoadMigration:
         assert [values[i] for i in range(s27.num_gates)] == (
             sequential.final_values
         )
+
+
+class SpyLoop(NodeLoop):
+    """Records every ``(dest, msg)`` the engine hands to the wire."""
+
+    def flush_outbox(self):
+        self.emitted.extend(self.engine.outbox)
+        super().flush_outbox()
+
+
+class TestSendsLeaveWithTheBatch:
+    def test_send_buffer_is_empty_after_every_batch(self, s27):
+        """Whatever a batch sent — and whatever anti-messages the poll
+        before it parked — is in the peer's inbox when ``work_batch``
+        returns: nothing waits for a fuller buffer or for the sender to
+        idle.  Only a (positive, anti) pair born in the same batch never
+        shows: it annihilated in the buffer."""
+        _, inboxes, _, loops = make_s27_ring(
+            s27, 2, loop_cls=SpyLoop, gvt_interval=32
+        )
+        delivered = 0
+        for _ in range(100_000):
+            if all(loop.done for loop in loops):
+                break
+            for loop in loops:
+                if loop.done:
+                    continue
+                loop.emitted = []  # antis parked by handle() count too
+                loop.poll()
+                if loop.done:
+                    continue
+                loop.work_batch()
+                assert len(loop.sendbuf) == 0
+                born = Counter(msg.uid for _, msg in loop.emitted)
+                for dest, msg in loop.emitted:
+                    if born[msg.uid] == 1:
+                        assert any(
+                            item[0] == MSG and item[2] is msg
+                            for item in inboxes[dest].queue
+                        ), f"node {loop.node}: {msg} not on the wire"
+                        delivered += 1
+                loop.maybe_initiate()
+        assert all(loop.done for loop in loops)
+        assert delivered > 0, "the ring never sent a remote message"
+
+
+class ScriptedInbox:
+    """Inbox stand-in: ``get_nowait`` is empty for the first
+    *empty_polls* calls, then serves *items*; blocking ``get`` calls are
+    recorded (their timeouts) and serve from the same items."""
+
+    def __init__(self, items=(), empty_polls=0):
+        self.items = deque(items)
+        self.empty_polls = empty_polls
+        self.polls = 0
+        self.blocking_gets = []
+
+    def get_nowait(self):
+        self.polls += 1
+        if self.polls <= self.empty_polls or not self.items:
+            raise queue.Empty
+        return self.items.popleft()
+
+    def get(self, timeout=None):
+        self.blocking_gets.append(timeout)
+        if not self.items:
+            raise queue.Empty
+        return self.items.popleft()
+
+
+class NoParkQueue(BatchQueue):
+    """An inbox on which a blocking receive is a test failure."""
+
+    def get(self, block=True, timeout=None):
+        if block:  # get_nowait() is get(block=False)
+            raise AssertionError("the node parked inside its spin window")
+        return super().get(False)
+
+
+class TestPollBeforePark:
+    def idle_follower(self, inbox):
+        """Node 1 of a 2-ring with no events: it never initiates, so its
+        ``run()`` only ever waits for the wire."""
+        return NodeLoop(1, 2, IdleEngine(), [BatchQueue(), inbox])
+
+    def test_arrival_inside_the_spin_window_costs_no_blocking_get(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(backend_mod, "_IDLE_SPIN", 60.0)
+        inbox = ScriptedInbox([(GVT, 1, T_INF)], empty_polls=25)
+        loop = self.idle_follower(inbox)
+        loop.run()
+        assert loop.done
+        assert inbox.polls > 25
+        assert inbox.blocking_gets == [] and loop.parks == 0
+
+    def test_parks_once_the_window_passes_with_nothing_arriving(self):
+        # Nothing is ever polled in; the terminating broadcast is only
+        # reachable through the blocking receive.
+        inbox = ScriptedInbox([(GVT, 1, T_INF)], empty_polls=10**9)
+        loop = self.idle_follower(inbox)
+        loop.run()
+        assert loop.done
+        assert inbox.polls >= 2, "parked without lapping the loop first"
+        assert inbox.blocking_gets == [backend_mod._BATCH_IDLE_WAIT]
+        assert loop.parks == 1 and loop.park >= 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_idle_ring_quiesces_through_run_without_parking(
+        self, k, monkeypatch
+    ):
+        """The spin laps the *whole* loop, so the initiator keeps
+        initiating idle GVT rounds while it polls: an idle ring proves
+        quiescence through ``run()`` without one blocking receive."""
+        monkeypatch.setattr(backend_mod, "_IDLE_SPIN", 60.0)
+        inboxes = [NoParkQueue() for _ in range(k)]
+        loops = [
+            NodeLoop(node, k, IdleEngine(), inboxes) for node in range(k)
+        ]
+        errors = []
+
+        def run(loop):
+            try:
+                loop.run()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(loop,), daemon=True)
+            for loop in loops
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors, errors
+        assert all(loop.done for loop in loops)
+        assert loops[0].gvt_computations >= 1
+        assert all(loop.parks == 0 for loop in loops)
+
+
+def test_shm_get_of_a_published_record_skips_the_doorbell_select(monkeypatch):
+    """``ShmChannel.get`` has no spin phase of its own, and needs none:
+    a record already in the ring is returned before ``select`` is ever
+    reached."""
+    transport = transport_mod.make_transport("shm")
+    (chan,) = transport.make_inboxes(mp.get_context("fork"), 1, 16)
+    try:
+        chan.put_nowait((GVT, 7, 42.0))
+
+        def no_select(*args, **kwargs):
+            raise AssertionError("parked on the doorbell")
+
+        monkeypatch.setattr(transport_mod.select, "select", no_select)
+        assert chan.get(timeout=0.5) == (GVT, 7, 42.0)
+    finally:
+        chan.close()
+        transport.cleanup()

@@ -21,6 +21,7 @@ import pytest
 from repro.circuit.netlists import S27_BENCH
 from repro.errors import ConfigError
 from repro.obs import Metrics
+from repro.serve import jobs as jobs_mod
 from repro.serve.app import ServeApp
 from repro.serve.cache import LruCache
 from repro.serve.jobs import JobManager, JobRequest, JobState
@@ -297,6 +298,45 @@ def test_http_rejects_bad_requests(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         server.request("GET", "/nope")
     assert excinfo.value.code == 404
+
+
+def test_job_table_keeps_only_the_newest_terminal_jobs(server, monkeypatch):
+    """Finished jobs (each holding its whole result) are evicted
+    oldest-first past ``MAX_TERMINAL_JOBS``; a live job never is, an
+    evicted id is a 404, and the result cache does not notice."""
+    monkeypatch.setattr(jobs_mod, "MAX_TERMINAL_JOBS", 8)
+    manager = server.manager
+    request = JobRequest.from_dict(S27_JOB)
+    # The oldest job of all is held short of its terminal state.
+    gate = threading.Event()
+    execute = manager._execute
+
+    def held(job):
+        if job.id == "job-000001":
+            gate.wait(60)
+        execute(job)
+
+    monkeypatch.setattr(manager, "_execute", held)
+    live = manager.submit(request)
+    ids = []
+    for _ in range(12):
+        job = manager.wait(manager.submit(request).id, timeout=60)
+        assert job.state is JobState.DONE, job.error
+        ids.append(job.id)
+    assert job.cache == {"result": "hit"}
+    # Eviction runs at submit: the 12th found 11 finished and kept 8.
+    assert [i for i in ids if manager.get(i) is None] == ids[:3]
+    assert manager.get(live.id) is live
+    assert len(manager.jobs()) == 1 + 9
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        server.request("GET", f"/jobs/{ids[0]}")
+    assert excinfo.value.code == 404
+    status, kept = server.request("GET", f"/jobs/{ids[-1]}")
+    assert status == 200 and kept["state"] == "done"
+    gate.set()
+    done = manager.wait(live.id, timeout=60)
+    assert done.state is JobState.DONE, done.error
+    assert done.cache == {"result": "hit"}
 
 
 def test_http_event_stream_ends_with_terminal_state(server):

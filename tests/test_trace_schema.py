@@ -101,6 +101,14 @@ def test_process_schema(s27, tmp_path):
     records = read_trace(path)
     seen = _assert_schema(records, "process")
     assert {"commit", "gvt_round", "inbox_depth", "node_summary"} <= seen
+    # The process backend's measured attribution names the park (the
+    # blocking receives of an idle node) and counts them.
+    for record in records:
+        if record["kind"] == "node_summary":
+            assert set(record["attr"]) == {
+                "compute", "transport", "park", "idle",
+            }
+            assert record["parks"] >= 0
     if result.rollbacks:
         assert "rollback" in seen
     # Rollback cause fields have live values, not just keys: every

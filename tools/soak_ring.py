@@ -2,14 +2,15 @@
 """Soak the process backend for stalls and wrong results.
 
 Runs many small jobs on one warm :class:`WorkerRing` (the served shape:
-s5378 at scale 0.2, 40 cycles, k = 2, optimism window 100) and a few
-cold paper-scale :class:`ProcessTimeWarpSimulator` runs (s9234, 60
-cycles, k = 2, alternately windowed and unbounded), each on its own
+s5378 at scale 0.2, 40 cycles, k = ``--nodes``, optimism window 100) and
+a few cold paper-scale :class:`ProcessTimeWarpSimulator` runs (s9234, 60
+cycles, same k, alternately windowed and unbounded), each on its own
 stimulus, each checked against the sequential oracle, each on a short
 leash so a stall costs seconds and is counted instead of waited out:
 
     python tools/soak_ring.py --jobs 2000 --cold 100 --transport queue
     python tools/soak_ring.py --jobs 200 --cold 10 --transport shm
+    python tools/soak_ring.py --jobs 500 --cold 20 --nodes 4   # nodes > cores
 
 A job *fails* when it times out, errors, or disagrees with the oracle;
 a failed warm job costs its ring (a fresh one takes over).  The last
@@ -37,9 +38,9 @@ WARM_TIMEOUT_S = 8.0
 COLD_TIMEOUT_S = 20.0
 
 
-def world(circuit_name: str, scale: float, seed: int):
+def world(circuit_name: str, scale: float, seed: int, nodes: int):
     circuit = load_benchmark(circuit_name, scale=scale, seed=seed)
-    assignment = get_partitioner("Multilevel", seed=seed).partition(circuit, 2)
+    assignment = get_partitioner("Multilevel", seed=seed).partition(circuit, nodes)
     return circuit, assignment
 
 
@@ -56,10 +57,14 @@ def verdict(run, oracle) -> str | None:
     return None
 
 
-def soak_warm(jobs: int, transport: str, seed: int, failures: list[str]) -> None:
-    circuit, assignment = world("s5378", 0.2, seed)
-    machine = VirtualMachine(num_nodes=2, gvt_interval=512, optimism_window=100)
-    ring = WorkerRing(2, transport=transport).start()
+def soak_warm(
+    jobs: int, transport: str, seed: int, nodes: int, failures: list[str]
+) -> None:
+    circuit, assignment = world("s5378", 0.2, seed, nodes)
+    machine = VirtualMachine(
+        num_nodes=nodes, gvt_interval=512, optimism_window=100
+    )
+    ring = WorkerRing(nodes, transport=transport).start()
     try:
         for job in range(jobs):
             stimulus = RandomStimulus(
@@ -77,16 +82,18 @@ def soak_warm(jobs: int, transport: str, seed: int, failures: list[str]) -> None
                 print(failures[-1], flush=True)
             if not ring.alive:
                 ring.close()
-                ring = WorkerRing(2, transport=transport).start()
+                ring = WorkerRing(nodes, transport=transport).start()
     finally:
         ring.close()
 
 
-def soak_cold(runs: int, transport: str, seed: int, failures: list[str]) -> None:
-    circuit, assignment = world("s9234", 1.0, seed)
+def soak_cold(
+    runs: int, transport: str, seed: int, nodes: int, failures: list[str]
+) -> None:
+    circuit, assignment = world("s9234", 1.0, seed, nodes)
     for run in range(runs):
         machine = VirtualMachine(
-            num_nodes=2, gvt_interval=512,
+            num_nodes=nodes, gvt_interval=512,
             optimism_window=100 if run % 2 == 0 else None,
         )
         stimulus = RandomStimulus(
@@ -113,17 +120,20 @@ def main(argv=None) -> int:
                         help="warm-ring jobs of the served shape")
     parser.add_argument("--cold", type=int, default=10,
                         help="cold paper-scale runs")
+    parser.add_argument("--nodes", type=int, default=2,
+                        help="ring width k (world, machine and ring)")
     parser.add_argument("--transport", default="queue", choices=TRANSPORT_NAMES)
     parser.add_argument("--seed", type=int, default=2000)
     args = parser.parse_args(argv)
 
     failures: list[str] = []
     start = time.monotonic()
-    soak_warm(args.jobs, args.transport, args.seed, failures)
-    soak_cold(args.cold, args.transport, args.seed, failures)
+    soak_warm(args.jobs, args.transport, args.seed, args.nodes, failures)
+    soak_cold(args.cold, args.transport, args.seed, args.nodes, failures)
     print(
         f"soak {args.transport}: {len(failures)}/{args.jobs + args.cold} failed "
-        f"({args.jobs} warm + {args.cold} cold, {time.monotonic() - start:.0f} s)"
+        f"({args.jobs} warm + {args.cold} cold, k = {args.nodes}, "
+        f"{time.monotonic() - start:.0f} s)"
     )
     return 1 if failures else 0
 
