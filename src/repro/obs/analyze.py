@@ -17,7 +17,7 @@ a run was slow.  Four analyses over one merged JSONL trace:
   (needs the circuit; partition optional);
 - **attribution** (:func:`wall_time_attribution`) — per-node wall
   clock split into compute / rollback waste / GVT / transport / park /
-  idle, from the enriched ``node_summary`` records.
+  setup / idle, from the enriched ``node_summary`` records.
 
 :func:`analyze_trace` bundles all four; :func:`scorecard_row` /
 :func:`render_scorecard` join a run's analysis with the static
@@ -34,7 +34,7 @@ from repro.obs.metrics import summarize
 #: Attribution categories in render order.
 ATTR_KEYS = (
     "compute", "rollback", "gvt", "send", "recv",
-    "transport", "migration", "park", "idle",
+    "transport", "migration", "park", "setup", "idle",
 )
 
 

@@ -15,9 +15,11 @@ cache:
 2. **Partition cache** — keyed by
    :func:`~repro.serve.keys.partition_key`; partitioning dominates the
    setup cost of repeat configurations that differ only in stimulus or
-   machine knobs.  Entries store ``(circuit, assignment)`` *together*
-   so the assignment's circuit identity stays consistent with the
-   circuit the stimulus is built on.
+   machine knobs.  An entry is the partition's
+   :class:`~repro.warped.world.World` — circuit and assignment as one
+   value, so the circuit the stimulus is built on is the assignment's,
+   and the object a warm ring keeps resident in its workers is the one
+   cached here: a partition hit is a world hit.
 
 Jobs are cancellable: a queued job is simply dropped; a running one
 has its leased ring killed (cancellation costs the ring — there is no
@@ -57,6 +59,7 @@ from repro.serve.pool import RingPool
 from repro.sim.stimulus import RandomStimulus
 from repro.warped.machine import VirtualMachine
 from repro.warped.stats import TimeWarpResult
+from repro.warped.world import World
 
 
 class JobState(str, Enum):
@@ -342,24 +345,24 @@ class JobManager:
         return entry
 
     def _resolve_partition(self, request: JobRequest, circuit, digest):
-        """(circuit, assignment) under the partition cache.
+        """The request's :class:`World` under the partition cache.
 
-        On a hit the *cached* circuit object is returned alongside the
-        assignment (assignment.circuit identity must match whatever the
-        stimulus is built on).
+        On a hit the stimulus must be built on the *cached* world's
+        circuit object (the circuit cache may have re-parsed since).
         """
         pkey = partition_key(
             digest, request.algorithm, request.partition_seed, request.nodes
         )
-        entry = self.partition_cache.get(pkey)
-        if entry is None:
-            assignment = get_partitioner(
-                request.algorithm, seed=request.partition_seed
-            ).partition(circuit, request.nodes)
-            entry = (circuit, assignment)
-            self.partition_cache.put(pkey, entry)
-            return entry, "miss"
-        return entry, "hit"
+        world = self.partition_cache.get(pkey)
+        if world is None:
+            world = World.of(
+                get_partitioner(
+                    request.algorithm, seed=request.partition_seed
+                ).partition(circuit, request.nodes)
+            )
+            self.partition_cache.put(pkey, world)
+            return world, "miss"
+        return world, "hit"
 
     def _execute(self, job: Job) -> None:
         request = job.request
@@ -390,12 +393,12 @@ class JobManager:
                 self._finish(job, JobState.DONE)
                 return
             job.cache["result"] = "miss"
-            (circuit, assignment), partition_state = self._resolve_partition(
+            world, partition_state = self._resolve_partition(
                 request, circuit, digest
             )
             job.cache["partition"] = partition_state
             stimulus = RandomStimulus(
-                circuit,
+                world.circuit,
                 num_cycles=request.num_cycles,
                 period=request.period,
                 activity=request.activity,
@@ -408,8 +411,8 @@ class JobManager:
                     job._ring = ring
                     try:
                         result = ring.run_job(
-                            circuit,
-                            assignment,
+                            world.circuit,
+                            world,
                             stimulus,
                             machine,
                             max_events=request.max_events,

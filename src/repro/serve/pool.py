@@ -16,7 +16,10 @@ Lifecycle rules:
   counts, so a burst of 8-node jobs eventually reclaims idle 2-node
   rings).
 - Counters (``ring_spawns`` / ``ring_reuses`` / ``ring_retires``) feed
-  the server's metrics so warm-pool effectiveness is observable.
+  the server's metrics so warm-pool effectiveness is observable; so do
+  the rings' world-residency counters (``ring_world_ships`` /
+  ``ring_world_hits`` / ``ring_world_evictions``), folded in after
+  every lease — a hit is a job that shipped no circuit.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class RingPool:
         self.spawned = 0
         self.reused = 0
         self.retired = 0
+        #: Sum of every leased ring's ``world_stats``.
+        self.worlds = {"ships": 0, "hits": 0, "evictions": 0}
 
     # ------------------------------------------------------------------
     def _take_idle(self, num_nodes: int) -> WorkerRing | None:
@@ -88,9 +93,19 @@ class RingPool:
             with self._lock:
                 self.reused += 1
             self._metrics.inc("ring_reuses")
+        before = dict(ring.world_stats)
         try:
             yield ring
         finally:
+            deltas = {
+                name: count - before[name]
+                for name, count in ring.world_stats.items()
+            }
+            with self._lock:
+                for name, delta in deltas.items():
+                    self.worlds[name] += delta
+            for name, delta in deltas.items():
+                self._metrics.inc(f"ring_world_{name}", delta)
             self._release(num_nodes, ring)
 
     def _release(self, num_nodes: int, ring: WorkerRing) -> None:
@@ -129,6 +144,7 @@ class RingPool:
                 "spawned": self.spawned,
                 "reused": self.reused,
                 "retired": self.retired,
+                **{f"world_{name}": n for name, n in self.worlds.items()},
                 "transport": self.transport,
             }
 

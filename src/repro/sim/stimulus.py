@@ -10,6 +10,7 @@ its stimulus after a rollback without coordination.
 from __future__ import annotations
 
 import abc
+import copy
 from collections.abc import Mapping, Sequence
 
 from repro.circuit.gate import FALSE, TRUE
@@ -37,6 +38,22 @@ class Stimulus(abc.ABC):
     def cycle_time(self, cycle: int) -> int:
         """Virtual time at which *cycle*'s stimulus (and capture) occurs."""
         return cycle * self.period
+
+    def detached(self) -> "Stimulus":
+        """A copy without the circuit reference: the value table, cycle
+        count and period only.  This is the form a job ships to a
+        worker that already holds the circuit — pickled, it is the
+        table, not the netlist — and :meth:`attach` completes it there.
+        """
+        clone = copy.copy(self)
+        clone.circuit = None
+        return clone
+
+    def attach(self, circuit: CircuitGraph) -> "Stimulus":
+        """Bind a :meth:`detached` stimulus to the receiver's copy of
+        the circuit it was built on; returns ``self``."""
+        self.circuit = circuit
+        return self
 
 
 class RandomStimulus(Stimulus):

@@ -34,7 +34,7 @@ MIN_KEY: EventKey = (-1, -1, -1, -1)
 _CIRCUIT_STATIC: "WeakKeyDictionary[object, list[tuple]]" = WeakKeyDictionary()
 
 
-def _gate_static(gate: Gate) -> tuple:
+def gate_static(gate: Gate) -> tuple:
     """(src→slots map, unique sink list, eval fn, comb flag, initial out,
     gate index, gate delay).
 
@@ -76,7 +76,7 @@ def gate_statics(circuit) -> list[tuple]:
     """The per-gate static tuples for a frozen circuit, memoised."""
     statics = _CIRCUIT_STATIC.get(circuit)
     if statics is None:
-        statics = [_gate_static(gate) for gate in circuit.gates]
+        statics = [gate_static(gate) for gate in circuit.gates]
         _CIRCUIT_STATIC[circuit] = statics
     return statics
 
@@ -137,7 +137,7 @@ class LogicalProcess:
         self.node = node
         #: src gate index -> fanin positions it drives (usually one; a
         #: gate wired to the same driver twice has several). Shared,
-        #: read-only static structure — see :func:`_gate_static`; the
+        #: read-only static structure — see :func:`gate_static`; the
         #: kernel passes the memoised per-circuit entry.
         (
             self._src_slots,
@@ -147,7 +147,7 @@ class LogicalProcess:
             self.output_value,
             self.gate_index,
             self.delay,
-        ) = static if static is not None else _gate_static(gate)
+        ) = static if static is not None else gate_static(gate)
         #: One value per fanin position (parallel to ``gate.fanin``).
         self._fanin_values: list[int] = [UNKNOWN] * len(gate.fanin)
         self.last_key: EventKey = MIN_KEY

@@ -110,6 +110,7 @@ from repro.warped.parallel.transport import (
     make_transport,
 )
 from repro.warped.stats import NodeStats, TimeWarpResult
+from repro.warped.world import World
 
 #: Local events processed between inbox polls (rollback responsiveness
 #: vs. polling overhead).
@@ -334,10 +335,18 @@ class JobSpec:
     warm path (:class:`~repro.warped.parallel.ring.WorkerRing` keeps
     the ring alive and ships a new ``JobSpec`` per job over the
     workers' job queues).
+
+    A spec carries no circuit.  It *names* a
+    :class:`~repro.warped.world.World` the worker already holds (handed
+    through ``fork`` on the cold path, shipped once and kept resident
+    on a warm ring) and brings only what is the job's own: a
+    :meth:`~repro.sim.stimulus.Stimulus.detached` stimulus and the
+    machine knobs — about a kilobyte on the wire.
     """
 
-    circuit: CircuitGraph
-    assignment: list[int]
+    #: Key of the world in the worker's table (see :func:`_run_node`).
+    world: str
+    #: Detached: table, cycle count and period, no circuit reference.
     stimulus: Stimulus
     optimism_window: int | None
     gvt_interval: int
@@ -1030,26 +1039,26 @@ class NodeLoop:
 
 def _worker_main(
     node: int,
-    num_nodes: int,
     spec: JobSpec,
+    worlds: dict[str, World],
     inboxes,
     result_queue,
     recovery: dict | None = None,
 ) -> None:
     """Entry point of one node process (cold path: one job, then exit).
 
-    *spec* carries the complete job — circuit, partition, stimulus,
-    machine knobs, trace/status bases, the resolved fault spec — so
-    the worker touches no ambient environment.  *recovery* (set iff
-    checkpointing is on) carries ``attempt``, ``interval``, ``dir``,
-    and — on a restart — this node's restore ``payload`` plus the
-    ring-wide ``cid_base``.
+    *spec* and the one world of *worlds* it names carry the complete
+    job — circuit, partition, stimulus, machine knobs, trace/status
+    bases, the resolved fault spec — so the worker touches no ambient
+    environment.  *recovery* (set iff checkpointing is on) carries
+    ``attempt``, ``interval``, ``dir``, and — on a restart — this
+    node's restore ``payload`` plus the ring-wide ``cid_base``.
     """
     attempt = recovery["attempt"] if recovery else 0
     try:
         if _apply_startup_faults(node, inboxes, attempt, spec.fault_spec):
             return
-        _run_node(node, num_nodes, spec, inboxes, result_queue, recovery)
+        _run_node(node, spec, worlds, inboxes, result_queue, recovery)
     except BaseException:  # noqa: BLE001 - ship the diagnosis to the parent
         result_queue.put((ERROR, node, traceback.format_exc()))
         return
@@ -1063,19 +1072,31 @@ def _worker_main(
 
 def _run_node(
     node: int,
-    num_nodes: int,
     spec: JobSpec,
+    worlds: dict[str, World],
     inboxes,
     result_queue,
     recovery: dict | None = None,
 ) -> None:
-    """Execute one job on this node: build the engine, run to
-    quiescence, report the DONE payload.  Shared verbatim between the
-    cold path (:func:`_worker_main`) and the warm-ring path
-    (:mod:`repro.warped.parallel.ring`), so the two are the same
-    simulation with different process lifecycles.
+    """Execute one job on this node: look its world up, build the
+    engine, run to quiescence, report the DONE payload.  Shared
+    verbatim between the cold path (:func:`_worker_main`) and the
+    warm-ring path (:mod:`repro.warped.parallel.ring`), so the two are
+    the same simulation with different process lifecycles.
+
+    *worlds* is what this process holds: the one world a cold worker
+    was forked with, or a ring worker's resident table.  Which worlds
+    are resident is the parent's decision alone, so a miss here is a
+    protocol violation — reported, never papered over with a rebuild
+    (the spec carries no circuit to rebuild from).
     """
     start = time.perf_counter()
+    world = worlds.get(spec.world)
+    if world is None:
+        raise SimulationError(
+            f"node {node} was sent a job on world {spec.world!r} but does "
+            f"not hold it (resident: {sorted(worlds)})"
+        )
     attempt = recovery["attempt"] if recovery else 0
     tracer = None
     if spec.trace_base is not None:
@@ -1085,13 +1106,13 @@ def _run_node(
         )
     try:
         engine = NodeEngine(
-            spec.circuit, spec.assignment, node, num_nodes, spec.stimulus,
+            world, node, spec.stimulus.attach(world.circuit),
             optimism_window=spec.optimism_window, max_events=spec.max_events,
             tracer=tracer,
             migration_enabled=spec.migration_threshold is not None,
         )
         loop = NodeLoop(
-            node, num_nodes, engine, inboxes,
+            node, world.k, engine, inboxes,
             gvt_interval=spec.gvt_interval, tracer=tracer,
             status_path=spec.status_base,
             run_id=spec.run_id,
@@ -1136,6 +1157,7 @@ def _run_node(
         # worker gets its collector back between jobs).
         gc_was_enabled = gc.isenabled()
         gc.disable()
+        setup = time.perf_counter() - start
         try:
             loop.run()
         finally:
@@ -1152,7 +1174,9 @@ def _run_node(
             # batch clock (local rollbacks and the batch's wire flush
             # included), transport the timed wire handler (ingest +
             # remote-triggered rollbacks), park the blocking receives,
-            # idle the remainder (polling laps, GVT folds, arming).
+            # setup everything before the loop (engine build, initial
+            # schedule or restore), idle the remainder (polling laps,
+            # GVT folds).
             tracer.emit(
                 "node_summary",
                 busy=loop.busy,
@@ -1166,12 +1190,15 @@ def _run_node(
                 gvt_rounds=loop.gvt_rounds_seen,
                 num_lps=len(engine.lps),
                 parks=loop.parks,
+                setup=setup,
                 attr={
                     "compute": loop.busy,
                     "transport": loop.recv_busy,
                     "park": loop.park,
+                    "setup": setup,
                     "idle": max(
-                        0.0, wall - loop.busy - loop.recv_busy - loop.park
+                        0.0,
+                        wall - loop.busy - loop.recv_busy - loop.park - setup,
                     ),
                 },
             )
@@ -1359,6 +1386,10 @@ class ProcessTimeWarpSimulator:
         self.assignment = assignment
         self.stimulus = stimulus
         self.machine = machine
+        #: What every worker is forked with: the frozen (circuit,
+        #: partition) pair.  Nothing is derived from it here — each
+        #: worker builds its own roster's statics and skeleton, once.
+        self.world = World.of(assignment)
         self.max_events = max_events
         self.timeout = timeout
         self.death_grace = death_grace
@@ -1551,9 +1582,8 @@ class ProcessTimeWarpSimulator:
         # arbitrary payloads, not fixed-width records.
         results = self._make_results_queue(ctx)
         spec = JobSpec(
-            circuit=self.circuit,
-            assignment=list(self.assignment.assignment),
-            stimulus=self.stimulus,
+            world=self.world.name,
+            stimulus=self.stimulus.detached(),
             optimism_window=self.machine.optimism_window,
             gvt_interval=self.machine.gvt_interval,
             max_events=self.max_events,
@@ -1579,7 +1609,10 @@ class ProcessTimeWarpSimulator:
             workers.append(
                 ctx.Process(
                     target=_worker_main,
-                    args=(node, n, spec, inboxes, results, recovery),
+                    args=(
+                        node, spec, {spec.world: self.world},
+                        inboxes, results, recovery,
+                    ),
                     daemon=True,
                     name=f"timewarp-node-{node}",
                 )

@@ -23,8 +23,6 @@ from bisect import insort as bisect_insort
 from collections import deque
 from itertools import count
 
-from repro.circuit.gate import FALSE
-from repro.circuit.graph import CircuitGraph
 from repro.errors import SimulationError
 from repro.sim.event import CAPTURE, SIG, STIM
 from repro.sim.stimulus import Stimulus
@@ -33,6 +31,7 @@ from repro.warped.messages import ANTI, Message
 from repro.warped.parallel.protocol import T_INF
 from repro.warped.queues import NodeQueue
 from repro.warped.stats import NodeStats
+from repro.warped.world import World
 
 
 class NodeEngine:
@@ -40,10 +39,8 @@ class NodeEngine:
 
     def __init__(
         self,
-        circuit: CircuitGraph,
-        assignment: list[int],
+        world: World,
         node: int,
-        num_nodes: int,
         stimulus: Stimulus,
         *,
         optimism_window: int | None = None,
@@ -51,10 +48,16 @@ class NodeEngine:
         tracer=None,
         migration_enabled: bool = False,
     ) -> None:
-        self.circuit = circuit
-        self.assignment = assignment
+        #: The (circuit, partition) pair this node is one part of, and
+        #: the source of everything static: LP structure, the initial
+        #: schedule's skeleton.  Shared between jobs, never written.
+        self.world = world
+        self.circuit = world.circuit
+        #: This engine's own copy of the ownership map: migration
+        #: rewrites it, the world's stays the static partition.
+        self.assignment = list(world.assignment)
         self.node = node
-        self.num_nodes = num_nodes
+        self.num_nodes = world.k
         self.stimulus = stimulus
         self.window = optimism_window
         self.max_events = max_events
@@ -62,11 +65,7 @@ class NodeEngine:
         #: records go out here (None keeps the hot path bare).
         self.tracer = tracer
         #: LPs hosted here, keyed by gate index.
-        self.lps: dict[int, LogicalProcess] = {
-            gate.index: LogicalProcess(gate, node)
-            for gate in circuit.gates
-            if assignment[gate.index] == node
-        }
+        self.lps: dict[int, LogicalProcess] = world.roster_lps(node)
         self.queue = NodeQueue()
         self.stats = NodeStats(node=node, num_lps=len(self.lps))
         #: Remote messages produced since the last drain: (dest_node,
@@ -124,36 +123,15 @@ class NodeEngine:
         """Self-schedule every initial message destined to a local LP.
 
         Mirrors the virtual kernel's initial schedule (DFF power-up
-        resets, per-cycle captures, primary-input stimulus).  Each node
-        creates only the copies *addressed to it*, so startup needs no
-        cross-process traffic at all — the stimulus object is a pure
-        function of its seed, replicated into every worker.
+        resets, per-cycle captures, primary-input stimulus).  The world
+        supplies the entries — its resident skeleton plus this job's
+        STIMs (:meth:`World.initial_schedule`) — and one bulk load
+        orders them.
         """
-        circuit = self.circuit
-        stim = self.stimulus
-        local = self.lps
-        for ff in circuit.dffs:
-            for sink in dict.fromkeys(circuit.gates[ff].fanout):
-                if sink in local:
-                    self.queue.push(
-                        Message(0, SIG, ff, 0, FALSE, sink, self._next_uid())
-                    )
-        for cycle in range(stim.num_cycles):
-            t = stim.cycle_time(cycle)
-            if cycle > 0:
-                for ff in circuit.dffs:
-                    if ff in local:
-                        self.queue.push(
-                            Message(t, CAPTURE, ff, cycle, 0, ff, self._next_uid())
-                        )
-            for pi in circuit.primary_inputs:
-                if pi in local:
-                    self.queue.push(
-                        Message(
-                            t, STIM, pi, cycle, stim.value(pi, cycle),
-                            pi, self._next_uid(),
-                        )
-                    )
+        entries, self._uid_next = self.world.initial_schedule(
+            self.node, self.stimulus
+        )
+        self.queue.load(entries)
 
     # ------------------------------------------------------------------
     # rollback / cancellation (aggressive, incremental state saving)
@@ -707,16 +685,7 @@ class NodeEngine:
         """Install migrated LPs shipped by *src*; returns their gates."""
         gates = payload["gates"]
         for index, state in payload["lps"].items():
-            fanin, out, last_key, processed, eseq = state
-            lp = LogicalProcess(self.circuit.gates[index], self.node)
-            lp._fanin_values = fanin
-            lp.output_value = out
-            lp.last_key = last_key
-            lp.processed = processed
-            lp.processed_uids = {record.msg.uid for record in processed}
-            lp.emission_seq = eseq
-            self.lps[index] = lp
-            self._note_history(index, processed)
+            self._install_lp(index, state)
         for msg in payload["queue"]:
             self.queue.push(msg)
         self._waiting_antis.update(payload["waiting_antis"])
@@ -726,8 +695,18 @@ class NodeEngine:
         self.stats.num_lps = len(self.lps)
         return gates
 
-    def _note_history(self, index: int, processed: list) -> None:
-        """Account for the history an installed LP arrives with."""
+    def _install_lp(self, index: int, state: tuple) -> None:
+        """Host gate *index* with the LP *state* a migration or a
+        snapshot packed (see :meth:`snapshot_state`), accounting for
+        the history it arrives with."""
+        fanin, out, last_key, processed, eseq = state
+        lp = self.lps[index] = self.world.new_lp(index, self.node)
+        lp._fanin_values = fanin
+        lp.output_value = out
+        lp.last_key = last_key
+        lp.processed = processed
+        lp.processed_uids = {record.msg.uid for record in processed}
+        lp.emission_seq = eseq
         if processed:
             self._history += len(processed)
             if self._history > self.peak_history:
@@ -791,19 +770,9 @@ class NodeEngine:
         # Residency at the epoch may differ from the static partition
         # this engine was constructed with (LPs migrate): the LP set is
         # whatever the snapshot holds.
-        self.lps = {
-            index: LogicalProcess(self.circuit.gates[index], self.node)
-            for index in snap["lps"]
-        }
-        for index, (fanin, out, last_key, processed, eseq) in snap["lps"].items():
-            lp = self.lps[index]
-            lp._fanin_values = fanin
-            lp.output_value = out
-            lp.last_key = last_key
-            lp.processed = processed
-            lp.processed_uids = {record.msg.uid for record in processed}
-            lp.emission_seq = eseq
-            self._note_history(index, processed)
+        self.lps = {}
+        for index, state in snap["lps"].items():
+            self._install_lp(index, state)
         for msg in snap["queue"]:
             self.queue.push(msg)
         self._waiting_antis = snap["waiting_antis"]

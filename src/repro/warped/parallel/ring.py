@@ -21,6 +21,21 @@ amortization a job server needs when most traffic is small repeat
 configurations (``repro.serve`` keeps a pool of these under its
 result cache).
 
+**Resident worlds.**  The same holds one level up: the circuit, the
+partition and what a node derives from them
+(:class:`~repro.warped.world.World`) belong to many jobs, so the ring
+ships a world to its workers the first time a job needs it and the
+workers keep it; every later job on it is a
+:class:`~repro.warped.parallel.backend.JobSpec` of about a kilobyte —
+the world's key, the stimulus table, the knobs.  Residency is decided
+in exactly one place, the parent: :attr:`WorkerRing._resident` is an
+LRU of the worlds the workers hold, bounded by
+:data:`WORLD_GATE_BUDGET`, and each job message tells the workers what
+to install and what to drop.  A worker never decides (it cannot know
+what the parent will send next, and two tables that can disagree are a
+protocol, not a cache): asked for a world it does not hold, it fails
+the job with an error naming the world.
+
 Deliberate scope limits (the cold driver remains the tool for these):
 
 - **No crash recovery.**  A worker death or error poisons the whole
@@ -40,6 +55,7 @@ import queue as queue_mod
 import stat
 import time
 import traceback
+from collections import OrderedDict
 
 from repro.circuit.graph import CircuitGraph
 from repro.errors import ConfigError, SimulationError
@@ -59,6 +75,7 @@ from repro.warped.parallel.backend import (
 )
 from repro.warped.parallel.transport import default_transport, make_transport
 from repro.warped.stats import TimeWarpResult
+from repro.warped.world import World
 
 #: Sentinel telling a ring worker to exit its job loop.
 _STOP = None
@@ -69,6 +86,13 @@ _CLOSE_PATIENCE = 5.0
 #: collection loop notices a death within a fraction of a second and
 #: terminates the ring — so this is a backstop, not a tuning knob.
 _ARM_PATIENCE = 60.0
+#: Gates a ring keeps resident in its workers, summed over worlds (the
+#: newest world always stays, whatever its size).  A resident world
+#: costs each worker ≈1.7 KB per gate (measured: the unpickled netlist,
+#: one roster's statics, one skeleton), so this is ≈14 MB per worker —
+#: fourteen served-shape (563-gate) circuits, or the one paper-scale
+#: circuit in use.
+WORLD_GATE_BUDGET = 8_192
 
 
 def _close_inherited_sockets() -> None:
@@ -96,15 +120,20 @@ def _close_inherited_sockets() -> None:
 
 
 def _ring_worker_main(
-    node: int, num_nodes: int, inboxes, job_queue, barrier, results
+    node: int, inboxes, job_queue, barrier, results
 ) -> None:
     """Persistent worker: execute job specs until the STOP sentinel.
 
-    Every iteration re-arms this node's transport channel (draining
-    remnants a poisoned previous job might have left) and then runs
-    the shared per-job body.  Any failure reports ERROR and ends the
-    worker — ring integrity is unknown after a mid-job error, so the
-    whole ring dies with it.
+    A job message is ``(spec, shipped, dropped)``: the parent's
+    residency decisions ride with the job they precede — drop the
+    worlds keyed *dropped*, install *shipped* (the job's world, or None
+    when it is already here) under ``spec.world`` — and are applied
+    before anything else, so the table here is always the parent's.
+    Every iteration then re-arms this node's
+    transport channel (draining remnants a poisoned previous job might
+    have left) and runs the shared per-job body.  Any failure reports
+    ERROR and ends the worker — ring integrity is unknown after a
+    mid-job error, so the whole ring dies with it.
 
     The arming *barrier* between drain and run is load-bearing: job
     specs arrive over per-node queues, so one node can receive the job
@@ -116,18 +145,23 @@ def _ring_worker_main(
     send until every node has drained and armed.
     """
     _close_inherited_sockets()
+    worlds: dict[str, World] = {}
     try:
         while True:
             item = job_queue.get()
             if item is _STOP:
                 break
-            seq, spec = item
+            spec, shipped, dropped = item
+            for key in dropped:
+                del worlds[key]
+            if shipped is not None:
+                worlds[spec.world] = shipped
             # Re-arm the transport: a healthy previous job quiesced with
             # empty channels (GVT == +inf proves it), but drain anyway
             # so one poisoned job can never leak messages into the next.
             _drain_queue(inboxes[node])
             barrier.wait(timeout=_ARM_PATIENCE)
-            _run_node(node, num_nodes, spec, inboxes, results)
+            _run_node(node, spec, worlds, inboxes, results)
     except BaseException:  # noqa: BLE001 - ship the diagnosis, then die
         results.put((ERROR, node, traceback.format_exc()))
         return
@@ -168,7 +202,12 @@ class WorkerRing:
         self._job_queues: list = []
         self._results: _ControlQueue | None = None
         self._workers: list = []
-        self._job_seq = 0
+        #: World -> its key in the workers' tables, least recently used
+        #: first: exactly the worlds the workers hold.
+        self._resident: OrderedDict[World, str] = OrderedDict()
+        #: Residency counters: worlds shipped to the workers, jobs that
+        #: found theirs resident, worlds the budget pushed out.
+        self.world_stats = {"ships": 0, "hits": 0, "evictions": 0}
         self.jobs_run = 0
         self._started = False
         self._dead = False
@@ -202,7 +241,7 @@ class WorkerRing:
             self._ctx.Process(
                 target=_ring_worker_main,
                 args=(
-                    node, n, self._inboxes,
+                    node, self._inboxes,
                     self._job_queues[node], self._barrier, self._results,
                 ),
                 daemon=True,
@@ -226,7 +265,7 @@ class WorkerRing:
     def run_job(
         self,
         circuit: CircuitGraph,
-        assignment: PartitionAssignment,
+        assignment: PartitionAssignment | World,
         stimulus: Stimulus,
         machine: VirtualMachine,
         *,
@@ -239,11 +278,13 @@ class WorkerRing:
         """Execute one job on the warm ring; returns its result.
 
         Accepts the cold driver's (circuit, assignment, stimulus,
-        machine) quadruple with the same validation.  On any worker
-        error, death, or timeout the ring is poisoned: remaining
-        workers are terminated and :class:`SimulationError` carries the
-        diagnosis — the caller replaces the ring, it does not retry on
-        it.
+        machine) quadruple with the same validation; *assignment* may
+        already be a :class:`World` (what ``repro.serve`` caches).  The
+        world is shipped only if the workers do not hold an equal one.
+        On any worker error, death, or timeout the ring is poisoned:
+        remaining workers are terminated and :class:`SimulationError`
+        carries the diagnosis — the caller replaces the ring, it does
+        not retry on it.
         """
         if not self._started:
             self.start()
@@ -276,11 +317,10 @@ class WorkerRing:
             )
         if status_path is not None:
             clear_status_files(status_path)
-        self._job_seq += 1
+        key, shipped, dropped = self._admit(World.of(assignment))
         spec = JobSpec(
-            circuit=circuit,
-            assignment=list(assignment.assignment),
-            stimulus=stimulus,
+            world=key,
+            stimulus=stimulus.detached(),
             optimism_window=machine.optimism_window,
             gvt_interval=machine.gvt_interval,
             max_events=max_events,
@@ -292,8 +332,15 @@ class WorkerRing:
             migration_threshold=machine.migration_threshold,
             migration_fraction=machine.migration_fraction,
         )
-        for q in self._job_queues:
-            q.put((self._job_seq, spec))
+        try:
+            for q in self._job_queues:
+                q.put((spec, shipped, dropped))
+        except BaseException:
+            # Some workers have the job (and its residency verdict),
+            # some do not: neither the barrier nor the table can be
+            # trusted again.
+            self._poison()
+            raise
         payloads = self._collect(timeout)
         self.jobs_run += 1
         if trace_path is not None:
@@ -308,6 +355,36 @@ class WorkerRing:
             payloads,
             transport=self.transport,
         )
+
+    # ------------------------------------------------------------------
+    def _admit(
+        self, world: World
+    ) -> tuple[str, World | None, tuple[str, ...]]:
+        """Make *world* resident for the job about to be sent.
+
+        Returns ``(key, shipped, dropped)``: the world's key in the
+        workers' tables, the world itself if the workers must install
+        it (None on a hit), and the keys they must drop — least
+        recently used first, until the gate budget holds again.  The
+        one place residency is decided; the job message carries the
+        verdict to the workers.
+        """
+        resident = self._resident
+        key = resident.get(world)
+        if key is not None:
+            resident.move_to_end(world)
+            self.world_stats["hits"] += 1
+            return key, None, ()
+        self.world_stats["ships"] += 1
+        key = resident[world] = f"{world.name}#{self.world_stats['ships']}"
+        dropped = []
+        gates = sum(w.circuit.num_gates for w in resident)
+        while gates > WORLD_GATE_BUDGET and len(resident) > 1:
+            evicted, evicted_key = resident.popitem(last=False)
+            gates -= evicted.circuit.num_gates
+            dropped.append(evicted_key)
+        self.world_stats["evictions"] += len(dropped)
+        return key, world, tuple(dropped)
 
     # ------------------------------------------------------------------
     def _collect(self, timeout: float) -> dict[int, dict]:
@@ -392,6 +469,7 @@ class WorkerRing:
         for q in self._job_queues:
             q.close()
         self._workers = []
+        self._resident.clear()
         self._transport.cleanup()
 
     # ------------------------------------------------------------------

@@ -22,11 +22,16 @@ lexicographic order of equal-length int tuples, so an ascending sort on
 The head of the queue is cached: ``min_key``/``min_time`` are plain
 attributes kept current by every mutator, so the executive's per-event
 scheduling scan costs one attribute read per node.
+
+Start-up is the one place many messages arrive at once: :meth:`load`
+takes ready-made entries (:func:`make_entry`) and orders them with a
+single sort instead of one ``insort`` each.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 
 from repro.warped.messages import Message
 
@@ -34,6 +39,15 @@ SortKey = tuple[int, int, int, int, int, int]
 
 #: One stored entry: (negated sort key, sort key, message).
 Entry = tuple[SortKey, SortKey, Message]
+
+
+def make_entry(msg: Message) -> Entry:
+    """The stored form of *msg* — what :meth:`NodeQueue.push` inserts."""
+    return (
+        (-msg.time, -msg.prio, -msg.src, -msg.n, -msg.dest, -msg.uid),
+        (msg.time, msg.prio, msg.src, msg.n, msg.dest, msg.uid),
+        msg,
+    )
 
 
 class NodeQueue:
@@ -60,6 +74,23 @@ class NodeQueue:
         if min_key is None or sort_key < min_key:
             self.min_key = sort_key
             self.min_time = msg.time
+
+    def load(self, entries: Sequence[Entry]) -> None:
+        """Insert every entry of *entries* with one sort.
+
+        Entries are immutable and may be shared between queues (a
+        resident :class:`~repro.warped.world.World` hands every job the
+        same stimulus-free ones); already-ordered stretches cost the
+        sort one comparison per element.
+        """
+        self._uid_keys.update({entry[2].uid: entry[0] for entry in entries})
+        lst = self._list
+        lst.extend(entries)
+        lst.sort()
+        if lst:
+            head = lst[-1]
+            self.min_key = head[1]
+            self.min_time = head[1][0]
 
     def pop(self) -> Message:
         """Remove and return the earliest live message."""

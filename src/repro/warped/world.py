@@ -1,0 +1,233 @@
+"""The part of a process-backend job that outlives it.
+
+The paper partitions a circuit once and simulates it many times: the
+LP-to-node map, and everything derived from it, belongs to the
+(circuit, partition) pair, not to a stimulus.  A :class:`World` is that
+pair as one immutable value, plus what a node derives from it —
+
+- its **roster** (the gates the static partition places there) and the
+  static per-gate LP structure of exactly those gates, built on first
+  use (a worker never pays for a peer's half of the circuit);
+- the **skeleton** of its initial schedule: the DFF power-up resets and
+  every per-cycle CAPTURE, as ready-made, sorted queue entries carrying
+  the uids a from-scratch schedule would mint.  These depend on the
+  cycle count and the clock period but not on a single stimulus value,
+  and they are most of the schedule (85 % on the served job shape), so
+  a job adds only its STIM messages and sorts once.
+
+Nothing a job can change lives here: the assignment is a tuple (an
+engine copies it — migration mutates its copy), messages and queue
+entries are never written after construction, LP state is per engine.
+That is what lets a warm :class:`~repro.warped.parallel.ring.WorkerRing`
+keep worlds resident in its workers and ship a job as little more than
+its stimulus table, and what lets the cold
+:class:`~repro.warped.parallel.backend.ProcessTimeWarpSimulator` hand
+one through ``fork`` to the same per-job code.
+
+Two worlds are equal when they pair the *same circuit object* with the
+same assignment — the identity a ring's residency table keys on.
+Pickling carries the pair only; derived structure is rebuilt where it
+is used.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+from repro.circuit.gate import FALSE
+from repro.circuit.graph import CircuitGraph
+from repro.errors import SimulationError
+from repro.sim.event import CAPTURE, SIG, STIM
+from repro.sim.stimulus import Stimulus
+from repro.warped.lp import LogicalProcess, gate_static
+from repro.warped.messages import Message
+from repro.warped.queues import Entry, make_entry
+
+
+class _Roster:
+    """What one node derives from the world (built on first use)."""
+
+    __slots__ = ("gates", "resets", "dffs", "inputs", "skeleton")
+
+    def __init__(
+        self, circuit: CircuitGraph, assignment: tuple, node: int
+    ) -> None:
+        #: Gates the static partition places on the node, ascending.
+        self.gates = [g for g, owner in enumerate(assignment) if owner == node]
+        local = set(self.gates)
+        #: (flip-flop, local sink) per power-up reset copy, in the
+        #: order the initial schedule mints them.
+        self.resets = [
+            (ff, sink)
+            for ff in circuit.dffs
+            for sink in dict.fromkeys(circuit.gates[ff].fanout)
+            if sink in local
+        ]
+        self.dffs = [ff for ff in circuit.dffs if ff in local]
+        self.inputs = [pi for pi in circuit.primary_inputs if pi in local]
+        #: ``((num_cycles, period), entries)`` of the newest skeleton —
+        #: one per node, so a client sweeping cycle counts cannot grow a
+        #: resident world without bound.
+        self.skeleton: tuple[tuple[int, int], list[Entry]] | None = None
+
+
+class World:
+    """An immutable (circuit, partition) pair and its derived structure."""
+
+    __slots__ = (
+        "circuit", "k", "assignment", "algorithm",
+        "_hash", "_statics", "_rosters",
+    )
+
+    def __init__(
+        self,
+        circuit: CircuitGraph,
+        k: int,
+        assignment: Sequence[int],
+        algorithm: str = "unknown",
+    ) -> None:
+        if not circuit.frozen:
+            raise SimulationError("circuit must be frozen")
+        if len(assignment) != circuit.num_gates:
+            raise SimulationError(
+                f"assignment covers {len(assignment)} gates, "
+                f"circuit has {circuit.num_gates}"
+            )
+        self.circuit = circuit
+        self.k = k
+        self.assignment = tuple(assignment)
+        self.algorithm = algorithm
+        self._hash = hash((id(circuit), k, self.assignment))
+        #: gate index -> static LP structure, filled as LPs are built.
+        self._statics: dict[int, tuple] = {}
+        self._rosters: dict[int, _Roster] = {}
+
+    @classmethod
+    def of(cls, partition) -> "World":
+        """The world of a
+        :class:`~repro.partition.assignment.PartitionAssignment` (a
+        world is returned as it is): its circuit, ``k``, a frozen copy
+        of the gate-to-node map, and the algorithm name."""
+        if isinstance(partition, cls):
+            return partition
+        return cls(
+            partition.circuit, partition.k, partition.assignment,
+            partition.algorithm,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, World):
+            return NotImplemented
+        return (
+            self.circuit is other.circuit
+            and self.k == other.k
+            and self.assignment == other.assignment
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (World, (self.circuit, self.k, self.assignment, self.algorithm))
+
+    @property
+    def name(self) -> str:
+        """Human-readable label for diagnostics (not unique)."""
+        return f"{self.circuit.name}/{self.algorithm}/k{self.k}"
+
+    # ------------------------------------------------------------------
+    # logical processes
+    # ------------------------------------------------------------------
+    def _roster(self, node: int) -> _Roster:
+        roster = self._rosters.get(node)
+        if roster is None:
+            roster = self._rosters[node] = _Roster(
+                self.circuit, self.assignment, node
+            )
+        return roster
+
+    def new_lp(self, index: int, node: int) -> LogicalProcess:
+        """A fresh LP for gate *index* hosted on *node* — the one way an
+        engine LP is built (roster, migrant or restored alike)."""
+        static = self._statics.get(index)
+        if static is None:
+            static = self._statics[index] = gate_static(
+                self.circuit.gates[index]
+            )
+        return LogicalProcess(self.circuit.gates[index], node, static=static)
+
+    def roster_lps(self, node: int) -> dict[int, LogicalProcess]:
+        """Fresh LPs for every gate the partition places on *node*."""
+        return {
+            index: self.new_lp(index, node)
+            for index in self._roster(node).gates
+        }
+
+    # ------------------------------------------------------------------
+    # initial schedule
+    # ------------------------------------------------------------------
+    def initial_schedule(
+        self, node: int, stimulus: Stimulus
+    ) -> tuple[list[Entry], int]:
+        """Queue entries of every initial message addressed to *node*
+        under *stimulus*, and the node's next unused uid.
+
+        Each node schedules only the copies addressed to it, so startup
+        needs no cross-process traffic.  Messages and uids are exactly
+        those of minting the schedule in program order — resets, then
+        per cycle the CAPTUREs (from cycle 1) and the STIMs — with uids
+        strided by ``k`` from ``node + 1``; the stimulus-free ones come
+        from the resident skeleton, the STIMs are minted here.  The
+        list is the skeleton (sorted) followed by the STIMs: one
+        :meth:`NodeQueue.load <repro.warped.queues.NodeQueue.load>`
+        away from a queue.
+        """
+        roster = self._roster(node)
+        shape = (stimulus.num_cycles, stimulus.period)
+        if roster.skeleton is None or roster.skeleton[0] != shape:
+            roster.skeleton = (shape, self._skeleton(node, roster, stimulus))
+        entries = list(roster.skeleton[1])
+        append = entries.append
+        value = stimulus.value
+        inputs = roster.inputs
+        stride = self.k
+        capture_uids = stride * len(roster.dffs)
+        uid = node + 1 + stride * len(roster.resets)
+        for cycle in range(stimulus.num_cycles):
+            t = stimulus.cycle_time(cycle)
+            if cycle > 0:
+                uid += capture_uids
+            for pi in inputs:
+                append(
+                    make_entry(
+                        Message(t, STIM, pi, cycle, value(pi, cycle), pi, uid)
+                    )
+                )
+                uid += stride
+        return entries, uid
+
+    def _skeleton(
+        self, node: int, roster: _Roster, stimulus: Stimulus
+    ) -> list[Entry]:
+        """Sorted entries of *node*'s stimulus-independent initial
+        messages for *stimulus*'s cycle count and period (its values
+        are not read; ``cycle_time`` is a function of the period)."""
+        stride = self.k
+        stim_uids = stride * len(roster.inputs)
+        uid = node + 1
+        entries = []
+        for ff, sink in roster.resets:
+            entries.append(
+                make_entry(Message(0, SIG, ff, 0, FALSE, sink, uid))
+            )
+            uid += stride
+        for cycle in range(1, stimulus.num_cycles):
+            t = stimulus.cycle_time(cycle)
+            uid += stim_uids  # the previous cycle's STIMs
+            for ff in roster.dffs:
+                entries.append(
+                    make_entry(Message(t, CAPTURE, ff, cycle, 0, ff, uid))
+                )
+                uid += stride
+        entries.sort()
+        return entries

@@ -190,14 +190,17 @@ class TestEngineReconciliation:
         assert len(attribution["nodes"]) == 2
         for bucket in attribution["nodes"].values():
             attr = bucket["attr"]
-            assert set(attr) == {"compute", "transport", "park", "idle"}
+            assert set(attr) == {
+                "compute", "transport", "park", "setup", "idle",
+            }
             assert attr["compute"] == pytest.approx(bucket["busy"])
-            # idle is the residual, so the four parts are the node wall.
+            # idle is the residual, so the five parts are the node wall.
             assert sum(attr.values()) == pytest.approx(
                 bucket["wall"], rel=1e-9
             )
             assert all(v >= 0 for v in attr.values())
-        assert "park" in render_analysis(analysis)
+        rendered = render_analysis(analysis)
+        assert "park" in rendered and "setup" in rendered
 
     def test_virtual_attribution_decomposes_busy(self, s27, tmp_path):
         path = str(tmp_path / "attr.jsonl")

@@ -32,6 +32,7 @@ from repro.warped.parallel import NodeEngine, NodeLoop
 from repro.warped.parallel import backend as backend_mod
 from repro.warped.parallel import transport as transport_mod
 from repro.warped.parallel.protocol import GVT, MSG, T_INF
+from repro.warped.world import World
 
 
 class BatchQueue(queue.Queue):
@@ -87,7 +88,7 @@ def make_s27_ring(s27, k, *, cycles=15, loop_cls=NodeLoop, **kw):
     assignment = get_partitioner("Random", seed=4).partition(s27, k)
     inboxes = [BatchQueue() for _ in range(k)]
     engines = [
-        NodeEngine(s27, assignment.assignment, node, k, stimulus)
+        NodeEngine(World.of(assignment), node, stimulus)
         for node in range(k)
     ]
     for engine in engines:
@@ -296,7 +297,7 @@ class TestInjectedLoadMigration:
         inboxes = [BatchQueue() for _ in range(k)]
         engines = [
             NodeEngine(
-                s27, list(assignment.assignment), node, k, stimulus,
+                World.of(assignment), node, stimulus,
                 migration_enabled=True,
             )
             for node in range(k)

@@ -32,6 +32,7 @@ from repro.sim.event import CAPTURE
 from repro.warped.parallel import NodeEngine, NodeLoop
 from repro.warped.parallel.backend import JobSpec, _run_node
 from repro.warped.parallel.protocol import DONE
+from repro.warped.world import World
 
 from tests.test_gvt_ring import BatchQueue
 
@@ -177,9 +178,10 @@ def assert_same(reference: NodeEngine, batched: NodeEngine, where: str) -> None:
 # the shuttle
 # ----------------------------------------------------------------------
 def make_world(circuit, assignment, k, stimulus, window):
+    world = World(circuit, k, assignment)
     engines = [
         NodeEngine(
-            circuit, list(assignment), node, k, stimulus,
+            world, node, stimulus,
             optimism_window=window, tracer=ListTracer(),
         )
         for node in range(k)
@@ -290,7 +292,7 @@ def test_run_batch_bit_identical_to_reference(path, k):
 
 def test_process_one_is_run_batch_of_one(s27):
     stimulus = RandomStimulus(s27, num_cycles=6, period=20, seed=3)
-    engine = NodeEngine(s27, [0] * s27.num_gates, 0, 1, stimulus)
+    engine = NodeEngine(World(s27, 1, [0] * s27.num_gates), 0, stimulus)
     assert engine.process_one() == 0  # nothing scheduled yet: idle, no raise
     engine.schedule_initial()
     steps = 0
@@ -307,8 +309,8 @@ def test_max_events_trip_leaves_scalars_consistent(s27):
     """The guard fires once per batch; what it leaves behind must be
     exactly the state of an unguarded engine after the same events."""
     stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
-    assignment = [0] * s27.num_gates
-    guarded = NodeEngine(s27, assignment, 0, 1, stimulus, max_events=50,
+    world = World(s27, 1, [0] * s27.num_gates)
+    guarded = NodeEngine(world, 0, stimulus, max_events=50,
                          tracer=ListTracer())
     guarded.schedule_initial()
     initial = len(guarded.queue)
@@ -323,7 +325,7 @@ def test_max_events_trip_leaves_scalars_consistent(s27):
     assert guarded.peak_history >= guarded._history
     minted = initial + guarded.counters["local_messages"]
     assert guarded._uid_next == 1 + minted
-    free = NodeEngine(s27, assignment, 0, 1, stimulus, tracer=ListTracer())
+    free = NodeEngine(world, 0, stimulus, tracer=ListTracer())
     free.schedule_initial()
     assert reference_batch(free, events, INF) == events
     assert_same(free, guarded, "after the guard tripped")
@@ -335,17 +337,18 @@ class _Died(Exception):
 
 def _job_spec(
     circuit, stimulus, *, max_events=50_000_000, fault_spec=""
-) -> JobSpec:
-    """A one-node job for driving ``_run_node`` inside this process."""
-    return JobSpec(
-        circuit=circuit,
-        assignment=[0] * circuit.num_gates,
-        stimulus=stimulus,
+) -> tuple[JobSpec, dict[str, World]]:
+    """A one-node job for driving ``_run_node`` inside this process,
+    and the world table that holds its world."""
+    spec = JobSpec(
+        world="one-node",
+        stimulus=stimulus.detached(),
         optimism_window=None,
         gvt_interval=64,
         max_events=max_events,
         fault_spec=fault_spec,
     )
+    return spec, {spec.world: World(circuit, 1, [0] * circuit.num_gates)}
 
 
 @pytest.mark.parametrize("at", [7, 60])
@@ -365,9 +368,9 @@ def test_exit_at_fault_fires_at_exactly_n_events(s27, monkeypatch, at):
     monkeypatch.setattr(NodeEngine, "run_batch", spying_run_batch)
     monkeypatch.setattr(backend_mod.os, "_exit", fake_exit)
     stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
-    spec = _job_spec(s27, stimulus, fault_spec=f"0:exit-at:{at}")
+    spec, worlds = _job_spec(s27, stimulus, fault_spec=f"0:exit-at:{at}")
     with pytest.raises(_Died) as died:
-        _run_node(0, 1, spec, [BatchQueue()], BatchQueue())
+        _run_node(0, spec, worlds, [BatchQueue()], BatchQueue())
     assert died.value.args == (13,)
     assert seen["engine"].counters["events"] == at
 
@@ -379,7 +382,7 @@ def test_work_batch_keeps_outbox_empty_between_batches(s27):
     k = 2
     assignment = get_partitioner("Random", seed=4).partition(s27, k).assignment
     inboxes = [BatchQueue() for _ in range(k)]
-    engine = NodeEngine(s27, list(assignment), 0, k, stimulus)
+    engine = NodeEngine(World(s27, k, assignment), 0, stimulus)
     engine.schedule_initial()
     loop = NodeLoop(0, k, engine, inboxes)
     while loop.work_batch():
@@ -413,7 +416,7 @@ def test_run_node_suspends_gc_and_restores_prior_state(
     monkeypatch.setattr(NodeLoop, "run", spying_run)
     stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
     results = BatchQueue()
-    _run_node(0, 1, _job_spec(s27, stimulus), [BatchQueue()], results)
+    _run_node(0, *_job_spec(s27, stimulus), [BatchQueue()], results)
     assert during == [False]
     assert gc.isenabled() is collector
     tag, node, payload = results.get_nowait()
@@ -426,7 +429,7 @@ def test_run_node_suspends_gc_and_restores_prior_state(
 
 def test_run_node_restores_gc_when_the_loop_raises(s27, collector):
     stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
-    spec = _job_spec(s27, stimulus, max_events=10)
+    spec, worlds = _job_spec(s27, stimulus, max_events=10)
     with pytest.raises(SimulationError, match="max_events=10"):
-        _run_node(0, 1, spec, [BatchQueue()], BatchQueue())
+        _run_node(0, spec, worlds, [BatchQueue()], BatchQueue())
     assert gc.isenabled() is collector

@@ -21,6 +21,7 @@ from repro.warped import ProcessTimeWarpSimulator, TimeWarpSimulator, VirtualMac
 from repro.warped.messages import Message
 from repro.warped.parallel import GvtClerk, GvtToken, NodeEngine
 from repro.warped.parallel.protocol import T_INF
+from repro.warped.world import World
 
 
 # ----------------------------------------------------------------------
@@ -106,9 +107,8 @@ def _drive_engines(circuit, assignment, k, stimulus):
     Each round's messages are held back one round, which manufactures
     stragglers and exercises the rollback/anti-message paths.
     """
-    engines = [
-        NodeEngine(circuit, assignment, node, k, stimulus) for node in range(k)
-    ]
+    world = World(circuit, k, assignment)
+    engines = [NodeEngine(world, node, stimulus) for node in range(k)]
     for engine in engines:
         engine.schedule_initial()
     in_flight: list[tuple[int, Message]] = []
@@ -158,7 +158,7 @@ class TestNodeEngine:
     def test_misrouted_message_rejected(self, s27):
         stimulus = RandomStimulus(s27, num_cycles=3, seed=0)
         assignment = get_partitioner("Random", seed=4).partition(s27, 2)
-        engine = NodeEngine(s27, assignment.assignment, 0, 2, stimulus)
+        engine = NodeEngine(World.of(assignment), 0, stimulus)
         foreign = next(
             i for i, node in enumerate(assignment.assignment) if node == 1
         )
@@ -514,8 +514,7 @@ class TestProcessMigration:
         stimulus = RandomStimulus(circuit=s27, num_cycles=4, period=20, seed=4)
         assignment = get_partitioner("Random", seed=4).partition(s27, 2)
         engine = NodeEngine(
-            s27, assignment.assignment, 0, 2, stimulus,
-            migration_enabled=True,
+            World.of(assignment), 0, stimulus, migration_enabled=True
         )
         foreign = next(
             i for i, node in enumerate(assignment.assignment) if node == 1
@@ -528,14 +527,9 @@ class TestProcessMigration:
         """LP state survives an extract → adopt hop bit-for-bit."""
         stimulus = RandomStimulus(circuit=s27, num_cycles=4, period=20, seed=4)
         assignment = get_partitioner("Random", seed=4).partition(s27, 2)
-        src = NodeEngine(
-            s27, list(assignment.assignment), 0, 2, stimulus,
-            migration_enabled=True,
-        )
-        dst = NodeEngine(
-            s27, list(assignment.assignment), 1, 2, stimulus,
-            migration_enabled=True,
-        )
+        world = World.of(assignment)
+        src = NodeEngine(world, 0, stimulus, migration_enabled=True)
+        dst = NodeEngine(world, 1, stimulus, migration_enabled=True)
         src.schedule_initial()
         for _ in range(10):
             if src.queue.min_time is None:
@@ -562,8 +556,7 @@ class TestProcessMigration:
         stimulus = RandomStimulus(circuit=s27, num_cycles=2, period=20, seed=4)
         assignment = get_partitioner("Random", seed=4).partition(s27, 2)
         engine = NodeEngine(
-            s27, list(assignment.assignment), 0, 2, stimulus,
-            migration_enabled=True,
+            World.of(assignment), 0, stimulus, migration_enabled=True
         )
         gate = 0
         engine.apply_ownership([gate], 1, version=5)

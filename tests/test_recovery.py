@@ -22,6 +22,7 @@ from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped import ProcessTimeWarpSimulator, VirtualMachine
 from repro.warped.parallel import NodeEngine, recovery
 from repro.warped.parallel.protocol import RESUME
+from repro.warped.world import World
 
 
 # ----------------------------------------------------------------------
@@ -135,9 +136,9 @@ class TestEngineSnapshot:
     def test_restored_engine_finishes_identically(self):
         circuit = load_s27()
         stimulus = RandomStimulus(circuit, num_cycles=12, period=20, seed=5)
-        assignment = [0] * circuit.num_gates
+        world = World(circuit, 1, [0] * circuit.num_gates)
 
-        original = NodeEngine(circuit, assignment, 0, 1, stimulus)
+        original = NodeEngine(world, 0, stimulus)
         original.schedule_initial()
         for _ in range(60):
             original.process_one()
@@ -146,7 +147,7 @@ class TestEngineSnapshot:
         while original.min_pending() is not None:
             original.process_one()
 
-        restored = NodeEngine(circuit, assignment, 0, 1, stimulus)
+        restored = NodeEngine(world, 0, stimulus)
         restored.restore_state(snap)  # no schedule_initial: the snapshot rules
         assert restored.counters["events"] == 60
         while restored.min_pending() is not None:

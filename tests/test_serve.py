@@ -169,6 +169,14 @@ def test_partition_cache_hit_on_stimulus_change(manager):
     assert second.state is JobState.DONE, second.error
     # Different stimulus -> result miss, but the partition is reusable.
     assert second.cache == {"result": "miss", "partition": "hit"}
+    # A partition hit is a world hit: the cached world is the one the
+    # ring's workers kept, so the second job shipped no circuit.
+    pool = manager.stats()["pool"]
+    assert (pool["world_ships"], pool["world_hits"]) == (1, 1)
+    counters = manager.metrics.snapshot()["counters"]
+    assert counters["ring_world_ships"] == 1
+    assert counters["ring_world_hits"] == 1
+    assert counters["ring_world_evictions"] == 0
 
 
 def test_job_failure_is_reported_not_fatal(manager):
@@ -283,6 +291,8 @@ def test_http_submit_wait_and_cache_hit(server):
     status, metrics = server.request("GET", "/metrics")
     assert metrics["result_cache"]["hits"] >= 1
     assert metrics["pool"]["spawned"] >= 1
+    assert metrics["pool"]["world_ships"] == 1
+    assert metrics["counters"]["counters"]["ring_world_ships"] == 1
     status, listing = server.request("GET", "/jobs")
     assert {j["id"] for j in listing["jobs"]} >= {job["id"], again["id"]}
     assert all("result" not in j for j in listing["jobs"])

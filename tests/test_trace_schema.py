@@ -102,13 +102,15 @@ def test_process_schema(s27, tmp_path):
     seen = _assert_schema(records, "process")
     assert {"commit", "gvt_round", "inbox_depth", "node_summary"} <= seen
     # The process backend's measured attribution names the park (the
-    # blocking receives of an idle node) and counts them.
+    # blocking receives of an idle node) and counts them, and names the
+    # setup (job pickup to loop entry: engine build, initial schedule).
     for record in records:
         if record["kind"] == "node_summary":
             assert set(record["attr"]) == {
-                "compute", "transport", "park", "idle",
+                "compute", "transport", "park", "setup", "idle",
             }
             assert record["parks"] >= 0
+            assert record["setup"] == record["attr"]["setup"] > 0
     if result.rollbacks:
         assert "rollback" in seen
     # Rollback cause fields have live values, not just keys: every

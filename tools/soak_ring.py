@@ -11,6 +11,12 @@ leash so a stall costs seconds and is counted instead of waited out:
     python tools/soak_ring.py --jobs 2000 --cold 100 --transport queue
     python tools/soak_ring.py --jobs 200 --cold 10 --transport shm
     python tools/soak_ring.py --jobs 500 --cold 20 --nodes 4   # nodes > cores
+    python tools/soak_ring.py --jobs 500 --cold 0 --worlds 24  # residency churn
+
+With ``--worlds N`` every warm job draws (seeded) one of N partitions of
+the circuit, so the ring's resident-world table sees hits, ships and —
+once N served-shape worlds exceed the ring's gate budget (24 do) —
+evictions, interleaved; the last line reports the ships and hits.
 
 A job *fails* when it times out, errors, or disagrees with the oracle;
 a failed warm job costs its ring (a fresh one takes over).  The last
@@ -22,6 +28,7 @@ instrument for hunting a transport's stall rate and a CI smoke.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 
@@ -58,15 +65,30 @@ def verdict(run, oracle) -> str | None:
 
 
 def soak_warm(
-    jobs: int, transport: str, seed: int, nodes: int, failures: list[str]
-) -> None:
+    jobs: int, transport: str, seed: int, nodes: int, worlds: int,
+    failures: list[str],
+) -> dict[str, int]:
+    """Returns the residency counters summed over every ring used."""
     circuit, assignment = world("s5378", 0.2, seed, nodes)
+    assignments = [assignment] + [
+        get_partitioner("Multilevel", seed=seed + extra).partition(circuit, nodes)
+        for extra in range(1, worlds)
+    ]
+    draw = random.Random(seed)
     machine = VirtualMachine(
         num_nodes=nodes, gvt_interval=512, optimism_window=100
     )
+    residency = {"ships": 0, "hits": 0, "evictions": 0}
+
+    def retire(ring: WorkerRing) -> None:
+        for name, count in ring.world_stats.items():
+            residency[name] += count
+        ring.close()
+
     ring = WorkerRing(nodes, transport=transport).start()
     try:
         for job in range(jobs):
+            assignment = assignments[draw.randrange(worlds)]
             stimulus = RandomStimulus(
                 circuit, num_cycles=40, period=100, activity=0.5, seed=seed + job
             )
@@ -81,10 +103,11 @@ def soak_warm(
                 failures.append(f"warm job {job}: {why}")
                 print(failures[-1], flush=True)
             if not ring.alive:
-                ring.close()
+                retire(ring)
                 ring = WorkerRing(nodes, transport=transport).start()
     finally:
-        ring.close()
+        retire(ring)
+    return residency
 
 
 def soak_cold(
@@ -122,17 +145,26 @@ def main(argv=None) -> int:
                         help="cold paper-scale runs")
     parser.add_argument("--nodes", type=int, default=2,
                         help="ring width k (world, machine and ring)")
+    parser.add_argument("--worlds", type=int, default=1,
+                        help="partitions the warm jobs draw from (24 "
+                             "served-shape worlds exceed a ring's budget)")
     parser.add_argument("--transport", default="queue", choices=TRANSPORT_NAMES)
     parser.add_argument("--seed", type=int, default=2000)
     args = parser.parse_args(argv)
 
     failures: list[str] = []
     start = time.monotonic()
-    soak_warm(args.jobs, args.transport, args.seed, args.nodes, failures)
+    if args.worlds < 1:
+        parser.error("--worlds must be >= 1")
+    residency = soak_warm(
+        args.jobs, args.transport, args.seed, args.nodes, args.worlds, failures
+    )
     soak_cold(args.cold, args.transport, args.seed, args.nodes, failures)
     print(
         f"soak {args.transport}: {len(failures)}/{args.jobs + args.cold} failed "
         f"({args.jobs} warm + {args.cold} cold, k = {args.nodes}, "
+        f"{args.worlds} worlds: {residency['ships']} ships / "
+        f"{residency['hits']} hits / {residency['evictions']} evictions, "
         f"{time.monotonic() - start:.0f} s)"
     )
     return 1 if failures else 0
