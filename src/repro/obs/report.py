@@ -1,8 +1,7 @@
 """Summaries over merged JSONL traces.
 
-Shared by ``tools/trace_report.py`` (the command-line summarizer) and
-the benchmark suite (``bench_process_backend.py`` renders the same
-distributions next to its timing table).
+The digests ``tools/trace_report.py`` (the command-line summarizer)
+prints.
 """
 
 from __future__ import annotations

@@ -113,8 +113,16 @@ from repro.warped.stats import NodeStats, TimeWarpResult
 from repro.warped.world import World
 
 #: Local events processed between inbox polls (rollback responsiveness
-#: vs. polling overhead).
+#: vs. polling overhead) — the slice of a node with little to do.
 _BATCH = 16
+#: A node with a backlog takes slices of 1/``_SLICE_SHARE`` of the
+#: events it could process right now, never more than ``_SLICE_MAX``:
+#: a starving peer waits for at most that share of what this node still
+#: has to do.  Below ``_BACKLOG_FLOOR`` pending events the question is
+#: not asked (the answer would be ``_BATCH``).
+_SLICE_SHARE = 2
+_SLICE_MAX = 256
+_BACKLOG_FLOOR = _BATCH * _SLICE_SHARE
 #: How long an idle node keeps polling — lapping the main loop with one
 #: ``sched_yield`` per lap — before it parks in a blocking receive (s).
 #: A wake-up through ``select`` costs 50-180 µs, a polled delivery a few;
@@ -372,9 +380,10 @@ class JobSpec:
 class NodeLoop:
     """One node's Time Warp event/GVT loop over abstract inboxes.
 
-    ``inboxes`` only needs ``put_nowait``/``put_batch``/``get``/
-    ``get_nowait``/``qsize`` — transport channels in production, a
-    ``queue.Queue`` with a ``put_batch`` in the in-process ring tests.
+    ``inboxes`` only needs ``put_nowait``/``put_batch``/``take``/
+    ``get``/``qsize`` — transport channels in production, a
+    ``queue.Queue`` with a ``put_batch`` and a ``take`` in the
+    in-process ring tests.
     Node 0 is the GVT initiator; every node applies broadcast GVT
     values, resets its ``since_gvt`` progress counter and compacts its
     :class:`~repro.warped.parallel.protocol.GvtClerk` tables on each
@@ -484,6 +493,19 @@ class NodeLoop:
         #: one clock pair around a call that is rare by construction.
         self.park = 0.0
         self.parks = 0
+        #: Seconds inside :meth:`apply_gvt` (sweep, clerk compaction,
+        #: checkpoint trigger): one clock pair per applied broadcast.
+        self.gvt_busy = 0.0
+        #: Slices that processed events / fossil sweeps made.
+        self.slices = 0
+        self.sweeps = 0
+        #: Sweep by need: the history size at which the next GVT
+        #: application sweeps — a record per hosted LP to begin with, as
+        #: a sweep's fixed cost is a scan of the LPs holding history —
+        #: and the GVT value of the last sweep (a sweep at or below it
+        #: has nothing new to free).
+        self._sweep_at = len(engine.lps)
+        self._swept = 0.0
         if tracer is not None:
             self._handle_inner = self.handle
             self.handle = self._timed_handle
@@ -576,13 +598,31 @@ class NodeLoop:
         )
 
     # -- GVT -----------------------------------------------------------
+    def sweep(self, value: float) -> None:
+        """Fossil-collect below *value* and set the bar for the next
+        sweep by need: twice the history this one left, and at least a
+        record per hosted LP.
+
+        A value the last sweep already covered has nothing new to free
+        (every record made since is at or above it) — polling idle
+        nodes make such rounds common — and costs a compare.
+        """
+        if value <= self._swept or value == T_INF:
+            return
+        engine = self.engine
+        engine.fossil_collect(value)
+        self._swept = value
+        self.sweeps += 1
+        self._sweep_at = max(len(engine.lps), 2 * engine.history)
+
     def apply_gvt(self, cid: int, value: float) -> None:
-        """Fossil-collect at *value* and reset per-round bookkeeping."""
-        # A round that did not advance GVT has nothing new to free (every
-        # record made since the last sweep is at or above it), and polling
-        # idle nodes make such rounds common: skip the sweep's scan.
-        if value > self.gvt:
-            self.engine.fossil_collect(value)
+        """Apply a GVT broadcast: reset per-round bookkeeping, and
+        fossil-collect at *value* if the history has grown enough to be
+        worth a sweep (a checkpoint or a migration at this value sweeps
+        regardless, so what they capture is as small as it can be)."""
+        t0 = time.perf_counter()
+        if self.engine.history >= self._sweep_at:
+            self.sweep(value)
         # Every node resets its progress counter and compacts clerk
         # state here — on the initiator this used to live in
         # ``conclude``; non-initiators never did either (the since_gvt
@@ -630,6 +670,7 @@ class NodeLoop:
                 ]
                 for item in ready:
                     self._adopt(item)
+        self.gvt_busy += time.perf_counter() - t0
 
     # -- crash-recovery checkpointing ----------------------------------
     def write_checkpoint(self, cid: int, gvt: float) -> None:
@@ -640,7 +681,9 @@ class NodeLoop:
         consistent epoch.  The loop-level dict captures everything the
         engine snapshot does not: GVT/clerk state, channel cursors and
         the send log (in-flight replay), and the initiator counters.
+        Swept first: a restore point holds no record below its GVT.
         """
+        self.sweep(gvt)
         t0 = time.perf_counter()
         payload = {
             "node": self.node,
@@ -740,8 +783,12 @@ class NodeLoop:
 
     def _timed_handle(self, item) -> None:
         t0 = time.perf_counter()
+        gvt_busy = self.gvt_busy
         self._handle_inner(item)
-        self.recv_busy += time.perf_counter() - t0
+        # A GVT application inside this item is ``gvt_busy``'s, not ours.
+        self.recv_busy += (
+            time.perf_counter() - t0 - (self.gvt_busy - gvt_busy)
+        )
 
     def conclude(self, token: GvtToken) -> None:
         """Initiator: finish or extend the computation *token* closes."""
@@ -818,6 +865,7 @@ class NodeLoop:
         ``cid`` lands pre-migration on both ends and simply re-decides.
         """
         self.flush_wire()
+        self.sweep(value)  # migrants travel without committed history
         payload = self.engine.extract_migrants(dest, self.migration_fraction, cid)
         if payload is None:
             return
@@ -950,25 +998,43 @@ class NodeLoop:
 
     # -- loop phases ---------------------------------------------------
     def poll(self) -> bool:
-        """Drain everything the transport has delivered (nonblocking)."""
+        """Handle everything the transport has delivered (nonblocking):
+        batch after batch until one comes back empty."""
         handled = False
+        take = self.inbox.take
         while not self.done:
-            try:
-                item = self.inbox.get_nowait()
-            except queue_mod.Empty:
+            batch = take()
+            if not batch:
                 break
-            self.handle(item)
             handled = True
+            for item in batch:
+                self.handle(item)
+                if self.done:
+                    break  # GVT = +inf: nothing legitimate can follow it
         return handled
+
+    def slice_size(self) -> int:
+        """Events the next :meth:`work_batch` asks for: ``_BATCH`` for a
+        node with little to do (the latency-first lap), a
+        ``_SLICE_SHARE``-th of the processable backlog — pending events
+        inside the optimism window — for a node with plenty, capped at
+        ``_SLICE_MAX``."""
+        engine = self.engine
+        if len(engine.queue) < _BACKLOG_FLOOR:
+            return _BATCH
+        return min(
+            max(engine.backlog(self.gvt) // _SLICE_SHARE, _BATCH), _SLICE_MAX
+        )
 
     def work_batch(self) -> int:
         """Optimistically process a slice of local events and ship what
         they sent.
 
-        One engine call, one clock pair, one outbox flush and one wire
-        flush per batch.  The outbox flush keeps the invariant the wire
-        rests on: ``engine.outbox`` is empty whenever :meth:`handle`,
-        :meth:`maybe_initiate` or a token fold runs, so no message is
+        One engine call — for :meth:`slice_size` events — one clock
+        pair, one outbox flush and one wire flush per batch.  The outbox
+        flush keeps the invariant the wire rests on: ``engine.outbox``
+        is empty whenever :meth:`handle`, :meth:`maybe_initiate` or a
+        token fold runs, so no message is
         ever invisible to a GVT cut, and the outbox list's
         anti-after-positive order reaches the send buffer — and hence
         each FIFO channel — intact.  The wire flush is the latency rule:
@@ -978,7 +1044,7 @@ class NodeLoop:
         not — and an idle node never sits on a peer's input.
         """
         engine = self.engine
-        limit = _BATCH
+        limit = self.slice_size()
         if self.exit_at is not None:
             limit = min(limit, self.exit_at - engine.counters["events"])
         t0 = time.perf_counter()
@@ -988,6 +1054,7 @@ class NodeLoop:
         if worked:
             self.busy += time.perf_counter() - t0
             self.since_gvt += worked
+            self.slices += 1
         if (
             self.exit_at is not None
             and engine.counters["events"] >= self.exit_at
@@ -1173,10 +1240,12 @@ def _run_node(
             # Measured attribution: compute is the event-processing
             # batch clock (local rollbacks and the batch's wire flush
             # included), transport the timed wire handler (ingest +
-            # remote-triggered rollbacks), park the blocking receives,
-            # setup everything before the loop (engine build, initial
-            # schedule or restore), idle the remainder (polling laps,
-            # GVT folds).
+            # remote-triggered rollbacks) less the GVT applications
+            # inside it, gvt those applications (fossil sweep, clerk
+            # compaction, checkpoint trigger), park the blocking
+            # receives, setup everything before the loop (engine build,
+            # initial schedule or restore), idle the remainder (polling
+            # laps, token folds).
             tracer.emit(
                 "node_summary",
                 busy=loop.busy,
@@ -1190,15 +1259,19 @@ def _run_node(
                 gvt_rounds=loop.gvt_rounds_seen,
                 num_lps=len(engine.lps),
                 parks=loop.parks,
+                slices=loop.slices,
+                sweeps=loop.sweeps,
                 setup=setup,
                 attr={
                     "compute": loop.busy,
                     "transport": loop.recv_busy,
+                    "gvt": loop.gvt_busy,
                     "park": loop.park,
                     "setup": setup,
                     "idle": max(
                         0.0,
-                        wall - loop.busy - loop.recv_busy - loop.park - setup,
+                        wall - loop.busy - loop.recv_busy - loop.gvt_busy
+                        - loop.park - setup,
                     ),
                 },
             )

@@ -257,6 +257,18 @@ class NodeEngine:
             return False
         return self.window is None or t <= gvt + self.window
 
+    def backlog(self, gvt: float) -> int:
+        """Pending events inside the optimism window at *gvt* — what
+        :meth:`run_batch` could process before it has to stop."""
+        if self.window is None:
+            return len(self.queue)
+        return self.queue.count_through(gvt + self.window)
+
+    @property
+    def history(self) -> int:
+        """Processed records currently held (what a fossil sweep thins)."""
+        return self._history
+
     def process_one(self) -> int:
         """Process the earliest pending event (1), or nothing if idle (0)."""
         return self.run_batch(1, T_INF)

@@ -2,7 +2,7 @@
 
 The :class:`~repro.warped.parallel.backend.NodeLoop` has been
 transport-agnostic since PR 2 — it only ever calls ``put_nowait`` /
-``put_batch`` / ``get`` / ``get_nowait`` / ``qsize`` on its inboxes.
+``put_batch`` / ``take`` / ``get`` / ``qsize`` on its inboxes.
 This module makes the substrate an explicit, selectable
 :class:`Transport`:
 
@@ -31,10 +31,16 @@ Cursors are monotonic, so ``write - read`` is the queue depth and
 ``capacity - (write - read)`` the free space; both cursors live in their
 own 8-byte slots and are only ever stored by their owning side (the
 producer lock serialises writers against each other, never against the
-reader).  A producer copies its record bytes first and publishes the new
-write cursor last, so the consumer can never observe a slot before its
-bytes are complete; the checksum-retry in ``get_nowait`` additionally
-absorbs any store-reordering window on weakly ordered hardware.
+reader).  Every cursor load and store goes through one aligned
+``memoryview.cast("Q")`` view of the header — a single 8-byte item
+access.  (``Struct.pack_into`` zero-fills its target before packing, so
+publishing a cursor with it shows a racing process a transient 0 —
+a value never written; a producer that caught the consumer's cursor at
+0 computed negative space and dropped its record without an error.)  A
+producer copies its record bytes first and publishes the new write
+cursor last, so the consumer can never observe a slot before its bytes
+are complete; the checksum-retry on the read side additionally absorbs
+any store-reordering window on weakly ordered hardware.
 
 Every record is :data:`RECORD_SIZE` bytes::
 
@@ -128,14 +134,15 @@ _MIG_CHUNK_BYTES = (10 - _MIG_HDR_INTS) * 8
 _F_ANTI = 0x01    # the carried Message is an anti-message
 _F_SEQ = 0x02     # the MSG carries its recovery (src, chan_seq) tail
 
-_CURSOR = struct.Struct("<Q")
 _HEADER_SIZE = 32
-_WRITE_OFF = 0
-_READ_OFF = 8
-_CAP_OFF = 16
+#: Header words, as indexes into the channel's ``cast("Q")`` cursor view
+#: (byte offsets 0, 8, 16).
+_WRITE = 0
+_READ = 1
+_CAP = 2
 
 #: Internal tag of a decoded MIGRATE chunk record (never leaves the
-#: channel: ``get_nowait`` reassembles chunk runs into full tuples).
+#: channel: the read side reassembles chunk runs into full tuples).
 _MIGCHUNK = "_migchunk"
 
 
@@ -361,18 +368,22 @@ class ShmChannel(_PollingPut):
         self._lock = lock
         self._shm = None
         self._buf = None
+        #: The header's three u64 words (``_WRITE``, ``_READ``, ``_CAP``)
+        #: as one aligned item view: the only way a cursor is touched.
+        self._cur = None
         self._closed = False
         self._unlinked = False
         self._rfd, self._wfd = os.pipe()
         os.set_blocking(self._rfd, False)
         os.set_blocking(self._wfd, False)
         if create:
-            self._shm = shared_memory.SharedMemory(
-                name=name, create=True,
-                size=_HEADER_SIZE + capacity * RECORD_SIZE,
+            self._map(
+                shared_memory.SharedMemory(
+                    name=name, create=True,
+                    size=_HEADER_SIZE + capacity * RECORD_SIZE,
+                )
             )
-            self._buf = self._shm.buf
-            _CURSOR.pack_into(self._buf, _CAP_OFF, capacity)
+            self._cur[_CAP] = capacity
 
     # -- pickling (spawn) / inheritance (fork) -------------------------
     def __getstate__(self) -> dict:
@@ -394,12 +405,19 @@ class ShmChannel(_PollingPut):
         self._lock = state["lock"]
         self._shm = None
         self._buf = None
+        self._cur = None
         self._closed = False
         self._unlinked = False
         self._rfd = state["rfd"].detach()
         self._wfd = state["wfd"].detach()
 
+    def _map(self, shm) -> None:
+        self._shm = shm
+        self._buf = shm.buf
+        self._cur = shm.buf[:_HEADER_SIZE].cast("Q")
+
     def _ensure(self):
+        """The segment's buffer, attached on first use (``_cur`` with it)."""
         buf = self._buf
         if buf is None:
             if self._closed:
@@ -409,9 +427,9 @@ class ShmChannel(_PollingPut):
             # whole multiprocessing tree and keeps a *set* of names —
             # the re-registration is an idempotent no-op, and the one
             # unregister the creator's unlink() sends balances it.
-            self._shm = shared_memory.SharedMemory(name=self.name)
-            buf = self._buf = self._shm.buf
-            if _CURSOR.unpack_from(buf, _CAP_OFF)[0] != self.capacity:
+            self._map(shared_memory.SharedMemory(name=self.name))
+            buf = self._buf
+            if self._cur[_CAP] != self.capacity:
                 raise ProtocolError(
                     f"shm channel {self.name}: capacity mismatch on attach"
                 )
@@ -424,11 +442,14 @@ class ShmChannel(_PollingPut):
         if not self._lock.acquire(timeout=_LOCK_TIMEOUT):
             raise queue_mod.Full
         try:
-            write = _CURSOR.unpack_from(buf, _WRITE_OFF)[0]
-            read = _CURSOR.unpack_from(buf, _READ_OFF)[0]
+            cur = self._cur
+            write = cur[_WRITE]
+            read = cur[_READ]
             was_empty = write <= read
-            space = self.capacity - (write - read)
-            count = min(space, len(records))
+            # Clamped: whatever the cursors read, a write is a whole
+            # number of records or none (0 -> the callers' Full), never
+            # a negative count taken for success.
+            count = min(max(0, self.capacity - (write - read)), len(records))
             for record in records[:count]:
                 slot = _HEADER_SIZE + (write % self.capacity) * RECORD_SIZE
                 buf[slot:slot + RECORD_SIZE] = record
@@ -436,7 +457,7 @@ class ShmChannel(_PollingPut):
             if count:
                 # Publish after the slot bytes: the consumer reads the
                 # cursor first, so it can never see a half-copied slot.
-                _CURSOR.pack_into(buf, _WRITE_OFF, write)
+                cur[_WRITE] = write
                 if was_empty and self._wfd is not None:
                     # Ring went empty -> nonempty: ring the doorbell so
                     # a consumer parked in select() wakes immediately.
@@ -467,16 +488,17 @@ class ShmChannel(_PollingPut):
         if not self._lock.acquire(timeout=_LOCK_TIMEOUT):
             raise queue_mod.Full
         try:
-            write = _CURSOR.unpack_from(buf, _WRITE_OFF)[0]
-            read = _CURSOR.unpack_from(buf, _READ_OFF)[0]
+            cur = self._cur
+            write = cur[_WRITE]
+            read = cur[_READ]
             was_empty = write <= read
-            if self.capacity - (write - read) < len(records):
+            if max(0, self.capacity - (write - read)) < len(records):
                 return False
             for record in records:
                 slot = _HEADER_SIZE + (write % self.capacity) * RECORD_SIZE
                 buf[slot:slot + RECORD_SIZE] = record
                 write += 1
-            _CURSOR.pack_into(buf, _WRITE_OFF, write)
+            cur[_WRITE] = write
             if was_empty and self._wfd is not None:
                 try:
                     os.write(self._wfd, b"\x01")
@@ -491,7 +513,7 @@ class ShmChannel(_PollingPut):
             if not self._write_group(encode_migrate(item)):
                 raise queue_mod.Full
             return
-        if self._write([encode_record(item)]) == 0:
+        if self._write([encode_record(item)]) <= 0:
             raise queue_mod.Full
 
     def put_batch(self, items: list[tuple]) -> int:
@@ -519,41 +541,61 @@ class ShmChannel(_PollingPut):
         except ProtocolError:
             return self._decode_retry(buf, slot)
 
+    def _read_item(self, buf, read: int) -> tuple[tuple, int]:
+        """The wire item starting at record *read*, and the cursor past it."""
+        item = self._read_slot(buf, read)
+        if item[0] != _MIGCHUNK:
+            return item, read + 1
+        # A MIGRATE blob: the producer wrote its chunk run
+        # all-or-nothing and published the cursor after the last
+        # chunk, so once chunk 0 is visible every sibling is too,
+        # contiguously.  Reassemble the run into one tuple.
+        _, color, src, cid, idx, nchunks, data = item
+        if idx != 0:
+            raise ProtocolError(
+                f"migrate chunk run starts at index {idx}, expected 0"
+            )
+        parts = [data]
+        for offset in range(1, nchunks):
+            chunk = self._read_slot(buf, read + offset)
+            if (
+                chunk[0] != _MIGCHUNK
+                or chunk[1:4] != (color, src, cid)
+                or chunk[4] != offset
+                or chunk[5] != nchunks
+            ):
+                raise ProtocolError(
+                    "migrate chunk run interrupted: record "
+                    f"{offset}/{nchunks} is {chunk[0]!r}"
+                )
+            parts.append(chunk[6])
+        payload = pickle.loads(b"".join(parts))
+        return (MIGRATE, color, src, cid, payload), read + nchunks
+
     def get_nowait(self) -> tuple:
         buf = self._ensure()
-        read = _CURSOR.unpack_from(buf, _READ_OFF)[0]
-        if _CURSOR.unpack_from(buf, _WRITE_OFF)[0] <= read:
+        cur = self._cur
+        read = cur[_READ]
+        if cur[_WRITE] <= read:
             raise queue_mod.Empty
-        item = self._read_slot(buf, read)
-        if item[0] == _MIGCHUNK:
-            # A MIGRATE blob: the producer wrote its chunk run
-            # all-or-nothing and published the cursor after the last
-            # chunk, so once chunk 0 is visible every sibling is too,
-            # contiguously.  Reassemble the run into one tuple.
-            _, color, src, cid, idx, nchunks, data = item
-            if idx != 0:
-                raise ProtocolError(
-                    f"migrate chunk run starts at index {idx}, expected 0"
-                )
-            parts = [data]
-            for offset in range(1, nchunks):
-                chunk = self._read_slot(buf, read + offset)
-                if (
-                    chunk[0] != _MIGCHUNK
-                    or chunk[1:4] != (color, src, cid)
-                    or chunk[4] != offset
-                    or chunk[5] != nchunks
-                ):
-                    raise ProtocolError(
-                        "migrate chunk run interrupted: record "
-                        f"{offset}/{nchunks} is {chunk[0]!r}"
-                    )
-                parts.append(chunk[6])
-            _CURSOR.pack_into(buf, _READ_OFF, read + nchunks)
-            payload = pickle.loads(b"".join(parts))
-            return (MIGRATE, color, src, cid, payload)
-        _CURSOR.pack_into(buf, _READ_OFF, read + 1)
+        item, cur[_READ] = self._read_item(buf, read)
         return item
+
+    def take(self) -> list[tuple]:
+        """Everything published so far, in order — empty when nothing
+        has arrived; never raises ``queue.Empty``.  The read cursor is
+        published once, behind the last record taken."""
+        buf = self._ensure()
+        cur = self._cur
+        read = cur[_READ]
+        write = cur[_WRITE]
+        items = []
+        while read < write:
+            item, read = self._read_item(buf, read)
+            items.append(item)
+        if items:
+            cur[_READ] = read
+        return items
 
     def _decode_retry(self, buf, slot: int) -> tuple:
         # A failed checksum right at the cursor frontier is (on weakly
@@ -602,12 +644,9 @@ class ShmChannel(_PollingPut):
                 time.sleep(_POLL_SLEEP)
 
     def qsize(self) -> int:
-        buf = self._ensure()
-        return max(
-            0,
-            _CURSOR.unpack_from(buf, _WRITE_OFF)[0]
-            - _CURSOR.unpack_from(buf, _READ_OFF)[0],
-        )
+        self._ensure()
+        cur = self._cur
+        return max(0, cur[_WRITE] - cur[_READ])
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -615,6 +654,9 @@ class ShmChannel(_PollingPut):
         unlinks)."""
         self._closed = True
         self._buf = None
+        cur, self._cur = self._cur, None
+        if cur is not None:
+            cur.release()  # an exported view would keep the mapping open
         shm, self._shm = self._shm, None
         if shm is not None:
             try:
@@ -874,6 +916,19 @@ class PipeChannel(_PollingPut):
             if not ready:
                 raise queue_mod.Empty
         return ready.popleft()
+
+    def take(self) -> deque:
+        """Everything that has arrived, in order — empty when nothing
+        has; never raises ``queue.Empty``.  Serves the local deque,
+        refilled with one ``os.read`` when it was empty, so calling
+        until the batch comes back empty drains the pipe exactly as far
+        as a ``get_nowait`` loop would."""
+        ready = self._ready
+        if not ready:
+            self._fill()
+        if ready:
+            self._ready = deque()
+        return ready
 
     def get(self, timeout: float | None = None) -> tuple:
         ready = self._ready

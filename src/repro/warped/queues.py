@@ -133,6 +133,14 @@ class NodeQueue:
                 self.min_key = None
                 self.min_time = None
 
+    def count_through(self, time: float) -> int:
+        """How many pending messages carry a virtual time <= *time*."""
+        lst = self._list
+        # ``(-time,)`` sorts before every negated key that starts with
+        # ``-time`` and after every one of a later time, so the entries
+        # from that point to the end are exactly those due by *time*.
+        return len(lst) - bisect_left(lst, ((-time,),))
+
     def peek_key(self) -> SortKey | None:
         """Sort key of the earliest live message, or ``None``."""
         return self.min_key

@@ -191,16 +191,17 @@ class TestEngineReconciliation:
         for bucket in attribution["nodes"].values():
             attr = bucket["attr"]
             assert set(attr) == {
-                "compute", "transport", "park", "setup", "idle",
+                "compute", "transport", "gvt", "park", "setup", "idle",
             }
             assert attr["compute"] == pytest.approx(bucket["busy"])
-            # idle is the residual, so the five parts are the node wall.
+            assert attr["gvt"] > 0  # every node applied a broadcast
+            # idle is the residual, so the six parts are the node wall.
             assert sum(attr.values()) == pytest.approx(
                 bucket["wall"], rel=1e-9
             )
             assert all(v >= 0 for v in attr.values())
         rendered = render_analysis(analysis)
-        assert "park" in rendered and "setup" in rendered
+        assert all(k in rendered for k in ("gvt", "park", "setup"))
 
     def test_virtual_attribution_decomposes_busy(self, s27, tmp_path):
         path = str(tmp_path / "attr.jsonl")

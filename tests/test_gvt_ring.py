@@ -1,9 +1,9 @@
 """GVT ring liveness and bookkeeping, driven in-process via NodeLoop.
 
 The loop is transport-agnostic, so these tests run a full node ring on
-stdlib ``queue.Queue`` inboxes (plus the channels' ``put_batch``) inside
-one process — deterministic, no forks — and pin down the two bookkeeping regressions the multiprocess
-backend shipped with: non-initiator nodes never resetting their
+stdlib ``queue.Queue`` inboxes (plus the channels' ``put_batch`` and
+``take``) inside one process — deterministic, no forks — and pin down
+the two bookkeeping regressions the multiprocess backend shipped with: non-initiator nodes never resetting their
 ``since_gvt`` progress counter, and clerk color tables growing without
 bound off the initiator (``forget_before`` only ever ran on node 0).
 Plus the protocol property the restart path depends on: an
@@ -14,7 +14,9 @@ move is decided by the test, not by the host's scheduler.  And the two
 latency rules of the wire: a batch's sends are on the wire when
 ``work_batch`` returns, and an idle ``run()`` polls — the whole loop,
 idle-GVT rule included — for ``_IDLE_SPIN`` before it parks in a
-blocking receive.
+blocking receive.  And the loop's pay-by-need cadences: slices sized by
+the processable backlog, history swept when it has grown (and always
+before a checkpoint or a migration).
 """
 
 from __future__ import annotations
@@ -36,16 +38,30 @@ from repro.warped.world import World
 
 
 class BatchQueue(queue.Queue):
-    """``queue.Queue`` with the transport channels' ``put_batch``."""
+    """``queue.Queue`` with the transport channels' ``put_batch`` and
+    ``take``."""
 
     def put_batch(self, items) -> int:
         for item in items:
             self.put_nowait(item)
         return len(items)
 
+    def take(self) -> list:
+        items = []
+        try:
+            while True:
+                items.append(self.get_nowait())
+        except queue.Empty:
+            return items
+
 
 class IdleEngine:
     """An engine with no events — isolates the GVT machinery."""
+
+    #: No LPs, nothing pending, no history: every sweep is "due".
+    lps = ()
+    queue = ()
+    history = 0
 
     def __init__(self):
         self.outbox = []
@@ -232,10 +248,13 @@ class TestInconclusiveRound:
 
     def test_round_that_does_not_advance_gvt_skips_the_fossil_sweep(self):
         """Polling idle nodes make no-progress rounds common; such a
-        round has nothing new to free, so it must not pay for a sweep."""
+        round has nothing new to free, so it must not pay for a sweep —
+        however much history the node holds by then."""
         engines = [IdleEngine(), PendingEngine()]
         l0, l1 = make_ring(2, engines=engines)
-        for _ in range(3):
+        for round_no in range(3):
+            for engine in engines:
+                engine.history = 4 ** round_no  # always past the bar
             l0.last_initiate = 0.0  # waive the idle-round spacing
             l0.maybe_initiate()
             l1.poll()
@@ -374,9 +393,9 @@ class TestSendsLeaveWithTheBatch:
 
 
 class ScriptedInbox:
-    """Inbox stand-in: ``get_nowait`` is empty for the first
-    *empty_polls* calls, then serves *items*; blocking ``get`` calls are
-    recorded (their timeouts) and serve from the same items."""
+    """Inbox stand-in: ``take`` is empty for the first *empty_polls*
+    calls, then hands over *items*; blocking ``get`` calls are recorded
+    (their timeouts) and serve from the same items."""
 
     def __init__(self, items=(), empty_polls=0):
         self.items = deque(items)
@@ -384,11 +403,12 @@ class ScriptedInbox:
         self.polls = 0
         self.blocking_gets = []
 
-    def get_nowait(self):
+    def take(self):
         self.polls += 1
-        if self.polls <= self.empty_polls or not self.items:
-            raise queue.Empty
-        return self.items.popleft()
+        if self.polls <= self.empty_polls:
+            return []
+        items, self.items = self.items, deque()
+        return items
 
     def get(self, timeout=None):
         self.blocking_gets.append(timeout)
@@ -485,3 +505,226 @@ def test_shm_get_of_a_published_record_skips_the_doorbell_select(monkeypatch):
     finally:
         chan.close()
         transport.cleanup()
+
+
+# ----------------------------------------------------------------------
+# pay by need: slices sized by backlog, history swept when it has grown
+# ----------------------------------------------------------------------
+def loaded_loop(s27, *, window=None, loop_cls=NodeLoop, **kw):
+    """A one-node ring (every message local) whose initial schedule
+    alone holds several hundred entries; returns ``(engine, loop)``."""
+    _, _, (engine,), (loop,) = make_s27_ring(
+        s27, 1, cycles=120, loop_cls=loop_cls, **kw
+    )
+    engine.window = window
+    assert len(engine.queue) >= 4 * backend_mod._BACKLOG_FLOOR
+    return engine, loop
+
+
+class ListTracer:
+    """Collects ``emit`` calls as ``(kind, fields)`` (the collector of
+    ``tests/test_node_engine_batch.py`` imports this module, so it
+    cannot be borrowed)."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, kind, **fields):
+        self.records.append((kind, fields))
+
+
+class TestSliceByBacklog:
+    def test_little_pending_keeps_the_latency_first_batch(self, s27):
+        _, _, engines, loops = make_s27_ring(s27, 2, cycles=2)
+        for engine, loop in zip(engines, loops):
+            assert 0 < len(engine.queue) < backend_mod._BACKLOG_FLOOR
+            assert loop.slice_size() == backend_mod._BATCH
+
+    def test_loaded_queue_takes_its_share_up_to_the_cap(self, s27):
+        engine, loop = loaded_loop(s27)
+        pending = len(engine.queue)
+        assert engine.backlog(0.0) == pending  # unbounded window: all of it
+        assert loop.slice_size() == min(
+            pending // backend_mod._SLICE_SHARE, backend_mod._SLICE_MAX
+        )
+        assert backend_mod._BATCH < loop.slice_size() <= backend_mod._SLICE_MAX
+
+    def test_entries_beyond_the_horizon_do_not_count(self, s27):
+        engine, loop = loaded_loop(s27, window=45)
+        for gvt in (0.0, 20.0, 130.5):
+            inside = sum(
+                1 for _, key, _ in engine.queue._list if key[0] <= gvt + 45
+            )
+            assert 0 < inside < len(engine.queue)
+            assert engine.backlog(gvt) == inside
+            loop.gvt = gvt
+            assert loop.slice_size() == max(
+                backend_mod._BATCH,
+                min(inside // backend_mod._SLICE_SHARE, backend_mod._SLICE_MAX),
+            )
+
+    def test_exit_at_dies_at_exactly_the_injected_event(self, s27, monkeypatch):
+        """An armed ``exit-at`` clips whatever slice the backlog asked for."""
+        engine, loop = loaded_loop(s27)
+        target = loop.slice_size() + 7  # inside the second, large slice
+        loop.exit_at = target
+
+        class Died(Exception):
+            pass
+
+        def die(code):
+            raise Died(code)
+
+        monkeypatch.setattr(backend_mod.os, "_exit", die)
+        with pytest.raises(Died, match="13"):
+            for _ in range(3):
+                loop.work_batch()
+        assert engine.counters["events"] == target
+
+    def test_since_gvt_overshoots_the_interval_by_at_most_one_slice(self, s27):
+        engine, loop = loaded_loop(s27, gvt_interval=40)
+        asked = []
+        slice_size = loop.slice_size
+        loop.slice_size = lambda: asked.append(slice_size()) or asked[-1]
+        peak = 0
+        while not loop.done:
+            loop.poll()
+            worked = loop.work_batch()
+            assert worked <= asked[-1]
+            assert loop.since_gvt < 40 + asked[-1]
+            peak = max(peak, loop.since_gvt)
+            loop.maybe_initiate()  # k = 1: concludes and applies at once
+            assert loop.since_gvt == 0 or loop.since_gvt < 40
+        assert max(asked) > backend_mod._BATCH  # large slices were taken
+        assert peak >= 40
+        engine.check_quiescent()
+
+
+class SweepSpy(NodeLoop):
+    """Checks the sweep rule's post-condition at every GVT application
+    and records what each sweep left behind."""
+
+    def apply_gvt(self, cid, value):
+        covered = self._swept
+        super().apply_gvt(cid, value)
+        if covered < value < T_INF:
+            # Either nothing was due, or the sweep ran and doubled the bar.
+            assert self.engine.history < self._sweep_at
+
+    def sweep(self, value):
+        before = self.sweeps
+        super().sweep(value)
+        if self.sweeps > before:
+            self.left.append(self.engine.history)
+            assert self._sweep_at == max(
+                len(self.engine.lps), 2 * self.left[-1]
+            )
+
+
+class TestSweepByNeed:
+    def test_history_is_swept_when_it_has_doubled_not_every_round(self, s27):
+        tracer = ListTracer()
+        stimulus, _, (engine,), (loop,) = make_s27_ring(
+            s27, 1, cycles=60, loop_cls=SweepSpy, gvt_interval=1
+        )
+        engine.tracer = tracer
+        engine.window = 3  # a few events, then a GVT round, per lap
+        assert loop._sweep_at == len(engine.lps) == s27.num_gates
+        loop.left = []
+        slices = []
+        while not loop.done:
+            loop.poll()
+            slices.append(loop.work_batch())
+            # Never more than the bar plus what one slice added to it.
+            assert engine.history <= loop._sweep_at + slices[-1]
+            loop.maybe_initiate()
+        engine.check_quiescent()
+        engine.flush_committed()
+        assert 3 <= loop.sweeps == len(loop.left) < loop.gvt_rounds_seen / 2
+        assert engine.peak_history <= (
+            max(len(engine.lps), 2 * max(loop.left)) + max(slices)
+        )
+        committed = sum(f["n"] for kind, f in tracer.records if kind == "commit")
+        counters = engine.counters
+        assert committed == counters["events"] - counters["rolled_back"]
+        sequential = SequentialSimulator(s27, stimulus).run()
+        assert [
+            engine.final_values()[i] for i in range(s27.num_gates)
+        ] == sequential.final_values
+
+    def test_a_checkpoint_holds_no_record_below_its_gvt(
+        self, s27, tmp_path, monkeypatch
+    ):
+        """The sweep a checkpoint forces runs whatever the history size."""
+        written = []
+
+        def capture(path, payload):
+            oldest = min(
+                (
+                    record.msg.time
+                    for state in payload["engine"]["lps"].values()
+                    for record in state[3]
+                ),
+                default=None,
+            )
+            written.append((payload["gvt"], oldest))
+            return 0
+
+        monkeypatch.setattr(
+            backend_mod.recovery_mod, "write_checkpoint", capture
+        )
+        class NeverDue(NodeLoop):
+            """Need never arises: whatever sweeps, was forced."""
+
+            def sweep(self, value):
+                super().sweep(value)
+                self._sweep_at = 10**9
+
+        _, _, engines, loops = make_s27_ring(
+            s27, 2, cycles=30, gvt_interval=16, loop_cls=NeverDue,
+            ckpt_interval=100, ckpt_dir=str(tmp_path),
+        )
+        for loop in loops:
+            loop._sweep_at = 10**9
+        drive(loops)
+        assert all(1 <= loop.sweeps <= loop.ckpts_written for loop in loops)
+        assert len(written) >= 4
+        assert any(oldest is not None for _, oldest in written)
+        for gvt, oldest in written:
+            assert oldest is None or oldest >= gvt
+
+    @pytest.mark.parametrize("hot", [0, 1])
+    def test_migrants_travel_without_committed_history(self, s27, hot):
+        shipped = []
+
+        class ShipSpy(FixedLoadLoop):
+            def put(self, dest, item):
+                if item[0] == backend_mod.MIGRATE and "lps" in item[4]:
+                    shipped.append((self.gvt, item[4]))
+                super().put(dest, item)
+
+        stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
+        assignment = get_partitioner("Random", seed=4).partition(s27, 2)
+        inboxes = [BatchQueue() for _ in range(2)]
+        engines = [
+            NodeEngine(
+                World.of(assignment), node, stimulus, migration_enabled=True
+            )
+            for node in range(2)
+        ]
+        for engine in engines:
+            engine.schedule_initial()
+        loops = [
+            ShipSpy(
+                node, 2, engines[node], inboxes, gvt_interval=16,
+                migration_threshold=1.2, migration_fraction=0.25,
+            )
+            for node in range(2)
+        ]
+        for loop in loops:
+            loop.window = (10_000, 64) if loop.node == hot else (100, 4)
+        drive(loops)
+        assert shipped
+        for gvt, payload in shipped:
+            for state in payload["lps"].values():
+                assert all(record.msg.time >= gvt for record in state[3])

@@ -103,13 +103,17 @@ def test_process_schema(s27, tmp_path):
     assert {"commit", "gvt_round", "inbox_depth", "node_summary"} <= seen
     # The process backend's measured attribution names the park (the
     # blocking receives of an idle node) and counts them, and names the
-    # setup (job pickup to loop entry: engine build, initial schedule).
+    # setup (job pickup to loop entry: engine build, initial schedule)
+    # and the GVT applications (sweep, clerk compaction, checkpoint
+    # trigger), and counts the slices worked and the sweeps made.
     for record in records:
         if record["kind"] == "node_summary":
             assert set(record["attr"]) == {
-                "compute", "transport", "park", "setup", "idle",
+                "compute", "transport", "gvt", "park", "setup", "idle",
             }
             assert record["parks"] >= 0
+            assert 1 <= record["slices"] <= record["events"]
+            assert 0 <= record["sweeps"] <= record["gvt_rounds"]
             assert record["setup"] == record["attr"]["setup"] > 0
     if result.rollbacks:
         assert "rollback" in seen

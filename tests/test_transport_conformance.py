@@ -12,7 +12,10 @@ substrates (``queue`` pipe channels and ``shm`` fixed-width rings):
   the consumer drains;
 - a channel nobody drains makes the sender's bounded retry give up with
   a diagnosable ``SimulationError``, not an eternal block;
-- records survive a real process boundary, forked or spawned.
+- records survive a real process boundary, forked or spawned;
+- ``take()`` — the node loop's poll — hands over what has arrived as a
+  batch, an empty one when nothing has (it never raises), in the order
+  ``get`` would have served it, blobs reassembled.
 
 Pipe-specific sections pin what the feeder-free channel adds (frames
 from concurrent producers stay intact and per-producer FIFO, a blob
@@ -60,6 +63,7 @@ from repro.warped.parallel.transport import (
     RECORD_SIZE,
     TRANSPORT_NAMES,
     ShmChannel,
+    _READ,
     _fragment,
     _pack,
     decode_record,
@@ -234,6 +238,83 @@ def test_put_wire_batch_drains_clean(channels):
     backend_mod._put_wire_batch(chan, list(items))
     got = [chan.get(timeout=10) for _ in items]
     assert got == items
+
+
+# ----------------------------------------------------------------------
+# take(): the non-raising "what has arrived" receive
+# ----------------------------------------------------------------------
+def _take_all(chan, total: int, timeout: float = 30.0) -> list:
+    """Poll ``take()`` until *total* items arrived."""
+    items: list = []
+    deadline = time.monotonic() + timeout
+    while len(items) < total:
+        assert time.monotonic() < deadline, f"{len(items)}/{total} arrived"
+        items.extend(chan.take())
+    return items
+
+
+def test_take_is_empty_when_nothing_arrived_and_fifo_when_something_did(
+    channels,
+):
+    (chan,) = channels()
+    assert len(chan.take()) == 0  # no queue.Empty, no BlockingIOError
+    for item in WIRE_SAMPLES:
+        chan.put_nowait(item)
+    got = _take_all(chan, len(WIRE_SAMPLES))
+    assert [_normalize(g) for g in got] == [_normalize(s) for s in WIRE_SAMPLES]
+    assert len(chan.take()) == 0 and chan.qsize() == 0
+    with pytest.raises(queue_mod.Empty):
+        chan.get_nowait()
+
+
+def test_take_keeps_per_producer_fifo_across_processes(channels):
+    (chan,) = channels()
+    producers, batches, size = 3, 40, 25
+    procs = [
+        _CTX.Process(target=_batch_producer, args=(chan, p, batches, size))
+        for p in range(producers)
+    ]
+    for proc in procs:
+        proc.start()
+    seen: dict[int, list[int]] = {p: [] for p in range(producers)}
+    for tag, producer, msg in _take_all(chan, producers * batches * size):
+        assert tag == MSG
+        seen[producer].append(msg.value)
+    for proc in procs:
+        proc.join(timeout=30)
+        assert proc.exitcode == 0
+    for values in seen.values():
+        assert values == list(range(batches * size))
+    assert len(chan.take()) == 0
+
+
+def test_take_reassembles_a_blob_in_its_fifo_place(channels):
+    (chan,) = channels()
+    payload = _migrate_payload(n_lps=8, n_pending=12)
+    chan.put_nowait((GVT, 4, 64.0))
+    chan.put_nowait((MIGRATE, 1, 0, 4, payload))
+    chan.put_nowait((MSG, 2, _msg(21)))
+    first, blob, last = _take_all(chan, 3)
+    assert first == (GVT, 4, 64.0) and last[0] == MSG
+    assert blob[:4] == (MIGRATE, 1, 0, 4)
+    _assert_payloads_match(blob[4], payload)
+
+
+def test_take_shares_one_stream_with_get_and_drain(channels):
+    """``take``, ``get``/``get_nowait`` and the re-arm drain consume the
+    same stream: whatever one of them took, the others never see."""
+    (chan,) = channels()
+    for i in range(5):
+        chan.put_nowait((GVT, i, float(i)))
+    assert chan.get_nowait() == (GVT, 0, 0.0)
+    assert chan.get(timeout=10) == (GVT, 1, 1.0)
+    assert list(_take_all(chan, 3)) == [(GVT, i, float(i)) for i in (2, 3, 4)]
+    for i in range(5, 8):
+        chan.put_nowait((GVT, i, float(i)))
+    assert backend_mod._drain_queue(chan) == 3
+    assert len(chan.take()) == 0
+    chan.put_nowait((GVT, 8, 8.0))
+    assert list(_take_all(chan, 1)) == [(GVT, 8, 8.0)]
 
 
 def _echo_child(inbox, outbox, total: int) -> None:
@@ -481,6 +562,64 @@ def test_shm_corrupt_slot_rejected(monkeypatch):
         buf[slot + 20] ^= 0xFF  # payload byte, checksum now stale
         with pytest.raises(ProtocolError, match="corrupt wire record"):
             chan.get_nowait()
+    finally:
+        chan.close()
+        transport.cleanup()
+
+
+def test_shm_zeroed_read_cursor_never_drops_a_record():
+    """The stall of ROADMAP 1a, in-process.  A producer that reads the
+    consumer's cursor as 0 after the channel has carried more than its
+    capacity sees *negative* space; it must call that Full — on every
+    write path — not take the negative count for a successful write."""
+    transport, chan = _shm_channel(8)
+    try:
+        for i in range(10):  # carry the ring past its capacity
+            chan.put_nowait((GVT, i, float(i)))
+            assert chan.get_nowait() == (GVT, i, float(i))
+        chan._cur[_READ] = 0  # what a torn cursor read used to look like
+        assert chan.qsize() == 10
+        with pytest.raises(queue_mod.Full):
+            chan.put_nowait((GVT, 99, 2.0))
+        assert chan.put_batch([(GVT, 99, 2.0), (GVT, 100, 2.0)]) == 0
+        with pytest.raises(queue_mod.Full):
+            chan.put_nowait((MIGRATE, 1, 0, 3, {"gates": [4], "owner": 2}))
+        assert chan.qsize() == 10  # nothing written, nothing lost
+        chan._cur[_READ] = 10  # the consumer's real position
+        chan.put_nowait((GVT, 99, 2.0))
+        assert chan.take() == [(GVT, 99, 2.0)]
+    finally:
+        chan.close()
+        transport.cleanup()
+
+
+_CURSOR_VALUES = (0xFFFF, 0x10000)  # every byte of the low three differs
+
+
+def _cursor_flipper(chan, flips: int) -> None:
+    cur = chan._cur
+    for _ in range(flips):
+        cur[_READ] = _CURSOR_VALUES[0]
+        cur[_READ] = _CURSOR_VALUES[1]
+
+
+def test_shm_cursor_reads_only_values_that_were_written():
+    """Two processes on one cursor word: the reader must only ever see
+    a value the writer stored (``Struct.pack_into`` zero-fills first, and
+    its readers saw 0 in ~2 % of loads — the record-dropping 0)."""
+    transport, chan = _shm_channel(8)
+    try:
+        chan._cur[_READ] = _CURSOR_VALUES[0]
+        writer = _CTX.Process(target=_cursor_flipper, args=(chan, 400_000))
+        writer.start()
+        cur = chan._cur
+        seen = set()
+        while writer.is_alive():
+            for _ in range(10_000):
+                seen.add(cur[_READ])
+        writer.join(timeout=30)
+        assert writer.exitcode == 0
+        assert seen == set(_CURSOR_VALUES), [hex(v) for v in sorted(seen)]
     finally:
         chan.close()
         transport.cleanup()

@@ -98,9 +98,8 @@ def workload_modules() -> list:
     per-engine measurement records.
     """
     import bench_hotpath
-    import bench_serve
 
-    return [bench_hotpath, bench_serve]
+    return [bench_hotpath]
 
 
 def all_workloads() -> dict:
