@@ -11,11 +11,13 @@ class EventQueue:
     """Min-heap of :class:`Event` ordered by ``(time, prio, src, n)``.
 
     Supports lazy deletion by key (annihilation of a scheduled event);
-    the sequential kernel never deletes. ``remove`` enforces the same
-    strict contract as ``NodeQueue.annihilate``: deleting a key that was
-    never pushed, is already dead, or was already popped raises
-    ``KeyError`` — silently accepting it would let the live count drift
-    negative and ``__len__``/``__bool__`` disagree.
+    the sequential kernel never deletes. ``remove`` is strict: deleting
+    a key that was never pushed, is already dead, or was already popped
+    raises ``KeyError`` — silently accepting it would let the live count
+    drift negative and ``__len__``/``__bool__`` disagree.
+    (``NodeQueue.annihilate`` answers the same question with ``False``:
+    there a missing copy is an ordinary outcome, the caller's cue to
+    look in the LP's history instead.)
     """
 
     def __init__(self) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import gc
 import heapq
 import time
-from bisect import insort as bisect_insort
 from collections import deque
 from itertools import count
 
@@ -366,8 +365,7 @@ class TimeWarpSimulator:
             """Annihilate the (node-local or delivered) positive copy *em*."""
             lp = lps[em.dest]
             queue = queues[lp.node]
-            if queue.contains_uid(em.uid):
-                queue.annihilate(em.uid)
+            if queue.annihilate(em):
                 if trace:
                     trace("annihilate_pending", em.uid)
             elif em.uid in lp.processed_uids:
@@ -633,7 +631,6 @@ class TimeWarpSimulator:
         INF = float("inf")
         heappush = heapq.heappush
         heappop = heapq.heappop
-        insort = bisect_insort
         oldest_setdefault = oldest_times.setdefault
         msg_new = Message.__new__
         rec_new = ProcessedRecord.__new__
@@ -720,17 +717,7 @@ class TimeWarpSimulator:
                                     d_lp, msg.key, arrival,
                                     cancel_uid=None, cause_msg=msg,
                                 )
-                            # NodeQueue.push, inlined (hot: every positive
-                            # arrival).
-                            q = queues[d_lp.node]
-                            sk = (msg.time, msg.prio, msg.src, msg.n, msg.dest, msg.uid)
-                            nk = (-msg.time, -msg.prio, -msg.src, -msg.n, -msg.dest, -msg.uid)
-                            insort(q._list, (nk, sk, msg))
-                            q._uid_keys[msg.uid] = nk
-                            mk = q.min_key
-                            if mk is None or sk < mk:
-                                q.min_key = sk
-                                q.min_time = msg.time
+                            queues[d_lp.node].push(msg)
                         if pending_cancels:
                             drain_cancels(arrival)
                         # sched_update(d_node), inlined; the final bubble
@@ -775,17 +762,10 @@ class TimeWarpSimulator:
 
                 proc_queue = queues[node]
                 # --- NodeQueue.pop, inlined ------------------------------
-                qlist = proc_queue._list
-                uid_keys = proc_queue._uid_keys
-                _, _, msg = qlist.pop()
-                del uid_keys[msg.uid]
-                if qlist:
-                    head_key = qlist[-1][1]
-                    proc_queue.min_key = head_key
-                    proc_queue.min_time = head_key[0]
-                else:
-                    proc_queue.min_key = None
-                    proc_queue.min_time = None
+                open_bucket = proc_queue._open
+                msg = open_bucket.pop()[5]
+                if not open_bucket:
+                    proc_queue._advance()
                 # --- end inlined pop -------------------------------------
                 dest = msg.dest
                 lp = lps[dest]
@@ -938,6 +918,7 @@ class TimeWarpSimulator:
                     emissions = record.emissions
                 if emissions:
                     remote_sends = 0
+                    buckets = proc_queue._buckets  # never rebound
                     for em in emissions:
                         if reused_uids and em.uid in reused_uids:
                             reused_uids.discard(em.uid)
@@ -960,16 +941,16 @@ class TimeWarpSimulator:
                                     dest_lp, em.key, now,
                                     cancel_uid=None, cause_msg=em,
                                 )
-                            # NodeQueue.push, inlined (locals bound at the pop
-                            # above; rollback never rebinds the queue's list).
-                            sk = (em.time, em.prio, em.src, em.n, em.dest, em.uid)
-                            nk = (-em.time, -em.prio, -em.src, -em.n, -em.dest, -em.uid)
-                            insort(qlist, (nk, sk, em))
-                            uid_keys[em.uid] = nk
-                            mk = proc_queue.min_key
-                            if mk is None or sk < mk:
-                                proc_queue.min_key = sk
-                                proc_queue.min_time = em.time
+                            # The later-bucket append of NodeQueue.push,
+                            # inlined (mirrors it).  Every other case is
+                            # the method's.
+                            bucket = buckets.get(em.time)
+                            if bucket is not None:
+                                bucket.append(
+                                    (-em.prio, -em.src, -em.n, -em.dest, -em.uid, em)
+                                )
+                            else:
+                                proc_queue.push(em)
                         else:
                             flight_seq += 1
                             arr = now + (

@@ -19,7 +19,6 @@ suite checks.
 
 from __future__ import annotations
 
-from bisect import insort as bisect_insort
 from collections import deque
 from itertools import count
 
@@ -125,13 +124,13 @@ class NodeEngine:
         Mirrors the virtual kernel's initial schedule (DFF power-up
         resets, per-cycle captures, primary-input stimulus).  The world
         supplies the entries — its resident skeleton plus this job's
-        STIMs (:meth:`World.initial_schedule`) — and one bulk load
-        orders them.
+        STIMs (:meth:`World.initial_schedule`), already grouped per
+        virtual time — and the queue adopts the buckets.
         """
-        entries, self._uid_next = self.world.initial_schedule(
+        buckets, self._uid_next = self.world.initial_schedule(
             self.node, self.stimulus
         )
-        self.queue.load(entries)
+        self.queue.load(buckets)
 
     # ------------------------------------------------------------------
     # rollback / cancellation (aggressive, incremental state saving)
@@ -197,9 +196,9 @@ class NodeEngine:
 
     def _apply_cancel(self, em: Message) -> None:
         lp = self.lps[em.dest]
-        if self.queue.contains_uid(em.uid):
-            self.queue.annihilate(em.uid)
-        elif em.uid in lp.processed_uids:
+        if self.queue.annihilate(em):
+            return  # the positive copy was still pending
+        if em.uid in lp.processed_uids:
             self._rollback(lp, em.key, cancel_uid=em.uid, cause_msg=em)
         else:
             self._waiting_antis[em.uid] = em
@@ -300,8 +299,7 @@ class NodeEngine:
         lps = self.lps
         assignment = self.assignment
         proc_queue = self.queue
-        qlist = proc_queue._list
-        uid_keys = proc_queue._uid_keys
+        buckets = proc_queue._buckets
         outbox = self.outbox
         waiting_antis = self._waiting_antis
         pending_cancels = self._pending_cancels
@@ -310,7 +308,6 @@ class NodeEngine:
         counters = self.counters
         horizon = T_INF if self.window is None else gvt + self.window
         stride = self.num_nodes
-        insort = bisect_insort
         msg_new = Message.__new__
         rec_new = ProcessedRecord.__new__
         first_event = events = counters["events"]
@@ -326,15 +323,10 @@ class NodeEngine:
                 if t is None or t > horizon:
                     break
                 # --- NodeQueue.pop, inlined ------------------------------
-                _, _, msg = qlist.pop()
-                del uid_keys[msg.uid]
-                if qlist:
-                    head_key = qlist[-1][1]
-                    proc_queue.min_key = head_key
-                    proc_queue.min_time = head_key[0]
-                else:
-                    proc_queue.min_key = None
-                    proc_queue.min_time = None
+                open_bucket = proc_queue._open
+                msg = open_bucket.pop()[5]
+                if not open_bucket:
+                    proc_queue._advance()
                 # --- end inlined pop -------------------------------------
                 dest = msg.dest
                 lp = lps[dest]
@@ -485,16 +477,17 @@ class NodeEngine:
                                 dest_lp, em.key, cancel_uid=None, cause_msg=em
                             )
                             history_total = self._history
-                        # NodeQueue.push, inlined (rollback never rebinds
-                        # the queue's list).
-                        sk = (em.time, em.prio, em.src, em.n, em.dest, em.uid)
-                        nk = (-em.time, -em.prio, -em.src, -em.n, -em.dest, -em.uid)
-                        insort(qlist, (nk, sk, em))
-                        uid_keys[em.uid] = nk
-                        mk = proc_queue.min_key
-                        if mk is None or sk < mk:
-                            proc_queue.min_key = sk
-                            proc_queue.min_time = em.time
+                        # The later-bucket append of NodeQueue.push,
+                        # inlined (mirrors it; the queue never rebinds
+                        # its bucket dict).  Every other case is the
+                        # method's.
+                        bucket = buckets.get(em.time)
+                        if bucket is not None:
+                            bucket.append(
+                                (-em.prio, -em.src, -em.n, -em.dest, -em.uid, em)
+                            )
+                        else:
+                            proc_queue.push(em)
                     else:
                         outbox.append((dest_node, em))
                         app_messages += 1
@@ -754,7 +747,7 @@ class NodeEngine:
                 )
                 for index, lp in self.lps.items()
             },
-            "queue": [entry[2] for entry in self.queue._list],
+            "queue": self.queue.pending(),
             "waiting_antis": self._waiting_antis,
             "capture_log": self.capture_log,
             "counters": self.counters,

@@ -1,149 +1,206 @@
 """Per-node pending-event queue with annihilation support.
 
 A node holds ONE queue over all its LPs (the clustered organisation of
-WARPED: LPs of a cluster share a scheduler). The queue orders messages
-by the deterministic event key and supports deletion by ``uid``, which
-is how an anti-message annihilates an unprocessed positive copy.
+WARPED: LPs of a cluster share a scheduler). The queue hands messages
+out in the deterministic order ``(time, prio, src, n, dest, uid)`` and
+supports deleting a pending message, which is how an anti-message
+annihilates an unprocessed positive copy.
 
-Representation: a list sorted DESCENDING by sort key, so the earliest
-live message sits at the END — ``pop`` is ``list.pop()`` (O(1)) and
-insertion is a C-level :func:`bisect.insort` (binary search plus one
-memmove), which beats a binary heap for the queue sizes logic
-simulation produces and needs no lazy-deletion filtering: ``annihilate``
-locates its entry exactly via the uid → key map and removes it.
+Representation: a timing wheel over virtual time. Logic-simulation time
+is a small dense integer range — a node holds a few thousand pending
+messages but rarely a hundred distinct times — so messages are kept in
+one **bucket** (a list) per virtual time, and ordering inside a time is
+paid for once, when that time becomes the earliest:
 
-The descending order is realised by storing each entry as
-``(neg_key, sort_key, message)`` where ``neg_key`` negates every
-element of the sort key: elementwise negation reverses the
-lexicographic order of equal-length int tuples, so an ascending sort on
-``neg_key`` is a descending sort on ``sort_key``. ``neg_key`` is unique
-(the uid component is), so list comparisons never reach the message.
+- the **open** bucket holds the messages of the earliest pending time,
+  ``min_time``, sorted so that the next message out is at its END
+  (``pop`` is ``list.pop()``).  It is never empty while anything is
+  pending; when the queue is empty ``min_time`` is ``None``;
+- every later time has an **unsorted** bucket in ``_buckets`` and its
+  time in the heap ``_times`` (exactly the keys of ``_buckets``).  When
+  the open bucket runs out, :meth:`_advance` takes the smallest time
+  off the heap, sorts that bucket once and opens it;
+- an entry is the flat tuple ``(-prio, -src, -n, -dest, -uid, msg)``:
+  negating every element reverses the lexicographic order of
+  equal-length int tuples, so an ascending sort leaves the earliest
+  entry last.  The uid makes the prefix unique, so comparisons never
+  reach the message.  Entries are immutable and may be shared between
+  queues; bucket lists never are.
 
-The head of the queue is cached: ``min_key``/``min_time`` are plain
-attributes kept current by every mutator, so the executive's per-event
-scheduling scan costs one attribute read per node.
+A push therefore has three cases: to a later time it is a dict lookup
+and an ``append`` (plus one ``heappush`` of an int when the time is
+new); into the open time it is one ``insort`` into that short list;
+before the open time it shelves the open bucket (still sorted, so
+re-opening it costs one pass) and opens a new one.
 
-Start-up is the one place many messages arrive at once: :meth:`load`
-takes ready-made entries (:func:`make_entry`) and orders them with a
-single sort instead of one ``insort`` each.
+Cancellation needs no uid index: an anti-message is a full copy of its
+positive — time and key included — so :meth:`annihilate` bisects the
+open bucket or scans the one bucket of ``msg.time``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping
+from heapq import heapify, heappop, heappush
 
 from repro.warped.messages import Message
 
-SortKey = tuple[int, int, int, int, int, int]
-
-#: One stored entry: (negated sort key, sort key, message).
-Entry = tuple[SortKey, SortKey, Message]
+#: One stored entry: the negated within-time order, then the message.
+Entry = tuple[int, int, int, int, int, Message]
 
 
 def make_entry(msg: Message) -> Entry:
-    """The stored form of *msg* — what :meth:`NodeQueue.push` inserts."""
-    return (
-        (-msg.time, -msg.prio, -msg.src, -msg.n, -msg.dest, -msg.uid),
-        (msg.time, msg.prio, msg.src, msg.n, msg.dest, msg.uid),
-        msg,
-    )
+    """The stored form of *msg* — what :meth:`NodeQueue.push` files
+    under ``msg.time``."""
+    return (-msg.prio, -msg.src, -msg.n, -msg.dest, -msg.uid, msg)
+
+
+def bucketed(messages: Iterable[Message]) -> dict[int, list[Entry]]:
+    """Entries of *messages* grouped per virtual time — the shape
+    :meth:`NodeQueue.load` takes."""
+    buckets: dict[int, list[Entry]] = {}
+    for msg in messages:
+        bucket = buckets.get(msg.time)
+        if bucket is None:
+            bucket = buckets[msg.time] = []
+        bucket.append(make_entry(msg))
+    return buckets
 
 
 class NodeQueue:
-    """Descending-sorted list of :class:`Message` with O(1) min-pop."""
+    """Pending :class:`Message` objects, one bucket per virtual time."""
 
-    __slots__ = ("_list", "_uid_keys", "min_key", "min_time")
+    __slots__ = ("_buckets", "_times", "_open", "min_time")
 
     def __init__(self) -> None:
-        self._list: list[Entry] = []
-        #: uid -> negated sort key of the live entry carrying it.
-        self._uid_keys: dict[int, SortKey] = {}
-        #: Sort key / virtual time of the earliest live message, or
-        #: ``None`` when empty. Read-only for callers.
-        self.min_key: SortKey | None = None
+        #: time -> unsorted entries, for every pending time but the
+        #: earliest.  Never rebound (the engines hold it in a local).
+        self._buckets: dict[int, list[Entry]] = {}
+        #: Heap of the keys of ``_buckets``.
+        self._times: list[int] = []
+        #: Entries of ``min_time``, sorted, next message out last.
+        self._open: list[Entry] = []
+        #: Virtual time of the earliest pending message, or ``None``
+        #: when empty. Read-only for callers.
         self.min_time: int | None = None
 
     def push(self, msg: Message) -> None:
         """Insert *msg*."""
-        sort_key = (msg.time, msg.prio, msg.src, msg.n, msg.dest, msg.uid)
-        neg_key = (-msg.time, -msg.prio, -msg.src, -msg.n, -msg.dest, -msg.uid)
-        insort(self._list, (neg_key, sort_key, msg))
-        self._uid_keys[msg.uid] = neg_key
-        min_key = self.min_key
-        if min_key is None or sort_key < min_key:
-            self.min_key = sort_key
-            self.min_time = msg.time
+        time = msg.time
+        entry = make_entry(msg)
+        bucket = self._buckets.get(time)
+        if bucket is not None:
+            bucket.append(entry)
+            return
+        min_time = self.min_time
+        if time == min_time:
+            insort(self._open, entry)
+        elif min_time is None:
+            self._open = [entry]
+            self.min_time = time
+        elif time > min_time:
+            self._buckets[time] = [entry]
+            heappush(self._times, time)
+        else:
+            self._buckets[min_time] = self._open
+            heappush(self._times, min_time)
+            self._open = [entry]
+            self.min_time = time
 
-    def load(self, entries: Sequence[Entry]) -> None:
-        """Insert every entry of *entries* with one sort.
+    def load(self, buckets: Mapping[int, list[Entry]]) -> None:
+        """Merge ready-made *buckets* (time -> a non-empty list of
+        entries, :func:`bucketed`) into the queue.
 
-        Entries are immutable and may be shared between queues (a
-        resident :class:`~repro.warped.world.World` hands every job the
-        same stimulus-free ones); already-ordered stretches cost the
-        sort one comparison per element.
+        The queue keeps the lists it is handed — the caller must not
+        use them again — and sorts only the one that ends up earliest.
         """
-        self._uid_keys.update({entry[2].uid: entry[0] for entry in entries})
-        lst = self._list
-        lst.extend(entries)
-        lst.sort()
-        if lst:
-            head = lst[-1]
-            self.min_key = head[1]
-            self.min_time = head[1][0]
+        own = self._buckets
+        if self.min_time is not None:
+            own[self.min_time] = self._open
+        for time, entries in buckets.items():
+            bucket = own.get(time)
+            if bucket is None:
+                own[time] = entries
+            else:
+                bucket.extend(entries)
+        self._times = sorted(own)
+        self._advance()
+
+    def _advance(self) -> None:
+        """Open the earliest shelved bucket (the open one is spent)."""
+        if self._times:
+            time = heappop(self._times)
+            bucket = self._buckets.pop(time)
+            bucket.sort()
+            self._open = bucket
+            self.min_time = time
+        else:
+            self._open = []
+            self.min_time = None
 
     def pop(self) -> Message:
-        """Remove and return the earliest live message."""
-        lst = self._list
-        if not lst:
+        """Remove and return the earliest pending message."""
+        bucket = self._open
+        if not bucket:
             raise IndexError("pop from empty NodeQueue")
-        _, _, msg = lst.pop()
-        del self._uid_keys[msg.uid]
-        if lst:
-            head = lst[-1]
-            self.min_key = head[1]
-            self.min_time = head[1][0]
-        else:
-            self.min_key = None
-            self.min_time = None
+        msg = bucket.pop()[5]
+        if not bucket:
+            self._advance()
         return msg
 
-    def contains_uid(self, uid: int) -> bool:
-        """True iff a live message with *uid* is pending."""
-        return uid in self._uid_keys
-
-    def annihilate(self, uid: int) -> None:
-        """Delete the pending message with *uid* (must be present)."""
-        neg_key = self._uid_keys.pop(uid, None)
-        if neg_key is None:
-            raise KeyError(f"uid {uid} not pending")
-        lst = self._list
-        # A 1-tuple probe compares by first element only and sorts
-        # before the (longer) entry carrying an equal first element, so
-        # bisect_left lands exactly on the target entry.
-        lo = bisect_left(lst, (neg_key,))
-        del lst[lo]
-        if lo == len(lst):
-            # Removed the head (end of the descending list).
-            if lst:
-                head = lst[-1]
-                self.min_key = head[1]
-                self.min_time = head[1][0]
-            else:
-                self.min_key = None
-                self.min_time = None
+    def annihilate(self, msg: Message) -> bool:
+        """Delete the pending copy of *msg* (a positive message or its
+        anti-message); ``False``, and nothing changed, when no copy is
+        pending."""
+        time = msg.time
+        if time == self.min_time:
+            bucket = self._open
+            # The entry without its message sorts directly before the
+            # (longer) entry carrying the same prefix, so bisect_left
+            # lands on it.
+            at = bisect_left(bucket, make_entry(msg)[:5])
+            if at == len(bucket) or bucket[at][4] != -msg.uid:
+                return False
+            del bucket[at]
+            if not bucket:
+                self._advance()
+            return True
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            return False
+        neg_uid = -msg.uid
+        for at, entry in enumerate(bucket):
+            if entry[4] == neg_uid:
+                break
+        else:
+            return False
+        del bucket[at]
+        if not bucket:
+            del self._buckets[time]
+            self._times.remove(time)
+            heapify(self._times)
+        return True
 
     def count_through(self, time: float) -> int:
         """How many pending messages carry a virtual time <= *time*."""
-        lst = self._list
-        # ``(-time,)`` sorts before every negated key that starts with
-        # ``-time`` and after every one of a later time, so the entries
-        # from that point to the end are exactly those due by *time*.
-        return len(lst) - bisect_left(lst, ((-time,),))
+        min_time = self.min_time
+        if min_time is None or min_time > time:
+            return 0
+        return len(self._open) + sum(
+            len(bucket) for t, bucket in self._buckets.items() if t <= time
+        )
 
-    def peek_key(self) -> SortKey | None:
-        """Sort key of the earliest live message, or ``None``."""
-        return self.min_key
+    def pending(self) -> list[Message]:
+        """Every pending message, in the order :meth:`pop` would return
+        them (the queue is not changed)."""
+        messages = [entry[5] for entry in reversed(self._open)]
+        buckets = self._buckets
+        for time in sorted(buckets):
+            messages.extend(
+                entry[5] for entry in sorted(buckets[time], reverse=True)
+            )
+        return messages
 
     def extract_dests(self, dests: set[int]) -> list[Message]:
         """Remove and return all pending messages addressed to *dests*.
@@ -151,28 +208,25 @@ class NodeQueue:
         Used by LP migration: the moved LP's queued work follows it to
         its new node.
         """
-        kept: list[Entry] = []
         moved: list[Message] = []
-        uid_keys = self._uid_keys
-        for entry in self._list:
-            msg = entry[2]
-            if msg.dest in dests:
-                moved.append(msg)
-                del uid_keys[msg.uid]
+        buckets = self._buckets
+        if self.min_time is not None:
+            buckets[self.min_time] = self._open
+        for time, bucket in list(buckets.items()):
+            leaving = [e[5] for e in bucket if e[5].dest in dests]
+            if not leaving:
+                continue
+            moved.extend(leaving)
+            if len(leaving) == len(bucket):
+                del buckets[time]
             else:
-                kept.append(entry)
-        self._list = kept
-        if kept:
-            head = kept[-1]
-            self.min_key = head[1]
-            self.min_time = head[1][0]
-        else:
-            self.min_key = None
-            self.min_time = None
+                bucket[:] = [e for e in bucket if e[5].dest not in dests]
+        self._times = sorted(buckets)
+        self._advance()
         return moved
 
     def __len__(self) -> int:
-        return len(self._list)
+        return len(self._open) + sum(map(len, self._buckets.values()))
 
     def __bool__(self) -> bool:
-        return bool(self._list)
+        return self.min_time is not None

@@ -9,15 +9,18 @@ pair as one immutable value, plus what a node derives from it —
   static per-gate LP structure of exactly those gates, built on first
   use (a worker never pays for a peer's half of the circuit);
 - the **skeleton** of its initial schedule: the DFF power-up resets and
-  every per-cycle CAPTURE, as ready-made, sorted queue entries carrying
-  the uids a from-scratch schedule would mint.  These depend on the
-  cycle count and the clock period but not on a single stimulus value,
-  and they are most of the schedule (85 % on the served job shape), so
-  a job adds only its STIM messages and sorts once.
+  every per-cycle CAPTURE, as ready-made queue entries grouped per
+  virtual time and carrying the uids a from-scratch schedule would
+  mint.  These depend on the cycle count and the clock period but not
+  on a single stimulus value, and they are most of the schedule (85 %
+  on the served job shape), so a job copies the groups and adds only
+  its STIM messages.
 
 Nothing a job can change lives here: the assignment is a tuple (an
 engine copies it — migration mutates its copy), messages and queue
-entries are never written after construction, LP state is per engine.
+entries are never written after construction (a job gets its own copy
+of every bucket *list* — a queue appends to the lists it is handed), LP
+state is per engine.
 That is what lets a warm :class:`~repro.warped.parallel.ring.WorkerRing`
 keep worlds resident in its workers and ship a job as little more than
 its stimulus table, and what lets the cold
@@ -41,7 +44,7 @@ from repro.sim.event import CAPTURE, SIG, STIM
 from repro.sim.stimulus import Stimulus
 from repro.warped.lp import LogicalProcess, gate_static
 from repro.warped.messages import Message
-from repro.warped.queues import Entry, make_entry
+from repro.warped.queues import Entry, bucketed, make_entry
 
 
 class _Roster:
@@ -65,10 +68,12 @@ class _Roster:
         ]
         self.dffs = [ff for ff in circuit.dffs if ff in local]
         self.inputs = [pi for pi in circuit.primary_inputs if pi in local]
-        #: ``((num_cycles, period), entries)`` of the newest skeleton —
-        #: one per node, so a client sweeping cycle counts cannot grow a
-        #: resident world without bound.
-        self.skeleton: tuple[tuple[int, int], list[Entry]] | None = None
+        #: ``((num_cycles, period), time -> entries)`` of the newest
+        #: skeleton — one per node, so a client sweeping cycle counts
+        #: cannot grow a resident world without bound.
+        self.skeleton: (
+            tuple[tuple[int, int], dict[int, list[Entry]]] | None
+        ) = None
 
 
 class World:
@@ -168,26 +173,26 @@ class World:
     # ------------------------------------------------------------------
     def initial_schedule(
         self, node: int, stimulus: Stimulus
-    ) -> tuple[list[Entry], int]:
+    ) -> tuple[dict[int, list[Entry]], int]:
         """Queue entries of every initial message addressed to *node*
-        under *stimulus*, and the node's next unused uid.
+        under *stimulus*, grouped per virtual time, and the node's next
+        unused uid.
 
         Each node schedules only the copies addressed to it, so startup
         needs no cross-process traffic.  Messages and uids are exactly
         those of minting the schedule in program order — resets, then
         per cycle the CAPTUREs (from cycle 1) and the STIMs — with uids
         strided by ``k`` from ``node + 1``; the stimulus-free ones come
-        from the resident skeleton, the STIMs are minted here.  The
-        list is the skeleton (sorted) followed by the STIMs: one
-        :meth:`NodeQueue.load <repro.warped.queues.NodeQueue.load>`
+        from the resident skeleton, the STIMs are minted here.  Every
+        bucket list is the caller's own (the skeleton's are copied):
+        one :meth:`NodeQueue.load <repro.warped.queues.NodeQueue.load>`
         away from a queue.
         """
         roster = self._roster(node)
         shape = (stimulus.num_cycles, stimulus.period)
         if roster.skeleton is None or roster.skeleton[0] != shape:
             roster.skeleton = (shape, self._skeleton(node, roster, stimulus))
-        entries = list(roster.skeleton[1])
-        append = entries.append
+        buckets = {t: list(b) for t, b in roster.skeleton[1].items()}
         value = stimulus.value
         inputs = roster.inputs
         stride = self.k
@@ -197,6 +202,9 @@ class World:
             t = stimulus.cycle_time(cycle)
             if cycle > 0:
                 uid += capture_uids
+            if not inputs:
+                continue  # no bucket without an entry
+            append = buckets.setdefault(t, []).append
             for pi in inputs:
                 append(
                     make_entry(
@@ -204,30 +212,26 @@ class World:
                     )
                 )
                 uid += stride
-        return entries, uid
+        return buckets, uid
 
     def _skeleton(
         self, node: int, roster: _Roster, stimulus: Stimulus
-    ) -> list[Entry]:
-        """Sorted entries of *node*'s stimulus-independent initial
-        messages for *stimulus*'s cycle count and period (its values
-        are not read; ``cycle_time`` is a function of the period)."""
+    ) -> dict[int, list[Entry]]:
+        """Entries of *node*'s stimulus-independent initial messages,
+        per virtual time, for *stimulus*'s cycle count and period (its
+        values are not read; ``cycle_time`` is a function of the
+        period)."""
         stride = self.k
         stim_uids = stride * len(roster.inputs)
         uid = node + 1
-        entries = []
+        messages = []
         for ff, sink in roster.resets:
-            entries.append(
-                make_entry(Message(0, SIG, ff, 0, FALSE, sink, uid))
-            )
+            messages.append(Message(0, SIG, ff, 0, FALSE, sink, uid))
             uid += stride
         for cycle in range(1, stimulus.num_cycles):
             t = stimulus.cycle_time(cycle)
             uid += stim_uids  # the previous cycle's STIMs
             for ff in roster.dffs:
-                entries.append(
-                    make_entry(Message(t, CAPTURE, ff, cycle, 0, ff, uid))
-                )
+                messages.append(Message(t, CAPTURE, ff, cycle, 0, ff, uid))
                 uid += stride
-        entries.sort()
-        return entries
+        return bucketed(messages)

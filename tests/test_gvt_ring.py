@@ -553,7 +553,7 @@ class TestSliceByBacklog:
         engine, loop = loaded_loop(s27, window=45)
         for gvt in (0.0, 20.0, 130.5):
             inside = sum(
-                1 for _, key, _ in engine.queue._list if key[0] <= gvt + 45
+                1 for msg in engine.queue.pending() if msg.time <= gvt + 45
             )
             assert 0 < inside < len(engine.queue)
             assert engine.backlog(gvt) == inside

@@ -28,7 +28,7 @@ class TestQueueExtraction:
         q = NodeQueue()
         q.push(self.entry(1, 5))
         q.push(self.entry(2, 5))
-        q.annihilate(1)
+        assert q.annihilate(self.entry(1, 5))
         moved = q.extract_dests({5})
         assert [m.uid for m in moved] == [2]
 

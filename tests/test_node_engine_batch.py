@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import operator
 from pathlib import Path
 
 import pytest
@@ -129,15 +128,12 @@ class ListTracer:
         return fresh
 
 
-_NEG_KEY = operator.itemgetter(0)
-
-
 def observe(engine: NodeEngine) -> dict:
     """The engine-level state the two worlds must agree on.
 
-    Pending order is read off the negated sort keys (they end in the
-    uid, so equal key lists are equal uid orders); LPs are walked by
-    :func:`assert_same` directly.
+    Pending order is the queue's pop order, as full sort keys (they end
+    in the uid, so equal key lists are equal uid orders); LPs are walked
+    by :func:`assert_same` directly.
     """
     return {
         "counters": engine.counters,
@@ -147,8 +143,8 @@ def observe(engine: NodeEngine) -> dict:
         "history": engine._history,
         "peak_history": engine.peak_history,
         "oldest": engine._oldest,
-        "pending": list(map(_NEG_KEY, engine.queue._list)),
-        "queue_head": (engine.queue.min_key, engine.queue.min_time),
+        "pending": [msg.sort_key for msg in engine.queue.pending()],
+        "queue_head": engine.queue.min_time,
         "waiting_antis": sorted(engine._waiting_antis),
         "outbox": [(dest, msg.uid, msg.sign) for dest, msg in engine.outbox],
         "trace": engine.tracer.fresh(),

@@ -174,7 +174,7 @@ class TestCostAndGuards:
 
 
 class TestEventQueue:
-    """The strict ``remove`` contract (mirrors NodeQueue.annihilate)."""
+    """The strict ``remove`` contract (a missing key is an error)."""
 
     @staticmethod
     def _event(time, src=0):

@@ -216,21 +216,27 @@ class TestNodeQueue:
         q = NodeQueue()
         q.push(self.entry(1, 1))
         q.push(self.entry(2, 2))
-        q.annihilate(1)
-        assert not q.contains_uid(1)
+        assert q.annihilate(self.entry(1, 1).make_anti())
+        assert not q.annihilate(self.entry(1, 1))
         assert len(q) == 1
         assert q.pop().uid == 2
 
     def test_annihilate_missing_raises(self):
+        """Since the bucket queue a missing copy is ``False``, not a
+        ``KeyError`` — and the queue is as it was."""
         q = NodeQueue()
-        with pytest.raises(KeyError):
-            q.annihilate(77)
+        assert not q.annihilate(self.entry(1, 77))
+        q.push(self.entry(1, 1))
+        q.push(self.entry(4, 2))
+        for absent in (self.entry(1, 77), self.entry(4, 77), self.entry(9, 1)):
+            assert not q.annihilate(absent)
+        assert [m.uid for m in q.pending()] == [1, 2]
 
     def test_min_time_skips_dead(self):
         q = NodeQueue()
         q.push(self.entry(1, 1))
         q.push(self.entry(5, 2))
-        q.annihilate(1)
+        assert q.annihilate(self.entry(1, 1))
         assert q.min_time == 5
 
     def test_empty_pop_raises(self):

@@ -36,6 +36,7 @@ from repro.warped.messages import Message
 from repro.warped.parallel import NodeEngine
 from repro.warped.parallel.backend import JobSpec, _run_node
 from repro.warped.parallel.ring import WorkerRing
+from repro.warped.queues import NodeQueue, bucketed
 from repro.warped.world import World
 
 from tests.test_gvt_ring import BatchQueue
@@ -84,11 +85,10 @@ def queue_image(engine: NodeEngine):
     queue = engine.queue
     return (
         [
-            (neg_key, sort_key, msg.key, msg.value, msg.dest, msg.uid, msg.sign)
-            for neg_key, sort_key, msg in queue._list
+            (msg.sort_key, msg.value, msg.sign) for msg in queue.pending()
         ],
-        queue._uid_keys,
-        queue.min_key,
+        len(queue),
+        bool(queue),
         queue.min_time,
         engine._uid_next,
     )
@@ -142,8 +142,10 @@ def test_skeleton_schedule_is_the_from_scratch_schedule(path, k):
                 )
                 shape, skeleton = world._roster(node).skeleton
                 assert shape == (num_cycles, period)
-                assert all(entry[2].prio != STIM for entry in skeleton)
-                assert len(skeleton) + num_cycles * sum(
+                resident = NodeQueue()
+                resident.load({t: list(b) for t, b in skeleton.items()})
+                assert all(msg.prio != STIM for msg in resident.pending())
+                assert len(resident) + num_cycles * sum(
                     1 for pi in circuit.primary_inputs if pi in engine.lps
                 ) == len(engine.queue)
 
@@ -153,14 +155,44 @@ def test_bulk_load_merges_into_a_live_queue(s27):
     pending keep their place and the head is recomputed."""
     stimulus = RandomStimulus(s27, 5, period=20, seed=1)
     world = World(s27, 1, [0] * s27.num_gates)
-    entries, _ = world.initial_schedule(0, stimulus)
+    whole = NodeEngine(world, 0, stimulus)
+    whole.schedule_initial()
+    messages = whole.queue.pending()
     one_by_one = NodeEngine(world, 0, stimulus)
-    for _, _, msg in entries:
+    for msg in messages:
         one_by_one.queue.push(msg)
     halves = NodeEngine(world, 0, stimulus)
-    halves.queue.load(entries[1::2])
-    halves.queue.load(entries[0::2])
+    # The later half first, so the second load lands before, inside and
+    # after what is already pending.
+    halves.queue.load(bucketed(messages[1::2]))
+    halves.queue.load(bucketed(messages[0::2]))
     assert queue_image(halves)[:4] == queue_image(one_by_one)[:4]
+    assert queue_image(halves)[:4] == queue_image(whole)[:4]
+
+
+def test_jobs_on_one_resident_world_never_share_a_bucket_list(s27):
+    """A queue appends to the bucket lists it is handed, so a job gets
+    copies: emptying and refilling job 1's queue leaves the skeleton and
+    job 2's queue as they were."""
+    stimulus = RandomStimulus(s27, 5, period=20, seed=1)
+    world = World(s27, 1, [0] * s27.num_gates)
+    first = NodeEngine(world, 0, stimulus)
+    first.schedule_initial()
+    want = queue_image(first)
+    _, skeleton = world._roster(0).skeleton
+    skeleton_before = {t: list(b) for t, b in skeleton.items()}
+    second = NodeEngine(world, 0, stimulus)
+    second.schedule_initial()
+    # Job 1 runs: pops reorder and drain its lists, pushes grow them.
+    drained = [first.queue.pop() for _ in range(len(first.queue))]
+    for t in skeleton_before:
+        first.queue.push(Message(t, SIG, 0, 99, 1, 0, 10_000 + t))
+    assert skeleton == skeleton_before
+    assert queue_image(second) == want
+    third = NodeEngine(world, 0, stimulus)
+    third.schedule_initial()
+    assert queue_image(third) == want
+    assert [m.uid for m in drained] == [m.uid for m in third.queue.pending()]
 
 
 # ----------------------------------------------------------------------

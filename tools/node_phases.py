@@ -4,7 +4,8 @@
 Wraps the node loop's phases with timers *before the workers fork* — no
 hook lives under ``src/`` — runs a few jobs of one shape and prints, per
 node, the median seconds inside each phase and the counts that explain
-them (laps of the main loop, wire frames, fossil sweeps):
+them (laps of the main loop, wire frames, fossil sweeps, and what the
+pending-event queue's buckets saw):
 
     python tools/node_phases.py --shape cold-s9234 --jobs 5
     python tools/node_phases.py --shape warm-served --jobs 25
@@ -21,8 +22,17 @@ contains ``fossil_collect``; ``work_batch`` contains ``run_batch`` and its
 ``flush_wire``), and the timers themselves cost about 0.3 µs a call — so
 read the table for proportions and before/after differences, and claim
 speed with ``benchmarks/e2e/run.py``, which runs unpatched code.  The
-wrapped names exist in every checkout since PR 17, which is what makes
-the ``PYTHONPATH`` form a before/after instrument.
+wrapped engine and loop names exist in every checkout since PR 17; the
+queue's (``NodeQueue._advance``, ``NodeQueue.push``) since the bucket
+queue — for a before/after table across that change run each checkout's
+own copy of this tool.
+
+The queue rows are counts, not times: how often a bucket became the
+open one and how many entries it held then (what each sort paid for),
+how many pushes took the two slow paths (an ``insort`` into the open
+bucket; a push *earlier* than it, which shelves it), and the most
+buckets a node held at once.  The common push — an append to a later
+bucket — is inlined in ``run_batch`` and is not counted.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from repro.warped.parallel import backend
 from repro.warped.parallel.backend import NodeLoop
 from repro.warped.parallel.node import NodeEngine
 from repro.warped.parallel.ring import WorkerRing
+from repro.warped.queues import NodeQueue
 from repro.warped.parallel.transport import TRANSPORT_NAMES
 
 #: Timed methods (``NodeLoop.run`` is timed where the timers are dumped).
@@ -71,6 +82,10 @@ COUNT_ROWS = (
     ("empty polls", "empty poll"), ("frames", "frames"),
     ("framed messages", "framed messages"),
     ("GVT applications", "apply_gvt"), ("sweeps", "fossil_collect"),
+    ("bucket opens", "bucket opens"),
+    ("pushes into open", "pushes into open"),
+    ("pushes before open", "pushes before open"),
+    ("peak live buckets", "peak live buckets"),
 )
 
 #: This process's timers: seconds and calls per phase since the last dump.
@@ -111,6 +126,31 @@ def install(out_dir: str) -> None:
         put_wire_batch(chan, items, own)
 
     backend._put_wire_batch = count_frames
+
+    advance, push = NodeQueue._advance, NodeQueue.push
+
+    def saw_buckets(queue):
+        live = len(queue._buckets) + 1
+        if live > _calls["peak live buckets"]:
+            _calls["peak live buckets"] = live
+
+    def count_open(queue):
+        advance(queue)
+        if queue.min_time is not None:
+            _calls["bucket opens"] += 1
+            _calls["entries at open"] += len(queue._open)
+            saw_buckets(queue)
+
+    def count_push(queue, msg):
+        open_time = queue.min_time
+        if open_time is not None and msg.time <= open_time:
+            side = "into" if msg.time == open_time else "before"
+            _calls[f"pushes {side} open"] += 1
+        push(queue, msg)
+        saw_buckets(queue)
+
+    NodeQueue._advance = count_open
+    NodeQueue.push = count_push
 
     run = NodeLoop.run
 
@@ -228,6 +268,12 @@ def render(rows: list) -> str:
         row(f"{name} s", lambda rec, n=name: rec["seconds"].get(n, 0.0), ".4f")
     for label, name in COUNT_ROWS:
         row(label, lambda rec, n=name: rec["calls"].get(n, 0), ".0f")
+    row(
+        "mean entries at open",
+        lambda rec: rec["calls"].get("entries at open", 0)
+        / max(1, rec["calls"].get("bucket opens", 0)),
+        ".1f",
+    )
     row("events", lambda rec: rec["events"], ".0f")
     row("rolled back", lambda rec: rec["rolled_back"], ".0f")
     return "\n".join(lines)
