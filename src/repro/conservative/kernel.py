@@ -35,7 +35,7 @@ from repro.partition.assignment import PartitionAssignment
 from repro.sim.event import CAPTURE, SIG, STIM
 from repro.sim.stimulus import Stimulus
 from repro.warped.lp import LogicalProcess
-from repro.warped.machine import VirtualMachine
+from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.messages import Message
 from repro.warped.queues import NodeQueue
 
@@ -92,17 +92,7 @@ class ConservativeSimulator:
         max_events: int = 50_000_000,
         max_null_rounds: int = 5_000_000,
     ) -> None:
-        if not circuit.frozen:
-            raise SimulationError("circuit must be frozen")
-        if assignment.circuit is not circuit:
-            raise SimulationError("assignment was built for a different circuit")
-        if stimulus.circuit is not circuit:
-            raise SimulationError("stimulus was built for a different circuit")
-        if assignment.k != machine.num_nodes:
-            raise SimulationError(
-                f"partition has k={assignment.k} but machine has "
-                f"{machine.num_nodes} nodes"
-            )
+        check_job(circuit, assignment, stimulus, machine)
         self.circuit = circuit
         self.assignment = assignment
         self.stimulus = stimulus

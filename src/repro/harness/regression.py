@@ -80,11 +80,11 @@ def run_case(case: dict) -> list[str]:
             ).run()
             process_committed[engine] = result.events_committed
         elif engine in ("served", "served-shm"):
-            # The warm-ring path the job server executes on: same
-            # JobSpec body as the cold process backend, different
-            # process lifecycle.  Running it through the differential
-            # layer holds warm-pool results to the exact committed
-            # output of every other engine.
+            # The warm-ring path the job server executes on: a ring
+            # started empty that is shipped the world, where a process
+            # run forks its ring with it.  Running it through the
+            # differential layer holds warm-pool results to the exact
+            # committed output of every other engine.
             from repro.warped.parallel.ring import WorkerRing
 
             machine = VirtualMachine(

@@ -37,7 +37,7 @@ from repro.sim.event import CAPTURE, SIG, STIM
 from repro.sim.stimulus import Stimulus
 from repro.warped.gvt import GVT_END, compute_gvt
 from repro.warped.lp import LogicalProcess, ProcessedRecord, gate_statics
-from repro.warped.machine import VirtualMachine
+from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.messages import ANTI, Message
 from repro.warped.network import UniformNetwork
 from repro.warped.queues import NodeQueue
@@ -59,17 +59,7 @@ class TimeWarpSimulator:
         trace_hook=None,
         tracer=None,
     ) -> None:
-        if not circuit.frozen:
-            raise SimulationError("circuit must be frozen")
-        if assignment.circuit is not circuit:
-            raise SimulationError("assignment was built for a different circuit")
-        if stimulus.circuit is not circuit:
-            raise SimulationError("stimulus was built for a different circuit")
-        if assignment.k != machine.num_nodes:
-            raise SimulationError(
-                f"partition has k={assignment.k} but machine has "
-                f"{machine.num_nodes} nodes"
-            )
+        check_job(circuit, assignment, stimulus, machine)
         self.circuit = circuit
         self.assignment = assignment
         self.stimulus = stimulus

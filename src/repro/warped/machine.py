@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.warped.network import FastEthernet, NetworkModel
 
 
@@ -134,3 +134,28 @@ class VirtualMachine:
             raise ConfigError("migration_threshold must be > 1 (or None)")
         if not 0.0 < self.migration_fraction <= 1.0:
             raise ConfigError("migration_fraction must be in (0, 1]")
+
+
+def check_job(
+    circuit, assignment, stimulus, machine: VirtualMachine,
+    *, aggressive_only: bool = False,
+) -> None:
+    """The checks every simulator makes of the job it is handed: a
+    frozen circuit, a partition and a stimulus built for that very
+    circuit object, one partition block per node — and, for the process
+    backend (*aggressive_only*), the one cancellation policy it runs."""
+    if not circuit.frozen:
+        raise SimulationError("circuit must be frozen")
+    if assignment.circuit is not circuit:
+        raise SimulationError("assignment was built for a different circuit")
+    if stimulus.circuit is not circuit:
+        raise SimulationError("stimulus was built for a different circuit")
+    if assignment.k != machine.num_nodes:
+        raise SimulationError(
+            f"partition has k={assignment.k} but machine has "
+            f"{machine.num_nodes} nodes"
+        )
+    if aggressive_only and machine.cancellation != "aggressive":
+        raise ConfigError(
+            "the process backend implements aggressive cancellation only"
+        )

@@ -29,11 +29,11 @@ identical between the two — rollback makes the outcome independent of
 message interleaving — and the differential test layer holds both
 backends to that.
 
-Liveness at the parent is deliberately conservative: worker death is
-detected from exit codes with a drain grace period (a finished
-worker's payload may still be in the control pipe), and shutdown
-drains every inbox while joining so a worker waiting out a full inbox
-can always get out (see ``_shutdown``).
+The node processes belong to a
+:class:`~repro.warped.parallel.ring.WorkerRing` — the one code that
+forks, watches, joins and terminates them.  A run is a ring that lives
+for one job: forked with the run's :class:`~repro.warped.world.World`
+already in its workers' tables, sent one job, closed.
 
 Fault tolerance: with ``machine.checkpoint_interval`` set, every node
 snapshots its full state (LP histories, pending queue, GVT clerk,
@@ -41,11 +41,12 @@ channel send log) each time an applied GVT broadcast crosses a multiple
 of that virtual-time interval — the N snapshots of one computation id
 form a consistent epoch (:mod:`repro.warped.parallel.recovery`).  With
 ``max_restarts > 0`` the parent reacts to a worker death or error by
-rolling the whole ring back: it shuts the attempt down, restores every
-node from the last complete epoch, replays the messages that were in
-flight across the cut, and resumes the GVT ring under fresh computation
-ids.  After a node exhausts its restart budget the run degrades
-gracefully to the virtual backend, reported via
+rolling the whole ring back: the failed ring is poisoned and a fresh
+one forked, every node restores the last complete epoch, handles the
+messages that were in flight across the cut (carried in its job
+message) and resumes the GVT ring under fresh computation ids.  After
+a node exhausts its restart budget the run degrades gracefully to the
+virtual backend, reported via
 ``TimeWarpResult.degraded``.  Committed results are bit-identical to an
 uninterrupted run either way — Time Warp's interleaving independence
 extends to restarts because the replay protocol neither loses nor
@@ -60,9 +61,9 @@ seconds), ``flood`` (stuff ~4k messages into node *arg*'s inbox via
 and exit without reporting),
 ``exit-at`` (``os._exit`` after *arg* locally processed events — the
 mid-run crash the recovery tests inject), and ``late-report`` (sleep
-*arg* seconds between finishing and reporting — the race the grace
-period exists for).  Clauses fire on the first attempt only, so a
-respawned worker runs clean; suffix the mode with ``*`` (e.g.
+*arg* seconds between finishing and reporting — a slow report is not a
+death).  Clauses fire on the first attempt only, so a respawned worker
+runs clean; suffix the mode with ``*`` (e.g.
 ``1:exit-at*:200``) to re-arm it on every attempt, which is how the
 restart-budget-exhaustion path is exercised.  Malformed clauses raise
 :class:`~repro.errors.ConfigError` naming the offending clause.
@@ -73,27 +74,24 @@ from __future__ import annotations
 import gc
 import glob
 import json
-import multiprocessing as mp
 import os
 import queue as queue_mod
 import tempfile
 import time
-import traceback
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.circuit.graph import CircuitGraph
 from repro.errors import ConfigError, ProtocolError, SimulationError
 from repro.obs.tracer import TraceWriter, merge_shards, shard_path
 from repro.partition.assignment import PartitionAssignment
 from repro.sim.stimulus import Stimulus
-from repro.warped.machine import VirtualMachine
+from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.parallel import recovery as recovery_mod
 from repro.warped.parallel.node import NodeEngine
 from repro.warped.parallel.protocol import (
     CKPT,
     DONE,
-    ERROR,
     GVT,
     MIGCMD,
     MIGRATE,
@@ -107,7 +105,6 @@ from repro.warped.parallel.protocol import (
 from repro.warped.parallel.transport import (
     SendBuffer,
     default_transport,
-    make_transport,
 )
 from repro.warped.stats import NodeStats, TimeWarpResult
 from repro.warped.world import World
@@ -134,15 +131,6 @@ _BATCH_IDLE_WAIT = 0.0005
 #: channels deliver in tens of microseconds, so a window-throttled ring
 #: can afford idle rounds this close — where it spends its life.
 _BATCH_IDLE_GVT_SPACING = 0.00005
-#: How long a dead-but-unreported worker's payload may stay in flight
-#: before the parent declares the node lost (absorbs a loaded machine).
-_DEATH_GRACE = 2.0
-#: Shutdown join budget on the success path (workers should exit
-#: almost immediately after the GVT=+inf broadcast).
-_SHUTDOWN_PATIENCE = 5.0
-#: Shutdown join budget on the error path (don't make a failing run
-#: wait for workers that will be terminated anyway).
-_ERROR_PATIENCE = 1.0
 #: Minimum spacing between live-status snapshot writes per node (s).
 _STATUS_INTERVAL = 0.1
 #: Bounded retry on transport puts: attempts and first backoff (s).
@@ -225,8 +213,9 @@ def _worker_faults(
 
 def _apply_startup_faults(
     node: int, inboxes, attempt: int = 0, spec: str = ""
-) -> bool:
-    """Run *node*'s startup fault clauses; True means "do not simulate"."""
+) -> None:
+    """Run *node*'s startup fault clauses (``exit`` and ``flood`` end
+    the process here, ``flood`` with exit code 0 and no report)."""
     for mode, arg in _worker_faults(node, attempt, spec):
         if mode == "raise":
             raise RuntimeError(f"injected fault in node {node}")
@@ -252,8 +241,7 @@ def _apply_startup_faults(
                     f"a full inbox {dest}",
                     flush=True,
                 )
-            return True  # exit without reporting
-    return False
+            os._exit(0)
 
 
 def _wait_out_full(own, delay: float) -> None:
@@ -332,22 +320,16 @@ class JobSpec:
     """Everything one node needs to execute one simulation job.
 
     The parent materializes every knob — including the fault-injection
-    spec and the live-status run id — *before* spawning or dispatching,
-    so workers never consult ambient process environment.  That is what
-    lets two jobs run concurrently inside one parent (a job server)
-    without cross-contaminating: each ring's workers see exactly the
-    spec their job shipped, nothing shared.
-
-    The same spec drives both execution styles: the classic cold path
-    (``ProcessTimeWarpSimulator`` forks a fresh ring per run) and the
-    warm path (:class:`~repro.warped.parallel.ring.WorkerRing` keeps
-    the ring alive and ships a new ``JobSpec`` per job over the
-    workers' job queues).
+    spec and the live-status run id — before dispatching, so workers
+    never consult ambient process environment.  That is what lets two
+    jobs run concurrently inside one parent (a job server) without
+    cross-contaminating: each ring's workers see exactly the spec their
+    job shipped, nothing shared.
 
     A spec carries no circuit.  It *names* a
-    :class:`~repro.warped.world.World` the worker already holds (handed
-    through ``fork`` on the cold path, shipped once and kept resident
-    on a warm ring) and brings only what is the job's own: a
+    :class:`~repro.warped.world.World` the worker already holds (forked
+    into a ring that its first job started, or shipped once and kept
+    resident) and brings only what is the job's own: a
     :meth:`~repro.sim.stimulus.Stimulus.detached` stimulus and the
     machine knobs — about a kilobyte on the wire.
     """
@@ -372,6 +354,40 @@ class JobSpec:
     fault_spec: str = ""
     migration_threshold: float | None = None
     migration_fraction: float = 0.05
+
+
+@dataclass
+class Attempt:
+    """One try of a supervised run: what
+    :meth:`~repro.warped.parallel.ring.WorkerRing.run_job` needs to know
+    beyond the job.
+
+    :class:`ProcessTimeWarpSimulator` makes one per ring it starts; a
+    plain job on a ring gets a fresh first attempt without checkpoints.
+    """
+
+    #: Wall-clock origin of every trace record of the run, shared by its
+    #: attempts so one merged trace orders them all.
+    trace_epoch: float
+    #: Where checkpoint epochs live (None = checkpointing off).
+    ckpt_dir: str | None = None
+    number: int = 0
+    #: The restart point (:meth:`ProcessTimeWarpSimulator._prepare_resume`),
+    #: None on a first attempt or a restart from scratch.
+    resume: dict | None = None
+
+    def node_record(self, node: int, interval: int | None) -> dict:
+        """What *node*'s job message carries for this attempt: its
+        restore payload and the in-flight messages addressed to it."""
+        resume = self.resume
+        return {
+            "attempt": self.number,
+            "interval": interval,
+            "dir": self.ckpt_dir,
+            "payload": resume["payloads"][node] if resume else None,
+            "cid_base": resume["cid_base"] if resume else 0,
+            "replays": resume["replays"].get(node, ()) if resume else (),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -927,10 +943,9 @@ class NodeLoop:
             # so the recovery-off tuple stays the 3 elements it was.
             if len(item) == 5:
                 _, color, msg, src, seq = item
-                # Monotonic cursor: a parent-injected replay can land
-                # *after* the restored sender's first fresh message, so
-                # a plain assignment could regress the cursor and a
-                # later restart would replay a received message twice.
+                # Monotonic cursor, shared with the RESUME replays: a
+                # regressed cursor would make a later restart replay a
+                # received message twice.
                 if seq > self.recv_seq.get(src, 0):
                     self.recv_seq[src] = seq
             else:
@@ -981,9 +996,9 @@ class NodeLoop:
                 # apply_gvt writes the pre-adoption checkpoint.
                 self._pending_adoptions.append(item)
         elif tag == RESUME:
-            # Parent-replayed in-flight message of the restored epoch:
-            # identical to receiving the original MSG, including the
-            # clerk accounting its color deserves.
+            # In-flight message of the restored epoch, from this node's
+            # job message: identical to receiving the original MSG,
+            # including the clerk accounting its color deserves.
             _, src, seq, color, msg = item
             if seq > self.recv_seq.get(src, 0):
                 self.recv_seq[src] = seq
@@ -1104,39 +1119,6 @@ class NodeLoop:
             self.write_status(force=True)  # the final "done" snapshot
 
 
-def _worker_main(
-    node: int,
-    spec: JobSpec,
-    worlds: dict[str, World],
-    inboxes,
-    result_queue,
-    recovery: dict | None = None,
-) -> None:
-    """Entry point of one node process (cold path: one job, then exit).
-
-    *spec* and the one world of *worlds* it names carry the complete
-    job — circuit, partition, stimulus, machine knobs, trace/status
-    bases, the resolved fault spec — so the worker touches no ambient
-    environment.  *recovery* (set iff checkpointing is on) carries
-    ``attempt``, ``interval``, ``dir``, and — on a restart — this
-    node's restore ``payload`` plus the ring-wide ``cid_base``.
-    """
-    attempt = recovery["attempt"] if recovery else 0
-    try:
-        if _apply_startup_faults(node, inboxes, attempt, spec.fault_spec):
-            return
-        _run_node(node, spec, worlds, inboxes, result_queue, recovery)
-    except BaseException:  # noqa: BLE001 - ship the diagnosis to the parent
-        result_queue.put((ERROR, node, traceback.format_exc()))
-        return
-    # Clean completion: the DONE payload and the concluder's GVT=+inf
-    # broadcast are already in their pipes (every channel writes
-    # synchronously, from this thread) and the parent joins us inside
-    # the measured run — so skip the interpreter teardown of a
-    # fork-copied heap and exit immediately.
-    os._exit(0)
-
-
 def _run_node(
     node: int,
     spec: JobSpec,
@@ -1146,16 +1128,15 @@ def _run_node(
     recovery: dict | None = None,
 ) -> None:
     """Execute one job on this node: look its world up, build the
-    engine, run to quiescence, report the DONE payload.  Shared
-    verbatim between the cold path (:func:`_worker_main`) and the
-    warm-ring path (:mod:`repro.warped.parallel.ring`), so the two are
-    the same simulation with different process lifecycles.
+    engine, run to quiescence, report the DONE payload.
 
-    *worlds* is what this process holds: the one world a cold worker
-    was forked with, or a ring worker's resident table.  Which worlds
-    are resident is the parent's decision alone, so a miss here is a
+    *worlds* is the ring worker's resident table.  Which worlds are
+    resident is the parent's decision alone, so a miss here is a
     protocol violation — reported, never papered over with a rebuild
-    (the spec carries no circuit to rebuild from).
+    (the spec carries no circuit to rebuild from).  *recovery* is this
+    node's :meth:`Attempt.node_record`: the attempt number, the
+    checkpoint interval and directory, and — on a restart — the restore
+    payload, the ring-wide ``cid_base`` and the replays.
     """
     start = time.perf_counter()
     world = worlds.get(spec.world)
@@ -1208,6 +1189,11 @@ def _run_node(
             # would otherwise lose whenever no new checkpoint interval
             # is crossed between the restore point and quiescence.
             loop.write_checkpoint(payload["cid"], payload["gvt"])
+            # The messages in flight across the cut, in channel order.
+            # Handled here, after the arming barrier: whatever they make
+            # this node send cannot fall to a peer's arming drain.
+            for item in recovery["replays"]:
+                loop.handle(item)
         else:
             engine.schedule_initial()
             if loop.recovery:
@@ -1280,8 +1266,8 @@ def _run_node(
             tracer.close()
     for mode, arg in _worker_faults(node, attempt, spec.fault_spec):
         if mode == "late-report":
-            # The race the parent's grace period absorbs: a sibling can
-            # report-and-exit long before this node's payload appears.
+            # A sibling can report long before this node's payload
+            # appears; the parent must wait, not call the node lost.
             time.sleep(float(arg or 1.5))
     result_queue.put(
         (
@@ -1294,7 +1280,6 @@ def _run_node(
                 "captures": dict(engine.capture_log),
                 "peak_history": engine.peak_history,
                 "gvt_rounds": loop.gvt_computations,
-                "pid": os.getpid(),
                 "ckpts": loop.ckpts_written,
                 "replays": loop.replays_seen,
             },
@@ -1317,48 +1302,6 @@ def clear_status_files(base: str) -> int:
         except OSError:  # pragma: no cover - raced unlink
             pass
     return removed
-
-
-class _AttemptFailure(Exception):
-    """Internal: one ring attempt lost node(s) but the run may restart.
-
-    ``reason`` is the exact message the error would have carried before
-    recovery existed, so a recovery-off run re-raises it verbatim.
-    """
-
-    def __init__(self, failed: set[int], reason: str) -> None:
-        super().__init__(reason)
-        self.failed = failed
-        self.reason = reason
-
-
-class _ControlQueue:
-    """Feeder-less control channel (DONE/ERROR/CKPT) over ``SimpleQueue``.
-
-    ``mp.Queue`` starts a feeder thread in each process on its first
-    ``put``; for the control channel that thread's startup cost lands
-    inside the measured run, right at the worker's final report.
-    ``SimpleQueue`` writes the pickle straight into the pipe — no
-    thread — and this wrapper adds the small Queue surface the parent
-    collection loop and the shutdown drains rely on.
-    """
-
-    def __init__(self, ctx) -> None:
-        self._q = ctx.SimpleQueue()
-
-    def put(self, item) -> None:
-        self._q.put(item)
-
-    def get(self, timeout: float | None = None):
-        if timeout is not None and not self._q._reader.poll(timeout):
-            raise queue_mod.Empty
-        return self._q.get()
-
-    def get_nowait(self):
-        return self.get(timeout=0)
-
-    def close(self) -> None:
-        self._q.close()
 
 
 def _drain_queue(q) -> int:
@@ -1396,11 +1339,15 @@ class ProcessTimeWarpSimulator:
     which here drives crash-recovery epochs rather than rollback state
     saving (the process backend always saves LP state incrementally).
 
-    With checkpointing on and ``max_restarts > 0``, a worker death or
-    error rolls the whole ring back to the last complete checkpoint
-    epoch and resumes (see the module docstring); once any single node
-    exhausts the restart budget the run degrades to the virtual backend
-    and the result carries ``degraded=True``.
+    This class is the restart policy; the processes belong to a
+    :class:`~repro.warped.parallel.ring.WorkerRing`.  Every attempt is
+    one ring that lives for one job — forked with the run's world, sent
+    the job, closed.  With checkpointing on and ``max_restarts > 0``, a
+    worker death or error poisons the attempt's ring and the next ring
+    resumes from the last complete checkpoint epoch (see the module
+    docstring); once any single node exhausts the restart budget the run
+    degrades to the virtual backend and the result carries
+    ``degraded=True``.
 
     With ``trace_path`` set, every worker streams a JSONL trace shard
     (rollbacks, GVT rounds, inbox depth, busy/idle summary) and the
@@ -1420,7 +1367,6 @@ class ProcessTimeWarpSimulator:
         *,
         max_events: int = 50_000_000,
         timeout: float = 120.0,
-        death_grace: float = _DEATH_GRACE,
         trace_path: str | None = None,
         status_path: str | None = None,
         max_restarts: int = 0,
@@ -1429,21 +1375,7 @@ class ProcessTimeWarpSimulator:
         transport: str | None = None,
         fault_spec: str | None = None,
     ) -> None:
-        if not circuit.frozen:
-            raise SimulationError("circuit must be frozen")
-        if assignment.circuit is not circuit:
-            raise SimulationError("assignment was built for a different circuit")
-        if stimulus.circuit is not circuit:
-            raise SimulationError("stimulus was built for a different circuit")
-        if assignment.k != machine.num_nodes:
-            raise SimulationError(
-                f"partition has k={assignment.k} but machine has "
-                f"{machine.num_nodes} nodes"
-            )
-        if machine.cancellation != "aggressive":
-            raise ConfigError(
-                "process backend implements aggressive cancellation only"
-            )
+        check_job(circuit, assignment, stimulus, machine, aggressive_only=True)
         if max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
         if max_restarts > 0 and machine.checkpoint_interval is None:
@@ -1451,21 +1383,16 @@ class ProcessTimeWarpSimulator:
                 "max_restarts needs machine.checkpoint_interval: restarts "
                 "resume from periodic checkpoint epochs"
             )
-        if machine.checkpoint_interval is not None and (
-            machine.checkpoint_interval <= 0
-        ):
-            raise ConfigError("checkpoint_interval must be positive")
         self.circuit = circuit
         self.assignment = assignment
         self.stimulus = stimulus
         self.machine = machine
-        #: What every worker is forked with: the frozen (circuit,
+        #: What every attempt's ring is forked with: the frozen (circuit,
         #: partition) pair.  Nothing is derived from it here — each
         #: worker builds its own roster's statics and skeleton, once.
         self.world = World.of(assignment)
         self.max_events = max_events
         self.timeout = timeout
-        self.death_grace = death_grace
         self.trace_path = trace_path
         #: Live-status base: each worker atomically refreshes
         #: ``<status_path>.node<i>`` with a one-line JSON snapshot at
@@ -1506,14 +1433,10 @@ class ProcessTimeWarpSimulator:
         #: this run's ``<base>.node<i>`` files from a previous run's
         #: leftovers on the same base).
         self.run_id = uuid.uuid4().hex[:12]
-        #: The transport instance owns every channel any attempt of
-        #: this run creates; its (idempotent) ``cleanup`` runs on all
-        #: exit paths so no shm segment can outlive the simulator.
-        self._transport = make_transport(self.transport)
-        #: OS pid of each worker after a run — evidence the simulation
-        #: really executed on separate processes.
+        #: OS pid of each worker of the last attempt — evidence the
+        #: simulation really executed on separate processes.
         self.worker_pids: dict[int, int] = {}
-        #: Exit code of each worker after shutdown (0 = clean).
+        #: Exit code of each worker of the last attempt (0 = clean).
         self.worker_exitcodes: dict[int, int | None] = {}
         #: Records in the merged trace (0 when tracing is off).
         self.trace_records = 0
@@ -1524,31 +1447,20 @@ class ProcessTimeWarpSimulator:
         self.restart_log: list[dict] = []
 
     # ------------------------------------------------------------------
-    def _make_results_queue(self, ctx):
-        """Result-queue factory (overridable in liveness tests)."""
-        return _ControlQueue(ctx)
-
-    # ------------------------------------------------------------------
     def run(self) -> TimeWarpResult:
-        """Simulate to quiescence across the worker ring.
+        """Simulate to quiescence, one ring per attempt.
 
         With checkpointing on and a restart budget, worker failures
         roll the ring back to the last complete epoch and resume; once
         any single node exhausts its budget the run degrades to the
-        virtual backend (``result.degraded``).  The wall-clock timeout
-        spans the whole run, restarts included.
+        virtual backend (``result.degraded``).  A timeout is terminal,
+        and the wall-clock timeout spans the whole run, restarts
+        included.
         """
+        from repro.warped.parallel.ring import RingFailure, WorkerRing
+
         n = self.machine.num_nodes
-        ctx = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
-        if self.status_path is not None:
-            # A narrower run reusing the base after a wider one would
-            # otherwise leave the wide run's high-numbered .node<i>
-            # files for dashboards to glob forever.
-            clear_status_files(self.status_path)
         recovery_on = self.machine.checkpoint_interval is not None
-        trace_epoch = time.time()
         deadline = time.monotonic() + self.timeout
         self.restarts = 0
         self.restart_log = []
@@ -1562,26 +1474,36 @@ class ProcessTimeWarpSimulator:
             else:
                 ckpt_dir = self.checkpoint_dir
                 os.makedirs(ckpt_dir, exist_ok=True)
-        attempt = 0
-        resume: dict | None = None
+        attempt = Attempt(trace_epoch=time.time(), ckpt_dir=ckpt_dir)
         try:
             while True:
+                ring = WorkerRing(
+                    n, transport=self.transport,
+                    inbox_maxsize=self.inbox_maxsize,
+                )
                 try:
-                    payloads = self._run_attempt(
-                        ctx, n, attempt, trace_epoch, deadline, ckpt_dir,
-                        resume,
+                    result = ring.run_job(
+                        self.circuit, self.world, self.stimulus, self.machine,
+                        max_events=self.max_events,
+                        timeout=max(deadline - time.monotonic(), 0.0),
+                        trace_path=self.trace_path,
+                        status_path=self.status_path,
+                        run_id=self.run_id,
+                        fault_spec=self.fault_spec,
+                        attempt=attempt,
                     )
                     break
-                except _AttemptFailure as failure:
-                    if not recovery_on or self.max_restarts == 0:
-                        # Fail-stop (the pre-recovery contract): same
-                        # error, same message.
-                        raise SimulationError(failure.reason) from None
+                except RingFailure as failure:
+                    if not (
+                        failure.restartable and recovery_on
+                        and self.max_restarts
+                    ):
+                        raise  # fail-stop: the ring's diagnosis, verbatim
                     if any(
                         restarts_by_node.get(i, 0) >= self.max_restarts
                         for i in failure.failed
                     ):
-                        return self._degrade(failure)
+                        return self._degrade()
                     down_t0 = time.monotonic()
                     resume = self._prepare_resume(ckpt_dir, n)
                     if resume is None:
@@ -1594,16 +1516,18 @@ class ProcessTimeWarpSimulator:
                         recovery_mod.drop_epochs_after(ckpt_dir, -1)
                     for i in failure.failed:
                         restarts_by_node[i] = restarts_by_node.get(i, 0) + 1
-                    attempt += 1
+                    attempt = replace(
+                        attempt, number=attempt.number + 1, resume=resume
+                    )
                     self.restarts += 1
                     self.restart_log.append(
                         {
-                            "ts": round(time.time() - trace_epoch, 6),
+                            "ts": round(time.time() - attempt.trace_epoch, 6),
                             "node": -1,
                             "seq": self.restarts - 1,
                             "kind": "restart",
                             "failed": sorted(failure.failed),
-                            "to_attempt": attempt,
+                            "to_attempt": attempt.number,
                             "epoch": resume["cid"] if resume else None,
                             "gvt": resume["gvt"] if resume else None,
                             "replayed": resume["replayed"] if resume else 0,
@@ -1612,11 +1536,11 @@ class ProcessTimeWarpSimulator:
                             ),
                         }
                     )
+                finally:
+                    ring.close()
+                    self.worker_pids = ring.worker_pids
+                    self.worker_exitcodes = ring.worker_exitcodes
         finally:
-            # Belt-and-braces: _run_attempt already cleans up per
-            # attempt, but this is the backstop that guarantees no shm
-            # segment survives *any* exit — KeyboardInterrupt included.
-            self._transport.cleanup()
             if ckpt_tmp is not None:
                 ckpt_tmp.cleanup()
         if self.trace_path is not None:
@@ -1625,166 +1549,12 @@ class ProcessTimeWarpSimulator:
                 [
                     shard_path(self.trace_path, node, k)
                     for node in range(n)
-                    for k in range(attempt + 1)
+                    for k in range(attempt.number + 1)
                 ],
                 extra=self.restart_log or None,
             )
-        return self._assemble(payloads)
-
-    # ------------------------------------------------------------------
-    def _run_attempt(
-        self,
-        ctx,
-        n: int,
-        attempt: int,
-        trace_epoch: float,
-        deadline: float,
-        ckpt_dir: str | None,
-        resume: dict | None,
-    ) -> dict[int, dict]:
-        """One ring attempt: spawn, (re)play, collect; returns payloads.
-
-        Raises :class:`_AttemptFailure` on a restartable node failure
-        (death without a report, an ERROR report) and
-        :class:`SimulationError` on a terminal one (timeout, unclean
-        exit after reporting).
-        """
-        inboxes = self._transport.make_inboxes(ctx, n, self.inbox_maxsize)
-        # Parent-facing control traffic (DONE/ERROR/CKPT payloads) stays
-        # on a pickle-based pipe under every transport: it carries
-        # arbitrary payloads, not fixed-width records.
-        results = self._make_results_queue(ctx)
-        spec = JobSpec(
-            world=self.world.name,
-            stimulus=self.stimulus.detached(),
-            optimism_window=self.machine.optimism_window,
-            gvt_interval=self.machine.gvt_interval,
-            max_events=self.max_events,
-            trace_base=self.trace_path,
-            trace_epoch=trace_epoch,
-            status_base=self.status_path,
-            run_id=self.run_id,
-            fault_spec=self.fault_spec,
-            migration_threshold=self.machine.migration_threshold,
-            migration_fraction=self.machine.migration_fraction,
-        )
-        workers = []
-        for node in range(n):
-            recovery = None
-            if ckpt_dir is not None:
-                recovery = {
-                    "attempt": attempt,
-                    "interval": self.machine.checkpoint_interval,
-                    "dir": ckpt_dir,
-                    "payload": resume["payloads"][node] if resume else None,
-                    "cid_base": resume["cid_base"] if resume else 0,
-                }
-            workers.append(
-                ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        node, spec, {spec.world: self.world},
-                        inboxes, results, recovery,
-                    ),
-                    daemon=True,
-                    name=f"timewarp-node-{node}",
-                )
-            )
-        for worker in workers:
-            worker.start()
-        if resume is not None:
-            # In-flight replay, injected after the workers start so a
-            # bounded inbox can drain while it fills.  No GVT round can
-            # conclude before every replayed message lands (the restored
-            # clerks count them as sent-not-received whites), so no
-            # checkpoint can cut this window in half.
-            for dest, items in resume["replays"].items():
-                for item in items:
-                    _put_wire(inboxes[dest], item)
-        payloads: dict[int, dict] = {}
-        epoch_nodes: dict[int, set[int]] = {}
-        grace_until: float | None = None
-        try:
-            while len(payloads) < n:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SimulationError(
-                        f"process backend timed out after {self.timeout:.0f}s "
-                        f"({len(payloads)}/{n} nodes reported)"
-                    )
-                try:
-                    item = results.get(timeout=min(remaining, 0.25))
-                except queue_mod.Empty:
-                    # Liveness check keyed on worker exit, never on
-                    # Queue.empty() (documented-unreliable: a worker
-                    # that reported and exited can look dead-and-silent
-                    # while its payload sits in the feeder pipe).  A
-                    # dead, unreported worker starts a grace window in
-                    # which we keep draining; only when nothing arrives
-                    # inside it is the node declared lost.
-                    dead = {
-                        i: w.exitcode
-                        for i, w in enumerate(workers)
-                        if not w.is_alive() and i not in payloads
-                    }
-                    if not dead:
-                        grace_until = None
-                        continue
-                    now = time.monotonic()
-                    if grace_until is None:
-                        grace_until = now + self.death_grace
-                        continue
-                    if now < grace_until:
-                        continue
-                    detail = ", ".join(
-                        f"node {i} (exitcode {code})"
-                        for i, code in sorted(dead.items())
-                    )
-                    raise _AttemptFailure(
-                        set(dead),
-                        "node process(es) died without reporting a "
-                        f"result: {detail}",
-                    ) from None
-                grace_until = None
-                tag = item[0]
-                if tag == ERROR:
-                    raise _AttemptFailure(
-                        {item[1]}, f"node {item[1]} failed:\n{item[2]}"
-                    )
-                if tag == CKPT:
-                    # Epoch bookkeeping: once every node has written its
-                    # file for a cid, that epoch is the freshest restart
-                    # point and everything older is garbage.
-                    _, ck_node, cid, _gvt = item
-                    nodes_seen = epoch_nodes.setdefault(cid, set())
-                    nodes_seen.add(ck_node)
-                    if len(nodes_seen) == n:
-                        recovery_mod.drop_epochs_before(ckpt_dir, cid)
-                        for old in [c for c in epoch_nodes if c < cid]:
-                            del epoch_nodes[old]
-                    continue
-                payloads[item[1]] = item[2]
-        except BaseException:
-            self._shutdown(workers, inboxes, results, patience=_ERROR_PATIENCE)
-            # Unlink this attempt's segments now — a restart builds
-            # fresh channels, and a many-restart run must not pile dead
-            # rings up in /dev/shm until the end.
-            self._transport.cleanup()
-            raise
-        self._shutdown(workers, inboxes, results, patience=_SHUTDOWN_PATIENCE)
-        self._transport.cleanup()
-        unclean = {
-            i: code for i, code in self.worker_exitcodes.items() if code != 0
-        }
-        if unclean:
-            detail = ", ".join(
-                f"node {i} (exitcode {code})"
-                for i, code in sorted(unclean.items())
-            )
-            raise SimulationError(
-                f"worker(s) exited uncleanly after reporting: {detail}"
-            )
-        return payloads
+        result.restarts = self.restarts
+        return result
 
     # ------------------------------------------------------------------
     def _prepare_resume(self, ckpt_dir: str, n: int) -> dict | None:
@@ -1811,7 +1581,7 @@ class ProcessTimeWarpSimulator:
         }
 
     # ------------------------------------------------------------------
-    def _degrade(self, failure: _AttemptFailure) -> TimeWarpResult:
+    def _degrade(self) -> TimeWarpResult:
         """Finish on the virtual backend — the restart budget is spent.
 
         The virtual kernel recomputes the same committed results from
@@ -1829,51 +1599,6 @@ class ProcessTimeWarpSimulator:
         result.restarts = self.restarts
         return result
 
-    # ------------------------------------------------------------------
-    def _shutdown(self, workers, inboxes, results, *, patience: float) -> None:
-        """Join workers, draining queues so none can wedge at exit.
-
-        A worker waiting out a full inbox (e.g. messages addressed to a
-        node that already died) gets out sooner once someone drains it
-        — so inboxes are drained *while* joining.  Workers still alive
-        after *patience* seconds are terminated.  ``close()`` releases
-        the parent's ends of every pipe.
-        """
-        queues = (*inboxes, results)
-        join_deadline = time.monotonic() + patience
-        pending = [w for w in workers if w.is_alive()]
-        while pending:
-            for q in queues:
-                _drain_queue(q)
-            for w in pending:
-                w.join(timeout=0.05)
-            pending = [w for w in pending if w.is_alive()]
-            if time.monotonic() >= join_deadline:
-                break
-        for w in pending:  # pragma: no cover - only hung/wedged workers
-            w.terminate()
-        for w in pending:  # pragma: no cover
-            w.join(timeout=5.0)
-        for q in queues:
-            _drain_queue(q)
-            q.close()
-        self.worker_exitcodes = {
-            i: w.exitcode for i, w in enumerate(workers)
-        }
-
-    # ------------------------------------------------------------------
-    def _assemble(self, payloads: dict[int, dict]) -> TimeWarpResult:
-        n = self.machine.num_nodes
-        self.worker_pids = {i: payloads[i]["pid"] for i in range(n)}
-        return assemble_result(
-            self.circuit,
-            self.assignment.algorithm,
-            self.stimulus.num_cycles,
-            payloads,
-            transport=self.transport,
-            restarts=self.restarts,
-        )
-
 
 def assemble_result(
     circuit: CircuitGraph,
@@ -1882,14 +1607,9 @@ def assemble_result(
     payloads: dict[int, dict],
     *,
     transport: str,
-    restarts: int = 0,
 ) -> TimeWarpResult:
-    """Merge per-node DONE payloads into one :class:`TimeWarpResult`.
-
-    Shared by the cold driver above and the warm
-    :class:`~repro.warped.parallel.ring.WorkerRing` so both execution
-    styles report byte-identical result structures.
-    """
+    """Merge per-node DONE payloads into one :class:`TimeWarpResult`
+    (its ``restarts`` are the supervisor's to fill in)."""
     n = len(payloads)
     node_stats: list[NodeStats] = [payloads[i]["stats"] for i in range(n)]
     totals = {
@@ -1927,5 +1647,4 @@ def assemble_result(
         ),
         backend="process",
         transport=transport,
-        restarts=restarts,
     )

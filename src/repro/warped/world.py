@@ -21,11 +21,10 @@ engine copies it — migration mutates its copy), messages and queue
 entries are never written after construction (a job gets its own copy
 of every bucket *list* — a queue appends to the lists it is handed), LP
 state is per engine.
-That is what lets a warm :class:`~repro.warped.parallel.ring.WorkerRing`
-keep worlds resident in its workers and ship a job as little more than
-its stimulus table, and what lets the cold
-:class:`~repro.warped.parallel.backend.ProcessTimeWarpSimulator` hand
-one through ``fork`` to the same per-job code.
+That is what lets a :class:`~repro.warped.parallel.ring.WorkerRing`
+fork its workers with a world (a run: one job), keep worlds resident in
+them (a served ring: many jobs) and ship a job as little more than its
+stimulus table.
 
 Two worlds are equal when they pair the *same circuit object* with the
 same assignment — the identity a ring's residency table keys on.

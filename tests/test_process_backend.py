@@ -322,13 +322,14 @@ class TestWorkerDeath:
         self, s27_setup, monkeypatch
     ):
         monkeypatch.setenv("REPRO_TW_FAULT", "1:exit:7")
-        sim = self._sim(s27_setup, death_grace=0.5)
+        sim = self._sim(s27_setup)
         start = time.monotonic()
         with pytest.raises(
             SimulationError, match=r"node 1 \(exitcode 7\)"
         ):
             sim.run()
-        # Detected via exit codes + grace drain, far inside the timeout.
+        # Detected via exit codes + a drain of the control pipe, far
+        # inside the timeout.
         assert time.monotonic() - start < 30
 
     def test_late_report_is_not_mistaken_for_death(
@@ -341,7 +342,8 @@ class TestWorkerDeath:
         the old check — "some worker is dead and the results queue
         looks empty" — deterministically misfired with "a node process
         died without reporting" while node 1's payload was seconds from
-        arriving.  The drain-with-grace parent must complete the run.
+        arriving.  The parent must wait for the report and complete the
+        run.
         """
         monkeypatch.setenv("REPRO_TW_FAULT", "1:late-report:1.0")
         sim = self._sim(s27_setup)
@@ -372,7 +374,7 @@ class TestWorkerDeath:
         contract stands: the flooder exits cleanly, exitcode 0.
         """
         monkeypatch.setenv("REPRO_TW_FAULT", "0:flood:0")
-        sim = self._sim(s27_setup, timeout=2.0, death_grace=0.5)
+        sim = self._sim(s27_setup, timeout=2.0)
         with pytest.raises(SimulationError):
             sim.run()
         assert sim.worker_exitcodes[0] == 0, (
@@ -439,7 +441,7 @@ class TestWorkerDeath:
         drops instead of blocking)."""
         monkeypatch.setenv("REPRO_TW_FAULT", "0:flood:0")
         sim = self._sim(
-            s27_setup, timeout=5.0, death_grace=0.5, inbox_maxsize=64
+            s27_setup, timeout=5.0, inbox_maxsize=64
         )
         start = time.monotonic()
         with pytest.raises(SimulationError):

@@ -225,7 +225,7 @@ class TestRecoveryEndToEnd:
         """
         _, _, sequential = s27_setup
         monkeypatch.setenv("REPRO_TW_FAULT", "1:exit:7")
-        sim = self._sim(s27_setup, death_grace=0.5)
+        sim = self._sim(s27_setup)
         result = sim.run()
         assert result.restarts == 1
         assert result.final_values == sequential.final_values
@@ -265,7 +265,7 @@ class TestRecoveryEndToEnd:
         and says so instead of raising."""
         _, _, sequential = s27_setup
         monkeypatch.setenv("REPRO_TW_FAULT", "1:exit*:7")
-        sim = self._sim(s27_setup, max_restarts=1, death_grace=0.5)
+        sim = self._sim(s27_setup, max_restarts=1)
         result = sim.run()
         assert result.degraded
         assert result.restarts == 1
@@ -428,11 +428,14 @@ class TestShmSegmentHygiene:
         assert not self._our_segments(), "failed run leaked shm segments"
 
     def test_no_leak_after_keyboard_interrupt(self, s27_setup, monkeypatch):
+        from repro.warped.parallel import ring as ring_mod
+
         monkeypatch.delenv("REPRO_TW_FAULT", raising=False)
         sim = self._sim(s27_setup, max_restarts=0)
-        make_results = sim._make_results_queue
-        sim._make_results_queue = (
-            lambda ctx: _InterruptingQueue(make_results(ctx), after=1)
+        make_results = ring_mod._ControlQueue
+        monkeypatch.setattr(
+            ring_mod, "_ControlQueue",
+            lambda ctx: _InterruptingQueue(make_results(ctx), after=1),
         )
         with pytest.raises(KeyboardInterrupt):
             sim.run()

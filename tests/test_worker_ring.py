@@ -10,6 +10,7 @@ the job server layers on top (caching, pooling) assumes it.
 from __future__ import annotations
 
 import os
+import queue
 
 import pytest
 
@@ -19,8 +20,9 @@ from repro.partition.registry import get_partitioner
 from repro.sim.kernel import SequentialSimulator
 from repro.sim.stimulus import RandomStimulus
 from repro.warped.machine import VirtualMachine
+from repro.warped.parallel import ring as ring_mod
 from repro.warped.parallel.backend import ProcessTimeWarpSimulator
-from repro.warped.parallel.ring import WorkerRing
+from repro.warped.parallel.ring import RingFailure, WorkerRing
 
 TRANSPORTS = ("queue", "shm")
 
@@ -118,6 +120,116 @@ def test_ring_validates_job(world):
         assert ring.alive
         result = ring.run_job(circuit, assignment, stimulus, machine, timeout=30)
         assert result.num_nodes == 2
+
+
+def test_last_report_of_a_dead_worker_is_read(world, monkeypatch):
+    """Node 1 reports its injected error and exits before the parent
+    looks: the first poll of the control pipe comes back empty only once
+    node 1 is dead.  The parent must still read the traceback the pipe
+    holds instead of calling the node lost without a word."""
+    circuit, assignment, stimulus, machine, _ = world
+    ring = WorkerRing(2)
+    real_get = ring_mod._ControlQueue.get
+    polls = []
+
+    def get(self, timeout=None):
+        polls.append(timeout)
+        if len(polls) == 1:
+            ring._workers[1].join(timeout=30)
+            raise queue.Empty
+        return real_get(self, timeout)
+
+    monkeypatch.setattr(ring_mod._ControlQueue, "get", get)
+    try:
+        with pytest.raises(RingFailure, match="node 1 failed") as exc:
+            ring.run_job(
+                circuit, assignment, stimulus, machine, timeout=30,
+                fault_spec="1:raise",
+            )
+    finally:
+        ring.close()
+    assert "injected fault in node 1" in str(exc.value)
+    assert "Traceback" in str(exc.value)
+    assert exc.value.failed == {1} and exc.value.restartable
+    assert not ring.alive
+
+
+class _RecordingQueue:
+    """A job queue that keeps every job message it is sent."""
+
+    def __init__(self, inner, sent: list) -> None:
+        self.inner = inner
+        self.sent = sent
+
+    def put(self, item) -> None:
+        if item is not None:  # not the STOP sentinel
+            self.sent.append(item)
+        self.inner.put(item)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+def _record_rings(monkeypatch) -> list:
+    """Every ring forked from now on, as ``(ring, job messages)``."""
+    rings = []
+    fork = WorkerRing._fork
+
+    def recording_fork(self, seed):
+        fork(self, seed)
+        sent = []
+        rings.append((self, sent))
+        self._job_queues = [_RecordingQueue(q, sent) for q in self._job_queues]
+
+    monkeypatch.setattr(WorkerRing, "_fork", recording_fork)
+    return rings
+
+
+def test_cold_run_forks_its_world(world, monkeypatch):
+    """A run is a ring that lives for one job, forked with the job's
+    world in every worker's table: no job message carries a world (a
+    shipped 400 KB world per node queue is what this pins out)."""
+    circuit, assignment, stimulus, machine, sequential = world
+    rings = _record_rings(monkeypatch)
+    sim = ProcessTimeWarpSimulator(
+        circuit, assignment, stimulus, machine, timeout=60
+    )
+    result = sim.run()
+    assert result.final_values == sequential.final_values
+    ((ring, sent),) = rings
+    assert len(sent) == 2 and all(shipped is None for _, shipped, _, _ in sent)
+    assert ring.world_stats == {"ships": 0, "hits": 1, "evictions": 0}
+    assert sim.worker_pids == ring.worker_pids
+    assert sim.worker_exitcodes == {0: 0, 1: 0}
+
+
+def test_restart_forks_fresh_processes(monkeypatch):
+    """A failed attempt is a poisoned ring; the next attempt is a fresh
+    ring — new processes, forked with the world, resuming the epoch."""
+    circuit = load_s27()
+    stimulus = RandomStimulus(circuit, num_cycles=20, period=20, seed=5)
+    sequential = SequentialSimulator(circuit, stimulus).run()
+    assignment = get_partitioner("Multilevel", seed=3).partition(circuit, 2)
+    machine = VirtualMachine(
+        num_nodes=2, gvt_interval=32, checkpoint_interval=60
+    )
+    rings = _record_rings(monkeypatch)
+    monkeypatch.setenv("REPRO_TW_FAULT", "1:exit-at:60")
+    sim = ProcessTimeWarpSimulator(
+        circuit, assignment, stimulus, machine, timeout=60, max_restarts=2
+    )
+    result = sim.run()
+    assert result.restarts == 1
+    assert result.final_values == sequential.final_values
+    (first, first_sent), (second, second_sent) = rings
+    assert not set(first.worker_pids.values()) & set(
+        second.worker_pids.values()
+    )
+    assert not first.alive and sim.worker_pids == second.worker_pids
+    for _, shipped, _, record in first_sent + second_sent:
+        assert shipped is None
+    assert [record["attempt"] for *_, record in second_sent] == [1, 1]
+    assert all(record["payload"] is not None for *_, record in second_sent)
 
 
 def test_timeout_poisons_ring(world):
