@@ -11,7 +11,6 @@ from repro.warped.parallel.protocol import GvtClerk, GvtToken
 from repro.warped.parallel.transport import (
     PipeChannel,
     QueueTransport,
-    SendBuffer,
     ShmChannel,
     ShmTransport,
     Transport,
@@ -29,7 +28,6 @@ __all__ = [
     "PipeChannel",
     "ProcessTimeWarpSimulator",
     "QueueTransport",
-    "SendBuffer",
     "ShmChannel",
     "ShmTransport",
     "Transport",

@@ -10,8 +10,7 @@ pluggable :class:`~repro.warped.parallel.transport.Transport` —
 ``queue`` (one OS pipe per node carrying pickled item batches, the
 portable default) or ``shm`` (shared-memory rings carrying
 struct-packed fixed-width records).  Either way sends are batched per
-destination, with anti-message coalescing in the send buffer.  GVT is
-computed by the colored token ring of
+destination.  GVT is computed by the colored token ring of
 :mod:`repro.warped.parallel.protocol` and broadcast for fossil
 collection; a GVT of ``+inf`` proves quiescence and shuts the ring
 down.
@@ -96,16 +95,12 @@ from repro.warped.parallel.protocol import (
     MIGCMD,
     MIGRATE,
     MSG,
-    RESUME,
     TOKEN,
     T_INF,
     GvtClerk,
     GvtToken,
 )
-from repro.warped.parallel.transport import (
-    SendBuffer,
-    default_transport,
-)
+from repro.warped.parallel.transport import default_transport
 from repro.warped.stats import NodeStats, TimeWarpResult
 from repro.warped.world import World
 
@@ -432,11 +427,6 @@ class NodeLoop:
         self.inbox = inboxes[node]
         self.gvt_interval = gvt_interval
         self.tracer = tracer
-        #: Outgoing messages park here — annihilating (positive, anti)
-        #: pairs in place — and hit the wire in per-destination batches
-        #: at :meth:`flush_wire`, which is where GVT colors and recovery
-        #: sequence numbers are assigned.
-        self.sendbuf = SendBuffer()
         #: Crash-recovery checkpointing: with an interval set, a state
         #: snapshot goes to ``ckpt_dir`` each time an applied GVT value
         #: crosses a multiple of the interval (virtual time units).
@@ -458,10 +448,8 @@ class NodeLoop:
         self.send_log: dict[int, list[tuple[int, int, object]]] = {}
         #: Highest multiple of ``ckpt_interval`` already snapshotted.
         self.ckpt_mark = 0
-        #: Checkpoints written / replayed messages ingested (visible to
-        #: tests and the worker summary).
+        #: Checkpoints written (visible to tests).
         self.ckpts_written = 0
-        self.replays_seen = 0
         #: Injected-fault hook: ``os._exit`` once this many events have
         #: been processed locally (None = disarmed).
         self.exit_at: int | None = None
@@ -543,55 +531,48 @@ class NodeLoop:
         """Send one protocol item to node *dest* (bounded retry)."""
         _put_wire(self.inboxes[dest], item, self.inbox)
 
-    def flush_outbox(self) -> None:
-        """Park the engine's new remote messages in the send buffer
-        (coalescing anti-messages against still-buffered positives);
-        they hit the wire at the end of the batch that made them, or at
-        the next GVT-mandated flush point if that comes first."""
+    def flush_wire(self) -> None:
+        """Ship the engine's outbox, one batch per destination, and
+        clear it.
+
+        The outbox is the send buffer: remote messages wait there, in
+        emission order (an anti-message behind the positive it chases),
+        until this runs.  GVT colors and recovery sequence numbers are
+        assigned *here*, at wire time, so a message the clerk has
+        counted as sent is always really on the wire.  Every
+        :meth:`work_batch` ends here, so a send waits for at most the
+        batch that made it; calling it as well before every token fold,
+        GVT application and migration (``handle`` leaves a rollback's
+        anti-messages in the outbox between batches) keeps the
+        invariant the Mattern proof and checkpoint consistency need:
+        the outbox is empty whenever this node folds a token, applies a
+        GVT, checkpoints or migrates.
+        """
         outbox = self.engine.outbox
         if not outbox:
             return
-        buffer = self.sendbuf
-        for dest, msg in outbox:
-            buffer.add(dest, msg)
+        note_send = self.clerk.note_send
+        batches: dict[int, list] = {}
+        if self.recovery:
+            # Recovery wire format: each MSG carries (src, chan_seq) and
+            # is logged so a restart can replay exactly the in-flight
+            # tail of this channel.  The log lives *inside* this node's
+            # checkpoints — a crash can never lose it.
+            send_seq = self.send_seq
+            for dest, msg in outbox:
+                color = note_send(msg.time)
+                seq = send_seq[dest] = send_seq.get(dest, 0) + 1
+                self.send_log.setdefault(dest, []).append((seq, color, msg))
+                batches.setdefault(dest, []).append(
+                    (MSG, color, msg, self.node, seq)
+                )
+        else:
+            for dest, msg in outbox:
+                batches.setdefault(dest, []).append(
+                    (MSG, note_send(msg.time), msg)
+                )
         outbox.clear()
-
-    def flush_wire(self) -> None:
-        """Ship every buffered message.
-
-        GVT colors and recovery sequence numbers are assigned *here*,
-        at wire time — never at buffer time — so a message the clerk
-        has counted as sent is always really on the wire.  Every
-        :meth:`work_batch` ends here, so a send waits for at most the
-        batch that made it; calling it as well before every token fold
-        and GVT application (``handle`` can park a rollback's
-        anti-messages between batches) keeps the invariant the Mattern
-        proof (and checkpoint consistency) needs: whenever this node
-        contributes to a GVT cut or snapshots its state, its send
-        buffer is empty.
-        """
-        if not len(self.sendbuf):
-            return
-        for dest, messages in self.sendbuf.drain():
-            if self.recovery:
-                # Recovery wire format: each MSG carries (src, chan_seq)
-                # and is logged so a restart can replay exactly the
-                # in-flight tail of this channel.  The log lives *inside*
-                # this node's checkpoints — a crash can never lose it.
-                seq = self.send_seq.get(dest, 0)
-                log = self.send_log.setdefault(dest, [])
-                items = []
-                for msg in messages:
-                    color = self.clerk.note_send(msg.time)
-                    seq += 1
-                    log.append((seq, color, msg))
-                    items.append((MSG, color, msg, self.node, seq))
-                self.send_seq[dest] = seq
-            else:
-                items = [
-                    (MSG, self.clerk.note_send(msg.time), msg)
-                    for msg in messages
-                ]
+        for dest, items in batches.items():
             _put_wire_batch(self.inboxes[dest], items, self.inbox)
 
     def local_min(self) -> float:
@@ -922,7 +903,7 @@ class NodeLoop:
         if self.since_gvt >= self.gvt_interval or (
             idle and now - self.last_initiate >= _BATCH_IDLE_GVT_SPACING
         ):
-            self.flush_wire()  # fold with an empty send buffer
+            self.flush_wire()  # fold with an empty outbox
             self.next_cid += 1
             self.active_cid = self.next_cid
             self.last_initiate = now
@@ -941,22 +922,24 @@ class NodeLoop:
         if tag == MSG:
             # Recovery-on MSGs trail (src, chan_seq); dispatch on length
             # so the recovery-off tuple stays the 3 elements it was.
+            # A restart's replays come through here too, from the job
+            # message instead of the wire.
             if len(item) == 5:
                 _, color, msg, src, seq = item
-                # Monotonic cursor, shared with the RESUME replays: a
-                # regressed cursor would make a later restart replay a
-                # received message twice.
+                # Monotonic cursor: a regressed one would make a later
+                # restart replay a received message twice.
                 if seq > self.recv_seq.get(src, 0):
                     self.recv_seq[src] = seq
             else:
                 _, color, msg = item
             self.clerk.note_receive(color)
+            # A straggler's anti-messages wait in the outbox for the
+            # next flush.
             self.engine.handle_remote(msg)
-            self.flush_outbox()  # a straggler's rollback emits anti-messages
         elif tag == TOKEN:
-            # Empty the send buffer before folding (or concluding) so
-            # every message the fold's white balance counts is really
-            # in flight — the invariant the GVT proof needs.
+            # Empty the outbox before folding (or concluding) so every
+            # message the fold's white balance counts is really in
+            # flight — the invariant the GVT proof needs.
             self.flush_wire()
             token = item[1]
             if self.node == 0 and token.cid == self.active_cid:
@@ -966,8 +949,8 @@ class NodeLoop:
                 self.put((self.node + 1) % self.num_nodes, (TOKEN, token))
         elif tag == GVT:
             # A checkpoint written inside apply_gvt must capture an
-            # empty send buffer (buffered messages are neither logged
-            # nor clerk-counted yet).
+            # empty outbox (unflushed messages are neither logged nor
+            # clerk-counted yet).
             self.flush_wire()
             self.apply_gvt(item[1], item[2])
         elif tag == MIGCMD:
@@ -995,17 +978,6 @@ class NodeLoop:
                 # (cross-channel, so no FIFO guarantee): park it until
                 # apply_gvt writes the pre-adoption checkpoint.
                 self._pending_adoptions.append(item)
-        elif tag == RESUME:
-            # In-flight message of the restored epoch, from this node's
-            # job message: identical to receiving the original MSG,
-            # including the clerk accounting its color deserves.
-            _, src, seq, color, msg = item
-            if seq > self.recv_seq.get(src, 0):
-                self.recv_seq[src] = seq
-            self.replays_seen += 1
-            self.clerk.note_receive(color)
-            self.engine.handle_remote(msg)
-            self.flush_outbox()
         else:  # pragma: no cover - defensive
             raise SimulationError(
                 f"node {self.node}: unknown wire item {item!r}"
@@ -1046,17 +1018,12 @@ class NodeLoop:
         they sent.
 
         One engine call — for :meth:`slice_size` events — one clock
-        pair, one outbox flush and one wire flush per batch.  The outbox
-        flush keeps the invariant the wire rests on: ``engine.outbox``
-        is empty whenever :meth:`handle`, :meth:`maybe_initiate` or a
-        token fold runs, so no message is
-        ever invisible to a GVT cut, and the outbox list's
-        anti-after-positive order reaches the send buffer — and hence
-        each FIFO channel — intact.  The wire flush is the latency rule:
-        a remote message leaves with the batch that made it (and with it
-        whatever anti-messages :meth:`handle` parked since the previous
-        batch), so the send buffer is empty after every call — worked or
-        not — and an idle node never sits on a peer's input.
+        pair and one outbox flush per batch.  The flush is the latency
+        rule: a remote message leaves with the batch that made it (and
+        with it whatever anti-messages :meth:`handle` left in the outbox
+        since the previous batch), in emission order, so the outbox is
+        empty after every call — worked or not — and an idle node never
+        sits on a peer's input.
         """
         engine = self.engine
         limit = self.slice_size()
@@ -1064,7 +1031,6 @@ class NodeLoop:
             limit = min(limit, self.exit_at - engine.counters["events"])
         t0 = time.perf_counter()
         worked = engine.run_batch(limit, self.gvt)
-        self.flush_outbox()
         self.flush_wire()
         if worked:
             self.busy += time.perf_counter() - t0
@@ -1189,9 +1155,10 @@ def _run_node(
             # would otherwise lose whenever no new checkpoint interval
             # is crossed between the restore point and quiescence.
             loop.write_checkpoint(payload["cid"], payload["gvt"])
-            # The messages in flight across the cut, in channel order.
-            # Handled here, after the arming barrier: whatever they make
-            # this node send cannot fall to a peer's arming drain.
+            # The messages in flight across the cut, in channel order,
+            # as the MSGs the wire would have delivered.  Handled here,
+            # after the arming barrier: whatever they make this node
+            # send cannot fall to a peer's arming drain.
             for item in recovery["replays"]:
                 loop.handle(item)
         else:
@@ -1280,8 +1247,6 @@ def _run_node(
                 "captures": dict(engine.capture_log),
                 "peak_history": engine.peak_history,
                 "gvt_rounds": loop.gvt_computations,
-                "ckpts": loop.ckpts_written,
-                "replays": loop.replays_seen,
             },
         )
     )

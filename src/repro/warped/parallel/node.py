@@ -67,8 +67,9 @@ class NodeEngine:
         self.lps: dict[int, LogicalProcess] = world.roster_lps(node)
         self.queue = NodeQueue()
         self.stats = NodeStats(node=node, num_lps=len(self.lps))
-        #: Remote messages produced since the last drain: (dest_node,
-        #: Message) in emission order.  The worker loop owns the wire.
+        #: The send buffer: remote messages produced since the worker
+        #: loop's last wire flush, as (dest_node, Message) in emission
+        #: order.  The loop ships and clears it (``NodeLoop.flush_wire``).
         self.outbox: list[tuple[int, Message]] = []
         #: Anti-messages that beat their positive copy to this node.
         self._waiting_antis: dict[int, Message] = {}

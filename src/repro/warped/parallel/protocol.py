@@ -1,8 +1,10 @@
 """Wire protocol of the multiprocess backend.
 
 Everything that crosses a process boundary is a plain tuple whose first
-element is one of the ``MSG``/``TOKEN``/``GVT``/``DONE``/``ERROR`` tags
-below — cheap to pickle, trivial to dispatch on.
+element is one of the tags below — cheap to pickle, trivial to dispatch
+on.  Five cross a node's inbox: ``MSG``, ``TOKEN``, ``GVT``, ``MIGCMD``
+and ``MIGRATE``.  Three travel node -> parent on the control queue:
+``DONE``, ``ERROR`` and ``CKPT``.
 
 GVT is computed with a Mattern-style colored token circulating the node
 ring (node 0 initiates, node ``i`` forwards to ``(i+1) % n``).  Instead
@@ -29,8 +31,9 @@ every node snapshots its state upon *applying* a GVT value that crosses
 the configured virtual-time interval, so the N per-node snapshots of one
 computation id form a consistent epoch (see
 :mod:`repro.warped.parallel.recovery`).  ``CKPT`` notifies the parent of
-each written snapshot; ``RESUME`` is how the parent re-injects in-flight
-messages when it restarts the ring from an epoch.
+each written snapshot.  When the parent restarts the ring from an epoch,
+the messages that were in flight across it ride in each node's job
+message as the ``MSG`` items the wire would have delivered.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ TOKEN = "token"    # ("token", GvtToken)               node -> next node
 GVT = "gvt"        # ("gvt", cid, value)               node 0 -> everyone
 DONE = "done"      # ("done", node, payload)           node -> parent
 ERROR = "error"    # ("error", node, traceback_str)    node -> parent
-#: Recovery tags.  With checkpointing enabled every ``MSG`` grows a
+#: Recovery.  With checkpointing enabled every ``MSG`` grows a
 #: ``(src, chan_seq)`` tail: the sender's node id and a per-(src, dest)
 #: channel sequence number, which is what lets a restart replay exactly
 #: the messages that were in flight across the restore cut.
 CKPT = "ckpt"      # ("ckpt", node, cid, gvt)          node -> parent
-RESUME = "resume"  # ("resume", src, chan_seq, color, Message)  parent -> node
 #: Adaptive-migration tags.  The token's load fold tells node 0 which
 #: node ran hottest/coldest over the concluded round; node 0 orders the
 #: hot node to shed LPs (``MIGCMD``, sent on the same FIFO channel as

@@ -59,7 +59,7 @@ import os
 import pickle
 import re
 
-from repro.warped.parallel.protocol import RESUME
+from repro.warped.parallel.protocol import MSG
 
 #: Checkpoint file format version (bump on layout changes).
 CKPT_VERSION = 1
@@ -177,13 +177,15 @@ def drop_epochs_before(directory: str, cid: int) -> int:
 def compute_replays(
     payloads: dict[int, dict]
 ) -> dict[int, list[tuple]]:
-    """The in-flight messages of an epoch, as ``{dest: [RESUME items]}``.
+    """The in-flight messages of an epoch, as ``{dest: [MSG items]}``.
 
     For each channel ``a -> b``: the entries of ``a``'s snapshotted send
     log with sequence number beyond ``b``'s snapshotted receive cursor
     are exactly the messages sent before the cut but not received at it.
-    Per-channel order is preserved (logs are append-ordered), which keeps
-    the restored channels FIFO.
+    Each is the recovery-shaped ``(MSG, color, msg, src, seq)`` item
+    ``b`` would have received, so the node handles it as one.  Per-channel
+    order is preserved (logs are append-ordered), which keeps the
+    restored channels FIFO.
     """
     replays: dict[int, list[tuple]] = {}
     for src, payload in payloads.items():
@@ -193,7 +195,7 @@ def compute_replays(
             for seq, color, msg in entries:
                 if seq > floor:
                     replays.setdefault(dest, []).append(
-                        (RESUME, src, seq, color, msg)
+                        (MSG, color, msg, src, seq)
                     )
     return replays
 

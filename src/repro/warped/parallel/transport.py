@@ -14,10 +14,11 @@ This module makes the substrate an explicit, selectable
   run on.
 
 - ``shm`` — one ``multiprocessing.shared_memory`` ring buffer per node,
-  carrying **struct-packed fixed-width records** (no pickling) of every
-  wire tag in :mod:`repro.warped.parallel.protocol`.  Producers batch
-  under a per-ring lock; the single consumer (the owning node) is
-  lock-free; a blocked reader parks on a pipe doorbell.
+  carrying **struct-packed fixed-width records** (no pickling) of the
+  five tags that cross an inbox (``MIGRATE`` as a run of chunk
+  records).  Producers batch under a per-ring lock; the single
+  consumer (the owning node) is lock-free; a blocked reader parks on a
+  pipe doorbell.
 
 Ring layout (one segment per node, created by the parent)::
 
@@ -59,23 +60,14 @@ Pipe frame layout (``queue`` transport)::
     <HBxI   u16 payload length, u8 flags (FIRST=1, LAST=2), pad, u32 pid
     ...     payload: pickle of a list of wire items (or a fragment of one)
 
-``MSG``/``RESUME`` items travel inside the list as flat int tuples
-``(color, time, prio, src, n, value, dest, uid, sign[, src_node,
-chan_seq])`` and are rebuilt into :class:`Message` on receive.  A frame
-never exceeds ``PIPE_BUF`` bytes, so POSIX makes its non-blocking write
+``MSG`` items travel inside the list as flat int tuples ``(color, time,
+prio, src, n, value, dest, uid, sign[, src_node, chan_seq])`` and are
+rebuilt into :class:`Message` on receive.  A frame never exceeds
+``PIPE_BUF`` bytes, so POSIX makes its non-blocking write
 all-or-``EAGAIN`` and concurrent producers cannot interleave bytes —
 per-producer FIFO needs no lock.  A pickle too large for one frame (a
 ``MIGRATE`` blob) is cut into FIRST…LAST fragments which the consumer
 reassembles per producer pid and delivers only when complete.
-
-Batching and anti-message coalescing live in :class:`SendBuffer`: the
-node loop parks outgoing messages per destination and flushes them as
-one batch per destination.  A (positive, anti) pair that meets *inside*
-the buffer annihilates before reaching the wire at all — sound because
-the pair was not yet GVT-colored or sequence-stamped (both happen at
-flush time), so the wire looks exactly as if the receiver had
-annihilated the pair in its input queue, an interleaving Time Warp
-already tolerates.
 """
 
 from __future__ import annotations
@@ -94,12 +86,10 @@ from multiprocessing import reduction, shared_memory
 from repro.errors import ConfigError, ProtocolError
 from repro.warped.messages import ANTI, POSITIVE, Message
 from repro.warped.parallel.protocol import (
-    CKPT,
     GVT,
     MIGCMD,
     MIGRATE,
     MSG,
-    RESUME,
     TOKEN,
     GvtToken,
 )
@@ -119,10 +109,8 @@ _CRC_ZERO = b"\x00\x00\x00\x00"
 _TAG_MSG = 1
 _TAG_TOKEN = 2
 _TAG_GVT = 3
-_TAG_CKPT = 4
-_TAG_RESUME = 5
-_TAG_MIGCMD = 6
-_TAG_MIGR = 7
+_TAG_MIGCMD = 4
+_TAG_MIGR = 5
 
 #: Payload bytes per MIGRATE chunk record: the 10 i64 slots minus the
 #: six header ints (color, src, cid, chunk index, chunk count, chunk
@@ -194,17 +182,6 @@ def encode_record(item: tuple) -> bytes:
     if tag == MIGCMD:
         _, cid, gvt, dest = item
         return _pack(_TAG_MIGCMD, 0, (cid, dest), float(gvt))
-    if tag == CKPT:
-        _, node, cid, gvt = item
-        return _pack(_TAG_CKPT, 0, (node, cid), float(gvt))
-    if tag == RESUME:
-        _, src, seq, color, msg = item
-        flags = _F_SEQ | (_F_ANTI if msg.sign == ANTI else 0)
-        return _pack(
-            _TAG_RESUME, flags,
-            (color, msg.time, msg.prio, msg.src, msg.n,
-             msg.value, msg.dest, msg.uid, src, seq),
-        )
     raise ProtocolError(f"cannot encode wire item with tag {tag!r}")
 
 
@@ -273,13 +250,11 @@ def decode_record(data: bytes) -> tuple:
     fields = _RECORD.unpack(data)
     ints = fields[3:13]
     f0, f1 = fields[13], fields[14]
-    if tag == _TAG_MSG or tag == _TAG_RESUME:
+    if tag == _TAG_MSG:
         msg = Message(
             ints[1], ints[2], ints[3], ints[4], ints[5], ints[6], ints[7],
             ANTI if flags & _F_ANTI else POSITIVE,
         )
-        if tag == _TAG_RESUME:
-            return (RESUME, ints[8], ints[9], ints[0], msg)
         if flags & _F_SEQ:
             return (MSG, ints[0], msg, ints[8], ints[9])
         return (MSG, ints[0], msg)
@@ -294,8 +269,6 @@ def decode_record(data: bytes) -> tuple:
         )
     if tag == _TAG_GVT:
         return (GVT, ints[0], f0)
-    if tag == _TAG_CKPT:
-        return (CKPT, ints[0], ints[1], f0)
     if tag == _TAG_MIGCMD:
         return (MIGCMD, ints[0], f0, ints[1])
     if tag == _TAG_MIGR:
@@ -714,21 +687,14 @@ _READ_SIZE = 65536
 
 
 def _flatten(item: tuple) -> tuple:
-    """Wire item -> what is pickled: MSG/RESUME lose their ``Message``."""
-    tag = item[0]
-    if tag == MSG:
+    """Wire item -> what is pickled: a MSG loses its ``Message``."""
+    if item[0] == MSG:
         msg = item[2]
         flat = (
             item[1], msg.time, msg.prio, msg.src, msg.n,
             msg.value, msg.dest, msg.uid, msg.sign,
         )
         return flat if len(item) == 3 else flat + item[3:]
-    if tag == RESUME:
-        _, src, seq, color, msg = item
-        return (
-            RESUME, color, msg.time, msg.prio, msg.src, msg.n,
-            msg.value, msg.dest, msg.uid, msg.sign, src, seq,
-        )
     return item
 
 
@@ -740,8 +706,6 @@ def _inflate(flat: tuple) -> tuple:
         if len(flat) == 9:
             return (MSG, head, msg)
         return (MSG, head, msg, flat[9], flat[10])
-    if head == RESUME:
-        return (RESUME, flat[10], flat[11], flat[1], Message(*flat[2:10]))
     return flat
 
 
@@ -989,58 +953,6 @@ class PipeChannel(_PollingPut):
             if fd >= 0:
                 setattr(self, attr, -1)
                 os.close(fd)
-
-
-# ----------------------------------------------------------------------
-# send batching with anti-message coalescing
-# ----------------------------------------------------------------------
-class SendBuffer:
-    """Per-destination buffer of outgoing messages awaiting a flush.
-
-    An anti-message whose positive copy (same ``uid``, same dest) is
-    still buffered annihilates it *in the buffer*: neither ever reaches
-    the wire, the GVT clerk, or the recovery send log.  That is sound
-    because stamping (GVT color, channel sequence) happens only at flush
-    time — an unflushed pair is observationally identical to a pair the
-    receiver annihilated in its own input queue before processing, which
-    is a legal Time Warp interleaving.  ``coalesced`` counts annihilated
-    pairs for observability.
-    """
-
-    def __init__(self) -> None:
-        self._pending: dict[int, list[Message | None]] = {}
-        self._positives: dict[int, dict[int, int]] = {}
-        self._count = 0
-        self.coalesced = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def add(self, dest: int, msg: Message) -> None:
-        bucket = self._pending.setdefault(dest, [])
-        index = self._positives.setdefault(dest, {})
-        if msg.sign == ANTI:
-            hit = index.pop(msg.uid, None)
-            if hit is not None:
-                bucket[hit] = None
-                self._count -= 1
-                self.coalesced += 1
-                return
-        else:
-            index[msg.uid] = len(bucket)
-        bucket.append(msg)
-        self._count += 1
-
-    def drain(self):
-        """Yield ``(dest, messages)`` batches and reset the buffer."""
-        pending = self._pending
-        self._pending = {}
-        self._positives = {}
-        self._count = 0
-        for dest, bucket in pending.items():
-            messages = [m for m in bucket if m is not None]
-            if messages:
-                yield dest, messages
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ inconclusive round (whites still in flight) must extend the same
 computation until the stragglers land, then conclude correctly.  And the
 migration protocol under an *injected* load fold, so that whether LPs
 move is decided by the test, not by the host's scheduler.  And the two
-latency rules of the wire: a batch's sends are on the wire when
-``work_batch`` returns, and an idle ``run()`` polls — the whole loop,
+latency rules of the wire: a batch's sends — a (positive, anti) pair
+born in one batch included — are on the wire when ``work_batch``
+returns, and an idle ``run()`` polls — the whole loop,
 idle-GVT rule included — for ``_IDLE_SPIN`` before it parks in a
 blocking receive.  And the loop's pay-by-need cadences: slices sized by
 the processable backlog, history swept when it has grown (and always
@@ -24,12 +25,14 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import threading
-from collections import Counter, deque
+from collections import deque
 
 import pytest
 
 from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
+from repro.sim.event import SIG
+from repro.warped.messages import Message
 from repro.warped.parallel import NodeEngine, NodeLoop
 from repro.warped.parallel import backend as backend_mod
 from repro.warped.parallel import transport as transport_mod
@@ -349,20 +352,19 @@ class TestInjectedLoadMigration:
 
 
 class SpyLoop(NodeLoop):
-    """Records every ``(dest, msg)`` the engine hands to the wire."""
+    """Records every ``(dest, msg)`` the outbox hands to the wire."""
 
-    def flush_outbox(self):
+    def flush_wire(self):
         self.emitted.extend(self.engine.outbox)
-        super().flush_outbox()
+        super().flush_wire()
 
 
 class TestSendsLeaveWithTheBatch:
     def test_send_buffer_is_empty_after_every_batch(self, s27):
         """Whatever a batch sent — and whatever anti-messages the poll
-        before it parked — is in the peer's inbox when ``work_batch``
-        returns: nothing waits for a fuller buffer or for the sender to
-        idle.  Only a (positive, anti) pair born in the same batch never
-        shows: it annihilated in the buffer."""
+        before it left in the outbox — is in the peer's inbox when
+        ``work_batch`` returns: nothing waits for a fuller buffer or for
+        the sender to idle, and nothing is dropped on the way."""
         _, inboxes, _, loops = make_s27_ring(
             s27, 2, loop_cls=SpyLoop, gvt_interval=32
         )
@@ -373,23 +375,57 @@ class TestSendsLeaveWithTheBatch:
             for loop in loops:
                 if loop.done:
                     continue
-                loop.emitted = []  # antis parked by handle() count too
+                loop.emitted = []  # antis left by handle() count too
                 loop.poll()
                 if loop.done:
                     continue
                 loop.work_batch()
-                assert len(loop.sendbuf) == 0
-                born = Counter(msg.uid for _, msg in loop.emitted)
+                assert not loop.engine.outbox
                 for dest, msg in loop.emitted:
-                    if born[msg.uid] == 1:
-                        assert any(
-                            item[0] == MSG and item[2] is msg
-                            for item in inboxes[dest].queue
-                        ), f"node {loop.node}: {msg} not on the wire"
-                        delivered += 1
+                    assert any(
+                        item[0] == MSG and item[2] is msg
+                        for item in inboxes[dest].queue
+                    ), f"node {loop.node}: {msg} not on the wire"
+                    delivered += 1
                 loop.maybe_initiate()
         assert all(loop.done for loop in loops)
         assert delivered > 0, "the ring never sent a remote message"
+
+    def test_a_pair_born_in_one_batch_annihilates_at_the_peer(
+        self, s27, tmp_path
+    ):
+        """A positive and its anti-message in the same outbox both ship,
+        positive first, stamped and logged like any other send — and
+        cancel in the receiver's pending queue, not on the way."""
+        stimulus, inboxes, engines, loops = make_s27_ring(
+            s27, 2, ckpt_interval=1000, ckpt_dir=str(tmp_path)
+        )
+        l0, l1 = loops
+        src = next(iter(engines[0].lps))
+        dest = next(iter(engines[1].lps))
+        beyond = 10 * stimulus.num_cycles * stimulus.period  # no LP's time
+        positive = Message(
+            beyond, SIG, src, 0, 1, dest, engines[0]._next_uid()
+        )
+        anti = positive.make_anti()
+        engines[0].outbox.extend([(1, positive), (1, anti)])
+        l0.work_batch()
+        assert not engines[0].outbox
+        on_wire = [
+            item for item in inboxes[1].queue
+            if item[0] == MSG and item[2] in (positive, anti)
+        ]
+        assert [item[2] for item in on_wire] == [positive, anti]
+        assert all(item[3] == 0 for item in on_wire)
+        assert on_wire[1][4] == on_wire[0][4] + 1
+        logged = {id(msg) for _, _, msg in l0.send_log[1]}
+        assert {id(positive), id(anti)} <= logged
+        l1.poll()
+        pending = engines[1].queue.pending()
+        assert not any(msg.uid == positive.uid for msg in pending)
+        assert engines[1].counters["rollbacks"] == 0
+        assert sum(l0.clerk.sent.values()) == sum(l1.clerk.received.values())
+        assert not l1.clerk.sent and not l0.clerk.received
 
 
 class ScriptedInbox:

@@ -21,7 +21,7 @@ from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped import ProcessTimeWarpSimulator, VirtualMachine
 from repro.warped.parallel import NodeEngine, recovery
-from repro.warped.parallel.protocol import RESUME
+from repro.warped.parallel.protocol import MSG
 from repro.warped.world import World
 
 
@@ -110,7 +110,8 @@ class TestReplayComputation:
         }
         replays = recovery.compute_replays(payloads)
         assert list(replays) == [1]
-        assert replays[1] == [(RESUME, 0, 2, 0, "b"), (RESUME, 0, 3, 1, "c")]
+        # Each replay is the recovery-shaped MSG node 1 would have got.
+        assert replays[1] == [(MSG, 0, "b", 0, 2), (MSG, 1, "c", 0, 3)]
 
     def test_received_messages_are_not_replayed(self):
         payloads = {

@@ -6,7 +6,7 @@ substrates (``queue`` pipe channels and ``shm`` fixed-width rings):
 
 - every wire tag round-trips the channel intact (MSG with and without
   its recovery tail, anti-messages, TOKEN, GVT incl. the +inf
-  quiescence broadcast, CKPT, RESUME);
+  quiescence broadcast, MIGCMD), restart replays included;
 - delivery is FIFO and recovery sequence numbers arrive monotonic;
 - a bounded channel backpressures (``Full``) but never deadlocks once
   the consumer drains;
@@ -47,13 +47,12 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError, SimulationError
 from repro.warped.messages import ANTI, POSITIVE, Message
 from repro.warped.parallel import backend as backend_mod
+from repro.warped.parallel import recovery
 from repro.warped.parallel.protocol import (
-    CKPT,
     GVT,
     MIGCMD,
     MIGRATE,
     MSG,
-    RESUME,
     TOKEN,
     T_INF,
     GvtToken,
@@ -129,8 +128,6 @@ WIRE_SAMPLES = [
     (TOKEN, GvtToken(cid=6, m_clock=T_INF, m_send=T_INF, count=0)),
     (GVT, 9, 128.0),
     (GVT, 12, T_INF),                           # quiescence broadcast
-    (CKPT, 1, 4, 96.0),
-    (RESUME, 0, 17, 3, _msg(13, sign=ANTI)),
     (MIGCMD, 7, 144.0, 2),                      # migrate order to the hot node
     (TOKEN, GvtToken(                           # load fold riding the token
         cid=8, m_clock=64.0, m_send=T_INF, count=0,
@@ -164,16 +161,26 @@ def test_fifo_order_and_seq_monotonicity(channels):
 
 
 def test_ckpt_resume_round_trip(channels):
-    """The recovery handshake survives the wire: CKPT notifications keep
-    (node, cid, gvt) exact and RESUME replays keep the channel-sequence
-    tail and the anti sign that replay correctness depends on."""
+    """Restart replays are wire items like any other: what
+    ``recovery.compute_replays`` makes of an epoch crosses the channel
+    with the ``(src, seq)`` tail, the color and the anti sign that
+    replay correctness depends on."""
+    payloads = {
+        1: {"loop": {
+            "send_log": {0: [(98, 11, _msg(20)),
+                             (99, 12, _msg(21, sign=ANTI, value=0))]},
+            "recv_seq": {},
+        }},
+        0: {"loop": {"send_log": {}, "recv_seq": {1: 97}}},
+    }
+    replays = recovery.compute_replays(payloads)[0]
     (chan,) = channels()
-    chan.put_nowait((CKPT, 3, 12, 512.0))
-    chan.put_nowait((RESUME, 1, 99, 12, _msg(21, sign=ANTI, value=0)))
-    tag, node, cid, gvt = chan.get(timeout=10)
-    assert (tag, node, cid, gvt) == (CKPT, 3, 12, 512.0)
-    tag, src, seq, color, msg = chan.get(timeout=10)
-    assert (tag, src, seq, color) == (RESUME, 1, 99, 12)
+    for item in replays:
+        chan.put_nowait(item)
+    got = [chan.get(timeout=10) for _ in replays]
+    assert [_normalize(g) for g in got] == [_normalize(r) for r in replays]
+    tag, color, msg, src, seq = got[1]
+    assert (tag, color, src, seq) == (MSG, 12, 1, 99)
     assert msg.sign == ANTI and msg.uid == 21
 
 
@@ -664,14 +671,12 @@ _messages = st.tuples(i64, i64, i64, i64, i64, i64, i64, _signs).map(
 wire_items = st.one_of(
     st.tuples(st.just(MSG), i64, _messages),
     st.tuples(st.just(MSG), i64, _messages, i64, i64),
-    st.tuples(st.just(RESUME), i64, i64, i64, _messages),
     st.builds(
         GvtToken, cid=i64, m_clock=_floats, m_send=_floats, count=i64,
         busy_max=i64, busy_max_node=i64, ev_max=i64,
         busy_min=i64, busy_min_node=i64,
     ).map(lambda token: (TOKEN, token)),
     st.tuples(st.just(GVT), i64, _floats),
-    st.tuples(st.just(CKPT), i64, i64, _floats),
     st.tuples(st.just(MIGCMD), i64, _floats, i64),
 )
 
