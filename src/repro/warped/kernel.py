@@ -20,6 +20,14 @@ GVT round, fossil collection only visits LPs that actually hold
 history, and the load-balancer's activity decay is applied lazily on
 read. The differential suite (``tests/test_seed_equivalence.py``) pins
 all of it to the pre-optimization kernel's observable behavior.
+
+Around the event loop the slow paths are the process engine's, written
+once (DESIGN §8): LPs and every node's initial schedule come from a
+:class:`~repro.warped.world.World`, history goes through
+:func:`~repro.warped.lp.fossil_sweep` and
+:func:`~repro.warped.lp.flush_committed`, and ``World.migrants`` picks
+migrants.  Rollback and cancellation stay here: they charge modelled
+cost and support lazy cancellation and checkpointing.
 """
 
 from __future__ import annotations
@@ -36,13 +44,15 @@ from repro.partition.assignment import PartitionAssignment
 from repro.sim.event import CAPTURE, SIG, STIM
 from repro.sim.stimulus import Stimulus
 from repro.warped.gvt import GVT_END, compute_gvt
-from repro.warped.lp import LogicalProcess, ProcessedRecord, gate_statics
+from repro.warped.lp import (
+    LogicalProcess, ProcessedRecord, flush_committed, fossil_sweep,
+)
 from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.messages import ANTI, Message
 from repro.warped.network import UniformNetwork
 from repro.warped.queues import NodeQueue
 from repro.warped.stats import NodeStats, TimeWarpResult
-from repro.circuit.gate import FALSE
+from repro.warped.world import World
 
 
 class TimeWarpSimulator:
@@ -82,19 +92,25 @@ class TimeWarpSimulator:
         network = machine.network
         n_nodes = machine.num_nodes
 
-        statics = gate_statics(circuit)
-        lps = [
-            LogicalProcess(
-                gate,
-                self.assignment[gate.index],
-                checkpoint_interval=machine.checkpoint_interval,
-                static=statics[gate.index],
-            )
-            for gate in circuit.gates
-        ]
         checkpointing = machine.checkpoint_interval is not None
         ckpt_interval = machine.checkpoint_interval
+        world = World.of(self.assignment)
+        lps: list[LogicalProcess] = [None] * circuit.num_gates
+        node_stats = []
         queues = [NodeQueue() for _ in range(n_nodes)]
+        # Initial schedule: every node's messages as the world mints
+        # them (uids strided by node).  No two share (time, prio, src,
+        # n, dest), so uids never break a tie and pop order is that of
+        # the sequential kernel; emission uids start above them all.
+        first_uid = 1
+        for node, queue in enumerate(queues):
+            roster = world.roster_lps(node, ckpt_interval)
+            for index, lp in roster.items():
+                lps[index] = lp
+            node_stats.append(NodeStats(node=node, num_lps=len(roster)))
+            buckets, next_free = world.initial_schedule(node, self.stimulus)
+            queue.load(buckets)
+            first_uid = max(first_uid, next_free)
         wall = [0.0] * n_nodes
         busy = [0.0] * n_nodes
         migration_threshold = machine.migration_threshold
@@ -111,9 +127,6 @@ class TimeWarpSimulator:
         decay_epoch = 0
         busy_at_last_sample = [0.0] * n_nodes
         utilization_timeline: list[tuple[float, list[float]]] = []
-        node_stats = [NodeStats(node=i) for i in range(n_nodes)]
-        for lp in lps:
-            node_stats[lp.node].num_lps += 1
         # Hot per-node tallies, folded into node_stats at the end.
         ns_events = [0] * n_nodes
         ns_local = [0] * n_nodes
@@ -141,7 +154,7 @@ class TimeWarpSimulator:
 
         # Fresh message uids, minted at C speed (one closure frame per
         # uid was measurable at ~1.4 uid mints per event).
-        next_uid = count(1).__next__
+        next_uid = count(first_uid).__next__
 
         flight_seq = 0
         trace = self.trace_hook
@@ -377,28 +390,6 @@ class TimeWarpSimulator:
         recv_overhead = cost.recv_overhead
 
         # ------------------------------------------------------------
-        # initial schedule (mirrors the sequential kernel exactly)
-        # ------------------------------------------------------------
-        stim = self.stimulus
-        for ff in circuit.dffs:
-            for sink in lps[ff]._sink_list:
-                queues[lps[sink].node].push(
-                    Message(0, SIG, ff, 0, FALSE, sink, next_uid())
-                )
-        for cycle in range(stim.num_cycles):
-            t = stim.cycle_time(cycle)
-            if cycle > 0:
-                # Cycle 0 is the reset cycle (see the sequential kernel).
-                for ff in circuit.dffs:
-                    queues[lps[ff].node].push(
-                        Message(t, CAPTURE, ff, cycle, 0, ff, next_uid())
-                    )
-            for pi in circuit.primary_inputs:
-                queues[lps[pi].node].push(
-                    Message(t, STIM, pi, cycle, stim.value(pi, cycle), pi, next_uid())
-                )
-
-        # ------------------------------------------------------------
         # main virtual-machine loop
         # ------------------------------------------------------------
         gvt_interval = machine.gvt_interval
@@ -467,49 +458,7 @@ class TimeWarpSimulator:
                 )
             gvt = compute_gvt(queues, outstanding)
             if gvt < GVT_END:
-                floor_t = int(gvt)
-                for index, oldest in list(oldest_times.items()):
-                    # Fast path: an LP whose oldest record is at or
-                    # above the floor has nothing to free.
-                    if oldest >= floor_t:
-                        continue
-                    lp_ = lps[index]
-                    if checkpointing:
-                        # Snapshot bookkeeping: delegate to the method.
-                        freed = lp_.fossil_collect(floor_t)
-                        history_total -= freed
-                    else:
-                        # Incremental mode frees a plain prefix —
-                        # inlined, single pass (this sweep touches every
-                        # committed record once over a run).
-                        processed_ = lp_.processed
-                        uids_ = lp_.processed_uids
-                        keep_from = 0
-                        for record_ in processed_:
-                            m_ = record_.msg
-                            if m_.time >= floor_t:
-                                break
-                            uids_.discard(m_.uid)
-                            keep_from += 1
-                        del processed_[:keep_from]
-                        history_total -= keep_from
-                        freed = keep_from
-                    if tracer is not None and freed:
-                        # Fossil-collected records are committed: one
-                        # timeline aggregate per LP per sweep, bounded
-                        # by LPs (never by events).
-                        tracer.emit(
-                            "commit",
-                            node=lp_.node,
-                            lp=index,
-                            n=freed,
-                            t_lo=int(oldest),
-                            t_hi=floor_t,
-                        )
-                    if lp_.processed:
-                        oldest_times[index] = lp_.processed[0].msg.time
-                    else:
-                        del oldest_times[index]
+                history_total -= fossil_sweep(lps, oldest_times, int(gvt), tracer)
             for node_ in range(n_nodes):
                 wall[node_] += cost.gvt_cost
                 busy[node_] += cost.gvt_cost
@@ -535,7 +484,8 @@ class TimeWarpSimulator:
             return gvt
 
         def migrate_load(gvt: float) -> None:
-            """Move the hottest LPs from the busiest to the idlest node.
+            """Move :meth:`World.migrants` of the busiest node, ranked
+            by decayed activity, to the idlest node.
 
             Runs inside a GVT round: everything below GVT is committed,
             in-flight and anti-messages resolve their target node at
@@ -560,33 +510,13 @@ class TimeWarpSimulator:
                 return
             if window[hot] <= migration_threshold * window[cold]:
                 return
-            residents = [
-                lp_.gate.index for lp_ in lps if lp_.node == hot
-            ]
-            if len(residents) <= 1:
-                return  # never strip a node bare
-            budget = max(1, round(len(residents) * machine.migration_fraction))
-            budget = min(budget, len(residents) - 1)
-            # Selection: shed load without shredding locality. Moving
-            # the hottest LPs maximises the new cut (their traffic is
-            # with their co-located neighbours); instead prefer LPs
-            # loosely attached to the hot node (few same-node
-            # neighbours), then higher activity so the move transfers
-            # real work.
-            resident_set = set(residents)
-
-            def attachment(gate_index: int) -> int:
-                gate = circuit.gates[gate_index]
-                return sum(
-                    1
-                    for other in (*gate.fanin, *gate.fanout)
-                    if other in resident_set
-                )
-
-            residents.sort(
-                key=lambda g: (attachment(g), -fold_activity(g), g)
+            moving = world.migrants(
+                (lp_.gate_index for lp_ in lps if lp_.node == hot),
+                machine.migration_fraction,
+                fold_activity,
             )
-            moving = residents[:budget]
+            if not moving:
+                return
             moved_set = set(moving)
             for gate_index in moving:
                 lps[gate_index].node = cold
@@ -1008,21 +938,7 @@ class TimeWarpSimulator:
         counters["peak_history"] = peak_history
         counters["local_messages"] = local_messages
         counters["app_messages"] = app_messages
-        if tracer is not None:
-            # Quiescence flush: history that survived the last fossil
-            # sweep is committed now. With these, the sum of commit-`n`
-            # over the trace equals events_processed - rolled_back.
-            for lp in lps:
-                if lp.processed:
-                    tracer.emit(
-                        "commit",
-                        node=lp.node,
-                        lp=lp.gate.index,
-                        n=len(lp.processed),
-                        t_lo=int(lp.processed[0].msg.time),
-                        t_hi=None,
-                        final=True,
-                    )
+        flush_committed(lps, tracer)
         for i in range(n_nodes):
             node_stats[i].events_processed = ns_events[i]
             node_stats[i].messages_sent_local = ns_local[i]
@@ -1080,7 +996,7 @@ class TimeWarpSimulator:
             circuit_name=circuit.name,
             algorithm=self.assignment.algorithm,
             num_nodes=n_nodes,
-            num_cycles=stim.num_cycles,
+            num_cycles=self.stimulus.num_cycles,
             execution_time=max(wall),
             events_processed=events,
             events_rolled_back=counters["rolled_back"],

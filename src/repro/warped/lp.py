@@ -11,12 +11,15 @@ Input copies live in a list parallel to ``gate.fanin`` (one slot per
 fanin position, with a src→slots map for updates) rather than a dict:
 the evaluator consumes the slot list directly, so the per-event path
 has no dict lookups and no per-evaluation list rebuild.
+
+History is committed by two module functions both Time Warp executives
+call: :func:`fossil_sweep` at every GVT, :func:`flush_committed` at
+quiescence.
 """
 
 from __future__ import annotations
 
 import bisect
-from weakref import WeakKeyDictionary
 
 from repro.circuit.gate import FALSE, UNKNOWN, GateType, eval_func
 from repro.circuit.graph import Gate
@@ -26,12 +29,6 @@ from repro.warped.messages import Message
 
 #: Key smaller than every real event key.
 MIN_KEY: EventKey = (-1, -1, -1, -1)
-
-#: Per-circuit static LP structure, keyed by circuit identity. Frozen
-#: circuits never mutate, and experiment sweeps build fresh LPs for the
-#: same circuit many times over — memoising makes repeat construction
-#: O(gates) instead of O(edges).
-_CIRCUIT_STATIC: "WeakKeyDictionary[object, list[tuple]]" = WeakKeyDictionary()
 
 
 def gate_static(gate: Gate) -> tuple:
@@ -72,13 +69,73 @@ def gate_static(gate: Gate) -> tuple:
     )
 
 
-def gate_statics(circuit) -> list[tuple]:
-    """The per-gate static tuples for a frozen circuit, memoised."""
-    statics = _CIRCUIT_STATIC.get(circuit)
-    if statics is None:
-        statics = [gate_static(gate) for gate in circuit.gates]
-        _CIRCUIT_STATIC[circuit] = statics
-    return statics
+def fossil_sweep(lps, oldest_times: dict[int, int], floor_t: int, tracer) -> int:
+    """Free every LP's history below virtual time *floor_t*; returns
+    the number of records freed.
+
+    *oldest_times* maps each LP holding history (gate index into *lps*)
+    to the virtual time of its oldest record — the only LPs a sweep
+    visits, and its skip test — and is kept up to date.  An LP that
+    checkpoints delegates to :meth:`LogicalProcess.fossil_collect` (it
+    must rebuild its base snapshot); the rest free a plain prefix inline
+    in one pass, since the sweeps touch every committed record once over
+    a run.  Freed records are committed: with a *tracer*, one ``commit``
+    timeline record per LP freed from, so the count is bounded by LPs,
+    never by events.
+    """
+    freed = 0
+    for index in [i for i, t in oldest_times.items() if t < floor_t]:
+        lp = lps[index]
+        processed = lp.processed
+        if lp.checkpoint_interval is not None:
+            n = lp.fossil_collect(floor_t)
+        else:
+            uids = lp.processed_uids
+            n = 0
+            for record in processed:
+                msg = record.msg
+                if msg.time >= floor_t:
+                    break
+                uids.discard(msg.uid)
+                n += 1
+            del processed[:n]
+        freed += n
+        if tracer is not None:
+            tracer.emit(
+                "commit",
+                node=lp.node,
+                lp=index,
+                n=n,
+                t_lo=int(oldest_times[index]),
+                t_hi=floor_t,
+            )
+        if processed:
+            oldest_times[index] = processed[0].msg.time
+        else:
+            del oldest_times[index]
+    return freed
+
+
+def flush_committed(lps, tracer) -> None:
+    """Emit the quiescence ``commit`` flush for the LPs *lps*.
+
+    Called once GVT reached +inf: whatever history survived the last
+    :func:`fossil_sweep` is committed now.  With these records the
+    trace's commit-``n`` total equals ``events - rolled_back`` exactly.
+    """
+    if tracer is None:
+        return
+    for lp in lps:
+        if lp.processed:
+            tracer.emit(
+                "commit",
+                node=lp.node,
+                lp=lp.gate_index,
+                n=len(lp.processed),
+                t_lo=int(lp.processed[0].msg.time),
+                t_hi=None,
+                final=True,
+            )
 
 
 class ProcessedRecord:
@@ -137,8 +194,9 @@ class LogicalProcess:
         self.node = node
         #: src gate index -> fanin positions it drives (usually one; a
         #: gate wired to the same driver twice has several). Shared,
-        #: read-only static structure — see :func:`gate_static`; the
-        #: kernel passes the memoised per-circuit entry.
+        #: read-only static structure — see :func:`gate_static`;
+        #: :meth:`World.new_lp <repro.warped.world.World.new_lp>` passes
+        #: the memoised per-circuit entry.
         (
             self._src_slots,
             self._sink_list,

@@ -4,7 +4,9 @@ This is the single-node core of the protocol the virtual kernel
 (:mod:`repro.warped.kernel`) executes for the whole machine: the same
 :class:`~repro.warped.lp.LogicalProcess` state saving, the same
 :class:`~repro.warped.queues.NodeQueue`, the same eager rollback with
-iterative cancellation cascades.  What differs is the boundary — remote
+iterative cancellation cascades — and, as one shared copy, the same
+:class:`~repro.warped.world.World`, fossil sweep, commit flush and
+migrant policy.  What differs is the boundary — remote
 sends leave through an outbox the hosting worker loop flushes onto real
 ``multiprocessing`` queues, and stragglers/anti-messages arrive whenever
 the transport delivers them, not on a modelled clock.
@@ -25,7 +27,9 @@ from itertools import count
 from repro.errors import SimulationError
 from repro.sim.event import CAPTURE, SIG, STIM
 from repro.sim.stimulus import Stimulus
-from repro.warped.lp import LogicalProcess, ProcessedRecord
+from repro.warped.lp import (
+    LogicalProcess, ProcessedRecord, flush_committed, fossil_sweep,
+)
 from repro.warped.messages import ANTI, Message
 from repro.warped.parallel.protocol import T_INF
 from repro.warped.queues import NodeQueue
@@ -536,103 +540,31 @@ class NodeEngine:
         self.peak_history = peak_history
 
     def fossil_collect(self, gvt: float) -> None:
-        """Free history below *gvt*, visiting only LPs that hold some.
-
-        Freed records are committed: with tracing on, each sweep emits
-        one ``commit`` timeline record per LP it freed work from.
-        """
-        if gvt == T_INF:
-            return
-        floor_t = int(gvt)
-        tracer = self.tracer
-        lps = self.lps
-        oldest_times = self._oldest
-        freed = 0
-        for index in [i for i, t in oldest_times.items() if t < floor_t]:
-            # Engine LPs save state incrementally, so a sweep frees a
-            # plain prefix — inlined, single pass, as the kernel's GVT
-            # round does (this touches every committed record once over
-            # a run).  ``_oldest[index]`` is the time of the LP's first
-            # record, so at least that one goes.
-            lp = lps[index]
-            processed = lp.processed
-            uids = lp.processed_uids
-            keep_from = 0
-            for record in processed:
-                msg = record.msg
-                if msg.time >= floor_t:
-                    break
-                uids.discard(msg.uid)
-                keep_from += 1
-            del processed[:keep_from]
-            freed += keep_from
-            if tracer is not None:
-                tracer.emit(
-                    "commit",
-                    lp=index,
-                    n=keep_from,
-                    t_lo=int(oldest_times[index]),
-                    t_hi=floor_t,
-                )
-            if processed:
-                oldest_times[index] = processed[0].msg.time
-            else:
-                del oldest_times[index]
-        self._history -= freed
+        """Free history below *gvt* through the executives' shared
+        :func:`~repro.warped.lp.fossil_sweep` (one ``commit`` record per
+        LP freed from, with tracing on)."""
+        if gvt != T_INF:
+            self._history -= fossil_sweep(
+                self.lps, self._oldest, int(gvt), self.tracer
+            )
 
     def flush_committed(self) -> None:
-        """Emit the quiescence ``commit`` flush: all surviving history.
-
-        Called once GVT reached +inf — everything still held is
-        committed.  With these records the trace's commit-``n`` total
-        equals ``events - rolled_back`` exactly.
-        """
-        if self.tracer is None:
-            return
-        for index, lp in self.lps.items():
-            if lp.processed:
-                self.tracer.emit(
-                    "commit",
-                    lp=index,
-                    n=len(lp.processed),
-                    t_lo=int(lp.processed[0].msg.time),
-                    t_hi=None,
-                    final=True,
-                )
+        """Emit the quiescence ``commit`` flush for this node's LPs
+        (:func:`repro.warped.lp.flush_committed`)."""
+        flush_committed(self.lps.values(), self.tracer)
 
     # ------------------------------------------------------------------
     # adaptive migration (see repro.warped.parallel.backend)
     # ------------------------------------------------------------------
     def select_migrants(self, fraction: float) -> list[int]:
-        """Pick which resident gates to shed, hottest-node side.
-
-        Same policy as the virtual kernel's ``migrate_load``: prefer
-        LPs *loosely attached* to this node (few co-located fanin or
-        fanout neighbours — moving them grows the cut least), then
-        higher recent activity (uncommitted history size — so the move
-        transfers real work), bounded by *fraction* of the residents
-        and never stripping the node bare.
-        """
-        residents = sorted(self.lps)
-        if len(residents) <= 1:
-            return []
-        budget = max(1, round(len(residents) * fraction))
-        budget = min(budget, len(residents) - 1)
-        resident_set = set(residents)
-        gates = self.circuit.gates
-
-        def attachment(gate_index: int) -> int:
-            gate = gates[gate_index]
-            return sum(
-                1
-                for other in (*gate.fanin, *gate.fanout)
-                if other in resident_set
-            )
-
-        residents.sort(
-            key=lambda g: (attachment(g), -len(self.lps[g].processed), g)
+        """The resident gates to shed, by :meth:`World.migrants
+        <repro.warped.world.World.migrants>` — the virtual kernel's
+        policy too — with an LP's uncommitted history size as its
+        activity (the kernel ranks by a decayed event count)."""
+        lps = self.lps
+        return self.world.migrants(
+            lps, fraction, lambda index: len(lps[index].processed)
         )
-        return residents[:budget]
 
     def extract_migrants(self, dest_node: int, fraction: float, version: int):
         """Strip the selected LPs out of this engine for *dest_node*.

@@ -409,8 +409,19 @@ class ShmChannel(_PollingPut):
         return buf
 
     # -- producer side -------------------------------------------------
-    def _write(self, records: list[bytes]) -> int:
-        """Append up to ``len(records)`` under the lock; returns count."""
+    def _write(self, records: list[bytes], *, whole: bool = False) -> int:
+        """Append up to ``len(records)`` under the lock; returns count.
+
+        With *whole* the write is all-or-nothing (0 when the ring lacks
+        the space): a chunked MIGRATE blob is reassembled from
+        consecutive slots, so another producer's records splitting the
+        run would corrupt it.
+        """
+        if whole and len(records) > self.capacity:
+            raise ProtocolError(
+                f"migrate blob needs {len(records)} records but the ring "
+                f"holds only {self.capacity}; raise the inbox capacity"
+            )
         buf = self._ensure()
         if not self._lock.acquire(timeout=_LOCK_TIMEOUT):
             raise queue_mod.Full
@@ -423,6 +434,8 @@ class ShmChannel(_PollingPut):
             # number of records or none (0 -> the callers' Full), never
             # a negative count taken for success.
             count = min(max(0, self.capacity - (write - read)), len(records))
+            if whole and count < len(records):
+                count = 0
             for record in records[:count]:
                 slot = _HEADER_SIZE + (write % self.capacity) * RECORD_SIZE
                 buf[slot:slot + RECORD_SIZE] = record
@@ -444,49 +457,12 @@ class ShmChannel(_PollingPut):
         finally:
             self._lock.release()
 
-    def _write_group(self, records: list[bytes]) -> bool:
-        """Append *records* contiguously, all-or-nothing.
-
-        Used for chunked MIGRATE blobs: the consumer reassembles a
-        chunk run by reading consecutive slots, so a partial write
-        (another producer's records splitting the run) would corrupt
-        the blob.  Returns False when the ring lacks the space.
-        """
-        if len(records) > self.capacity:
-            raise ProtocolError(
-                f"migrate blob needs {len(records)} records but the ring "
-                f"holds only {self.capacity}; raise the inbox capacity"
-            )
-        buf = self._ensure()
-        if not self._lock.acquire(timeout=_LOCK_TIMEOUT):
-            raise queue_mod.Full
-        try:
-            cur = self._cur
-            write = cur[_WRITE]
-            read = cur[_READ]
-            was_empty = write <= read
-            if max(0, self.capacity - (write - read)) < len(records):
-                return False
-            for record in records:
-                slot = _HEADER_SIZE + (write % self.capacity) * RECORD_SIZE
-                buf[slot:slot + RECORD_SIZE] = record
-                write += 1
-            cur[_WRITE] = write
-            if was_empty and self._wfd is not None:
-                try:
-                    os.write(self._wfd, b"\x01")
-                except OSError:
-                    pass
-            return True
-        finally:
-            self._lock.release()
-
     def put_nowait(self, item: tuple) -> None:
-        if item[0] == MIGRATE:
-            if not self._write_group(encode_migrate(item)):
-                raise queue_mod.Full
-            return
-        if self._write([encode_record(item)]) <= 0:
+        records = (
+            encode_migrate(item) if item[0] == MIGRATE
+            else [encode_record(item)]
+        )
+        if self._write(records, whole=True) <= 0:
             raise queue_mod.Full
 
     def put_batch(self, items: list[tuple]) -> int:

@@ -30,11 +30,16 @@ Two worlds are equal when they pair the *same circuit object* with the
 same assignment — the identity a ring's residency table keys on.
 Pickling carries the pair only; derived structure is rebuilt where it
 is used.
+
+Both Time Warp executives build from a world — the virtual kernel every
+node's LPs and schedule, a process node its own — and both pick
+migrants with :meth:`World.migrants`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from repro.circuit.gate import FALSE
 from repro.circuit.graph import CircuitGraph
@@ -44,6 +49,14 @@ from repro.sim.stimulus import Stimulus
 from repro.warped.lp import LogicalProcess, gate_static
 from repro.warped.messages import Message
 from repro.warped.queues import Entry, bucketed, make_entry
+
+#: Circuit -> (gate index -> static LP structure), filled as LPs are
+#: built.  Frozen circuits never mutate, so every world over one
+#: circuit — a partition sweep, a ring's resident worlds — shares one
+#: entry per gate; it lives exactly as long as the circuit does.
+_STATICS: "WeakKeyDictionary[CircuitGraph, dict[int, tuple]]" = (
+    WeakKeyDictionary()
+)
 
 
 class _Roster:
@@ -80,7 +93,7 @@ class World:
 
     __slots__ = (
         "circuit", "k", "assignment", "algorithm",
-        "_hash", "_statics", "_rosters",
+        "_hash", "_rosters",
     )
 
     def __init__(
@@ -102,8 +115,6 @@ class World:
         self.assignment = tuple(assignment)
         self.algorithm = algorithm
         self._hash = hash((id(circuit), k, self.assignment))
-        #: gate index -> static LP structure, filled as LPs are built.
-        self._statics: dict[int, tuple] = {}
         self._rosters: dict[int, _Roster] = {}
 
     @classmethod
@@ -150,22 +161,60 @@ class World:
             )
         return roster
 
-    def new_lp(self, index: int, node: int) -> LogicalProcess:
+    def new_lp(
+        self, index: int, node: int, checkpoint_interval: int | None = None
+    ) -> LogicalProcess:
         """A fresh LP for gate *index* hosted on *node* — the one way an
-        engine LP is built (roster, migrant or restored alike)."""
-        static = self._statics.get(index)
+        executive's LP is built (roster, migrant or restored alike)."""
+        gate = self.circuit.gates[index]
+        statics = _STATICS.setdefault(self.circuit, {})
+        static = statics.get(index)
         if static is None:
-            static = self._statics[index] = gate_static(
-                self.circuit.gates[index]
-            )
-        return LogicalProcess(self.circuit.gates[index], node, static=static)
+            static = statics[index] = gate_static(gate)
+        return LogicalProcess(gate, node, checkpoint_interval, static)
 
-    def roster_lps(self, node: int) -> dict[int, LogicalProcess]:
+    def roster_lps(
+        self, node: int, checkpoint_interval: int | None = None
+    ) -> dict[int, LogicalProcess]:
         """Fresh LPs for every gate the partition places on *node*."""
         return {
-            index: self.new_lp(index, node)
+            index: self.new_lp(index, node, checkpoint_interval)
             for index in self._roster(node).gates
         }
+
+    def migrants(
+        self,
+        residents: Iterable[int],
+        fraction: float,
+        activity: Callable[[int], float],
+    ) -> list[int]:
+        """The resident gates a hot node sheds: adaptive migration's one
+        placement policy.
+
+        Sheds load without shredding locality.  Moving the hottest LPs
+        would maximise the new cut (their traffic is with co-located
+        neighbours), so residents are ranked *loosely attached* first
+        (fewest fanin/fanout neighbours among the residents), then by
+        higher ``activity(gate)`` so the move transfers real work, then
+        by gate index.  The first ``round(fraction × n)`` of the *n*
+        residents go, at least one and never all: a node with at most
+        one resident sheds nothing.
+        """
+        ranked = list(residents)
+        if len(ranked) <= 1:
+            return []
+        budget = min(max(1, round(len(ranked) * fraction)), len(ranked) - 1)
+        resident_set = set(ranked)
+        gates = self.circuit.gates
+
+        def attachment(index: int) -> int:
+            gate = gates[index]
+            return sum(
+                1 for other in (*gate.fanin, *gate.fanout) if other in resident_set
+            )
+
+        ranked.sort(key=lambda g: (attachment(g), -activity(g), g))
+        return ranked[:budget]
 
     # ------------------------------------------------------------------
     # initial schedule

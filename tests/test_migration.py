@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.circuit.gate import GateType
+from repro.circuit.graph import CircuitGraph
 from repro.errors import ConfigError
 from repro.partition import PartitionAssignment, get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped import TimeWarpSimulator, VirtualMachine
 from repro.warped.messages import Message
+from repro.warped.parallel import NodeEngine
 from repro.warped.queues import NodeQueue
+from repro.warped.world import World
 from repro.sim.event import SIG
 
 
@@ -39,6 +43,83 @@ class TestQueueExtraction:
         q.push(self.entry(4, dest=5, t=1))
         q.extract_dests({5})
         assert [q.pop().time for _ in range(3)] == [3, 6, 9]
+
+
+class TestMigrantPolicy:
+    """``World.migrants``: the one placement policy of both executives."""
+
+    @staticmethod
+    def world() -> World:
+        """a, b -> g1 -> g2, and an input c driving nothing: among all
+        five, c has no resident neighbour, a, b and g2 one, g1 three."""
+        circuit = CircuitGraph("policy")
+        a, b, c = (circuit.add_gate(n, GateType.INPUT) for n in "abc")
+        g1 = circuit.add_gate("g1", GateType.AND)
+        g2 = circuit.add_gate("g2", GateType.NOT)
+        circuit.connect(a, g1)
+        circuit.connect(b, g1)
+        circuit.connect(g1, g2)
+        return World(circuit.freeze(), 1, [0] * 5)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("fraction", [0.01, 0.3, 0.5, 0.9, 1.0])
+    def test_budget_is_rounded_fraction_clamped(self, n, fraction):
+        moved = self.world().migrants(range(n), fraction, lambda g: 0)
+        assert len(moved) == min(max(1, round(fraction * n)), n - 1)
+
+    @pytest.mark.parametrize("residents", [[], [3]])
+    def test_a_node_of_at_most_one_sheds_nothing(self, residents):
+        assert self.world().migrants(residents, 1.0, lambda g: 1) == []
+
+    def test_ranked_by_attachment_then_activity_then_index(self):
+        activity = {0: 1.0, 1: 5.0, 2: 0.0, 3: 9.0, 4: 5.0}.__getitem__
+        world = self.world()
+        # Loosest first (c), then the busier of a, b and g2 (b, g2 tie
+        # on activity: lower index), then a; g1 never, whatever its
+        # activity — the budget leaves one resident behind.
+        assert world.migrants([4, 3, 2, 1, 0], 1.0, activity) == [2, 1, 4, 0]
+        # Attachment counts residents only: without g1 every gate is
+        # loose, so activity alone ranks them.
+        assert world.migrants([0, 1, 2, 4], 1.0, activity) == [1, 4, 0]
+
+    def test_kernel_and_engine_move_the_same_gates(
+        self, medium_circuit, monkeypatch
+    ):
+        """Every choice the virtual kernel makes is the one a process
+        engine makes over the same residents with the same ranking (the
+        engine ranks by history size: each LP gets as many records as
+        its activity's rank)."""
+        calls = []
+        policy = World.migrants
+
+        def spy(world, residents, fraction, activity):
+            residents = list(residents)
+            scores = {g: activity(g) for g in residents}
+            moved = policy(world, residents, fraction, scores.__getitem__)
+            calls.append((residents, fraction, scores, moved))
+            return moved
+
+        monkeypatch.setattr(World, "migrants", spy)
+        stim = RandomStimulus(medium_circuit, num_cycles=20, seed=2)
+        result = TimeWarpSimulator(
+            medium_circuit, imbalanced_partition(medium_circuit, 4), stim,
+            VirtualMachine(num_nodes=4, migration_threshold=1.5,
+                           gvt_interval=128, migration_fraction=0.05),
+        ).run()
+        assert calls and result.migrations == sum(len(c[3]) for c in calls)
+        monkeypatch.undo()
+        for residents, fraction, scores, moved in calls:
+            on_node = set(residents)
+            world = World(
+                medium_circuit, 2,
+                [0 if g in on_node else 1 for g in range(medium_circuit.num_gates)],
+            )
+            engine = NodeEngine(world, 0, stim, migration_enabled=True)
+            rank = {s: r for r, s in enumerate(sorted(set(scores.values())))}
+            for g in residents:
+                engine.lps[g].processed = [None] * rank[scores[g]]
+            payload = engine.extract_migrants(1, fraction, version=1)
+            assert payload["gates"] == moved
 
 
 def imbalanced_partition(circuit, k):

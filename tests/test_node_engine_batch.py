@@ -119,7 +119,8 @@ class ListTracer:
         self.records: list[tuple[str, dict]] = []
         self.compared = 0  # records already held against the other world
 
-    def emit(self, kind: str, **fields) -> None:
+    def emit(self, kind: str, *, node: int | None = None, **fields) -> None:
+        # ``node`` stamps the record, as TraceWriter's does: not a field.
         self.records.append((kind, fields))
 
     def fresh(self) -> list[tuple[str, dict]]:

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro.warped.parallel.ring as ring_mod
+import repro.warped.world as world_mod
 from repro.circuit import GeneratorSpec, generate_circuit
 from repro.circuit.gate import FALSE
 from repro.circuit.iscas89 import load_benchmark
@@ -225,7 +226,22 @@ def test_world_pickles_the_pair_not_what_was_derived(s27):
         world.k, world.assignment, world.algorithm
     )
     assert copy.circuit.num_gates == s27.num_gates
-    assert not copy._statics and not copy._rosters
+    assert copy.circuit not in world_mod._STATICS and not copy._rosters
+
+
+def test_worlds_over_one_circuit_share_lp_statics(s27):
+    """Static LP structure belongs to the circuit, not the partition: a
+    partition sweep over one circuit builds each gate's statics once."""
+    n = s27.num_gates
+    whole = World(s27, 1, [0] * n).roster_lps(0)
+    halves = World(s27, 2, [i % 2 for i in range(n)])
+    split = {**halves.roster_lps(0), **halves.roster_lps(1, 4)}
+    assert whole.keys() == split.keys()
+    for index, lp in whole.items():
+        assert split[index]._sink_list is lp._sink_list
+        assert split[index]._src_slots is lp._src_slots
+        assert split[index] is not lp
+    assert split[1].checkpoint_interval == 4 and split[0].checkpoint_interval is None
 
 
 def test_detached_stimulus_carries_no_circuit(s27):
