@@ -14,6 +14,7 @@ Generation is deterministic in the spec's seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,9 @@ _WIDE_TYPES = (
     (GateType.XNOR, 0.05),
 )
 _UNARY_TYPES = ((GateType.NOT, 0.7), (GateType.BUF, 0.3))
+#: Fanin counts of a wide gate, drawn uniformly: biased to 2 (ISCAS
+#: gates are mostly 2-input), up to 4.
+_WIDE_FANINS = (2, 2, 2, 3, 3, 4)
 
 #: Per-type inertial delays for the "typed" delay model, loosely scaled
 #: like a standard-cell library (XOR trees are slow, inverters fast).
@@ -175,30 +179,23 @@ def generate_circuit(spec: GeneratorSpec) -> CircuitGraph:
     hub_budget = max(1, round(spec.num_gates * spec.hub_fraction))
 
     wide_types = [t for t, _ in _WIDE_TYPES]
-    wide_weights = np.array([w for _, w in _WIDE_TYPES])
-    wide_weights = wide_weights / wide_weights.sum()
+    wide_cdf = _choice_cdf([w for _, w in _WIDE_TYPES])
     unary_types = [t for t, _ in _UNARY_TYPES]
-    unary_weights = np.array([w for _, w in _UNARY_TYPES])
-    unary_weights = unary_weights / unary_weights.sum()
+    unary_cdf = _choice_cdf([w for _, w in _UNARY_TYPES])
 
     gate_counter = 0
+    older: list[int] = []  # every level before ``prev``
     for lvl in range(1, depth + 1):
         this_level: list[int] = []
         prev = level_pool[lvl - 1]
-        older = [g for pool in level_pool[:-1] for g in pool]
         for _ in range(counts[lvl - 1]):
             unary = rng.random() < spec.unary_fraction
             if unary:
-                gate_type = unary_types[
-                    int(rng.choice(len(unary_types), p=unary_weights))
-                ]
+                gate_type = unary_types[bisect_right(unary_cdf, rng.random())]
                 fanin_count = 1
             else:
-                gate_type = wide_types[
-                    int(rng.choice(len(wide_types), p=wide_weights))
-                ]
-                # 2..4 inputs, biased to 2 (ISCAS gates are mostly 2-input).
-                fanin_count = int(rng.choice([2, 2, 2, 3, 3, 4]))
+                gate_type = wide_types[bisect_right(wide_cdf, rng.random())]
+                fanin_count = _WIDE_FANINS[int(rng.integers(0, len(_WIDE_FANINS)))]
             idx = circuit.add_gate(
                 f"G{gate_counter}",
                 gate_type,
@@ -214,6 +211,7 @@ def generate_circuit(spec: GeneratorSpec) -> CircuitGraph:
                 hubs.append(idx)
             this_level.append(idx)
         level_pool.append(this_level)
+        older.extend(prev)
 
     # --- DFF data inputs: feedback from the deeper half of the fabric.
     deep = [g for pool in level_pool[1 + depth // 2 :] for g in pool]
@@ -246,6 +244,21 @@ def generate_circuit(spec: GeneratorSpec) -> CircuitGraph:
         for idx in rng.choice(candidates, size=remaining, replace=False):
             circuit.mark_output(int(idx))
     return circuit.freeze()
+
+
+def _choice_cdf(weights: list[float]) -> list[float]:
+    """The cumulative distribution ``Generator.choice(n, p=...)`` searches.
+
+    Computed as numpy does it (normalise, ``cumsum``, divide by the last
+    element), so ``bisect_right(cdf, rng.random())`` draws the same index
+    from the same single ``random()`` as ``rng.choice(len(weights), p=p)``
+    — without that call's per-draw argument checks.
+    """
+    p = np.array(weights)
+    p = p / p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def _pick_drivers(

@@ -118,8 +118,9 @@ def ablation_scaling(
     """A4: multilevel runtime vs circuit size (the linear-time claim).
 
     The paper argues O(N_E); this sweep measures wall-clock per edge
-    over doubling circuit sizes — a roughly flat last column supports
-    linearity.
+    over doubling circuit sizes — a roughly flat ``us/edge`` column
+    supports linearity. The last three columns split the wall-clock by
+    phase (:attr:`MultilevelPartitioner.last_phase_seconds`).
     """
     rows = []
     for num_gates in sizes:
@@ -137,16 +138,19 @@ def ablation_scaling(
         start = time.perf_counter()
         partitioner.partition(circuit, k)
         elapsed = time.perf_counter() - start
+        phases = partitioner.last_phase_seconds.values()
         rows.append(
             (
                 num_gates,
                 circuit.num_edges,
                 f"{elapsed * 1e3:.1f}",
                 f"{elapsed / circuit.num_edges * 1e6:.2f}",
+                *(f"{seconds * 1e3:.1f}" for seconds in phases),
             )
         )
     return format_table(
-        ["gates", "edges", "ms", "us/edge"],
+        ["gates", "edges", "ms", "us/edge", "coarsen ms", "initial ms",
+         "refine ms"],
         rows,
         title=f"A4: multilevel runtime scaling (k={k})",
     )

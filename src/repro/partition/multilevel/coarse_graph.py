@@ -72,19 +72,23 @@ class CoarseGraph:
                 )
             g.weight = [max(1, int(w)) for w in vertex_weights]
             g.total_weight = sum(g.weight)
-        for u, v in circuit.edges():
+        # Edges accumulate in ``circuit.edges()`` order: it fixes the
+        # dict orders, which gain ties and the depth-first traversal read.
+        neighbors = g.neighbors
+        for gate in circuit.gates:
+            u = gate.index
             weight = 1 if edge_weights is None else max(1, int(edge_weights[u]))
-            g.add_edge(u, v, weight)
+            out_u = g.fanout[u]
+            adj_u = neighbors[u]
+            for v in gate.fanout:
+                if v == u:
+                    continue  # internal signals of a globule carry no cut cost
+                out_u[v] = out_u.get(v, 0) + weight
+                adj_u[v] = adj_u.get(v, 0) + weight
+                adj_v = neighbors[v]
+                adj_v[u] = adj_v.get(u, 0) + weight
         g.seeds = list(circuit.primary_inputs)
         return g
-
-    def add_edge(self, u: int, v: int, weight: int = 1) -> None:
-        """Accumulate a directed edge ``u -> v`` of *weight* signals."""
-        if u == v:
-            return  # internal signals of a globule carry no cut cost
-        self.fanout[u][v] = self.fanout[u].get(v, 0) + weight
-        self.neighbors[u][v] = self.neighbors[u].get(v, 0) + weight
-        self.neighbors[v][u] = self.neighbors[v].get(u, 0) + weight
 
     # ------------------------------------------------------------------
     @property
@@ -120,20 +124,29 @@ class CoarseGraph:
 
         out = CoarseGraph(len(groups))
         out.total_weight = self.total_weight
-        out.seeds = []
-        for gi, group in enumerate(groups):
-            out.weight[gi] = sum(self.weight[v] for v in group)
-            out.contains_input[gi] = any(self.contains_input[v] for v in group)
-            members: list[int] = []
-            for v in group:
-                members.extend([v])
-            out.members[gi] = members
-            if len(group) >= 2:
-                out.seeds.append(gi)
-        for u in range(self.n):
+        weight = self.weight
+        contains_input = self.contains_input
+        out.weight = [sum([weight[v] for v in group]) for group in groups]
+        out.contains_input = [
+            any([contains_input[v] for v in group]) for group in groups
+        ]
+        out.members = [list(group) for group in groups]
+        out.seeds = [gi for gi, group in enumerate(groups) if len(group) >= 2]
+        # Fine edges accumulate by fine vertex, each in its fanout order:
+        # that fixes the coarse dict orders, as ``from_circuit`` does.
+        neighbors = out.neighbors
+        for u, fine_out in enumerate(self.fanout):
             cu = coarse_of[u]
-            for v, w in self.fanout[u].items():
-                out.add_edge(cu, coarse_of[v], w)
+            out_u = out.fanout[cu]
+            adj_u = neighbors[cu]
+            for v, w in fine_out.items():
+                cv = coarse_of[v]
+                if cv == cu:
+                    continue  # internal signals of a globule carry no cut cost
+                out_u[cv] = out_u.get(cv, 0) + w
+                adj_u[cv] = adj_u.get(cv, 0) + w
+                adj_v = neighbors[cv]
+                adj_v[cu] = adj_v.get(cu, 0) + w
         return out
 
     def project(self, coarse_partition: Sequence[int]) -> list[int]:

@@ -8,6 +8,7 @@ choice, ``kl``, ``fm`` or ``none``) for ablation A2.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Callable
 
 import numpy as np
@@ -99,12 +100,18 @@ class MultilevelPartitioner(Partitioner):
         self.vertex_weights = vertex_weights
         #: Diagnostics from the last run: globule count per level.
         self.last_level_sizes: list[int] = []
+        #: Diagnostics from the last run: wall seconds per phase —
+        #: ``coarsen`` (level-0 graph and hierarchy), ``initial``
+        #: (multi-start partitions of the coarsest graph, each refined)
+        #: and ``refine`` (refinement and projection, level by level).
+        self.last_phase_seconds: dict[str, float] = {}
 
     def _partition(self, circuit: CircuitGraph, k: int) -> PartitionAssignment:
         rng = derive_rng(self.seed, "multilevel", circuit.name, k)
         threshold = self.coarsen_threshold or max(32, 8 * k)
         threshold = max(threshold, k)
 
+        start = time.perf_counter()
         level0 = CoarseGraph.from_circuit(
             circuit, self.edge_weights, self.vertex_weights
         )
@@ -116,6 +123,7 @@ class MultilevelPartitioner(Partitioner):
             rng=rng,
         )
         self.last_level_sizes = [g.n for g in hierarchy.levels]
+        coarsened = time.perf_counter()
 
         coarsest = hierarchy.coarsest
         max_weight = (level0.total_weight / k) * (1.0 + self.slack)
@@ -136,6 +144,7 @@ class MultilevelPartitioner(Partitioner):
                 best_partition = candidate
                 best_cut = cut
         partition = best_partition
+        initialised = time.perf_counter()
 
         # Refine the coarsest level, then project down one level at a
         # time, refining after each projection (Figure 2).
@@ -156,6 +165,11 @@ class MultilevelPartitioner(Partitioner):
                 )
             if level > 0:
                 partition = graph.project(partition)
+        self.last_phase_seconds = {
+            "coarsen": coarsened - start,
+            "initial": initialised - coarsened,
+            "refine": time.perf_counter() - initialised,
+        }
         if len(partition) != circuit.num_gates:
             raise PartitionError(
                 "projection lost vertices: "

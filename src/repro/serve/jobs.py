@@ -410,6 +410,10 @@ class JobManager:
                 with self.pool.lease(request.nodes) as ring:
                     job._ring = ring
                     try:
+                        # A cancel that landed while the ring was being
+                        # leased found no ring to kill: honour it here.
+                        if job.cancel_requested:
+                            raise CancelledError("cancelled before execution")
                         result = ring.run_job(
                             world.circuit,
                             world,
@@ -427,15 +431,17 @@ class JobManager:
             self._finish(job, JobState.DONE)
         except CancelledError as exc:
             self._finish(job, JobState.CANCELLED, error=str(exc))
-        except ReproError as exc:
-            if job.cancel_requested:
-                self._finish(job, JobState.CANCELLED, error="cancelled mid-run")
-            else:
-                self._finish(job, JobState.FAILED, error=str(exc))
         except BaseException as exc:  # noqa: BLE001 - server must survive
-            self._finish(
-                job, JobState.FAILED, error=f"{type(exc).__name__}: {exc}"
-            )
+            if job.cancel_requested:
+                # The killed ring surfaces as whatever run_job was blocked
+                # in: a SimulationError, or an OSError on a closed pipe.
+                self._finish(job, JobState.CANCELLED, error="cancelled mid-run")
+            elif isinstance(exc, ReproError):
+                self._finish(job, JobState.FAILED, error=str(exc))
+            else:
+                self._finish(
+                    job, JobState.FAILED, error=f"{type(exc).__name__}: {exc}"
+                )
 
     def _finish(
         self, job: Job, state: JobState, *, error: str | None = None

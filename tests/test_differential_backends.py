@@ -148,11 +148,14 @@ def test_recovery_matches_oracle(s27_case, monkeypatch, k, transport):
     )
     virtual = TimeWarpSimulator(circuit, assignment, stimulus, machine).run()
 
-    # Fire well inside every node's share of the run: s27 commits a
-    # few hundred events per node at k=2 but barely over a hundred at
-    # k=4, and a threshold the victim never reaches would silently
-    # test nothing (the assertion on ``restarts`` guards that).
-    monkeypatch.setenv("REPRO_TW_FAULT", "1:exit-at:60")
+    # Fire well inside the victim's share of the run: on s27 node 1
+    # commits ≈100 events at k=2 but only ≈40 at k=4, and a threshold
+    # it reaches only by rolling back would make ``restarts`` depend on
+    # the schedule (the assertion on it guards a fault that never fires).
+    victim = virtual.node_stats[1]
+    committed = victim.events_processed - victim.events_rolled_back
+    exit_at = min(60, committed // 2)
+    monkeypatch.setenv("REPRO_TW_FAULT", f"1:exit-at:{exit_at}")
     process = ProcessTimeWarpSimulator(
         circuit, assignment, stimulus, machine, max_restarts=3,
         transport=transport,

@@ -1,5 +1,7 @@
 """Unit tests for the three multilevel phases in isolation."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,15 @@ class TestMultilevelEndToEnd:
         p.partition(medium_circuit, 4)
         assert p.last_level_sizes[0] == medium_circuit.num_gates
         assert len(p.last_level_sizes) >= 2
+
+    def test_phase_seconds_recorded(self, medium_circuit):
+        p = MultilevelPartitioner(seed=6)
+        start = time.perf_counter()
+        p.partition(medium_circuit, 4)
+        elapsed = time.perf_counter() - start
+        assert list(p.last_phase_seconds) == ["coarsen", "initial", "refine"]
+        assert all(s >= 0 for s in p.last_phase_seconds.values())
+        assert sum(p.last_phase_seconds.values()) <= elapsed
 
     def test_threshold_parameter(self, medium_circuit):
         p = MultilevelPartitioner(seed=6, coarsen_threshold=100)

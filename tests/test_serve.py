@@ -210,6 +210,27 @@ def test_cancel_queued_job():
         manager.close()
 
 
+def test_accepted_cancel_always_ends_cancelled():
+    """A cancel that returned True ends the job CANCELLED wherever it
+    lands: before the ring is leased, while it is being leased (no ring
+    to kill yet), or mid-run (the killed ring's pipe raises OSError)."""
+    manager = JobManager(max_concurrency=1)
+    try:
+        for delay_ms in range(6):
+            job = manager.submit(
+                JobRequest.from_dict(
+                    {"circuit": "s9234", "scale": 0.12, "nodes": 2,
+                     "num_cycles": 60, "stimulus_seed": delay_ms}
+                )
+            )
+            time.sleep(delay_ms / 500)
+            assert manager.cancel(job.id)
+            done = manager.wait(job.id, timeout=60)
+            assert done.state is JobState.CANCELLED, (delay_ms, done.error)
+    finally:
+        manager.close()
+
+
 def test_live_status_snapshots_carry_run_id(manager):
     job = manager.submit(JobRequest.from_dict(dict(S27_JOB, num_cycles=60)))
     deadline = time.monotonic() + 60
