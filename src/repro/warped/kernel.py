@@ -23,11 +23,17 @@ all of it to the pre-optimization kernel's observable behavior.
 
 Around the event loop the slow paths are the process engine's, written
 once (DESIGN §8): LPs and every node's initial schedule come from a
-:class:`~repro.warped.world.World`, history goes through
+:class:`~repro.warped.world.World`, a rollback undoes through
+:func:`~repro.warped.lp.unwind` and is traced by
+:func:`~repro.warped.lp.trace_rollback`, history goes through
 :func:`~repro.warped.lp.fossil_sweep` and
 :func:`~repro.warped.lp.flush_committed`, and ``World.migrants`` picks
-migrants.  Rollback and cancellation stay here: they charge modelled
-cost and support lazy cancellation and checkpointing.
+migrants.  Anti-message dispatch and the modelled cost charge stay
+here: undone sends go to the in-flight heap or the lazy buffer.
+
+Every count is kept once, per node: the hot loop's tallies and
+:class:`~repro.warped.stats.NodeStats`, whose sums are the result's
+totals.  A rollback's ``rid`` is its node's rollback ordinal.
 """
 
 from __future__ import annotations
@@ -46,12 +52,13 @@ from repro.sim.stimulus import Stimulus
 from repro.warped.gvt import GVT_END, compute_gvt
 from repro.warped.lp import (
     LogicalProcess, ProcessedRecord, flush_committed, fossil_sweep,
+    trace_rollback, unwind,
 )
 from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.messages import ANTI, Message
 from repro.warped.network import UniformNetwork
 from repro.warped.queues import NodeQueue
-from repro.warped.stats import NodeStats, TimeWarpResult
+from repro.warped.stats import NodeStats, TimeWarpResult, node_totals
 from repro.warped.world import World
 
 
@@ -164,18 +171,7 @@ class TimeWarpSimulator:
         # quiescence the log is exactly the committed capture history
         # (the cross-backend differential invariant).
         capture_log: dict[tuple[int, int], int] = {}
-        counters = {
-            "events": 0,
-            "rolled_back": 0,
-            "rollbacks": 0,
-            "app_messages": 0,
-            "anti_messages": 0,
-            "local_messages": 0,
-            "gvt_rounds": 0,
-            "lazy_reuses": 0,
-            "peak_history": 0,
-            "migrations": 0,
-        }
+        counters = {"gvt_rounds": 0, "lazy_reuses": 0, "migrations": 0}
         # Incrementally-maintained total/peak of in-history records
         # (sum of len(lp.processed) over all LPs). The peak is tracked
         # on every growth step, not sampled at GVT rounds, so it is the
@@ -227,7 +223,6 @@ class TimeWarpSimulator:
             while buffer and (before is None or buffer[0].time < before):
                 remote += dispatch_anti(buffer.popleft(), node, depart)
             if remote:
-                counters["anti_messages"] += remote
                 node_stats[node].anti_messages_sent += remote
                 wall[node] = depart + cost.send_overhead * remote
                 busy[node] += cost.send_overhead * remote
@@ -276,7 +271,7 @@ class TimeWarpSimulator:
             to_key,
             now_wall: float,
             cancel_uid: int | None,
-            cause_msg: Message | None = None,
+            cause_msg: Message,
         ) -> None:
             nonlocal history_total
             node = lp.node
@@ -287,30 +282,18 @@ class TimeWarpSimulator:
             # depart at or after every send already made, preserving
             # per-channel FIFO with the positives they chase.
             depart = max(wall[node], now_wall)
-            coasted = 0
-            if checkpointing:
-                # Snapshot restore + coast-forward; the records are
-                # returned oldest-first.
-                records, coasted = lp.rollback_to(to_key)
-                undone_records = list(reversed(records))
-            else:
-                undone_records = []
-                while lp.last_key >= to_key:
-                    undone_records.append(lp.undo_last())
+            undone_records, coasted = unwind(
+                lp, to_key, cancel_uid, queues[node], capture_log
+            )
             undone = len(undone_records)
             history_total -= undone
             if not lp.processed:
-                oldest_times.pop(lp.gate.index, None)
-            for record in undone_records:
-                if record.msg.prio == CAPTURE:
-                    capture_log.pop((record.msg.dest, record.msg.n), None)
-                if cancel_uid is not None and record.msg.uid == cancel_uid:
-                    if trace:
-                        trace("annihilate_processed", record.msg.uid)
-                    continue  # the annihilated positive: not re-enqueued
-                queues[node].push(record.msg)
-                if trace:
-                    trace("reenqueue", record.msg.uid)
+                oldest_times.pop(lp.gate_index, None)
+            if trace:
+                for record in undone_records:
+                    uid = record.msg.uid
+                    op = "annihilate_processed" if uid == cancel_uid else "reenqueue"
+                    trace(op, uid)
             if lazy:
                 # Older buffered sends are stale the moment a second
                 # rollback reaches further back: cancel them, then hold
@@ -324,37 +307,14 @@ class TimeWarpSimulator:
                 for record in undone_records:
                     for em in record.emissions:
                         remote_antis += dispatch_anti(em, node, depart)
-            counters["rollbacks"] += 1
-            counters["rolled_back"] += undone
-            counters["anti_messages"] += remote_antis
             stats.rollbacks += 1
             stats.events_rolled_back += undone
             stats.anti_messages_sent += remote_antis
             ns_coast[node] += coasted
             if tracer is not None:
-                # Enriched forensics record: the triggering message
-                # (straggler positive or anti), its sender, and every
-                # send this rollback undid — the links repro.obs.causality
-                # chains into cascades.
-                tracer.emit(
-                    "rollback",
-                    node=node,
-                    rid=counters["rollbacks"],
-                    lp=lp.gate.index,
-                    depth=undone,
-                    t=int(to_key[0]),
-                    cause_kind="anti" if cancel_uid is not None else "straggler",
-                    cause_uid=None if cause_msg is None else cause_msg.uid,
-                    cause_src=None if cause_msg is None else cause_msg.src,
-                    cause_node=(
-                        None if cause_msg is None else lps[cause_msg.src].node
-                    ),
-                    cause_t=None if cause_msg is None else cause_msg.time,
-                    antis=[
-                        em.uid
-                        for record in undone_records
-                        for em in record.emissions
-                    ],
+                trace_rollback(
+                    tracer, lp, stats.rollbacks, undone_records, to_key,
+                    cancel_uid, cause_msg, lps[cause_msg.src].node,
                 )
             work = (
                 cost.rollback_event_cost * undone
@@ -412,9 +372,6 @@ class TimeWarpSimulator:
         window = machine.optimism_window
         gvt_now = 0.0  # current GVT estimate (for window throttling)
         horizon = None if window is None else gvt_now + window
-        events = 0
-        local_messages = 0
-        app_messages = 0
         max_events = self.max_events
 
         def fold_activity(gate_index: int) -> float:
@@ -806,7 +763,6 @@ class TimeWarpSimulator:
                 # --- end inlined process ---------------------------------
                 if trace:
                     trace("process", msg.uid, dest, msg.key)
-                events += 1
                 ns_events[node] += 1
                 history_total += 1
                 if history_total > peak_history:
@@ -846,7 +802,6 @@ class TimeWarpSimulator:
                         dest_lp = lps[em.dest]
                         dest_node = dest_lp.node
                         if dest_node == node:
-                            local_messages += 1
                             ns_local[node] += 1
                             # insert_positive, inlined for the same-node case
                             # (the overwhelming majority of traffic under a good
@@ -881,7 +836,6 @@ class TimeWarpSimulator:
                             heappush(in_flight, (arr, flight_seq, em))
                             if arr < next_arrival:
                                 next_arrival = arr
-                            app_messages += 1
                             ns_remote[node] += 1
                             remote_sends += 1
                     if remote_sends:
@@ -896,7 +850,7 @@ class TimeWarpSimulator:
                     # Runaway guard, amortised over the GVT interval: a
                     # thrashing run overshoots by at most gvt_interval
                     # events before the abort fires.
-                    if events > max_events:
+                    if sum(ns_events) > max_events:
                         raise SimulationError(
                             f"exceeded max_events={self.max_events}; "
                             "thrashing rollbacks or workload too large"
@@ -934,10 +888,6 @@ class TimeWarpSimulator:
                 "positive copies — kernel invariant broken"
             )
 
-        counters["events"] = events
-        counters["peak_history"] = peak_history
-        counters["local_messages"] = local_messages
-        counters["app_messages"] = app_messages
         flush_committed(lps, tracer)
         for i in range(n_nodes):
             node_stats[i].events_processed = ns_events[i]
@@ -998,12 +948,7 @@ class TimeWarpSimulator:
             num_nodes=n_nodes,
             num_cycles=self.stimulus.num_cycles,
             execution_time=max(wall),
-            events_processed=events,
-            events_rolled_back=counters["rolled_back"],
-            rollbacks=counters["rollbacks"],
-            app_messages=counters["app_messages"],
-            anti_messages=counters["anti_messages"],
-            local_messages=counters["local_messages"],
+            **node_totals(node_stats),
             gvt_rounds=counters["gvt_rounds"],
             lazy_reuses=counters["lazy_reuses"],
             peak_history=peak_history,

@@ -14,7 +14,8 @@ has no dict lookups and no per-evaluation list rebuild.
 
 History is committed by two module functions both Time Warp executives
 call: :func:`fossil_sweep` at every GVT, :func:`flush_committed` at
-quiescence.
+quiescence.  Rollback is two more: :func:`unwind` undoes an LP's newest
+history, :func:`trace_rollback` writes the rollback's trace record.
 """
 
 from __future__ import annotations
@@ -136,6 +137,59 @@ def flush_committed(lps, tracer) -> None:
                 t_hi=None,
                 final=True,
             )
+
+
+def unwind(lp, to_key: EventKey, cancel_uid: int | None, queue, capture_log):
+    """Roll *lp* back to just before *to_key*; returns the undone
+    records, newest first, and the number of events coasted.
+
+    A checkpointing LP restores its snapshot and coasts forward
+    (:meth:`LogicalProcess.rollback_to`); any other undoes record by
+    record (:meth:`LogicalProcess.undo_last`).  Every undone message
+    goes back on *queue* except the positive with uid *cancel_uid*,
+    which its anti-message annihilates, and every undone capture leaves
+    *capture_log*.  The undone sends are the caller's to cancel.
+    """
+    if lp.checkpoint_interval is not None:
+        records, coasted = lp.rollback_to(to_key)
+        records.reverse()
+    else:
+        records = []
+        coasted = 0
+        while lp.last_key >= to_key:
+            records.append(lp.undo_last())
+    for record in records:
+        msg = record.msg
+        if msg.prio == CAPTURE:
+            capture_log.pop((msg.dest, msg.n), None)
+        if msg.uid != cancel_uid:
+            queue.push(msg)
+    return records, coasted
+
+
+def trace_rollback(
+    tracer, lp, rid: int, records, to_key: EventKey, cancel_uid: int | None,
+    cause_msg: Message, cause_node: int,
+) -> None:
+    """Emit the ``rollback`` record of one :func:`unwind`: the
+    triggering message (straggler positive or anti), its sender's node,
+    and every send the rollback undid — the links
+    :mod:`repro.obs.causality` chains into cascades.  *rid* is the
+    node's rollback ordinal."""
+    tracer.emit(
+        "rollback",
+        node=lp.node,
+        rid=rid,
+        lp=lp.gate_index,
+        depth=len(records),
+        t=int(to_key[0]),
+        cause_kind="anti" if cancel_uid is not None else "straggler",
+        cause_uid=cause_msg.uid,
+        cause_src=cause_msg.src,
+        cause_node=cause_node,
+        cause_t=cause_msg.time,
+        antis=[em.uid for record in records for em in record.emissions],
+    )
 
 
 class ProcessedRecord:

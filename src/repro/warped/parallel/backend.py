@@ -101,7 +101,7 @@ from repro.warped.parallel.protocol import (
     GvtToken,
 )
 from repro.warped.parallel.transport import default_transport
-from repro.warped.stats import NodeStats, TimeWarpResult
+from repro.warped.stats import NodeStats, TimeWarpResult, node_totals
 from repro.warped.world import World
 
 #: Local events processed between inbox polls (rollback responsiveness
@@ -1186,9 +1186,19 @@ def _run_node(
         engine.check_quiescent()
         engine.flush_committed()
         wall = time.perf_counter() - start
-        stats = engine.stats
-        stats.wall_time = wall
-        stats.busy_time = loop.busy
+        counters = engine.counters
+        stats = NodeStats(
+            node=node,
+            num_lps=len(engine.lps),
+            events_processed=counters["events"],
+            events_rolled_back=counters["rolled_back"],
+            rollbacks=counters["rollbacks"],
+            messages_sent_remote=counters["app_messages"],
+            messages_sent_local=counters["local_messages"],
+            anti_messages_sent=counters["anti_messages"],
+            wall_time=wall,
+            busy_time=loop.busy,
+        )
         if tracer is not None:
             # Measured attribution: compute is the event-processing
             # batch clock (local rollbacks and the batch's wire flush
@@ -1203,14 +1213,14 @@ def _run_node(
                 "node_summary",
                 busy=loop.busy,
                 wall=wall,
-                events=engine.counters["events"],
-                rollbacks=engine.counters["rollbacks"],
-                rolled_back=engine.counters["rolled_back"],
-                antis=engine.counters["anti_messages"],
-                sent_remote=engine.counters["app_messages"],
-                sent_local=engine.counters["local_messages"],
+                events=stats.events_processed,
+                rollbacks=stats.rollbacks,
+                rolled_back=stats.events_rolled_back,
+                antis=stats.anti_messages_sent,
+                sent_remote=stats.messages_sent_remote,
+                sent_local=stats.messages_sent_local,
                 gvt_rounds=loop.gvt_rounds_seen,
-                num_lps=len(engine.lps),
+                num_lps=stats.num_lps,
                 parks=loop.parks,
                 slices=loop.slices,
                 sweeps=loop.sweeps,
@@ -1577,10 +1587,6 @@ def assemble_result(
     (its ``restarts`` are the supervisor's to fill in)."""
     n = len(payloads)
     node_stats: list[NodeStats] = [payloads[i]["stats"] for i in range(n)]
-    totals = {
-        key: sum(payloads[i]["counters"][key] for i in range(n))
-        for key in payloads[0]["counters"]
-    }
     final_values = [0] * circuit.num_gates
     for payload in payloads.values():
         for index, value in payload["final_values"].items():
@@ -1594,16 +1600,11 @@ def assemble_result(
         num_nodes=n,
         num_cycles=num_cycles,
         execution_time=max(s.wall_time for s in node_stats),
-        events_processed=totals["events"],
-        events_rolled_back=totals["rolled_back"],
-        rollbacks=totals["rollbacks"],
-        app_messages=totals["app_messages"],
-        anti_messages=totals["anti_messages"],
-        local_messages=totals["local_messages"],
+        **node_totals(node_stats),
         gvt_rounds=payloads[0]["gvt_rounds"],
         lazy_reuses=0,
         peak_history=sum(p["peak_history"] for p in payloads.values()),
-        migrations=totals["migrations_out"],
+        migrations=sum(p["counters"]["migrations_out"] for p in payloads.values()),
         final_values=final_values,
         node_stats=node_stats,
         committed_captures=sorted(

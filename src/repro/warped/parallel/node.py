@@ -5,11 +5,16 @@ This is the single-node core of the protocol the virtual kernel
 :class:`~repro.warped.lp.LogicalProcess` state saving, the same
 :class:`~repro.warped.queues.NodeQueue`, the same eager rollback with
 iterative cancellation cascades — and, as one shared copy, the same
-:class:`~repro.warped.world.World`, fossil sweep, commit flush and
-migrant policy.  What differs is the boundary — remote
+:class:`~repro.warped.world.World`, rollback (``unwind`` and its
+``rollback`` trace record), fossil sweep, commit flush and migrant
+policy.  What differs is the boundary — remote
 sends leave through an outbox the hosting worker loop flushes onto real
 ``multiprocessing`` queues, and stragglers/anti-messages arrive whenever
 the transport delivers them, not on a modelled clock.
+
+:attr:`NodeEngine.counters` is the engine's one set of books; the
+node's :class:`~repro.warped.stats.NodeStats` is built from it when the
+node reports.
 
 The engine is transport-agnostic on purpose: unit tests drive two
 engines in one process by shuttling their outboxes by hand, and the
@@ -29,11 +34,11 @@ from repro.sim.event import CAPTURE, SIG, STIM
 from repro.sim.stimulus import Stimulus
 from repro.warped.lp import (
     LogicalProcess, ProcessedRecord, flush_committed, fossil_sweep,
+    trace_rollback, unwind,
 )
 from repro.warped.messages import ANTI, Message
 from repro.warped.parallel.protocol import T_INF
 from repro.warped.queues import NodeQueue
-from repro.warped.stats import NodeStats
 from repro.warped.world import World
 
 
@@ -70,7 +75,6 @@ class NodeEngine:
         #: LPs hosted here, keyed by gate index.
         self.lps: dict[int, LogicalProcess] = world.roster_lps(node)
         self.queue = NodeQueue()
-        self.stats = NodeStats(node=node, num_lps=len(self.lps))
         #: The send buffer: remote messages produced since the worker
         #: loop's last wire flush, as (dest_node, Message) in emission
         #: order.  The loop ships and clears it (``NodeLoop.flush_wire``).
@@ -147,56 +151,28 @@ class NodeEngine:
         else:
             self.outbox.append((self.owner(em.dest), em.make_anti()))
             self.counters["anti_messages"] += 1
-            self.stats.anti_messages_sent += 1
 
     def _rollback(
         self,
         lp: LogicalProcess,
         to_key,
         cancel_uid: int | None,
-        cause_msg: Message | None = None,
+        cause_msg: Message,
     ) -> None:
-        undone = 0
-        antis = [] if self.tracer is not None else None
-        while lp.last_key >= to_key:
-            record = lp.undo_last()
-            undone += 1
-            msg = record.msg
-            if msg.prio == CAPTURE:
-                self.capture_log.pop((msg.dest, msg.n), None)
-            if cancel_uid is not None and msg.uid == cancel_uid:
-                pass  # the annihilated positive: not re-enqueued
-            else:
-                self.queue.push(msg)
+        records, _ = unwind(lp, to_key, cancel_uid, self.queue, self.capture_log)
+        for record in records:
             for em in record.emissions:
                 self._dispatch_anti(em)
-            if antis is not None:
-                antis.extend(em.uid for em in record.emissions)
-        self._history -= undone
+        self._history -= len(records)
         if not lp.processed:
-            self._oldest.pop(lp.gate.index, None)
-        self.counters["rollbacks"] += 1
-        self.counters["rolled_back"] += undone
-        self.stats.rollbacks += 1
-        self.stats.events_rolled_back += undone
+            self._oldest.pop(lp.gate_index, None)
+        counters = self.counters
+        counters["rollbacks"] += 1
+        counters["rolled_back"] += len(records)
         if self.tracer is not None:
-            # Enriched forensics record: the triggering message and the
-            # uids of every undone send — the links repro.obs.causality
-            # chains into rollback cascades.
-            self.tracer.emit(
-                "rollback",
-                rid=self.counters["rollbacks"],
-                lp=lp.gate.index,
-                depth=undone,
-                t=int(to_key[0]),
-                cause_kind="anti" if cancel_uid is not None else "straggler",
-                cause_uid=None if cause_msg is None else cause_msg.uid,
-                cause_src=None if cause_msg is None else cause_msg.src,
-                cause_node=(
-                    None if cause_msg is None else self.owner(cause_msg.src)
-                ),
-                cause_t=None if cause_msg is None else cause_msg.time,
-                antis=antis,
+            trace_rollback(
+                self.tracer, lp, counters["rollbacks"], records, to_key,
+                cancel_uid, cause_msg, self.owner(cause_msg.src),
             )
 
     def _apply_cancel(self, em: Message) -> None:
@@ -524,17 +500,13 @@ class NodeEngine:
         history_total: int,
         peak_history: int,
     ) -> None:
-        """Store :meth:`run_batch`'s local scalars into the engine.
-
-        ``counters[...]`` and the :class:`NodeStats` field of the same
-        quantity advance in lock-step (in ``run_batch`` and nowhere
-        else), so one value serves both.
-        """
+        """Store :meth:`run_batch`'s local scalars into the engine:
+        three of its :attr:`counters`, the uid cursor and the history
+        size with its high-water mark."""
         counters = self.counters
-        stats = self.stats
-        counters["events"] = stats.events_processed = events
-        counters["local_messages"] = stats.messages_sent_local = local_messages
-        counters["app_messages"] = stats.messages_sent_remote = app_messages
+        counters["events"] = events
+        counters["local_messages"] = local_messages
+        counters["app_messages"] = app_messages
         self._uid_next = uid_next
         self._history = history_total
         self.peak_history = peak_history
@@ -586,13 +558,7 @@ class NodeEngine:
             lp = self.lps.pop(index)
             self._history -= len(lp.processed)
             self._oldest.pop(index, None)
-            states[index] = (
-                list(lp._fanin_values),
-                lp.output_value,
-                lp.last_key,
-                lp.processed,
-                lp.emission_seq,
-            )
+            states[index] = _lp_state(lp)
         pending = self.queue.extract_dests(moved_set)
         antis = {
             uid: msg
@@ -610,7 +576,6 @@ class NodeEngine:
             del self.capture_log[key]
         self.apply_ownership(moving, dest_node, version)
         self.counters["migrations_out"] += len(moving)
-        self.stats.num_lps = len(self.lps)
         return {
             "gates": moving,
             "lps": states,
@@ -630,13 +595,12 @@ class NodeEngine:
         self.capture_log.update(payload["capture_log"])
         self.apply_ownership(gates, self.node, version)
         self.counters["migrations_in"] += len(gates)
-        self.stats.num_lps = len(self.lps)
         return gates
 
     def _install_lp(self, index: int, state: tuple) -> None:
         """Host gate *index* with the LP *state* a migration or a
-        snapshot packed (see :meth:`snapshot_state`), accounting for
-        the history it arrives with."""
+        snapshot packed (see :func:`_lp_state`), accounting for the
+        history it arrives with."""
         fanin, out, last_key, processed, eseq = state
         lp = self.lps[index] = self.world.new_lp(index, self.node)
         lp._fanin_values = fanin
@@ -670,21 +634,11 @@ class NodeEngine:
         the same call, before the event loop runs again).
         """
         return {
-            "lps": {
-                index: (
-                    list(lp._fanin_values),
-                    lp.output_value,
-                    lp.last_key,
-                    lp.processed,
-                    lp.emission_seq,
-                )
-                for index, lp in self.lps.items()
-            },
+            "lps": {index: _lp_state(lp) for index, lp in self.lps.items()},
             "queue": self.queue.pending(),
             "waiting_antis": self._waiting_antis,
             "capture_log": self.capture_log,
             "counters": self.counters,
-            "stats": self.stats,
             "peak_history": self.peak_history,
             "uid_next": self._uid_next,
             # Migration moves LPs between nodes at epoch boundaries, so
@@ -716,7 +670,6 @@ class NodeEngine:
         self._waiting_antis = snap["waiting_antis"]
         self.capture_log = snap["capture_log"]
         self.counters = snap["counters"]
-        self.stats = snap["stats"]
         self.peak_history = snap["peak_history"]
         self._uid_next = snap["uid_next"]
 
@@ -737,3 +690,16 @@ class NodeEngine:
     def final_values(self) -> dict[int, int]:
         """Quiescent output value of every local LP."""
         return {index: lp.output_value for index, lp in self.lps.items()}
+
+
+def _lp_state(lp: LogicalProcess) -> tuple:
+    """The state of *lp* a migration or a snapshot carries, in the
+    shape :meth:`NodeEngine._install_lp` takes: fanin values (a copy),
+    output value, last key, history and emission counter."""
+    return (
+        list(lp._fanin_values),
+        lp.output_value,
+        lp.last_key,
+        lp.processed,
+        lp.emission_seq,
+    )

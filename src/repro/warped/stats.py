@@ -43,6 +43,19 @@ class NodeStats:
         return min(1.0, self.busy_time / self.wall_time)
 
 
+def node_totals(node_stats: list[NodeStats]) -> dict[str, int]:
+    """The event and message totals of a :class:`TimeWarpResult`, as
+    sums over its nodes (keyed by result field)."""
+    return {
+        "events_processed": sum(s.events_processed for s in node_stats),
+        "events_rolled_back": sum(s.events_rolled_back for s in node_stats),
+        "rollbacks": sum(s.rollbacks for s in node_stats),
+        "app_messages": sum(s.messages_sent_remote for s in node_stats),
+        "anti_messages": sum(s.anti_messages_sent for s in node_stats),
+        "local_messages": sum(s.messages_sent_local for s in node_stats),
+    }
+
+
 @dataclass
 class TimeWarpResult:
     """Outcome of one optimistic parallel run.

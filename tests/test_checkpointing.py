@@ -1,15 +1,19 @@
 """Tests for periodic checkpointing with coast-forward."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.circuit import parse_bench
 from repro.circuit.netlists import load_s27
 from repro.errors import ConfigError, SimulationError
 from repro.partition import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
-from repro.sim.event import SIG
+from repro.sim.event import CAPTURE, SIG
 from repro.warped import TimeWarpSimulator, VirtualMachine
-from repro.warped.lp import LogicalProcess
+from repro.warped.lp import LogicalProcess, unwind
 from repro.warped.messages import Message
+from repro.warped.queues import NodeQueue
 
 
 def uid_gen():
@@ -22,10 +26,52 @@ def uid_gen():
     return next_uid
 
 
+_DFF_CIRCUIT = parse_bench(
+    "INPUT(a)\nINPUT(b)\ng = AND(a, b)\nq = DFF(g)\nOUTPUT(q)\n"
+)
+
+
+@st.composite
+def _histories(draw):
+    """(gate index, messages in increasing key order) for the AND gate
+    ``g`` (signals from a or b) or the flip-flop ``q`` (signals from g
+    and per-cycle CAPTUREs); uids count from 1000."""
+    c = _DFF_CIRCUIT
+    gate = c.index_of(draw(st.sampled_from(["g", "q"])))
+    if gate == c.index_of("g"):
+        sources = [c.index_of("a"), c.index_of("b")]
+    else:
+        sources = [c.index_of("g"), None]  # None: a CAPTURE
+    steps = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.sampled_from(sources), st.integers(0, 1)),
+        min_size=1, max_size=14,
+    ))
+    messages = []
+    t = 0
+    for n, (dt, src, value) in enumerate(steps):
+        t += dt
+        if src is None:
+            msg = Message(t, CAPTURE, gate, n, 0, gate, 1000 + n)
+        else:
+            msg = Message(t, SIG, src, n, value, gate, 1000 + n)
+        messages.append(msg)
+    return gate, messages
+
+
+def _feed(lp, messages) -> dict:
+    """Process *messages* on *lp*; returns the capture log an executive
+    would keep (a capture that changed the output is logged)."""
+    capture_log = {}
+    nxt = uid_gen()
+    for msg in messages:
+        record = lp.process(msg, nxt)
+        if msg.prio == CAPTURE and record.old_output != lp.output_value:
+            capture_log[(msg.dest, msg.n)] = lp.output_value
+    return capture_log
+
+
 @pytest.fixture()
 def chain_lp():
-    from repro.circuit import parse_bench
-
     c = parse_bench(
         "INPUT(a)\nINPUT(b)\ng = AND(a, b)\nq = NOT(g)\nOUTPUT(q)\n"
     )
@@ -95,6 +141,59 @@ class TestLpCheckpointMode:
         # rollback to a post-GVT key still works
         undone, _ = lp.rollback_to((5, SIG, a, 5))
         assert len(undone) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(history=_histories(), interval=st.integers(1, 5), data=st.data())
+    def test_unwind_same_for_both_state_savers(self, history, interval, data):
+        """:func:`unwind` leaves an incremental LP and a checkpointing
+        one in the same state, with the same records, queue and
+        capture log — the state of an LP that never saw the undone
+        suffix."""
+        gate, messages = history
+        cut = data.draw(st.integers(0, len(messages) - 1), label="cut")
+        cancel_uid = (
+            messages[cut].uid if data.draw(st.booleans(), label="cancel")
+            else None
+        )
+        to_key = messages[cut].key
+        outcomes = []
+        for checkpoint_interval in (None, interval):
+            lp = LogicalProcess(
+                _DFF_CIRCUIT.gates[gate], node=0,
+                checkpoint_interval=checkpoint_interval,
+            )
+            capture_log = _feed(lp, messages)
+            queue = NodeQueue()
+            records, _ = unwind(lp, to_key, cancel_uid, queue, capture_log)
+            outcomes.append((
+                list(lp._fanin_values),
+                lp.output_value,
+                lp.last_key,
+                [r.msg.uid for r in lp.processed],
+                lp.processed_uids,
+                [
+                    (r.msg.uid, r.old_input, r.old_output,
+                     [(em.uid, em.key, em.value, em.dest) for em in r.emissions])
+                    for r in records
+                ],
+                [msg.uid for msg in queue.pending()],
+                capture_log,
+            ))
+        assert outcomes[0] == outcomes[1]
+        fresh = LogicalProcess(_DFF_CIRCUIT.gates[gate], node=0)
+        fresh_log = _feed(fresh, messages[:cut])
+        fanin, out, last_key, processed, uids, records, pending, log = outcomes[0]
+        assert (fanin, out, last_key, log) == (
+            fresh._fanin_values, fresh.output_value, fresh.last_key, fresh_log
+        )
+        assert processed == [msg.uid for msg in messages[:cut]]
+        assert uids == set(processed)
+        assert [uid for uid, *_ in records] == [
+            msg.uid for msg in reversed(messages[cut:])
+        ]
+        assert pending == [
+            msg.uid for msg in messages[cut:] if msg.uid != cancel_uid
+        ]
 
 
 class TestKernelCheckpointMode:

@@ -223,6 +223,53 @@ class TestEngineTracing:
         assert summary["kinds"]["node_summary"] == 3
         assert result.rollbacks > 0  # Random x3 must produce stragglers
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {},
+            {"cancellation": "lazy"},
+            {"checkpoint_interval": 4},
+            {"migration_threshold": 1.5},
+        ],
+        ids=["aggressive", "lazy", "checkpoint-4", "migration-1.5"],
+    )
+    def test_virtual_books_are_per_node(self, s27, tmp_path, policy):
+        """Each node numbers its own rollbacks 1, 2, ... (the process
+        backend's ``rid``), and every result total is a sum over nodes."""
+        path = str(tmp_path / "books.jsonl")
+        stimulus = RandomStimulus(s27, num_cycles=20, period=20, seed=5)
+        assignment = get_partitioner("Random", seed=4).partition(s27, 3)
+        machine = VirtualMachine(num_nodes=3, gvt_interval=16, **policy)
+        with TraceWriter(path) as tracer:
+            result = TimeWarpSimulator(
+                s27, assignment, stimulus, machine, tracer=tracer
+            ).run()
+        nodes = result.node_stats
+        rids: dict[int, list[int]] = {s.node: [] for s in nodes}
+        for record in read_trace(path):
+            if record["kind"] == "rollback":
+                rids[record["node"]].append(record["rid"])
+        for s in nodes:
+            assert rids[s.node] == list(range(1, s.rollbacks + 1))
+        assert sum(1 for s in nodes if s.rollbacks) > 1
+        assert (
+            result.events_processed,
+            result.events_rolled_back,
+            result.rollbacks,
+            result.app_messages,
+            result.anti_messages,
+            result.local_messages,
+        ) == (
+            sum(s.events_processed for s in nodes),
+            sum(s.events_rolled_back for s in nodes),
+            sum(s.rollbacks for s in nodes),
+            sum(s.messages_sent_remote for s in nodes),
+            sum(s.anti_messages_sent for s in nodes),
+            sum(s.messages_sent_local for s in nodes),
+        )
+        if "migration_threshold" in policy:
+            assert result.migrations > 0
+
     def test_report_renders(self, s27, tmp_path):
         path = str(tmp_path / "r.jsonl")
         stimulus = RandomStimulus(s27, num_cycles=10, period=20, seed=5)
