@@ -14,14 +14,10 @@ from conftest import save_artifact
 from repro.partition.metrics import partition_quality
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.utils.tables import format_table
-from repro.warped.kernel import TimeWarpSimulator
-from repro.warped.machine import VirtualMachine
 
 
 def test_ablation_coarsening_scheme(benchmark, runner, artifact_dir):
     circuit = runner.circuit("s9234")
-    stim = runner.stimulus("s9234")
-    seq = runner.sequential("s9234")
 
     def build_table():
         rows = []
@@ -32,16 +28,7 @@ def test_ablation_coarsening_scheme(benchmark, runner, artifact_dir):
             )
             assignment = partitioner.partition(circuit, 8)
             quality = partition_quality(assignment)
-            machine = VirtualMachine(
-                num_nodes=8,
-                cost_model=runner.config.tw_costs,
-                gvt_interval=runner.config.gvt_interval,
-                optimism_window=runner.config.optimism_window,
-            )
-            result = TimeWarpSimulator(
-                circuit, assignment, stim, machine
-            ).run()
-            assert result.final_values == seq.final_values
+            result = runner.simulate("s9234", assignment)
             data[scheme] = (quality, result)
             rows.append(
                 (

@@ -12,31 +12,18 @@ virtual-time grid regardless of where the cut lies.
 
 from conftest import save_artifact
 
-from repro.conservative import ConservativeSimulator
 from repro.utils.tables import format_table
-from repro.warped.machine import VirtualMachine
 
 COMPARED = ("Multilevel", "Random", "DFS")
 
 
 def test_ablation_conservative(benchmark, runner, artifact_dir):
-    circuit = runner.circuit("s9234")
-    stim = runner.stimulus("s9234")
-    seq = runner.sequential("s9234")
-
     def build_table():
         rows = []
         data = {}
         for algorithm in COMPARED:
             tw = runner.run("s9234", algorithm, 8)
-            machine = VirtualMachine(
-                num_nodes=8,
-                cost_model=runner.config.tw_costs,
-            )
-            cmb = ConservativeSimulator(
-                circuit, runner.partition("s9234", algorithm, 8), stim, machine
-            ).run()
-            assert cmb.final_values == seq.final_values
+            cmb = runner.run("s9234", algorithm, 8, kernel="conservative")
             data[algorithm] = (tw, cmb)
             rows.append(
                 (
@@ -63,5 +50,3 @@ def test_ablation_conservative(benchmark, runner, artifact_dir):
     for algorithm, (tw, cmb) in data.items():
         assert cmb.execution_time > tw.execution_time, algorithm
         assert cmb.null_messages > cmb.app_messages, algorithm
-
-

@@ -7,33 +7,15 @@ Finding (recorded in EXPERIMENTS.md): under this machine model lazy
 loses across the board — deferring cancellation lets wrong values
 propagate several gate-hops further before the antis land, and the
 enlarged cascades dwarf the reuse savings. The bench therefore asserts
-the policy's *invariants* — identical results to aggressive, a
-non-trivial reuse rate, more total events (the propagation effect) —
-and reports the comparison table rather than asserting a winner.
+the policy's *invariants* — results equal to the sequential oracle (the
+runner checks every run), a non-trivial reuse rate — and reports the
+comparison table rather than asserting a winner.
 """
 
 from conftest import save_artifact
 
 from repro.harness.config import ALGORITHMS
 from repro.utils.tables import format_table
-from repro.warped.kernel import TimeWarpSimulator
-from repro.warped.machine import VirtualMachine
-
-
-def _run(runner, algorithm, nodes, cancellation):
-    machine = VirtualMachine(
-        num_nodes=nodes,
-        cost_model=runner.config.tw_costs,
-        gvt_interval=runner.config.gvt_interval,
-        optimism_window=runner.config.optimism_window,
-        cancellation=cancellation,
-    )
-    return TimeWarpSimulator(
-        runner.circuit("s9234"),
-        runner.partition("s9234", algorithm, nodes),
-        runner.stimulus("s9234"),
-        machine,
-    ).run()
 
 
 def test_ablation_lazy_cancellation(benchmark, runner, artifact_dir):
@@ -41,8 +23,7 @@ def test_ablation_lazy_cancellation(benchmark, runner, artifact_dir):
         rows = []
         for algorithm in ALGORITHMS:
             aggressive = runner.run("s9234", algorithm, 8)
-            lazy = _run(runner, algorithm, 8, "lazy")
-            assert lazy.final_values == aggressive.final_values
+            lazy = runner.run("s9234", algorithm, 8, cancellation="lazy")
             rows.append(
                 (
                     algorithm,

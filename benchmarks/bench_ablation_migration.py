@@ -16,38 +16,19 @@ replace, good static partitioning.
 from conftest import save_artifact
 
 from repro.utils.tables import format_table
-from repro.warped.kernel import TimeWarpSimulator
-from repro.warped.machine import VirtualMachine
 
 COMPARED = ("Multilevel", "ConePartition", "Cluster", "Topological")
 
 
-def _run(runner, algorithm, threshold):
-    machine = VirtualMachine(
-        num_nodes=8,
-        cost_model=runner.config.tw_costs,
-        gvt_interval=runner.config.gvt_interval,
-        optimism_window=runner.config.optimism_window,
-        migration_threshold=threshold,
-    )
-    return TimeWarpSimulator(
-        runner.circuit("s9234"),
-        runner.partition("s9234", algorithm, 8),
-        runner.stimulus("s9234"),
-        machine,
-    ).run()
-
-
 def test_ablation_migration(benchmark, runner, artifact_dir):
-    seq = runner.sequential("s9234")
-
     def build_table():
         rows = []
         data = {}
         for algorithm in COMPARED:
             static = runner.run("s9234", algorithm, 8)
-            dynamic = _run(runner, algorithm, threshold=1.5)
-            assert dynamic.final_values == seq.final_values
+            dynamic = runner.run(
+                "s9234", algorithm, 8, migration_threshold=1.5
+            )
             delta = (
                 (static.execution_time - dynamic.execution_time)
                 / static.execution_time

@@ -9,22 +9,17 @@ that on every run).
 from conftest import save_artifact
 
 from repro.harness.ablations import ablation_window
-from repro.harness.config import ExperimentConfig
-from repro.harness.experiment import ExperimentRunner
 
 
 def test_ablation_window(benchmark, runner, artifact_dir):
     table = benchmark.pedantic(
-        ablation_window, args=(runner.config,), rounds=1, iterations=1
+        ablation_window, args=(runner,), rounds=1, iterations=1
     )
     save_artifact(artifact_dir, "ablation_window.txt", table)
 
-    base = runner.config
-    def record_for(window):
-        config = ExperimentConfig.from_env(window_periods=window)
-        return ExperimentRunner(config).record("s9234", "Multilevel", 8)
-
-    unbounded = record_for(None)
-    tight = record_for(0.5)
+    # The sweep's cells, from the runner's cache: unbounded and 0.5 periods.
+    unbounded = runner.record("s9234", "Multilevel", 8, optimism_window=None)
+    tight = runner.record(
+        "s9234", "Multilevel", 8, optimism_window=runner.config.period // 2
+    )
     assert tight.events_rolled_back <= unbounded.events_rolled_back
-    del base

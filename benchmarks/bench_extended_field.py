@@ -17,13 +17,10 @@ from conftest import save_artifact
 from repro.partition.metrics import partition_quality
 from repro.partition.registry import all_partitioners, get_partitioner
 from repro.utils.tables import format_table
-from repro.warped.kernel import TimeWarpSimulator
-from repro.warped.machine import VirtualMachine
 
 
 def test_extended_field(benchmark, runner, artifact_dir):
     circuit = runner.circuit("s9234")
-    seq = runner.sequential("s9234")
 
     def build_table():
         rows = []
@@ -34,16 +31,7 @@ def test_extended_field(benchmark, runner, artifact_dir):
             )
             assignment = partitioner.partition(circuit, 8)
             quality = partition_quality(assignment)
-            machine = VirtualMachine(
-                num_nodes=8,
-                cost_model=runner.config.tw_costs,
-                gvt_interval=runner.config.gvt_interval,
-                optimism_window=runner.config.optimism_window,
-            )
-            result = TimeWarpSimulator(
-                circuit, assignment, runner.stimulus("s9234"), machine
-            ).run()
-            assert result.final_values == seq.final_values
+            result = runner.simulate("s9234", assignment)
             data[name] = (quality, result, partitioner.last_runtime)
             rows.append(
                 (

@@ -5,70 +5,36 @@ dynamics; this bench renders the same correlation from *traced* runs —
 every rollback cascade-attributed to the straggler that rooted it, the
 wasted-event totals asserted to reconcile exactly with the kernel
 counters — so the artifact is an audited version of the paper's story:
-smaller cuts => fewer boundary stragglers => less wasted work.
+smaller cuts => fewer boundary stragglers => less wasted work.  The
+sweep is ``tools/partition_report.py``'s, on the session runner's
+machine.
 """
 
 from __future__ import annotations
 
-import os
+import pathlib
+import sys
 
 from conftest import save_artifact
 
-from repro.obs import (
-    TraceWriter,
-    analyze_trace,
-    read_trace,
-    render_analysis,
-    render_scorecard,
-    scorecard_row,
-)
-from repro.harness.config import ALGORITHMS
-from repro.warped import TimeWarpSimulator, VirtualMachine
+from repro.obs import render_scorecard
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+from partition_report import build_scorecard  # noqa: E402
 
 CIRCUIT = "s9234"
 NODES = 4
 
 
 def test_partition_scorecard(benchmark, runner, artifact_dir):
-    def sweep():
-        circuit = runner.circuit(CIRCUIT)
-        stimulus = runner.stimulus(CIRCUIT)
-        rows = []
-        forensics = []
-        machine = VirtualMachine(
-            num_nodes=NODES,
-            cost_model=runner.config.tw_costs,
-            gvt_interval=runner.config.gvt_interval,
-            optimism_window=runner.config.optimism_window,
-        )
-        for algorithm in ALGORITHMS:
-            assignment = runner.partition(CIRCUIT, algorithm, NODES)
-            trace_path = os.path.join(
-                artifact_dir, f"scorecard_{CIRCUIT}.{algorithm}.jsonl"
-            )
-            with TraceWriter(trace_path) as tracer:
-                result = TimeWarpSimulator(
-                    circuit, assignment, stimulus, machine, tracer=tracer
-                ).run()
-            records = read_trace(trace_path)
-            # Raises unless every rollback is cascade-attributed and
-            # the wasted totals reconcile with the kernel counters.
-            rows.append(scorecard_row(result, assignment, records))
-            forensics.append(render_analysis(
-                analyze_trace(
-                    records, circuit=circuit, assignment=assignment,
-                    cost_model=machine.cost_model,
-                ),
-                title=f"{CIRCUIT} / {algorithm} x{NODES}",
-            ))
-        return rows, forensics
-
-    rows, forensics = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows, forensics = benchmark.pedantic(
+        build_scorecard,
+        args=(runner, CIRCUIT, NODES),
+        kwargs={"trace_dir": str(artifact_dir), "forensics": True},
+        rounds=1,
+        iterations=1,
+    )
     assert all(row["reconciled"] for row in rows)
-    # The paper's correlation, asserted directionally on the extremes:
-    # the best-cut partitioner wastes no more events per cut edge than
-    # the worst-cut one wastes in total proportion... kept as a rendered
-    # artifact rather than a brittle numeric assertion.
     scorecard = render_scorecard(
         rows,
         title=f"{CIRCUIT} x{NODES} nodes ({runner.config.describe()})",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ConfigError
 from repro.harness.config import ALGORITHMS, ExperimentConfig
 from repro.harness.experiment import ExperimentRunner
 
@@ -237,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(ablations.ablation_scaling())
         print()
-        print(ablations.ablation_window(runner.config))
+        print(ablations.ablation_window(runner))
     elif args.command == "report":
         from repro.harness.report import generate_report
 
@@ -251,27 +252,12 @@ def main(argv: list[str] | None = None) -> int:
             print(report)
     elif args.command == "run":
         seq = runner.sequential(args.circuit)
-        if args.kernel == "conservative":
-            if runner.config.backend == "process":
-                parser.error(
-                    "--kernel conservative runs only on the virtual "
-                    "backend (--backend process is Time Warp only)"
-                )
-            from repro.conservative import ConservativeSimulator
-            from repro.warped.machine import VirtualMachine
-
-            result = ConservativeSimulator(
-                runner.circuit(args.circuit),
-                runner.partition(args.circuit, args.algorithm, args.nodes),
-                runner.stimulus(args.circuit),
-                VirtualMachine(
-                    num_nodes=args.nodes,
-                    cost_model=runner.config.tw_costs,
-                ),
-            ).run()
-            assert result.final_values == seq.final_values
-        else:
-            result = runner.run(args.circuit, args.algorithm, args.nodes)
+        try:
+            result = runner.run(
+                args.circuit, args.algorithm, args.nodes, kernel=args.kernel
+            )
+        except ConfigError as exc:
+            parser.error(str(exc))
         print(f"sequential: {seq.execution_time:.2f}s "
               f"({seq.events_processed} events)")
         print(result.summary())

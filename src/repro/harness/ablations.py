@@ -8,9 +8,10 @@ Section 6 lists as ongoing work.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.circuit.generate import GeneratorSpec, generate_circuit
-from repro.harness.config import ALGORITHMS, ExperimentConfig
+from repro.harness.config import ALGORITHMS
 from repro.harness.experiment import ExperimentRunner
 from repro.partition.metrics import partition_quality
 from repro.partition.multilevel.multilevel import MultilevelPartitioner
@@ -157,7 +158,7 @@ def ablation_scaling(
 
 
 def ablation_window(
-    base_config: ExperimentConfig,
+    runner: ExperimentRunner,
     circuit_name: str = "s9234",
     k: int = 8,
     windows: tuple[float | None, ...] = (None, 4.0, 2.0, 1.0, 0.5),
@@ -165,21 +166,12 @@ def ablation_window(
     """A5: optimism-window sweep for the multilevel partition."""
     rows = []
     for window in windows:
-        config = ExperimentConfig(
-            scale=base_config.scale,
-            num_cycles=base_config.num_cycles,
-            period=base_config.period,
-            activity=base_config.activity,
-            circuit_seed=base_config.circuit_seed,
-            stimulus_seed=base_config.stimulus_seed,
-            partition_seed=base_config.partition_seed,
-            window_periods=window,
-            gvt_interval=base_config.gvt_interval,
-            tw_costs=base_config.tw_costs,
-            seq_costs=base_config.seq_costs,
+        record = runner.record(
+            circuit_name, "Multilevel", k,
+            optimism_window=replace(
+                runner.config, window_periods=window
+            ).optimism_window,
         )
-        runner = ExperimentRunner(config)
-        record = runner.record(circuit_name, "Multilevel", k)
         rows.append(
             (
                 "unbounded" if window is None else f"{window:g}",

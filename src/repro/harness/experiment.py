@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.circuit.graph import CircuitGraph
 from repro.circuit.iscas89 import load_benchmark
+from repro.conservative import ConservativeResult, ConservativeSimulator
+from repro.errors import ConfigError
 from repro.harness.config import ExperimentConfig
 from repro.obs import Metrics, TraceWriter
 from repro.partition.assignment import PartitionAssignment
@@ -16,6 +18,14 @@ from repro.warped.kernel import TimeWarpSimulator
 from repro.warped.machine import VirtualMachine
 from repro.warped.parallel import ProcessTimeWarpSimulator
 from repro.warped.stats import TimeWarpResult
+
+#: Machine fields that key a cached run (``network`` has no value
+#: equality; it keys only when a caller passes one).
+_POLICY_FIELDS = tuple(
+    field.name
+    for field in fields(VirtualMachine)
+    if field.name not in ("num_nodes", "network")
+)
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,7 @@ class ExperimentRunner:
         self._stimuli: dict[tuple[str, int], RandomStimulus] = {}
         self._sequential: dict[tuple[str, int], SequentialResult] = {}
         self._partitions: dict[tuple[str, str, int], PartitionAssignment] = {}
-        self._runs: dict[tuple[str, str, int, int], TimeWarpResult] = {}
+        self._runs: dict[tuple, TimeWarpResult | ConservativeResult] = {}
         #: Harness-level counters/timers (a sink unless metrics_enabled).
         self.metrics = Metrics(enabled=self.config.metrics_enabled)
         #: Trace files written so far, in execution order.
@@ -160,72 +170,127 @@ class ExperimentRunner:
             self._partitions[key] = partitioner.partition(self.circuit(name), k)
         return self._partitions[key]
 
-    def run(
-        self, name: str, algorithm: str, nodes: int, rep: int = 0
-    ) -> TimeWarpResult:
-        """One optimistic parallel run (cached), verified against the oracle."""
-        key = (name, algorithm, nodes, rep)
-        if key not in self._runs:
-            machine = VirtualMachine(
-                num_nodes=nodes,
-                cost_model=self.config.tw_costs,
-                gvt_interval=self.config.gvt_interval,
-                optimism_window=self.config.optimism_window,
-                checkpoint_interval=self.config.checkpoint_interval,
-                migration_threshold=self.config.migration_threshold,
-                migration_fraction=self.config.migration_fraction,
+    def machine(self, nodes: int, **policy) -> VirtualMachine:
+        """The configured machine on *nodes* nodes; any
+        :class:`VirtualMachine` field in *policy* overrides the config."""
+        config = self.config
+        settings = dict(
+            cost_model=config.tw_costs,
+            gvt_interval=config.gvt_interval,
+            optimism_window=config.optimism_window,
+            checkpoint_interval=config.checkpoint_interval,
+            migration_threshold=config.migration_threshold,
+            migration_fraction=config.migration_fraction,
+        )
+        settings.update(policy)
+        return VirtualMachine(num_nodes=nodes, **settings)
+
+    def simulate(
+        self,
+        name: str,
+        assignment: PartitionAssignment,
+        rep: int = 0,
+        *,
+        kernel: str = "timewarp",
+        trace_path: str | None = None,
+        **policy,
+    ) -> TimeWarpResult | ConservativeResult:
+        """Run *assignment* of circuit *name* on :meth:`machine` and
+        check it against the sequential oracle (not memoized).
+
+        *kernel* is ``"timewarp"`` (the configured backend) or
+        ``"conservative"`` (CMB, virtual backend only).
+        """
+        if kernel not in ("timewarp", "conservative"):
+            raise ConfigError(
+                f"kernel must be 'timewarp' or 'conservative', got {kernel!r}"
             )
-            trace_path = self._next_trace_path()
-            quad = (
-                self.circuit(name),
-                self.partition(name, algorithm, nodes),
-                self.stimulus(name, rep),
-                machine,
+        if kernel == "conservative" and self.config.backend == "process":
+            raise ConfigError(
+                "the conservative kernel runs on the virtual backend only "
+                "(the process backend is Time Warp only)"
             )
-            with self.metrics.time("timewarp_run_seconds"):
-                if self.config.backend == "process":
-                    result = ProcessTimeWarpSimulator(
-                        *quad,
-                        trace_path=trace_path,
-                        status_path=self.config.status_path,
-                        max_restarts=self.config.max_restarts,
-                        checkpoint_dir=self.config.checkpoint_dir,
-                        transport=self.config.transport,
-                    ).run()
-                elif trace_path is not None:
-                    with TraceWriter(trace_path) as tracer:
-                        result = TimeWarpSimulator(*quad, tracer=tracer).run()
-                else:
-                    result = TimeWarpSimulator(*quad).run()
-            self.metrics.inc("timewarp_runs")
+        job = (
+            self.circuit(name),
+            assignment,
+            self.stimulus(name, rep),
+            self.machine(assignment.k, **policy),
+        )
+        with self.metrics.time(f"{kernel}_run_seconds"):
+            if kernel == "conservative":
+                result = ConservativeSimulator(*job).run()
+            elif self.config.backend == "process":
+                result = ProcessTimeWarpSimulator(
+                    *job,
+                    trace_path=trace_path,
+                    status_path=self.config.status_path,
+                    max_restarts=self.config.max_restarts,
+                    checkpoint_dir=self.config.checkpoint_dir,
+                    transport=self.config.transport,
+                ).run()
+            elif trace_path is not None:
+                with TraceWriter(trace_path) as tracer:
+                    result = TimeWarpSimulator(*job, tracer=tracer).run()
+            else:
+                result = TimeWarpSimulator(*job).run()
+        self.metrics.inc(f"{kernel}_runs")
+        if kernel == "timewarp":
             self.metrics.inc("rollbacks_total", result.rollbacks)
             self.metrics.observe("gvt_rounds", result.gvt_rounds)
             self.metrics.observe("rollbacks_per_run", result.rollbacks)
-            # Correctness oracle: optimism must not change results.
-            seq = self.sequential(name, rep)
-            if result.final_values != seq.final_values:
-                raise AssertionError(
-                    f"Time Warp diverged from sequential on {key}"
-                )
-            if (
-                result.committed_captures is not None
-                and result.committed_captures != seq.committed_captures
-            ):
-                raise AssertionError(
-                    f"Time Warp capture history diverged from sequential "
-                    f"on {key}"
-                )
-            self._runs[key] = result
+        # Correctness oracle: neither optimism nor any policy may change
+        # the committed results.
+        why = self.sequential(name, rep).disagreement(result)
+        if why is not None:
+            raise AssertionError(
+                f"{kernel} run of {name} ({assignment.algorithm} "
+                f"x{assignment.k}, rep {rep}, {policy}): {why}"
+            )
+        return result
+
+    def run(
+        self,
+        name: str,
+        algorithm: str,
+        nodes: int,
+        rep: int = 0,
+        *,
+        kernel: str = "timewarp",
+        **policy,
+    ) -> TimeWarpResult | ConservativeResult:
+        """One oracle-checked cell (cached by its resolved machine, so a
+        policy equal to the config's own value is the Table 2 cell)."""
+        machine = self.machine(nodes, **policy)
+        key = (
+            name, algorithm, nodes, rep, kernel, policy.get("network"),
+            *(getattr(machine, field) for field in _POLICY_FIELDS),
+        )
+        if key not in self._runs:
+            self._runs[key] = self.simulate(
+                name,
+                self.partition(name, algorithm, nodes),
+                rep,
+                kernel=kernel,
+                trace_path=(
+                    self._next_trace_path() if kernel == "timewarp" else None
+                ),
+                **policy,
+            )
         return self._runs[key]
 
-    def record(self, name: str, algorithm: str, nodes: int) -> RunRecord:
-        """The (repetition-averaged) cell for one configuration."""
+    def record(
+        self, name: str, algorithm: str, nodes: int, **policy
+    ) -> RunRecord:
+        """The (repetition-averaged) Time Warp cell for one configuration."""
         reps = self.config.repetitions
         if reps == 1:
-            return RunRecord.from_result(self.run(name, algorithm, nodes))
-        return RunRecord.mean_of(
-            [self.run(name, algorithm, nodes, rep) for rep in range(reps)]
-        )
+            return RunRecord.from_result(
+                self.run(name, algorithm, nodes, **policy)
+            )
+        return RunRecord.mean_of([
+            self.run(name, algorithm, nodes, rep, **policy)
+            for rep in range(reps)
+        ])
 
     def sweep(
         self,

@@ -54,11 +54,9 @@ def run_case(case: dict) -> list[str]:
     failures: list[str] = []
 
     def check(engine: str, result) -> None:
-        if result.final_values != sequential.final_values:
-            failures.append(f"{engine}: final values diverged from sequential")
-        captures = getattr(result, "committed_captures", None)
-        if captures is not None and captures != sequential.committed_captures:
-            failures.append(f"{engine}: capture history diverged from sequential")
+        why = sequential.disagreement(result)
+        if why is not None:
+            failures.append(f"{engine}: {why}")
 
     process_committed: dict[str, int] = {}
     for engine in case.get("engines", ("timewarp",)):

@@ -44,6 +44,17 @@ class SequentialResult:
         """Final value of the gate called *name*."""
         return self.final_values[circuit.index_of(name)]
 
+    def disagreement(self, result) -> str | None:
+        """The first way a parallel *result* differs from this oracle
+        run, or None: final values, then the committed capture history
+        when *result* keeps one."""
+        if result.final_values != self.final_values:
+            return "final values differ from the sequential oracle"
+        captures = getattr(result, "committed_captures", None)
+        if captures is not None and captures != self.committed_captures:
+            return "committed captures differ from the sequential oracle"
+        return None
+
 
 class SequentialSimulator:
     """Single event queue, global state — the Table 2 baseline."""

@@ -1,8 +1,11 @@
 """Tests for the experiment harness (tiny configurations)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
+from repro.harness import experiment
 from repro.harness.config import (
     ALGORITHMS,
     FIGURE_NODE_COUNTS,
@@ -81,6 +84,83 @@ class TestRunnerCaching:
         assert record.events_processed >= seq.events_processed
         tw = tiny_runner.run("s9234", "Multilevel", 3)
         assert tw.final_values == seq.final_values
+
+
+class TestPolicyPath:
+    """Every artifact cell runs through ``run``/``simulate``: one
+    machine from the config, one oracle check."""
+
+    def test_default_valued_policy_is_the_static_cell(self, tiny_runner):
+        static = tiny_runner.run("s9234", "Random", 2)
+        config = tiny_runner.config
+        assert tiny_runner.run(
+            "s9234", "Random", 2, checkpoint_interval=None
+        ) is static
+        assert tiny_runner.run(
+            "s9234", "Random", 2,
+            optimism_window=config.optimism_window,
+            gvt_interval=config.gvt_interval,
+        ) is static
+
+    def test_policy_cell_cached_separately(self, tiny_runner):
+        static = tiny_runner.run("s9234", "Random", 2)
+        dynamic = tiny_runner.run(
+            "s9234", "Random", 2, migration_threshold=1.5
+        )
+        assert dynamic is not static
+        assert dynamic.migrations > 0 and static.migrations == 0
+        assert tiny_runner.run(
+            "s9234", "Random", 2, migration_threshold=1.5
+        ) is dynamic
+
+    def test_machine_takes_config_then_policy(self, tiny_runner):
+        machine = tiny_runner.machine(3, cancellation="lazy")
+        assert machine.num_nodes == 3
+        assert machine.cancellation == "lazy"
+        assert machine.optimism_window == tiny_runner.config.optimism_window
+        assert machine.cost_model is tiny_runner.config.tw_costs
+
+    def test_conservative_kernel_agrees_with_oracle(self, tiny_runner):
+        cmb = tiny_runner.run("s9234", "DFS", 2, kernel="conservative")
+        assert "CMB" in cmb.summary()
+        assert cmb.final_values == tiny_runner.sequential("s9234").final_values
+        assert tiny_runner.run(
+            "s9234", "DFS", 2, kernel="conservative"
+        ) is cmb
+
+    def test_conservative_kernel_refused_on_process_backend(self):
+        runner = ExperimentRunner(
+            ExperimentConfig(scale=0.03, num_cycles=12, backend="process")
+        )
+        with pytest.raises(ConfigError, match="conservative"):
+            runner.run("s9234", "DFS", 2, kernel="conservative")
+
+    def test_captures_differing_from_oracle_refused(
+        self, tiny_runner, monkeypatch
+    ):
+        real_run = experiment.TimeWarpSimulator.run
+
+        def drop_last_capture(simulator):
+            result = real_run(simulator)
+            assert result.committed_captures
+            result.committed_captures = result.committed_captures[:-1]
+            return result
+
+        monkeypatch.setattr(
+            experiment.TimeWarpSimulator, "run", drop_last_capture
+        )
+        assignment = tiny_runner.partition("s9234", "Random", 2)
+        with pytest.raises(AssertionError, match="committed captures"):
+            tiny_runner.simulate("s9234", assignment)
+
+    def test_disagreement_names_the_first_difference(self, tiny_runner):
+        oracle = tiny_runner.sequential("s9234")
+        result = tiny_runner.run("s9234", "Random", 2)
+        assert oracle.disagreement(result) is None
+        wrong = dataclasses.replace(
+            result, final_values=[1 - v for v in result.final_values]
+        )
+        assert "final values" in oracle.disagreement(wrong)
 
 
 class TestArtifacts:

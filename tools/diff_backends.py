@@ -95,20 +95,19 @@ def main(argv=None) -> int:
         circuit, assignment, stimulus, machine
     ).run()
 
+    # Each row: None when it holds, else what went wrong.
     checks = {
-        "virtual.final_values == sequential":
-            virtual.final_values == sequential.final_values,
-        "process.final_values == sequential":
-            process.final_values == sequential.final_values,
-        "virtual.captures == sequential":
-            virtual.committed_captures == sequential.committed_captures,
-        "process.captures == virtual":
-            process.committed_captures == virtual.committed_captures,
-        "events_committed identical":
-            process.events_committed == virtual.events_committed,
+        "virtual == sequential": sequential.disagreement(virtual),
+        "process == sequential": sequential.disagreement(process),
+        "events_committed identical": (
+            None if process.events_committed == virtual.events_committed
+            else f"virtual {virtual.events_committed}, "
+            f"process {process.events_committed}"
+        ),
     }
-    for label, ok in checks.items():
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
+    for label, why in checks.items():
+        print(f"  [{'ok' if why is None else 'FAIL'}] {label}"
+              + ("" if why is None else f": {why}"))
 
     print(f"\n{'':20s}{'virtual':>12s}{'process':>12s}")
     for field in ("events_processed", "events_rolled_back", "rollbacks",
@@ -117,7 +116,7 @@ def main(argv=None) -> int:
               f"{getattr(process, field):>12d}")
     print(f"{'wall-clock (s)':20s}{'(modelled)':>12s}"
           f"{process.execution_time:>12.3f}")
-    return 0 if all(checks.values()) else 1
+    return 0 if all(why is None for why in checks.values()) else 1
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 try:
@@ -26,81 +27,49 @@ try:
 except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.circuit.iscas89 import load_benchmark
-from repro.harness.config import ALGORITHMS
+from repro.harness.config import ALGORITHMS, ExperimentConfig
+from repro.harness.experiment import ExperimentRunner
 from repro.obs import (
-    TraceWriter,
     analyze_trace,
     read_trace,
     render_analysis,
     render_scorecard,
     scorecard_row,
 )
-from repro.partition.registry import get_partitioner
-from repro.sim import RandomStimulus
-from repro.warped import TimeWarpSimulator, VirtualMachine
 
 
 def build_scorecard(
+    runner: ExperimentRunner,
     circuit_name: str,
     nodes: int,
     *,
-    scale: float = 1.0,
-    num_cycles: int = 40,
-    period: int = 100,
-    stimulus_seed: int = 7,
-    partition_seed: int = 3,
-    circuit_seed: int = 2000,
-    gvt_interval: int = 64,
     algorithms: tuple[str, ...] = ALGORITHMS,
     trace_dir: str | None = None,
     forensics: bool = False,
     migration_threshold: float | None = None,
-    migration_fraction: float = 0.05,
 ) -> tuple[list[dict], list[str]]:
-    """One traced virtual run per partitioner; returns (rows, reports).
+    """One traced, oracle-checked run per partitioner on *runner*'s
+    machine; returns (rows, reports).
 
     With ``migration_threshold`` set, every static row is followed by a
     second ``<algorithm>+adaptive`` row from the same partition rerun
     with runtime LP migration enabled, so the table reads as paired
-    static/adaptive comparisons.  The default (``None``) output is
-    unchanged.
+    static/adaptive comparisons.
     """
-    circuit = load_benchmark(circuit_name, scale=scale, seed=circuit_seed)
-    stimulus = RandomStimulus(
-        circuit, num_cycles=num_cycles, period=period, seed=stimulus_seed
-    )
+    trace_dir = trace_dir or tempfile.mkdtemp(prefix="partition_report.")
     rows: list[dict] = []
     reports: list[str] = []
     for algorithm in algorithms:
-        assignment = get_partitioner(
-            algorithm, seed=partition_seed
-        ).partition(circuit, nodes)
-        variants = [(algorithm, VirtualMachine(
-            num_nodes=nodes, gvt_interval=gvt_interval
-        ))]
+        assignment = runner.partition(circuit_name, algorithm, nodes)
+        variants = [(algorithm, None)]
         if migration_threshold is not None:
-            variants.append((f"{algorithm}+adaptive", VirtualMachine(
-                num_nodes=nodes, gvt_interval=gvt_interval,
-                migration_threshold=migration_threshold,
-                migration_fraction=migration_fraction,
-            )))
-        for label, machine in variants:
-            if trace_dir is not None:
-                trace_path = str(
-                    Path(trace_dir) / f"{circuit_name}.{label}.jsonl"
-                )
-            else:
-                import tempfile
-
-                trace_path = str(
-                    Path(tempfile.mkdtemp(prefix="partition_report."))
-                    / f"{label}.jsonl"
-                )
-            with TraceWriter(trace_path) as tracer:
-                result = TimeWarpSimulator(
-                    circuit, assignment, stimulus, machine, tracer=tracer
-                ).run()
+            variants.append((f"{algorithm}+adaptive", migration_threshold))
+        for label, threshold in variants:
+            trace_path = str(Path(trace_dir) / f"{circuit_name}.{label}.jsonl")
+            result = runner.simulate(
+                circuit_name, assignment, trace_path=trace_path,
+                migration_threshold=threshold,
+            )
             records = read_trace(trace_path)
             # scorecard_row raises AssertionError unless every rollback
             # is cascade-attributed and wasted totals reconcile exactly.
@@ -110,8 +79,9 @@ def build_scorecard(
             if forensics:
                 reports.append(render_analysis(
                     analyze_trace(
-                        records, circuit=circuit, assignment=assignment,
-                        cost_model=machine.cost_model,
+                        records, circuit=runner.circuit(circuit_name),
+                        assignment=assignment,
+                        cost_model=runner.config.tw_costs,
                     ),
                     title=f"{circuit_name} / {label} x{nodes}",
                 ))
@@ -144,13 +114,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.trace_dir is not None:
         Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
-    rows, reports = build_scorecard(
-        args.circuit, args.nodes,
-        scale=args.scale, num_cycles=args.cycles,
-        stimulus_seed=args.seed, trace_dir=args.trace_dir,
-        forensics=args.forensics,
-        migration_threshold=args.adaptive,
+    runner = ExperimentRunner(ExperimentConfig(
+        scale=args.scale, num_cycles=args.cycles, stimulus_seed=args.seed,
+        window_periods=None, gvt_interval=64,
         migration_fraction=args.migration_fraction,
+    ))
+    rows, reports = build_scorecard(
+        runner, args.circuit, args.nodes,
+        trace_dir=args.trace_dir, forensics=args.forensics,
+        migration_threshold=args.adaptive,
     )
     title = f"{args.circuit} x{args.nodes} nodes, {args.cycles} cycles"
     print(render_scorecard(rows, title=title))

@@ -57,11 +57,7 @@ def verdict(run, oracle) -> str | None:
         result = run()
     except ReproError as exc:
         return str(exc).splitlines()[0]
-    if result.final_values != oracle.final_values:
-        return "final values differ from the sequential oracle"
-    if result.committed_captures != oracle.committed_captures:
-        return "committed captures differ from the sequential oracle"
-    return None
+    return oracle.disagreement(result)
 
 
 def soak_warm(
