@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from repro.circuit.gate import GateType
 from repro.errors import CircuitError
 
@@ -219,9 +217,11 @@ class CircuitGraph:
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.MultiDiGraph:
+    def to_networkx(self) -> networkx.MultiDiGraph:
         """Export as a :class:`networkx.MultiDiGraph` (parallel edges kept)."""
-        g = nx.MultiDiGraph(name=self.name)
+        import networkx  # here only, so the CLI and the server start without it
+
+        g = networkx.MultiDiGraph(name=self.name)
         for gate in self.gates:
             g.add_node(
                 gate.index,

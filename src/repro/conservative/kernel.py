@@ -345,7 +345,6 @@ class ConservativeSimulator:
                 wall[node] += cost.send_overhead * remote_sends
             # History is irrelevant without rollback: reclaim it.
             lp.processed.clear()
-            lp.processed_uids.clear()
 
         return ConservativeResult(
             circuit_name=circuit.name,

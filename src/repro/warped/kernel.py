@@ -55,7 +55,7 @@ from repro.warped.lp import (
     trace_rollback, unwind,
 )
 from repro.warped.machine import VirtualMachine, check_job
-from repro.warped.messages import ANTI, Message
+from repro.warped.messages import ANTI, Message, fan_out
 from repro.warped.network import UniformNetwork
 from repro.warped.queues import NodeQueue
 from repro.warped.stats import NodeStats, TimeWarpResult, node_totals
@@ -161,7 +161,8 @@ class TimeWarpSimulator:
 
         # Fresh message uids, minted at C speed (one closure frame per
         # uid was measurable at ~1.4 uid mints per event).
-        next_uid = count(first_uid).__next__
+        uids = count(first_uid)
+        next_uid = uids.__next__
 
         flight_seq = 0
         trace = self.trace_hook
@@ -331,7 +332,7 @@ class TimeWarpSimulator:
             if queue.annihilate(em):
                 if trace:
                     trace("annihilate_pending", em.uid)
-            elif em.uid in lp.processed_uids:
+            elif lp.holds(em):
                 if trace:
                     trace("cancel_rollback", em.uid, lp.gate.index)
                 rollback(lp, em.key, now_wall, cancel_uid=em.uid, cause_msg=em)
@@ -725,10 +726,9 @@ class TimeWarpSimulator:
                                 em2.key = key_out
                                 emissions = [em, em2]
                             else:
-                                emissions = [
-                                    Message(t_out, SIG, gi, n_seq, nv, s, next_uid())
-                                    for s in sinks
-                                ]
+                                emissions = fan_out(
+                                    t_out, SIG, gi, n_seq, nv, sinks, uids
+                                )
                 elif prio == CAPTURE:
                     data = values[0]
                     if data != old_output:
@@ -736,29 +736,25 @@ class TimeWarpSimulator:
                         capture_log[(dest, msg.n)] = data
                         n_seq = lp.emission_seq
                         lp.emission_seq = n_seq + 1
-                        t_out = msg.time + lp.delay
-                        gi = lp.gate_index
-                        emissions = [
-                            Message(t_out, SIG, gi, n_seq, data, s, next_uid())
-                            for s in lp._sink_list
-                        ]
+                        emissions = fan_out(
+                            msg.time + lp.delay, SIG, lp.gate_index, n_seq,
+                            data, lp._sink_list, uids,
+                        )
                 else:
                     # Own stimulus: apply, fan the SAME key out to the sinks.
                     value = msg.value
                     if value != old_output:
                         lp.output_value = value
-                        gi = lp.gate_index
-                        emissions = [
-                            Message(msg.time, STIM, gi, msg.n, value, s, next_uid())
-                            for s in lp._sink_list
-                        ]
+                        emissions = fan_out(
+                            msg.time, STIM, lp.gate_index, msg.n, value,
+                            lp._sink_list, uids,
+                        )
                 record = rec_new(ProcessedRecord)
                 record.msg = msg
                 record.old_input = old_input
                 record.old_output = old_output
                 record.emissions = emissions
                 lp.processed.append(record)
-                lp.processed_uids.add(msg.uid)
                 lp.last_key = msg.key
                 # --- end inlined process ---------------------------------
                 if trace:
@@ -822,7 +818,7 @@ class TimeWarpSimulator:
                             bucket = buckets.get(em.time)
                             if bucket is not None:
                                 bucket.append(
-                                    (-em.prio, -em.src, -em.n, -em.dest, -em.uid, em)
+                                    (em.prio, em.src, em.n, em.dest, em.uid, em)
                                 )
                             else:
                                 proc_queue.push(em)

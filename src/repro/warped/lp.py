@@ -20,16 +20,23 @@ history, :func:`trace_rollback` writes the rollback's trace record.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
+from operator import attrgetter, itemgetter
 
 from repro.circuit.gate import FALSE, UNKNOWN, GateType, eval_func
 from repro.circuit.graph import Gate
 from repro.errors import SimulationError
 from repro.sim.event import CAPTURE, SIG, STIM, EventKey
-from repro.warped.messages import Message
+from repro.warped.messages import Message, fan_out
 
 #: Key smaller than every real event key.
 MIN_KEY: EventKey = (-1, -1, -1, -1)
+
+#: Bisection keys of a history (a list of :class:`ProcessedRecord`,
+#: keys strictly increasing) and of its checkpoint list.
+_record_key = attrgetter("msg.key")
+_record_time = attrgetter("msg.time")
+_checkpoint_key = itemgetter(0)
 
 
 def gate_static(gate: Gate) -> tuple:
@@ -78,9 +85,9 @@ def fossil_sweep(lps, oldest_times: dict[int, int], floor_t: int, tracer) -> int
     to the virtual time of its oldest record — the only LPs a sweep
     visits, and its skip test — and is kept up to date.  An LP that
     checkpoints delegates to :meth:`LogicalProcess.fossil_collect` (it
-    must rebuild its base snapshot); the rest free a plain prefix inline
-    in one pass, since the sweeps touch every committed record once over
-    a run.  Freed records are committed: with a *tracer*, one ``commit``
+    must rebuild its base snapshot); the rest free a plain prefix inline:
+    one bisection by time and one slice delete, whatever its length.
+    Freed records are committed: with a *tracer*, one ``commit``
     timeline record per LP freed from, so the count is bounded by LPs,
     never by events.
     """
@@ -91,14 +98,7 @@ def fossil_sweep(lps, oldest_times: dict[int, int], floor_t: int, tracer) -> int
         if lp.checkpoint_interval is not None:
             n = lp.fossil_collect(floor_t)
         else:
-            uids = lp.processed_uids
-            n = 0
-            for record in processed:
-                msg = record.msg
-                if msg.time >= floor_t:
-                    break
-                uids.discard(msg.uid)
-                n += 1
+            n = bisect_left(processed, floor_t, key=_record_time)
             del processed[:n]
         freed += n
         if tracer is not None:
@@ -209,10 +209,6 @@ class ProcessedRecord:
         self.old_output = old_output
         self.emissions = emissions
 
-    @property
-    def key(self) -> EventKey:
-        return self.msg.key
-
 
 class LogicalProcess:
     """Time Warp LP wrapping one gate."""
@@ -226,7 +222,6 @@ class LogicalProcess:
         "output_value",
         "last_key",
         "processed",
-        "processed_uids",
         "emission_seq",
         "checkpoint_interval",
         "checkpoints",
@@ -275,12 +270,6 @@ class LogicalProcess:
             (MIN_KEY, list(self._fanin_values), self.output_value)
         ]
         self._since_checkpoint = 0
-        #: uids of messages in ``processed`` — the authoritative "has
-        #: this copy been processed" test for annihilation. (last_key
-        #: comparisons are NOT a substitute: an anti-message can arrive
-        #: while its positive is still in flight, with other events
-        #: already processed beyond its key.)
-        self.processed_uids: set[int] = set()
         # Monotone emission counter: NEVER decremented, even on rollback.
         # A replayed emission thus mints a strictly larger n than the
         # stale copy its anti-message is chasing, keeping event keys
@@ -351,17 +340,13 @@ class LogicalProcess:
             # Own stimulus: apply, fan the SAME key out to the sinks.
             if msg.value != old_output:
                 self.output_value = msg.value
-                emissions = [
-                    Message(
-                        msg.time, STIM, self.gate_index, msg.n,
-                        msg.value, sink, next_uid(),
-                    )
-                    for sink in self._sink_list
-                ]
+                emissions = fan_out(
+                    msg.time, STIM, self.gate_index, msg.n, msg.value,
+                    self._sink_list, iter(next_uid, None),
+                )
 
         record = ProcessedRecord(msg, old_input, old_output, emissions)
         self.processed.append(record)
-        self.processed_uids.add(msg.uid)
         self.last_key = msg.key
         if self.checkpoint_interval is not None:
             self._since_checkpoint += 1
@@ -376,11 +361,21 @@ class LogicalProcess:
         """Mint the output-change copies for every sink at *time*."""
         n = self.emission_seq
         self.emission_seq = n + 1
-        gate_index = self.gate_index
-        return [
-            Message(time, SIG, gate_index, n, value, sink, next_uid())
-            for sink in self._sink_list
-        ]
+        return fan_out(
+            time, SIG, self.gate_index, n, value, self._sink_list,
+            iter(next_uid, None),
+        )
+
+    def holds(self, msg: Message) -> bool:
+        """Whether the copy *msg* is in this LP's history — the test an
+        anti-message's rollback rests on.  History keys strictly increase,
+        so one bisection by ``msg.key`` finds the only record that can
+        carry it, and the uid tells a re-executed stimulus's fresh copy
+        of the same key from *msg*.  (``last_key`` is no substitute: an
+        anti can arrive while its positive is still in flight.)"""
+        processed = self.processed
+        at = bisect_left(processed, msg.key, key=_record_key)
+        return at < len(processed) and processed[at].msg.uid == msg.uid
 
     # ------------------------------------------------------------------
     def undo_last(self) -> ProcessedRecord:
@@ -390,7 +385,6 @@ class LogicalProcess:
                 f"LP {self.gate.name}: nothing to undo (fossil-collected?)"
             )
         record = self.processed.pop()
-        self.processed_uids.discard(record.msg.uid)
         self.output_value = record.old_output
         old_input = record.old_input
         if old_input is not None:
@@ -402,7 +396,7 @@ class LogicalProcess:
                 for position in slots:
                     values[position] = old_input
         # emission_seq is deliberately NOT rewound (see __init__).
-        self.last_key = self.processed[-1].key if self.processed else MIN_KEY
+        self.last_key = self.processed[-1].msg.key if self.processed else MIN_KEY
         return record
 
     def apply_state_only(self, msg: Message) -> None:
@@ -445,11 +439,8 @@ class LogicalProcess:
             raise SimulationError(
                 "rollback_to is for checkpoint mode; use undo_last"
             )
-        keys = [record.key for record in self.processed]
-        pos = bisect.bisect_left(keys, to_key)
+        pos = bisect_left(self.processed, to_key, key=_record_key)
         undone = self.processed[pos:]
-        for record in undone:
-            self.processed_uids.discard(record.msg.uid)
         del self.processed[pos:]
 
         while self.checkpoints and self.checkpoints[-1][0] >= to_key:
@@ -462,26 +453,20 @@ class LogicalProcess:
         ckpt_key, snapshot, out = self.checkpoints[-1]
         self._fanin_values = list(snapshot)
         self.output_value = out
-        start = bisect.bisect_right(keys[:pos], ckpt_key)
+        start = bisect_right(self.processed, ckpt_key, key=_record_key)
         coasted = 0
         for record in self.processed[start:]:
             self.apply_state_only(record.msg)
             coasted += 1
-        self.last_key = self.processed[-1].key if self.processed else MIN_KEY
+        self.last_key = self.processed[-1].msg.key if self.processed else MIN_KEY
         self._since_checkpoint = len(self.processed) - start
         return undone, coasted
 
     def fossil_collect(self, gvt: int) -> int:
-        """Drop history strictly below *gvt*; returns records freed."""
+        """Drop history strictly below *gvt* (one bisection: history
+        times never decrease); returns records freed."""
         processed = self.processed
-        if not processed or processed[0].msg.time >= gvt:
-            return 0  # nothing below the floor: the common case
-        keep_from = 0
-        for keep_from, record in enumerate(processed):  # noqa: B007
-            if record.msg.time >= gvt:
-                break
-        else:
-            keep_from = len(processed)
+        keep_from = bisect_left(processed, gvt, key=_record_time)
         if keep_from:
             if self.checkpoint_interval is not None:
                 # Rebuild the committed-state base at the collection
@@ -489,27 +474,23 @@ class LogicalProcess:
                 # last dropped record, coast through the dropped suffix,
                 # and make that the new base checkpoint. Without it, a
                 # later rollback could need records that no longer exist.
-                boundary_key = processed[keep_from - 1].key
-                base_index = 0
-                for i, (key, _, _) in enumerate(self.checkpoints):
-                    if key <= boundary_key:
-                        base_index = i
+                boundary_key = processed[keep_from - 1].msg.key
+                base_index = bisect_right(
+                    self.checkpoints, boundary_key, key=_checkpoint_key
+                ) - 1
                 base_key, snapshot, out = self.checkpoints[base_index]
                 saved_input, saved_output = self._fanin_values, self.output_value
                 self._fanin_values = list(snapshot)
                 self.output_value = out
                 for record in processed[:keep_from]:
-                    if record.key > base_key:
+                    if record.msg.key > base_key:
                         self.apply_state_only(record.msg)
                 boundary_snapshot = (
                     boundary_key, list(self._fanin_values), self.output_value
                 )
                 self._fanin_values, self.output_value = saved_input, saved_output
-                self.checkpoints = [boundary_snapshot] + [
-                    c for c in self.checkpoints if c[0] > boundary_key
-                ]
-            for record in processed[:keep_from]:
-                self.processed_uids.discard(record.msg.uid)
+                kept = self.checkpoints[base_index + 1:]
+                self.checkpoints = [boundary_snapshot, *kept]
             del processed[:keep_from]
         return keep_from
 

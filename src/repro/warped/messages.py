@@ -73,3 +73,27 @@ class Message:
             f"Msg({sign}t={self.time} {kind} src={self.src} n={self.n} "
             f"v={self.value} dest={self.dest} uid={self.uid})"
         )
+
+
+_new = Message.__new__
+
+
+def fan_out(time, prio, src, n, value, sinks, uids) -> list[Message]:
+    """A positive copy per sink in *sinks*, uids drawn from the iterator
+    *uids*, all sharing one key tuple and skipping ``__init__`` — as the
+    executives' inline one- and two-sink fan-outs do."""
+    key = (time, prio, src, n)
+    copies = []
+    for sink, uid in zip(sinks, uids):
+        em = _new(Message)
+        em.time = time
+        em.prio = prio
+        em.src = src
+        em.n = n
+        em.value = value
+        em.dest = sink
+        em.uid = uid
+        em.sign = POSITIVE
+        em.key = key
+        copies.append(em)
+    return copies

@@ -36,7 +36,7 @@ from repro.warped.lp import (
     LogicalProcess, ProcessedRecord, flush_committed, fossil_sweep,
     trace_rollback, unwind,
 )
-from repro.warped.messages import ANTI, Message
+from repro.warped.messages import ANTI, Message, fan_out
 from repro.warped.parallel.protocol import T_INF
 from repro.warped.queues import NodeQueue
 from repro.warped.world import World
@@ -179,7 +179,7 @@ class NodeEngine:
         lp = self.lps[em.dest]
         if self.queue.annihilate(em):
             return  # the positive copy was still pending
-        if em.uid in lp.processed_uids:
+        if lp.holds(em):
             self._rollback(lp, em.key, cancel_uid=em.uid, cause_msg=em)
         else:
             self._waiting_antis[em.uid] = em
@@ -390,12 +390,10 @@ class NodeEngine:
                                 em2.key = key_out
                                 emissions = [em, em2]
                             else:
-                                emissions = [
-                                    Message(t_out, SIG, gi, n_seq, nv, s, uid)
-                                    for s, uid in zip(
-                                        sinks, count(uid_next, stride)
-                                    )
-                                ]
+                                emissions = fan_out(
+                                    t_out, SIG, gi, n_seq, nv, sinks,
+                                    count(uid_next, stride),
+                                )
                             uid_next += stride * n_sinks
                 elif prio == CAPTURE:
                     data = values[0]
@@ -404,25 +402,22 @@ class NodeEngine:
                         capture_log[(dest, msg.n)] = data
                         n_seq = lp.emission_seq
                         lp.emission_seq = n_seq + 1
-                        t_out = msg.time + lp.delay
-                        gi = lp.gate_index
                         sinks = lp._sink_list
-                        emissions = [
-                            Message(t_out, SIG, gi, n_seq, data, s, uid)
-                            for s, uid in zip(sinks, count(uid_next, stride))
-                        ]
+                        emissions = fan_out(
+                            msg.time + lp.delay, SIG, lp.gate_index, n_seq,
+                            data, sinks, count(uid_next, stride),
+                        )
                         uid_next += stride * len(sinks)
                 else:
                     # Own stimulus: apply, fan the SAME key out to the sinks.
                     value = msg.value
                     if value != old_output:
                         lp.output_value = value
-                        gi = lp.gate_index
                         sinks = lp._sink_list
-                        emissions = [
-                            Message(msg.time, STIM, gi, msg.n, value, s, uid)
-                            for s, uid in zip(sinks, count(uid_next, stride))
-                        ]
+                        emissions = fan_out(
+                            msg.time, STIM, lp.gate_index, msg.n, value,
+                            sinks, count(uid_next, stride),
+                        )
                         uid_next += stride * len(sinks)
                 record = rec_new(ProcessedRecord)
                 record.msg = msg
@@ -430,7 +425,6 @@ class NodeEngine:
                 record.old_output = old_output
                 record.emissions = emissions
                 lp.processed.append(record)
-                lp.processed_uids.add(msg.uid)
                 lp.last_key = msg.key
                 # --- end inlined process ---------------------------------
                 events += 1
@@ -465,7 +459,7 @@ class NodeEngine:
                         bucket = buckets.get(em.time)
                         if bucket is not None:
                             bucket.append(
-                                (-em.prio, -em.src, -em.n, -em.dest, -em.uid, em)
+                                (em.prio, em.src, em.n, em.dest, em.uid, em)
                             )
                         else:
                             proc_queue.push(em)
@@ -607,7 +601,6 @@ class NodeEngine:
         lp.output_value = out
         lp.last_key = last_key
         lp.processed = processed
-        lp.processed_uids = {record.msg.uid for record in processed}
         lp.emission_seq = eseq
         if processed:
             self._history += len(processed)

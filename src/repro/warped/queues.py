@@ -13,25 +13,23 @@ one **bucket** (a list) per virtual time, and ordering inside a time is
 paid for once, when that time becomes the earliest:
 
 - the **open** bucket holds the messages of the earliest pending time,
-  ``min_time``, sorted so that the next message out is at its END
-  (``pop`` is ``list.pop()``).  It is never empty while anything is
-  pending; when the queue is empty ``min_time`` is ``None``;
+  ``min_time``, sorted descending so that the next message out is at
+  its END (``pop`` is ``list.pop()``).  It is never empty while
+  anything is pending; when the queue is empty ``min_time`` is ``None``;
 - every later time has an **unsorted** bucket in ``_buckets`` and its
   time in the heap ``_times`` (exactly the keys of ``_buckets``).  When
   the open bucket runs out, :meth:`_advance` takes the smallest time
   off the heap, sorts that bucket once and opens it;
-- an entry is the flat tuple ``(-prio, -src, -n, -dest, -uid, msg)``:
-  negating every element reverses the lexicographic order of
-  equal-length int tuples, so an ascending sort leaves the earliest
-  entry last.  The uid makes the prefix unique, so comparisons never
-  reach the message.  Entries are immutable and may be shared between
-  queues; bucket lists never are.
+- an entry is the flat tuple ``(prio, src, n, dest, uid, msg)``: the
+  message's ``sort_key`` less the bucket's time.  The uid makes the
+  prefix unique, so comparisons never reach the message.  Entries are
+  immutable and may be shared between queues; bucket lists never are.
 
 A push therefore has three cases: to a later time it is a dict lookup
 and an ``append`` (plus one ``heappush`` of an int when the time is
-new); into the open time it is one ``insort`` into that short list;
-before the open time it shelves the open bucket (still sorted, so
-re-opening it costs one pass) and opens a new one.
+new); into the open time it is one insert where :func:`_below` bisects
+that short list; before the open time it shelves the open bucket (still
+sorted, so re-opening it costs one pass) and opens a new one.
 
 Cancellation needs no uid index: an anti-message is a full copy of its
 positive — time and key included — so :meth:`annihilate` bisects the
@@ -40,20 +38,31 @@ open bucket or scans the one bucket of ``msg.time``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections.abc import Iterable, Mapping
 from heapq import heapify, heappop, heappush
 
 from repro.warped.messages import Message
 
-#: One stored entry: the negated within-time order, then the message.
+#: One stored entry: the within-time order, then the message.
 Entry = tuple[int, int, int, int, int, Message]
 
 
 def make_entry(msg: Message) -> Entry:
     """The stored form of *msg* — what :meth:`NodeQueue.push` files
     under ``msg.time``."""
-    return (-msg.prio, -msg.src, -msg.n, -msg.dest, -msg.uid, msg)
+    return (msg.prio, msg.src, msg.n, msg.dest, msg.uid, msg)
+
+
+def _below(bucket: list[Entry], probe: tuple) -> int:
+    """Index of the first entry of the descending *bucket* below *probe*."""
+    lo, hi = 0, len(bucket)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if bucket[mid] > probe:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def bucketed(messages: Iterable[Message]) -> dict[int, list[Entry]]:
@@ -79,7 +88,7 @@ class NodeQueue:
         self._buckets: dict[int, list[Entry]] = {}
         #: Heap of the keys of ``_buckets``.
         self._times: list[int] = []
-        #: Entries of ``min_time``, sorted, next message out last.
+        #: Entries of ``min_time``, descending, next message out last.
         self._open: list[Entry] = []
         #: Virtual time of the earliest pending message, or ``None``
         #: when empty. Read-only for callers.
@@ -95,7 +104,7 @@ class NodeQueue:
             return
         min_time = self.min_time
         if time == min_time:
-            insort(self._open, entry)
+            self._open.insert(_below(self._open, entry), entry)
         elif min_time is None:
             self._open = [entry]
             self.min_time = time
@@ -132,7 +141,7 @@ class NodeQueue:
         if self._times:
             time = heappop(self._times)
             bucket = self._buckets.pop(time)
-            bucket.sort()
+            bucket.sort(reverse=True)
             self._open = bucket
             self.min_time = time
         else:
@@ -156,11 +165,9 @@ class NodeQueue:
         time = msg.time
         if time == self.min_time:
             bucket = self._open
-            # The entry without its message sorts directly before the
-            # (longer) entry carrying the same prefix, so bisect_left
-            # lands on it.
-            at = bisect_left(bucket, make_entry(msg)[:5])
-            if at == len(bucket) or bucket[at][4] != -msg.uid:
+            # The entry's prefix sorts directly below the entry itself.
+            at = _below(bucket, make_entry(msg)[:5]) - 1
+            if at < 0 or bucket[at][4] != msg.uid:
                 return False
             del bucket[at]
             if not bucket:
@@ -169,9 +176,9 @@ class NodeQueue:
         bucket = self._buckets.get(time)
         if bucket is None:
             return False
-        neg_uid = -msg.uid
+        uid = msg.uid
         for at, entry in enumerate(bucket):
-            if entry[4] == neg_uid:
+            if entry[4] == uid:
                 break
         else:
             return False
@@ -197,9 +204,7 @@ class NodeQueue:
         messages = [entry[5] for entry in reversed(self._open)]
         buckets = self._buckets
         for time in sorted(buckets):
-            messages.extend(
-                entry[5] for entry in sorted(buckets[time], reverse=True)
-            )
+            messages.extend(entry[5] for entry in sorted(buckets[time]))
         return messages
 
     def extract_dests(self, dests: set[int]) -> list[Message]:

@@ -170,7 +170,7 @@ class TestLpCheckpointMode:
                 lp.output_value,
                 lp.last_key,
                 [r.msg.uid for r in lp.processed],
-                lp.processed_uids,
+                {msg.uid for msg in messages if lp.holds(msg)},
                 [
                     (r.msg.uid, r.old_input, r.old_output,
                      [(em.uid, em.key, em.value, em.dest) for em in r.emissions])

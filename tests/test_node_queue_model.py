@@ -195,7 +195,7 @@ EVERY_CASE = [
     ("push", "later", 2, 1, 1, 1, 1, 9),
     ("pop",),                               # empties t=5, opens t=7
     ("push", "drained", 1, 0, 0, 0, 0, 4),  # t=5 again: earlier than open
-    ("push", "open", 1, 2, 0, 0, 2, 5),     # insort into the open bucket
+    ("push", "open", 1, 2, 0, 0, 2, 5),     # insert into the open bucket
     ("push", "earlier", 3, 0, 0, 0, 0, 6),  # shelves the open bucket
     ("count", 0), ("count", 3), ("count", -1),
     ("annihilate", "later", 1, True),       # copy in a later bucket

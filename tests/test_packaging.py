@@ -8,7 +8,9 @@ broke.  These checks make that class of accident loud.
 
 from __future__ import annotations
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +58,18 @@ def test_every_package_directory_has_real_sources():
 def test_gitignore_covers_bytecode():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     assert "__pycache__" in gitignore
+
+
+def test_cli_and_server_import_without_networkx():
+    """networkx is imported only by ``CircuitGraph.to_networkx``: the
+    CLI and the job server start without paying for it."""
+    probe = (
+        "import sys, repro.cli, repro.serve; "
+        "sys.exit('networkx' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr or "networkx was imported"

@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import GateType, parse_bench
 from repro.circuit.gate import FALSE, TRUE, UNKNOWN
@@ -121,10 +123,77 @@ class TestLogicalProcess:
         c, lp = make_lp()
         a = c.index_of("a")
         nxt = uid_gen()
-        lp.process(Message(1, SIG, a, 0, TRUE, lp.gate.index, 77), nxt)
-        assert 77 in lp.processed_uids
+        msg = Message(1, SIG, a, 0, TRUE, lp.gate.index, 77)
+        lp.process(msg, nxt)
+        assert lp.holds(msg)
+        assert not lp.holds(Message(1, SIG, a, 0, TRUE, lp.gate.index, 78))
         lp.undo_last()
-        assert 77 not in lp.processed_uids
+        assert not lp.holds(msg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        checkpoint_interval=st.sampled_from([None, 1, 3]),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("process"), st.integers(0, 2), st.booleans(),
+                    st.booleans(),
+                ),
+                st.tuples(st.just("undo")),
+                st.tuples(st.just("fossil"), st.integers(0, 30)),
+                st.tuples(st.just("rollback"), st.integers(0, 50)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_holds_is_history_membership(self, checkpoint_interval, ops):
+        """``holds`` answers "is this copy in the history" for every
+        message ever processed — undone, fossil-collected, and re-run
+        under the same key with a fresh uid (what a re-executed stimulus
+        fan-out does) included. The fossil floor plays GVT: it never
+        falls, and nothing below it is processed or rolled back to."""
+        c, _ = make_lp()
+        lp = LogicalProcess(
+            c.gates[c.index_of("g")], node=0,
+            checkpoint_interval=checkpoint_interval,
+        )
+        sources = [c.index_of("a"), c.index_of("b")]
+        nxt = uid_gen()
+        uids = iter(range(1000, 10_000))
+        seen: list[Message] = []
+        undone_keys: list = []
+        floor = 0
+        for op in ops:
+            if op[0] == "process":
+                _, dt, from_b, rerun = op
+                later = sorted(
+                    k for k in undone_keys if k > lp.last_key and k[0] >= floor
+                )
+                if rerun and later:
+                    t, prio, src, n = later[0]
+                else:
+                    t = max(lp.last_key[0], floor) + dt
+                    src, n = sources[from_b], len(seen)
+                    if (t, SIG, src, n) <= lp.last_key:
+                        t += 1
+                    prio = SIG
+                msg = Message(t, prio, src, n, TRUE, lp.gate.index, next(uids))
+                lp.process(msg, nxt)
+                seen.append(msg)
+            elif op[0] == "undo" and lp.processed:
+                undone_keys.append(lp.undo_last().msg.key)
+            elif op[0] == "fossil":
+                floor = max(floor, op[1])
+                lp.fossil_collect(floor)
+            elif op[0] == "rollback" and lp.processed and checkpoint_interval:
+                to_key = lp.processed[op[1] % len(lp.processed)].msg.key
+                if to_key[0] < floor:
+                    continue
+                undone, _ = lp.rollback_to(to_key)
+                undone_keys.extend(r.msg.key for r in undone)
+            held = {r.msg.uid for r in lp.processed}
+            for msg in seen:
+                assert lp.holds(msg) == (msg.uid in held), (op, msg)
 
     def test_dff_capture_semantics(self):
         c = parse_bench("INPUT(a)\nff = DFF(a)\nq = NOT(ff)\nOUTPUT(q)\n")
@@ -171,10 +240,11 @@ class TestLogicalProcess:
         nxt = uid_gen()
         for t, v in [(1, TRUE), (5, FALSE), (9, TRUE)]:
             lp.process(Message(t, SIG, a, t, v, lp.gate.index, t), nxt)
+        first = lp.processed[0].msg
         freed = lp.fossil_collect(5)
         assert freed == 1
         assert [r.msg.time for r in lp.processed] == [5, 9]
-        assert 1 not in lp.processed_uids
+        assert not lp.holds(first)
 
     def test_parallel_edges_deduplicated_in_sinks(self):
         from repro.circuit import CircuitGraph
@@ -238,6 +308,64 @@ class TestNodeQueue:
         q.push(self.entry(5, 2))
         assert q.annihilate(self.entry(1, 1))
         assert q.min_time == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+                st.integers(0, 2),
+            ),
+            min_size=1, max_size=12,
+        ),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["push", "cancel", "miss"]),
+                st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+                st.integers(0, 2), st.integers(0, 1000),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_open_bucket_push_and_annihilate(self, fields, ops):
+        """Pushes into and annihilations in the open (descending) bucket
+        keep ``Message.sort_key`` order — messages equal up to their uid
+        included — and a cancel whose uid is not pending changes
+        nothing."""
+        q = NodeQueue()
+        uids = iter(range(1, 100_000))
+        pending: list[Message] = []
+
+        def push(t, prio, src, n, dest):
+            msg = Message(t, prio, src, n, TRUE, dest, next(uids))
+            q.push(msg)
+            pending.append(msg)
+
+        for prio, src, n, dest in fields:
+            push(3, prio, src, n, dest)
+        push(7, SIG, 0, 0, 0)  # a later bucket behind the open one
+        for kind, prio, src, n, dest, pick in ops:
+            t = q.min_time
+            if kind == "push":
+                push(t, prio, src, n, dest)
+            elif len(pending) > 1:  # the queue stays non-empty
+                at_min = [m for m in pending if m.time == t]
+                victim = at_min[pick % len(at_min)]
+                if kind == "cancel":
+                    assert q.annihilate(victim.make_anti())
+                    pending.remove(victim)
+                else:
+                    twin = Message(
+                        t, victim.prio, victim.src, victim.n, TRUE,
+                        victim.dest, next(uids),
+                    )
+                    assert not q.annihilate(twin.make_anti())
+            want = sorted(pending, key=lambda m: m.sort_key)
+            assert q.pending() == want
+            assert q.min_time == want[0].time
+        popped = [q.pop() for _ in range(len(pending))]
+        assert popped == sorted(pending, key=lambda m: m.sort_key)
+        assert not q
 
     def test_empty_pop_raises(self):
         with pytest.raises(IndexError):

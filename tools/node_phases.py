@@ -4,8 +4,8 @@
 Wraps the node loop's phases with timers *before the workers fork* — no
 hook lives under ``src/`` — runs a few jobs of one shape and prints, per
 node, the median seconds inside each phase and the counts that explain
-them (laps of the main loop, wire frames, fossil sweeps, and what the
-pending-event queue's buckets saw):
+them (laps of the main loop, wire frames, fossil sweeps and the records
+they freed, and what the pending-event queue's buckets saw):
 
     python tools/node_phases.py --shape cold-s9234 --jobs 5
     python tools/node_phases.py --shape warm-served --jobs 25
@@ -29,7 +29,7 @@ own copy of this tool.
 
 The queue rows are counts, not times: how often a bucket became the
 open one and how many entries it held then (what each sort paid for),
-how many pushes took the two slow paths (an ``insort`` into the open
+how many pushes took the two slow paths (an insert into the open
 bucket; a push *earlier* than it, which shelves it), and the most
 buckets a node held at once.  The common push — an append to a later
 bucket — is inlined in ``run_batch`` and is not counted.
@@ -82,6 +82,7 @@ COUNT_ROWS = (
     ("empty polls", "empty poll"), ("frames", "frames"),
     ("framed messages", "framed messages"),
     ("GVT applications", "apply_gvt"), ("sweeps", "fossil_collect"),
+    ("records freed", "records freed"),
     ("bucket opens", "bucket opens"),
     ("pushes into open", "pushes into open"),
     ("pushes before open", "pushes before open"),
@@ -117,6 +118,15 @@ def install(out_dir: str) -> None:
         setattr(NodeEngine, name, _timed(name, getattr(NodeEngine, name)))
     for name in LOOP_PHASES:
         setattr(NodeLoop, name, _timed(name, getattr(NodeLoop, name)))
+
+    sweep = NodeEngine.fossil_collect
+
+    def count_freed(engine, gvt):
+        held = engine.history
+        sweep(engine, gvt)
+        _calls["records freed"] += held - engine.history
+
+    NodeEngine.fossil_collect = count_freed
 
     put_wire_batch = backend._put_wire_batch
 
