@@ -19,12 +19,9 @@ from repro.warped.machine import VirtualMachine
 from repro.warped.parallel import ProcessTimeWarpSimulator
 from repro.warped.stats import TimeWarpResult
 
-#: Machine fields that key a cached run (``network`` has no value
-#: equality; it keys only when a caller passes one).
+#: Machine fields that key a cached run.
 _POLICY_FIELDS = tuple(
-    field.name
-    for field in fields(VirtualMachine)
-    if field.name not in ("num_nodes", "network")
+    field.name for field in fields(VirtualMachine) if field.name != "num_nodes"
 )
 
 
@@ -262,7 +259,7 @@ class ExperimentRunner:
         policy equal to the config's own value is the Table 2 cell)."""
         machine = self.machine(nodes, **policy)
         key = (
-            name, algorithm, nodes, rep, kernel, policy.get("network"),
+            name, algorithm, nodes, rep, kernel,
             *(getattr(machine, field) for field in _POLICY_FIELDS),
         )
         if key not in self._runs:

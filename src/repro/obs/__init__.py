@@ -13,13 +13,13 @@ Warp).  It has two halves:
   every worker writes its own shard and the parent merges them into
   one file ordered by ``(wall time, node)``.
 
-:mod:`repro.obs.report` summarizes merged traces (distributions,
-per-node breakdowns) for ``tools/trace_report.py`` and the benchmark
-suite.  :mod:`repro.obs.causality` reconstructs rollback cascades from
-the enriched records, and :mod:`repro.obs.analyze` builds the full
-forensics bundle (cascade forensics, committed timelines, critical
-path, wall-time attribution) plus the per-partitioner scorecard behind
-``tools/partition_report.py``.
+:mod:`repro.obs.causality` reconstructs rollback cascades from the
+enriched records, and :mod:`repro.obs.analyze` is the one reader of a
+merged trace: record-kind counts, GVT and inbox digests, cascade
+forensics, committed timelines, critical path and per-node wall-time
+attribution, printed by ``run --analyze``, ``tools/trace_report.py``
+and ``tools/partition_report.py --forensics``, plus the
+per-partitioner scorecard behind ``tools/partition_report.py``.
 """
 
 from repro.obs.analyze import (
@@ -30,7 +30,6 @@ from repro.obs.analyze import (
 )
 from repro.obs.causality import Cascade, RollbackEvent, build_cascades
 from repro.obs.metrics import Metrics, summarize
-from repro.obs.report import render_trace_summary, summarize_trace
 from repro.obs.tracer import (
     TraceWriter,
     merge_shards,
@@ -49,9 +48,7 @@ __all__ = [
     "read_trace",
     "render_analysis",
     "render_scorecard",
-    "render_trace_summary",
     "scorecard_row",
     "shard_path",
     "summarize",
-    "summarize_trace",
 ]

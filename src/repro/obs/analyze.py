@@ -1,10 +1,15 @@
 """Trace forensics: cascades, critical path, wall-time attribution.
 
-``repro.obs.tracer`` records what happened; this module answers *why*
-a run was slow.  Four analyses over one merged JSONL trace:
+``repro.obs.tracer`` records what happened; this module is the one
+reader that answers *why* a run was slow.  Over one merged JSONL trace
+(or a single worker shard):
 
+- **trace digests** (:func:`trace_digests`) — record-kind counts, GVT
+  rounds with their latency and ring-trip distributions, and the inbox
+  depth sampled at each GVT application;
 - **rollback forensics** (:func:`cascade_summary`) — the cascade
   forest of :mod:`repro.obs.causality` reduced to actionable numbers:
+  per-rollback depth, per-node rollback counts, cascade
   depth/width/wasted-event distributions, the straggler sources and
   victim LPs burning the most committed work, and the partition cut
   edges that carried the triggering messages;
@@ -17,10 +22,13 @@ a run was slow.  Four analyses over one merged JSONL trace:
   (needs the circuit; partition optional);
 - **attribution** (:func:`wall_time_attribution`) — per-node wall
   clock split into compute / rollback waste / GVT / transport / park /
-  setup / idle, from the enriched ``node_summary`` records.
+  setup / idle, beside each node's events, rollbacks and busy time,
+  from the enriched ``node_summary`` records.
 
-:func:`analyze_trace` bundles all four; :func:`scorecard_row` /
-:func:`render_scorecard` join a run's analysis with the static
+:func:`analyze_trace` bundles them and :func:`render_analysis` prints
+the bundle (``run --analyze``, ``tools/trace_report.py`` and
+``tools/partition_report.py --forensics`` all print it);
+:func:`scorecard_row` / :func:`render_scorecard` join a run's analysis with the static
 partition quality into the per-partitioner scorecard
 ``tools/partition_report.py`` emits (directly comparable to the
 paper's Tables 2-4).
@@ -39,12 +47,45 @@ ATTR_KEYS = (
 
 
 # ----------------------------------------------------------------------
+# trace digests
+# ----------------------------------------------------------------------
+def trace_digests(records: list[dict]) -> dict:
+    """Record-kind counts plus the GVT-round and inbox-depth digests."""
+    kinds: dict[str, int] = {}
+    latencies: list[float] = []
+    trips: list[float] = []
+    inbox: list[float] = []
+    for record in records:
+        kind = record.get("kind")
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == "gvt_round":
+            if record.get("latency") is not None:
+                latencies.append(float(record["latency"]))
+            if record.get("trips") is not None:
+                trips.append(float(record["trips"]))
+        elif kind == "inbox_depth" and record.get("depth") is not None:
+            inbox.append(float(record["depth"]))
+    return {
+        "records": len(records),
+        "kinds": kinds,
+        "gvt": {
+            "rounds": kinds.get("gvt_round", 0),
+            "latency": summarize(latencies),
+            "trips": summarize(trips),
+        },
+        "inbox_depth": summarize(inbox),
+    }
+
+
+# ----------------------------------------------------------------------
 # rollback forensics
 # ----------------------------------------------------------------------
 def cascade_summary(cascades: list[Cascade], *, top: int = 5) -> dict:
     """Aggregate a cascade forest into distributions and top offenders."""
     by_root_src: dict[int, int] = {}
     by_victim: dict[int, dict] = {}
+    by_node: dict[int, int] = {}
+    depths: list[float] = []
     cut_edges: dict[tuple[int, int], int] = {}
     remote_rollbacks = 0
     for cascade in cascades:
@@ -57,6 +98,8 @@ def cascade_summary(cascades: list[Cascade], *, top: int = 5) -> dict:
             )
             bucket["rollbacks"] += 1
             bucket["wasted"] += member.depth
+            by_node[member.node] = by_node.get(member.node, 0) + 1
+            depths.append(float(member.depth))
             if member.remote_cause:
                 remote_rollbacks += 1
         for edge, count in cascade.boundary_edges().items():
@@ -67,6 +110,8 @@ def cascade_summary(cascades: list[Cascade], *, top: int = 5) -> dict:
         "rollbacks": rollbacks,
         "wasted_total": sum(c.wasted for c in cascades),
         "remote_rollbacks": remote_rollbacks,
+        "node_rollbacks": by_node,
+        "depth": summarize(depths),
         "chain_depth": summarize([float(c.chain_depth) for c in cascades]),
         "width": summarize([float(c.width) for c in cascades]),
         "wasted": summarize([float(c.wasted) for c in cascades]),
@@ -255,6 +300,8 @@ def wall_time_attribution(records: list[dict]) -> dict:
         node = int(record.get("node", -1))
         attr = dict(record.get("attr") or {})
         nodes[node] = {
+            "events": int(record.get("events", 0)),
+            "rollbacks": int(record.get("rollbacks", 0)),
             "wall": float(record.get("wall", 0.0)),
             "busy": float(record.get("busy", 0.0)),
             "attr": attr,
@@ -287,6 +334,7 @@ def analyze_trace(
     cascades = build_cascades(records)
     committed = commit_timelines(records)
     analysis = {
+        **trace_digests(records),
         "cascade": cascade_summary(cascades, top=top),
         "cascades": cascades,
         "commits": {
@@ -310,27 +358,38 @@ def _fmt_seconds(value: float | None) -> str:
     return "-" if value is None else f"{value:.4g}s"
 
 
+def _digest_line(label: str, digest: dict) -> str:
+    if not digest["count"]:
+        return f"  {label:<16s} (no samples)"
+    return (
+        f"  {label:<16s} n={digest['count']:<6d} min={digest['min']:.4g} "
+        f"p50={digest['p50']:.4g} p90={digest['p90']:.4g} "
+        f"max={digest['max']:.4g}"
+    )
+
+
 def render_analysis(analysis: dict, *, title: str = "trace") -> str:
     """Human-readable multi-section report of :func:`analyze_trace`."""
     cascade = analysis["cascade"]
+    gvt = analysis["gvt"]
     lines = [
-        f"forensics — {title}",
+        f"forensics — {title}: {analysis['records']} records, "
+        f"{cascade['rollbacks']} rollbacks, {gvt['rounds']} GVT rounds",
+        "  record kinds: " + ", ".join(
+            f"{kind}={count}"
+            for kind, count in sorted(analysis["kinds"].items())
+        ),
         f"  rollbacks: {cascade['rollbacks']} in {cascade['cascades']} "
         f"cascades, {cascade['wasted_total']} events wasted "
         f"({cascade['remote_rollbacks']} rollbacks remote-caused)",
+        _digest_line("rollback depth", cascade["depth"]),
+        _digest_line("chain depth", cascade["chain_depth"]),
+        _digest_line("cascade width", cascade["width"]),
+        _digest_line("wasted/cascade", cascade["wasted"]),
+        _digest_line("gvt latency (s)", gvt["latency"]),
+        _digest_line("gvt ring trips", gvt["trips"]),
+        _digest_line("inbox depth", analysis["inbox_depth"]),
     ]
-    for label, key in (
-        ("chain depth", "chain_depth"),
-        ("cascade width", "width"),
-        ("wasted/cascade", "wasted"),
-    ):
-        digest = cascade[key]
-        if digest["count"]:
-            lines.append(
-                f"  {label:<16s} n={digest['count']:<5d} "
-                f"p50={digest['p50']:.4g} p90={digest['p90']:.4g} "
-                f"max={digest['max']:.4g}"
-            )
     if cascade["top_straggler_sources"]:
         lines.append("  top straggler sources (gate: wasted events):")
         for gate, wasted in cascade["top_straggler_sources"]:
@@ -393,7 +452,7 @@ def render_analysis(analysis: dict, *, title: str = "trace") -> str:
         )
     attribution = analysis["attribution"]
     if attribution["nodes"]:
-        lines.append("  wall-time attribution per node:")
+        lines.append("  per node (busy, wall and wall-time attribution in s):")
         keys = [
             k for k in ATTR_KEYS
             if any(
@@ -401,11 +460,21 @@ def render_analysis(analysis: dict, *, title: str = "trace") -> str:
                 for bucket in attribution["nodes"].values()
             )
         ]
-        header = "    node   wall      " + "".join(f"{k:>10s}" for k in keys)
+        header = (
+            f"    {'node':<6s} {'events':>8s} {'rb':>6s} {'busy':>9s} "
+            f"{'wall':>9s} {'util':>5s}"
+            + "".join(f"{k:>10s}" for k in keys)
+        )
         lines.append(header)
         for node in sorted(attribution["nodes"]):
             bucket = attribution["nodes"][node]
-            row = f"    {node:<6d} {bucket['wall']:<9.4g}"
+            wall = bucket["wall"]
+            util = bucket["busy"] / wall if wall > 0 else 0.0
+            row = (
+                f"    {node:<6d} {bucket['events']:>8d} "
+                f"{bucket['rollbacks']:>6d} {bucket['busy']:>9.4g} "
+                f"{wall:>9.4g} {util:>5.0%}"
+            )
             for key in keys:
                 value = bucket["attr"].get(key)
                 row += f"{value:>10.4g}" if value is not None else f"{'-':>10s}"

@@ -18,7 +18,7 @@ ran; only the clock underneath is modelled. See DESIGN.md §3.
 """
 
 from repro.warped.messages import Message
-from repro.warped.network import FastEthernet, NetworkModel, UniformNetwork
+from repro.warped.network import FastEthernet, UniformNetwork
 from repro.warped.machine import TimeWarpCostModel, VirtualMachine
 from repro.warped.stats import (
     NodeStats,
@@ -31,7 +31,6 @@ from repro.warped.parallel import ProcessTimeWarpSimulator
 __all__ = [
     "FastEthernet",
     "Message",
-    "NetworkModel",
     "NodeStats",
     "ProcessTimeWarpSimulator",
     "TimeWarpCostModel",

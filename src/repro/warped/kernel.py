@@ -56,7 +56,6 @@ from repro.warped.lp import (
 )
 from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.messages import ANTI, Message, fan_out
-from repro.warped.network import UniformNetwork
 from repro.warped.queues import NodeQueue
 from repro.warped.stats import NodeStats, TimeWarpResult, node_totals
 from repro.warped.world import World
@@ -96,7 +95,8 @@ class TimeWarpSimulator:
         circuit = self.circuit
         machine = self.machine
         cost = machine.cost_model
-        network = machine.network
+        # Every cross-node hop costs the same modelled latency.
+        hop_delay = machine.network.delay
         n_nodes = machine.num_nodes
 
         checkpointing = machine.checkpoint_interval is not None
@@ -197,7 +197,7 @@ class TimeWarpSimulator:
                 anti = em.make_anti()
                 nonlocal flight_seq, next_arrival
                 flight_seq += 1
-                arr = depart + network.latency(node, lps[em.dest].node)
+                arr = depart + hop_delay
                 heapq.heappush(in_flight, (arr, flight_seq, anti))
                 if arr < next_arrival:
                     next_arrival = arr
@@ -364,12 +364,6 @@ class TimeWarpSimulator:
             event_cost = cost.event_cost - cost.state_save_cost
         send_overhead = cost.send_overhead
         state_save_cost = cost.state_save_cost
-        # Constant-latency networks (the default) skip the per-send
-        # virtual dispatch: every cross-node hop costs uniform_delay.
-        uniform_delay = (
-            network.delay if type(network).latency is UniformNetwork.latency
-            else None
-        )
         window = machine.optimism_window
         gvt_now = 0.0  # current GVT estimate (for window throttling)
         horizon = None if window is None else gvt_now + window
@@ -824,11 +818,7 @@ class TimeWarpSimulator:
                                 proc_queue.push(em)
                         else:
                             flight_seq += 1
-                            arr = now + (
-                                uniform_delay
-                                if uniform_delay is not None
-                                else network.latency(node, dest_node)
-                            )
+                            arr = now + hop_delay
                             heappush(in_flight, (arr, flight_seq, em))
                             if arr < next_arrival:
                                 next_arrival = arr

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, SimulationError
-from repro.warped.network import FastEthernet, NetworkModel
+from repro.warped.network import FastEthernet, UniformNetwork
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class VirtualMachine:
 
     num_nodes: int
     cost_model: TimeWarpCostModel = field(default_factory=TimeWarpCostModel)
-    network: NetworkModel = field(default_factory=FastEthernet)
+    network: UniformNetwork = field(default_factory=FastEthernet)
     #: Compute GVT (and fossil-collect) every this many processed events.
     gvt_interval: int = 512
     #: Cancellation policy: "aggressive" dispatches anti-messages the

@@ -1,43 +1,39 @@
-"""Network latency models for the virtual cluster.
+"""Network latency model for the virtual cluster.
 
 The paper's testbed interconnect was fast (100 Mb/s) ethernet; the
-default model charges its characteristic small-message latency. Models
-are deliberately simple — partitioning quality expresses itself through
-*how many* messages cross the network, and a constant-latency FIFO
-channel preserves per-channel message order, which the anti-message
-machinery relies on (an anti-message is always sent after its positive
-copy, hence always arrives after it).
+default model charges its characteristic small-message latency. The
+model is deliberately simple — partitioning quality expresses itself
+through *how many* messages cross the network, and a constant-latency
+FIFO channel preserves per-channel message order, which the
+anti-message machinery relies on (an anti-message is always sent after
+its positive copy, hence always arrives after it).
 """
 
 from __future__ import annotations
 
-import abc
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
 
-class NetworkModel(abc.ABC):
-    """Maps a message send to an arrival delay in (modelled) seconds."""
-
-    @abc.abstractmethod
-    def latency(self, src_node: int, dst_node: int) -> float:
-        """One-way delay from *src_node* to *dst_node*."""
-
-
-class UniformNetwork(NetworkModel):
+@dataclass(frozen=True)
+class UniformNetwork:
     """Same constant latency between every pair of distinct nodes."""
 
-    def __init__(self, delay: float) -> None:
-        if delay <= 0:
+    delay: float
+
+    def __post_init__(self) -> None:
+        if self.delay <= 0:
             raise ConfigError("network delay must be positive")
-        self.delay = delay
 
     def latency(self, src_node: int, dst_node: int) -> float:
+        """One-way delay from *src_node* to *dst_node* (modelled seconds)."""
         if src_node == dst_node:
             return 0.0
         return self.delay
 
 
+@dataclass(frozen=True)
 class FastEthernet(UniformNetwork):
     """100 Mb/s switched ethernet with MPI-over-TCP overheads (~1999).
 
@@ -46,5 +42,4 @@ class FastEthernet(UniformNetwork):
     uses 150 µs.
     """
 
-    def __init__(self, delay: float = 150e-6) -> None:
-        super().__init__(delay)
+    delay: float = 150e-6

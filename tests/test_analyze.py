@@ -321,6 +321,20 @@ class TestTools:
         ]
         assert all(r["reconciled"] for r in rows)
 
+    def test_trace_report_prints_the_analysis(self, s27, tmp_path):
+        path = str(tmp_path / "s27.jsonl")
+        stimulus = RandomStimulus(s27, num_cycles=20, period=20, seed=5)
+        assignment = get_partitioner("Random", seed=4).partition(s27, 3)
+        with TraceWriter(path) as tracer:
+            TimeWarpSimulator(
+                s27, assignment, stimulus,
+                VirtualMachine(num_nodes=3, gvt_interval=64), tracer=tracer,
+            ).run()
+        proc = _tool(["tools/trace_report.py", path])
+        assert proc.returncode == 0, proc.stderr
+        expected = render_analysis(analyze_trace(read_trace(path)), title=path)
+        assert proc.stdout == expected + "\n"
+
     def test_trace_report_compare_flags_regression(self, s27, tmp_path):
         quiet = str(tmp_path / "a.jsonl")
         noisy = str(tmp_path / "b.jsonl")

@@ -16,6 +16,7 @@ from repro.harness.experiment import ExperimentRunner
 from repro.harness.figures import fig5_series, fig6_series
 from repro.harness.table1 import PAPER_TABLE1, generate_table1, table1_rows
 from repro.harness.table2 import PAPER_TABLE2, generate_table2
+from repro.warped import UniformNetwork
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,19 @@ class TestPolicyPath:
         assert tiny_runner.run(
             "s9234", "Random", 2, migration_threshold=1.5
         ) is dynamic
+
+    def test_equal_networks_share_a_cell(self, tiny_runner):
+        # Networks compare by value: two separately built models of the
+        # same delay key one cache entry, a different delay another.
+        first = tiny_runner.run(
+            "s9234", "Random", 2, network=UniformNetwork(1e-4)
+        )
+        assert tiny_runner.run(
+            "s9234", "Random", 2, network=UniformNetwork(1e-4)
+        ) is first
+        assert tiny_runner.run(
+            "s9234", "Random", 2, network=UniformNetwork(2e-4)
+        ) is not first
 
     def test_machine_takes_config_then_policy(self, tiny_runner):
         machine = tiny_runner.machine(3, cancellation="lazy")

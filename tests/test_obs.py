@@ -19,12 +19,12 @@ from repro.harness.experiment import ExperimentRunner
 from repro.obs import (
     Metrics,
     TraceWriter,
+    analyze_trace,
     merge_shards,
     read_trace,
-    render_trace_summary,
+    render_analysis,
     shard_path,
     summarize,
-    summarize_trace,
 )
 from repro.obs.metrics import _NULL_TIMER, percentile
 from repro.partition.registry import get_partitioner
@@ -217,10 +217,10 @@ class TestEngineTracing:
             result = TimeWarpSimulator(
                 s27, assignment, stimulus, machine, tracer=tracer
             ).run()
-        summary = summarize_trace(read_trace(path))
-        assert summary["rollbacks_total"] == result.rollbacks
-        assert summary["gvt_rounds"] == result.gvt_rounds
-        assert summary["kinds"]["node_summary"] == 3
+        analysis = analyze_trace(read_trace(path))
+        assert analysis["cascade"]["rollbacks"] == result.rollbacks
+        assert analysis["gvt"]["rounds"] == result.gvt_rounds
+        assert analysis["kinds"]["node_summary"] == 3
         assert result.rollbacks > 0  # Random x3 must produce stragglers
 
     @pytest.mark.parametrize(
@@ -279,9 +279,9 @@ class TestEngineTracing:
                 s27, assignment, stimulus,
                 VirtualMachine(num_nodes=2, gvt_interval=64), tracer=tracer,
             ).run()
-        text = render_trace_summary(summarize_trace(read_trace(path)))
+        text = render_analysis(analyze_trace(read_trace(path)))
         assert "GVT rounds" in text
-        assert "node  0" in text
+        assert "\n    0 " in text  # node 0's row of the per-node table
 
 
 # ----------------------------------------------------------------------
@@ -305,19 +305,21 @@ class TestProcessTraceAcceptance:
         # Merged order is (wall time, node).
         keys = [(r["ts"], r["node"]) for r in records]
         assert keys == sorted(keys)
-        summary = summarize_trace(records)
+        analysis = analyze_trace(records)
         # Per-node rollback records sum to the result's rollback total...
         per_node = {
             s.node: s.rollbacks for s in result.node_stats
         }
-        for node, bucket in summary["nodes"].items():
-            assert bucket["rollbacks"] == per_node[node]
-        assert summary["rollbacks_total"] == result.rollbacks
+        for node, count in analysis["cascade"]["node_rollbacks"].items():
+            assert count == per_node[node]
+        assert analysis["cascade"]["rollbacks"] == result.rollbacks
         # ...and concluded GVT rounds match the ring's count exactly.
-        assert summary["gvt_rounds"] == result.gvt_rounds
+        assert analysis["gvt"]["rounds"] == result.gvt_rounds
         # Every worker contributed a busy/idle summary.
-        assert summary["kinds"]["node_summary"] == 4
-        assert all(b["wall"] > 0 for b in summary["nodes"].values())
+        assert analysis["kinds"]["node_summary"] == 4
+        nodes = analysis["attribution"]["nodes"]
+        assert all(b["wall"] > 0 for b in nodes.values())
+        assert {n: b["rollbacks"] for n, b in nodes.items()} == per_node
 
     def test_shards_survive_a_failed_run(self, s27, tmp_path):
         from repro.errors import SimulationError

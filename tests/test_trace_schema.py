@@ -2,8 +2,8 @@
 
 Runs all three engines traced and asserts every emitted record carries
 the envelope fields plus its kind's documented required fields — the
-analyzers (``repro.obs.report``, ``repro.obs.causality``,
-``repro.obs.analyze``) and external consumers key off exactly these.
+analyzers (``repro.obs.causality``, ``repro.obs.analyze``) and external
+consumers key off exactly these.
 A kind absent from the table fails the test: extending the schema
 means documenting it here AND in DESIGN.md §7.
 """

@@ -1,50 +1,50 @@
 #!/usr/bin/env python3
-"""Summarize a JSONL simulation trace (see ``repro.obs``):
+"""Print the analysis of a JSONL simulation trace (see ``repro.obs``):
 
     python tools/trace_report.py artifacts/s27.trace.jsonl
-    python tools/trace_report.py --json run.jsonl      # machine-readable
     python tools/trace_report.py --compare old.jsonl new.jsonl
 
 Works on a merged trace or on a single worker shard; see DESIGN.md §7
-for the record schema.  ``--compare`` diffs two runs' digests and exits
-nonzero when the second run regressed by more than 20% on rollbacks or
-GVT-round latency.
+for the record schema.  The report is ``render_analysis`` of
+``analyze_trace``, the same one ``run --analyze`` prints.  ``--compare``
+diffs two runs' analyses and exits nonzero when the second run grew by
+more than 20% in rollbacks, rollback depth p90, GVT latency p90 or GVT
+rounds.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 try:
-    from repro.obs import read_trace, render_trace_summary, summarize_trace
+    from repro.obs import analyze_trace, read_trace, render_analysis
 except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.obs import read_trace, render_trace_summary, summarize_trace
+    from repro.obs import analyze_trace, read_trace, render_analysis
 
 #: Relative growth beyond which --compare flags a metric as regressed.
 REGRESSION_THRESHOLD = 0.20
 
-#: Metrics --compare watches: label -> digest extractor.
+#: Metrics --compare watches: label -> analysis extractor.
 _COMPARE_METRICS = (
-    ("rollbacks", lambda s: float(s["rollbacks_total"])),
-    ("rolled-back depth p90", lambda s: s["rollback_depth"]["p90"]),
-    ("gvt latency p90 (s)", lambda s: s["gvt_latency"]["p90"]),
-    ("gvt rounds", lambda s: float(s["gvt_rounds"])),
+    ("rollbacks", lambda a: float(a["cascade"]["rollbacks"])),
+    ("rolled-back depth p90", lambda a: a["cascade"]["depth"]["p90"]),
+    ("gvt latency p90 (s)", lambda a: a["gvt"]["latency"]["p90"]),
+    ("gvt rounds", lambda a: float(a["gvt"]["rounds"])),
 )
 
 
 def compare_traces(path_a: str, path_b: str) -> tuple[str, bool]:
-    """Diff two runs' digests; returns (report, any_regression).
+    """Diff two runs' analyses; returns (report, any_regression).
 
     A metric regresses when run B exceeds run A by more than
     ``REGRESSION_THRESHOLD`` (missing samples on either side are
     reported but never flagged — absence is not a regression).
     """
-    a = summarize_trace(read_trace(path_a))
-    b = summarize_trace(read_trace(path_b))
+    a = analyze_trace(read_trace(path_a))
+    b = analyze_trace(read_trace(path_b))
     lines = [
         f"compare: A={path_a}  B={path_b}",
         f"{'metric':<24s} {'A':>12s} {'B':>12s} {'delta':>9s}",
@@ -77,8 +77,6 @@ def compare_traces(path_a: str, path_b: str) -> tuple[str, bool]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", nargs="+", help="JSONL trace file(s)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the summary as JSON instead of text")
     parser.add_argument("--compare", action="store_true",
                         help="diff exactly two traces (A then B); exit 1 "
                         "when B regressed >20%% on rollbacks/GVT latency")
@@ -90,11 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         print(report)
         return 1 if regressed else 0
     for path in args.trace:
-        summary = summarize_trace(read_trace(path))
-        if args.json:
-            print(json.dumps(summary, indent=2, default=str))
-        else:
-            print(render_trace_summary(summary, title=path))
+        print(render_analysis(analyze_trace(read_trace(path)), title=path))
     return 0
 
 
