@@ -19,28 +19,35 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 from repro.errors import ConfigError
 from repro.harness.config import ALGORITHMS, ExperimentConfig
 from repro.harness.experiment import ExperimentRunner
+from repro.warped.parallel.transport import TRANSPORT_NAMES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags every run subcommand takes.  Each one that configures a
+    run stores into its :class:`ExperimentConfig` field (``dest``) and
+    is ``None`` when absent, so :func:`_runner` copies them by name."""
     parser.add_argument("--scale", type=float, default=None,
                         help="circuit scale (default: env or 0.12)")
     parser.add_argument("--cycles", type=int, default=None,
+                        dest="num_cycles", metavar="N",
                         help="stimulus cycles (default: env or 60)")
     parser.add_argument("--backend", default=None,
                         choices=["virtual", "process"],
                         help="Time Warp substrate: modelled virtual machine "
                         "or real OS processes (default: env or virtual)")
     parser.add_argument("--transport", default=None,
-                        choices=["queue", "shm"],
+                        choices=TRANSPORT_NAMES,
                         help="process backend wire transport: one pipe per "
                         "node carrying pickled batches, or shared-memory "
                         "rings of fixed-width records (default: env or "
                         "queue)")
     parser.add_argument("--trace", default=None, metavar="PATH",
+                        dest="trace_path",
                         help="record a JSONL trace of every Time Warp run "
                         "(rollbacks, GVT rounds, queue depths); summarize "
                         "with tools/trace_report.py")
@@ -49,7 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         "report (rollback cascades, committed timelines, "
                         "wall-time attribution); requires --trace")
     parser.add_argument("--live-status", default=None, metavar="PATH",
-                        dest="live_status",
+                        dest="status_path",
                         help="process backend: write per-node live-status "
                         "snapshots to PATH.node<i> every GVT round (watch "
                         "with tools/tw_top.py)")
@@ -73,44 +80,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         dest="migration_fraction", metavar="F",
                         help="max fraction of the busiest node's LPs moved "
                         "per migration epoch (default 0.05)")
-    parser.add_argument("--metrics", action="store_true",
+    # default=None, not False: an absent flag leaves REPRO_METRICS in force.
+    parser.add_argument("--metrics", action="store_true", default=None,
+                        dest="metrics_enabled",
                         help="collect harness metrics and print them at exit")
 
 
 def _runner(args: argparse.Namespace) -> ExperimentRunner:
-    overrides = {}
-    if getattr(args, "scale", None) is not None:
-        overrides["scale"] = args.scale
-    if getattr(args, "cycles", None) is not None:
-        overrides["num_cycles"] = args.cycles
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
-    if getattr(args, "transport", None) is not None:
-        overrides["transport"] = args.transport
-    if getattr(args, "trace", None) is not None:
-        overrides["trace_path"] = args.trace
-    if getattr(args, "live_status", None) is not None:
-        overrides["status_path"] = args.live_status
-    if getattr(args, "checkpoint_interval", None) is not None:
-        overrides["checkpoint_interval"] = args.checkpoint_interval
-    if getattr(args, "max_restarts", None) is not None:
-        overrides["max_restarts"] = args.max_restarts
-    if getattr(args, "migration_threshold", None) is not None:
-        overrides["migration_threshold"] = args.migration_threshold
-    if getattr(args, "migration_fraction", None) is not None:
-        overrides["migration_fraction"] = args.migration_fraction
-    if getattr(args, "metrics", False):
-        overrides["metrics_enabled"] = True
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in fields(ExperimentConfig)
+        if getattr(args, field.name, None) is not None
+    }
     config = ExperimentConfig.from_env(**overrides)
     if (
         getattr(args, "circuit", None) == "s27"
-        and getattr(args, "scale", None) is None
+        and "scale" not in overrides
         and config.scale != 1.0
     ):
         # The s27 netlist ships at full size only; unless the user pinned
         # a scale explicitly, lift the scaled-by-default policy for it.
-        from dataclasses import replace
-
         config = replace(config, scale=1.0)
     return ExperimentRunner(config)
 
@@ -127,9 +116,6 @@ def _serve(args: argparse.Namespace) -> int:
     manager = JobManager(
         transport=args.transport,
         max_concurrency=args.max_jobs,
-        result_cache_size=args.result_cache,
-        partition_cache_size=args.partition_cache,
-        max_idle_rings=args.max_idle_rings,
         status_dir=status_dir,
     )
     try:
@@ -141,8 +127,7 @@ def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Parse *argv* (default: sys.argv) and run one subcommand."""
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sim",
         description="Multilevel partitioning for parallel logic simulation "
@@ -188,26 +173,22 @@ def main(argv: list[str] | None = None) -> int:
     serve_p.add_argument("--port", type=int, default=8472,
                          help="listen port (0 picks an ephemeral port)")
     serve_p.add_argument("--transport", default=None,
-                         choices=["queue", "shm"],
+                         choices=TRANSPORT_NAMES,
                          help="wire transport of the worker rings "
                          "(default: env or queue)")
     serve_p.add_argument("--max-jobs", type=int, default=2,
                          dest="max_jobs", metavar="N",
                          help="jobs executing concurrently (default 2)")
-    serve_p.add_argument("--max-idle-rings", type=int, default=4,
-                         dest="max_idle_rings", metavar="N",
-                         help="warm worker rings kept between jobs")
-    serve_p.add_argument("--result-cache", type=int, default=128,
-                         dest="result_cache", metavar="N",
-                         help="full-result cache entries (default 128)")
-    serve_p.add_argument("--partition-cache", type=int, default=64,
-                         dest="partition_cache", metavar="N",
-                         help="partition cache entries (default 64)")
     serve_p.add_argument("--status-dir", default=None, dest="status_dir",
                          help="directory for per-job live-status "
                          "snapshots (default: a temp dir; SSE streams "
                          "read these)")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """Parse *argv* (default: sys.argv) and run one subcommand."""
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "serve":
         return _serve(args)
@@ -304,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.circuit, args.algorithm, args.nodes
             )
             if runner.config.backend == "virtual":
-                cost_model = runner.config.tw_costs
+                cost_model = runner.machine(args.nodes).cost_model
         for path in runner.trace_files:
             print()
             print(render_analysis(

@@ -19,6 +19,10 @@ from repro.faults.simulate import FaultSimulator
 from repro.sim.stimulus import RandomStimulus, VectorStimulus
 from repro.utils.rng import derive_rng
 
+#: Clock cycles per random vector batch, the unit compaction keeps or
+#: drops.
+BATCH_CYCLES = 8
+
 
 @dataclass
 class AtpgResult:
@@ -75,7 +79,6 @@ def generate_tests(
     universe: FaultUniverse,
     *,
     target_coverage: float = 0.95,
-    batch_cycles: int = 8,
     max_batches: int = 24,
     period: int = 50,
     seed: int | None = None,
@@ -100,7 +103,7 @@ def generate_tests(
         tried += 1
         stimulus = RandomStimulus(
             circuit,
-            num_cycles=batch_cycles,
+            num_cycles=BATCH_CYCLES,
             period=period,
             activity=float(rng.uniform(0.3, 0.9)),
             seed=int(rng.integers(0, 2**31)),

@@ -31,12 +31,10 @@ circuits (DESIGN.md §5). Environment overrides:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.warped.machine import TimeWarpCostModel
 from repro.warped.parallel.transport import TRANSPORT_NAMES
-from repro.sim.cost_model import SequentialCostModel
 
 #: Circuits of the paper's Table 1, with the node counts Table 2 reports
 #: (s15850 lacks the 2-node row: the paper reports that configuration
@@ -103,9 +101,6 @@ class ExperimentConfig:
     #: Per-node restart budget for the process backend (0 = fail-stop;
     #: > 0 needs ``checkpoint_interval``).
     max_restarts: int = 0
-    #: Where the process backend keeps its checkpoint epoch files
-    #: (None = a temporary directory per run).
-    checkpoint_dir: str | None = None
     #: Adaptive LP migration: at each GVT epoch, when the busiest
     #: node's busy window exceeds this ratio times the idlest node's,
     #: loosely-attached hot LPs migrate toward the idlest node.  Must
@@ -117,8 +112,6 @@ class ExperimentConfig:
     migration_fraction: float = 0.05
     #: Collect counters/timers in the harness (printed by the CLI).
     metrics_enabled: bool = False
-    tw_costs: TimeWarpCostModel = field(default_factory=TimeWarpCostModel)
-    seq_costs: SequentialCostModel = field(default_factory=SequentialCostModel)
 
     def __post_init__(self) -> None:
         if self.scale <= 0:

@@ -143,9 +143,7 @@ class ExperimentRunner:
         if key not in self._sequential:
             with self.metrics.time("sequential_run_seconds"):
                 self._sequential[key] = SequentialSimulator(
-                    self.circuit(name),
-                    self.stimulus(name, rep),
-                    cost_model=self.config.seq_costs,
+                    self.circuit(name), self.stimulus(name, rep)
                 ).run()
             self.metrics.inc("sequential_runs")
         return self._sequential[key]
@@ -172,7 +170,6 @@ class ExperimentRunner:
         :class:`VirtualMachine` field in *policy* overrides the config."""
         config = self.config
         settings = dict(
-            cost_model=config.tw_costs,
             gvt_interval=config.gvt_interval,
             optimism_window=config.optimism_window,
             checkpoint_interval=config.checkpoint_interval,
@@ -222,7 +219,6 @@ class ExperimentRunner:
                     trace_path=trace_path,
                     status_path=self.config.status_path,
                     max_restarts=self.config.max_restarts,
-                    checkpoint_dir=self.config.checkpoint_dir,
                     transport=self.config.transport,
                 ).run()
             elif trace_path is not None:

@@ -74,13 +74,17 @@ def fill_empty_partitions(assignment: list[int], k: int) -> None:
             counts[dest] += 1
 
 
-def balanced_capacity(num_gates: int, k: int, slack: float = 0.0) -> int:
-    """Maximum partition size for a balanced k-way split with *slack*.
+#: Load headroom of the single-pass partitioners (Topological,
+#: ConePartition, Corolla, CPP, Annealing) over the even share: room to
+#: keep a level or cone together without letting one node run long.
+BALANCE_SLACK = 0.10
 
-    ``slack=0.05`` allows each partition 5% above the perfectly even
-    share (rounded up); partitioners use this as their feasibility bound.
-    """
+
+def balanced_capacity(num_gates: int, k: int) -> int:
+    """Maximum partition size for a balanced k-way split: the even
+    share plus :data:`BALANCE_SLACK`, rounded up; partitioners use this
+    as their feasibility bound."""
     if k < 1:
         raise PartitionError("k must be >= 1")
     even = -(-num_gates // k)  # ceil division
-    return max(1, int(even * (1.0 + slack)) + (1 if slack > 0 else 0))
+    return max(1, int(even * (1.0 + BALANCE_SLACK)) + 1)

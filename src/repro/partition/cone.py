@@ -55,13 +55,9 @@ class ConePartitioner(Partitioner):
 
     name = "ConePartition"
 
-    def __init__(self, seed=None, *, slack: float = 0.10) -> None:
-        super().__init__(seed)
-        self.slack = slack
-
     def _partition(self, circuit: CircuitGraph, k: int) -> PartitionAssignment:
         rng = derive_rng(self.seed, "cone-partitioner", circuit.name, k)
-        capacity = balanced_capacity(circuit.num_gates, k, self.slack)
+        capacity = balanced_capacity(circuit.num_gates, k)
         cones = [
             (pi, _cone_dfs_order(circuit, pi)) for pi in circuit.primary_inputs
         ]

@@ -14,30 +14,26 @@ import math
 
 from repro.circuit.graph import CircuitGraph
 from repro.partition.assignment import PartitionAssignment
-from repro.partition.base import Partitioner, fill_empty_partitions
+from repro.partition.base import (
+    BALANCE_SLACK,
+    Partitioner,
+    fill_empty_partitions,
+)
 from repro.partition.metrics import gain_of_move
 from repro.utils.rng import derive_rng
+
+#: The schedule the extended-field comparison (ablation A7) measures:
+#: attempted moves per gate, the geometric cooling factor per step of
+#: n/2 moves, and the cost of one gate over the balance cap in cut edges.
+MOVES_PER_GATE = 40.0
+COOLING = 0.95
+BALANCE_WEIGHT = 2.0
 
 
 class AnnealingPartitioner(Partitioner):
     """Metropolis single-move annealing over cut + imbalance."""
 
     name = "Annealing"
-
-    def __init__(
-        self,
-        seed=None,
-        *,
-        moves_per_gate: float = 40.0,
-        cooling: float = 0.95,
-        balance_weight: float = 2.0,
-        slack: float = 0.10,
-    ) -> None:
-        super().__init__(seed)
-        self.moves_per_gate = moves_per_gate
-        self.cooling = cooling
-        self.balance_weight = balance_weight
-        self.slack = slack
 
     def _partition(self, circuit: CircuitGraph, k: int) -> PartitionAssignment:
         rng = derive_rng(self.seed, "annealing-partitioner", circuit.name, k)
@@ -47,7 +43,7 @@ class AnnealingPartitioner(Partitioner):
         for part in assignment:
             load[part] += 1
         even = n / k
-        cap = even * (1.0 + self.slack)
+        cap = even * (1.0 + BALANCE_SLACK)
 
         def move_cost_delta(gate: int, dest: int) -> float:
             """Cost change of moving *gate* to *dest* (negative = better)."""
@@ -56,7 +52,7 @@ class AnnealingPartitioner(Partitioner):
             balance_delta = (
                 max(0.0, load[dest] + 1 - cap) - max(0.0, load[src] - cap)
             )
-            return cut_delta + self.balance_weight * balance_delta
+            return cut_delta + BALANCE_WEIGHT * balance_delta
 
         # Calibrate T0 so a median uphill move is accepted ~80% of the time.
         probes = []
@@ -69,7 +65,7 @@ class AnnealingPartitioner(Partitioner):
         t0 = (sorted(probes)[len(probes) // 2] / 0.22) if probes else 1.0
 
         temperature = t0
-        total_moves = int(self.moves_per_gate * n)
+        total_moves = int(MOVES_PER_GATE * n)
         moves_per_step = max(1, n // 2)
         performed = 0
         while performed < total_moves and temperature > 1e-3:
@@ -87,7 +83,7 @@ class AnnealingPartitioner(Partitioner):
                     load[src] -= 1
                     load[dest] += 1
             performed += moves_per_step
-            temperature *= self.cooling
+            temperature *= COOLING
 
         fill_empty_partitions(assignment, k)
         return PartitionAssignment(circuit, k, assignment)

@@ -57,10 +57,6 @@ class CorollaPartitioner(Partitioner):
 
     name = "Corolla"
 
-    def __init__(self, seed=None, *, slack: float = 0.10) -> None:
-        super().__init__(seed)
-        self.slack = slack
-
     def _partition(self, circuit: CircuitGraph, k: int) -> PartitionAssignment:
         rng = derive_rng(self.seed, "corolla-partitioner", circuit.name, k)
         roots = fanout_free_regions(circuit)
@@ -76,7 +72,7 @@ class CorollaPartitioner(Partitioner):
                 neighbor_weight[ru][rv] = neighbor_weight[ru].get(rv, 0) + 1
                 neighbor_weight[rv][ru] = neighbor_weight[rv].get(ru, 0) + 1
 
-        capacity = balanced_capacity(circuit.num_gates, k, self.slack)
+        capacity = balanced_capacity(circuit.num_gates, k)
         order = sorted(
             clusters, key=lambda r: (-len(clusters[r]), r)
         )

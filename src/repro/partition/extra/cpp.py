@@ -26,14 +26,10 @@ class CppPartitioner(Partitioner):
 
     name = "CPP"
 
-    def __init__(self, seed=None, *, slack: float = 0.10) -> None:
-        super().__init__(seed)
-        self.slack = slack
-
     def _partition(self, circuit: CircuitGraph, k: int) -> PartitionAssignment:
         rng = derive_rng(self.seed, "cpp-partitioner", circuit.name, k)
         buckets = levels_to_buckets(levelize(circuit))
-        capacity = balanced_capacity(circuit.num_gates, k, self.slack)
+        capacity = balanced_capacity(circuit.num_gates, k)
         assignment = [-1] * circuit.num_gates
         load = [0] * k
 

@@ -19,16 +19,16 @@ from repro.partition.multilevel.multilevel import MultilevelPartitioner
 from repro.sim.activity import ActivityProfile, profile_activity
 from repro.utils.rng import RngLike
 
+#: Length of the profiling simulation in clock cycles: enough to
+#: separate hot control/clock-adjacent nets from cold datapath corners.
+PROFILE_CYCLES = 16
+
 
 class ActivityMultilevelPartitioner(MultilevelPartitioner):
     """Multilevel partitioning over activity-weighted signals.
 
     Parameters mirror :class:`MultilevelPartitioner`; additionally:
 
-    profile_cycles:
-        Length of the profiling simulation (default 16 clock cycles —
-        enough to separate hot control/clock-adjacent nets from cold
-        datapath corners).
     profile:
         A precomputed :class:`~repro.sim.activity.ActivityProfile` to
         use instead of running the profiler (e.g. measured on the real
@@ -45,13 +45,11 @@ class ActivityMultilevelPartitioner(MultilevelPartitioner):
         self,
         seed: RngLike = None,
         *,
-        profile_cycles: int = 16,
         profile: ActivityProfile | None = None,
         balance_work: bool = True,
         **kwargs,
     ) -> None:
         super().__init__(seed, **kwargs)
-        self.profile_cycles = profile_cycles
         self.profile = profile
         self.balance_work = balance_work
         #: The profile actually used by the last partition() call.
@@ -62,7 +60,7 @@ class ActivityMultilevelPartitioner(MultilevelPartitioner):
         if profile is None or profile.circuit_name != circuit.name:
             profile = profile_activity(
                 circuit,
-                num_cycles=self.profile_cycles,
+                num_cycles=PROFILE_CYCLES,
                 seed=self.seed if isinstance(self.seed, int) else None,
             )
         self.last_profile = profile

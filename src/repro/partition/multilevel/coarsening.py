@@ -23,6 +23,10 @@ from dataclasses import dataclass, field
 from repro.errors import PartitionError
 from repro.partition.multilevel.coarse_graph import CoarseGraph
 
+#: Safety net on hierarchy depth: each level at least merges one pair,
+#: and real runs stop on the threshold or on no progress long before.
+MAX_LEVELS = 64
+
 
 @dataclass
 class CoarseningResult:
@@ -172,8 +176,6 @@ def coarsen(
     *,
     threshold: int,
     min_vertices: int = 1,
-    max_levels: int = 64,
-    max_globule_weight: float | None = None,
     scheme: str = "fanout",
     rng=None,
 ) -> CoarseningResult:
@@ -181,26 +183,26 @@ def coarsen(
 
     Halts when the globule count falls below *threshold*, when a step
     stops making progress (every globule is an input globule, or fanout
-    merging found nothing to combine), or at *max_levels* as a safety
-    net. A level with fewer than *min_vertices* globules is discarded
-    (callers need at least ``k`` globules to build a k-way partition).
+    merging found nothing to combine), or at :data:`MAX_LEVELS` as a
+    safety net. A level with fewer than *min_vertices* globules is
+    discarded (callers need at least ``k`` globules to build a k-way
+    partition).
 
-    ``max_globule_weight`` caps the original-gate count a single globule
-    may subsume; the default allows ~1.5x the even share of the target
-    coarsest graph, which keeps the initial-partitioning phase able to
-    balance. The first (gate-level) step is exempt — a whole fanout
-    signal always stays together, per the paper.
+    A single globule may subsume at most ~1.5x the even share of the
+    target coarsest graph in original gates, which keeps the
+    initial-partitioning phase able to balance. The first (gate-level)
+    step is exempt — a whole fanout signal always stays together, per
+    the paper.
     """
     if scheme not in ("fanout", "hem"):
         raise PartitionError(f"unknown coarsening scheme {scheme!r}")
     if scheme == "hem" and rng is None:
         raise PartitionError("HEM coarsening needs an rng")
-    if max_globule_weight is None:
-        max_globule_weight = max(2.0, 1.5 * graph.total_weight / max(threshold, 1))
+    max_globule_weight = max(2.0, 1.5 * graph.total_weight / max(threshold, 1))
     result = CoarseningResult(levels=[graph])
     current = graph
     first = True
-    while current.n > threshold and result.num_levels <= max_levels:
+    while current.n > threshold and result.num_levels <= MAX_LEVELS:
         if all(current.contains_input[v] for v in range(current.n)):
             break  # only input globules remain: no legal combination
         if scheme == "hem":

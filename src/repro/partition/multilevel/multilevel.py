@@ -27,6 +27,15 @@ from repro.utils.rng import derive_rng
 
 RefinerFn = Callable[..., int]
 
+#: Load headroom of refinement moves over the even share.  Tighter than
+#: the single-pass partitioners' 10 %: on an N-node machine the slowest
+#: node IS the execution time, so imbalance converts to time one-for-one.
+SLACK = 0.05
+#: Random initial partitions tried at the coarsest level; the best
+#: refined cut wins.  Multi-start costs almost nothing there and
+#: consistently buys cut quality.
+NUM_INITIAL = 4
+
 _REFINERS: dict[str, RefinerFn | None] = {
     "greedy": greedy_refine,
     "kl": kl_refine,
@@ -51,15 +60,6 @@ class MultilevelPartitioner(Partitioner):
         matching, the METIS-style alternative §6 alludes to).
     refiner:
         ``"greedy"`` (paper), ``"kl"``, ``"fm"`` or ``"none"``.
-    slack:
-        Allowed load imbalance for refinement moves, as a fraction over
-        the even share per partition. The 5% default trades a little
-        cut for balance — on an N-node machine the slowest node IS the
-        execution time, so imbalance converts to time one-for-one.
-    num_initial:
-        Number of random initial partitions tried at the coarsest level
-        (the best refined cut wins) — multi-start costs almost nothing
-        there and consistently buys cut quality.
     edge_weights:
         Optional per-driver signal weights; see
         :class:`repro.partition.extra_activity.ActivityMultilevelPartitioner`
@@ -75,9 +75,6 @@ class MultilevelPartitioner(Partitioner):
         coarsen_threshold: int | None = None,
         coarsening: str = "fanout",
         refiner: str = "greedy",
-        slack: float = 0.05,
-        max_refine_iterations: int = 8,
-        num_initial: int = 4,
         edge_weights: list[int] | None = None,
         vertex_weights: list[int] | None = None,
     ) -> None:
@@ -89,9 +86,6 @@ class MultilevelPartitioner(Partitioner):
         self.coarsen_threshold = coarsen_threshold
         self.coarsening = coarsening
         self.refiner = refiner
-        self.slack = slack
-        self.max_refine_iterations = max_refine_iterations
-        self.num_initial = num_initial
         #: Optional per-driver signal weights (activity counts): phases
         #: then minimise *weighted* cut = expected message traffic.
         self.edge_weights = edge_weights
@@ -126,7 +120,7 @@ class MultilevelPartitioner(Partitioner):
         coarsened = time.perf_counter()
 
         coarsest = hierarchy.coarsest
-        max_weight = (level0.total_weight / k) * (1.0 + self.slack)
+        max_weight = (level0.total_weight / k) * (1.0 + SLACK)
         max_weight = max(max_weight, max(coarsest.weight))
 
         # Multi-start: several random initial partitions are refined at
@@ -135,7 +129,7 @@ class MultilevelPartitioner(Partitioner):
         refine = _REFINERS[self.refiner]
         best_partition: list[int] | None = None
         best_cut = -1
-        for _ in range(max(1, self.num_initial)):
+        for _ in range(NUM_INITIAL):
             candidate = initial_partition(coarsest, k, rng)
             if refine is not None:
                 refine(coarsest, candidate, k, rng, max_weight=max_weight)
@@ -151,18 +145,7 @@ class MultilevelPartitioner(Partitioner):
         for level in range(hierarchy.num_levels - 1, -1, -1):
             graph = hierarchy.levels[level]
             if refine is not None:
-                refine(
-                    graph,
-                    partition,
-                    k,
-                    rng,
-                    max_weight=max_weight,
-                    **(
-                        {"max_iterations": self.max_refine_iterations}
-                        if self.refiner == "greedy"
-                        else {}
-                    ),
-                )
+                refine(graph, partition, k, rng, max_weight=max_weight)
             if level > 0:
                 partition = graph.project(partition)
         self.last_phase_seconds = {

@@ -17,6 +17,10 @@ import numpy as np
 from repro.partition.multilevel.coarse_graph import CoarseGraph
 from repro.partition.multilevel.refine_greedy import move_gains
 
+#: FM passes per level; refinement stops earlier once a pass keeps no
+#: move.
+MAX_PASSES = 4
+
 
 def fm_refine(
     graph: CoarseGraph,
@@ -25,11 +29,10 @@ def fm_refine(
     rng: np.random.Generator,
     *,
     max_weight: float,
-    max_passes: int = 4,
 ) -> int:
     """Refine *partition* in place; return the number of retained moves."""
     retained_total = 0
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         retained = _one_pass(graph, partition, k, max_weight)
         retained_total += retained
         if retained == 0:

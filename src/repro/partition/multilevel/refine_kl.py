@@ -17,6 +17,13 @@ import numpy as np
 
 from repro.partition.multilevel.coarse_graph import CoarseGraph
 
+#: Sweeps over every partition pair; refinement stops earlier once a
+#: sweep swaps nothing.
+MAX_PASSES = 2
+#: Swaps one pair may make per sweep: bounds a sweep's cost on large
+#: coarse graphs.
+MAX_SWAPS_PER_PAIR = 64
+
 
 def _d_value(graph: CoarseGraph, partition: list[int], v: int, other: int) -> int:
     """KL D-value of *v* w.r.t. partition *other*: external - internal."""
@@ -39,19 +46,17 @@ def kl_refine(
     rng: np.random.Generator,
     *,
     max_weight: float,
-    max_passes: int = 2,
-    max_swaps_per_pair: int = 64,
 ) -> int:
     """Refine *partition* in place via pairwise KL; return swap count."""
     load = [0.0] * k
     for v in range(graph.n):
         load[partition[v]] += graph.weight[v]
     total_swaps = 0
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         swaps = 0
         for a, b in combinations(range(k), 2):
             swaps += _kl_pair(
-                graph, partition, a, b, max_swaps_per_pair, load, max_weight
+                graph, partition, a, b, MAX_SWAPS_PER_PAIR, load, max_weight
             )
         total_swaps += swaps
         if swaps == 0:

@@ -25,13 +25,9 @@ class TopologicalPartitioner(Partitioner):
 
     name = "Topological"
 
-    def __init__(self, seed=None, *, slack: float = 0.10) -> None:
-        super().__init__(seed)
-        self.slack = slack
-
     def _partition(self, circuit: CircuitGraph, k: int) -> PartitionAssignment:
         buckets = levels_to_buckets(levelize(circuit))
-        capacity = balanced_capacity(circuit.num_gates, k, self.slack)
+        capacity = balanced_capacity(circuit.num_gates, k)
         sizes = [0] * k
         assignment = [0] * circuit.num_gates
         for level, bucket in enumerate(buckets):

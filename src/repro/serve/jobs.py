@@ -82,6 +82,14 @@ MAX_TIMEOUT = 600.0
 #: the server's lifetime; an evicted id answers 404 like an unknown one.
 #: (The result cache is separate: a repeat of an evicted job still hits.)
 MAX_TERMINAL_JOBS = 1024
+#: Finished results the result cache keeps.  A served result is ≈5 KB;
+#: 128 is four times the window the served mix draws its repeats from.
+RESULT_CACHE_SIZE = 128
+#: Partition worlds the partition cache keeps (a circuit plus its
+#: assignment each, so half as many as results).
+PARTITION_CACHE_SIZE = 64
+#: Parsed netlists: the four named benchmarks plus inline sources.
+CIRCUIT_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -205,10 +213,6 @@ class JobManager:
         *,
         transport: str | None = None,
         max_concurrency: int = 2,
-        result_cache_size: int = 128,
-        partition_cache_size: int = 64,
-        circuit_cache_size: int = 32,
-        max_idle_rings: int = 4,
         status_dir: str | None = None,
         metrics: Metrics | None = None,
     ) -> None:
@@ -216,19 +220,15 @@ class JobManager:
             raise ConfigError("max_concurrency must be >= 1")
         self.metrics = metrics if metrics is not None else Metrics(enabled=True)
         self.result_cache = LruCache(
-            result_cache_size, metrics=self.metrics, name="result_cache"
+            RESULT_CACHE_SIZE, metrics=self.metrics, name="result_cache"
         )
         self.partition_cache = LruCache(
-            partition_cache_size, metrics=self.metrics, name="partition_cache"
+            PARTITION_CACHE_SIZE, metrics=self.metrics, name="partition_cache"
         )
         self._circuit_cache = LruCache(
-            circuit_cache_size, metrics=self.metrics, name="circuit_cache"
+            CIRCUIT_CACHE_SIZE, metrics=self.metrics, name="circuit_cache"
         )
-        self.pool = RingPool(
-            transport=transport,
-            max_idle=max_idle_rings,
-            metrics=self.metrics,
-        )
+        self.pool = RingPool(transport=transport, metrics=self.metrics)
         self.status_dir = status_dir
         if status_dir is not None:
             os.makedirs(status_dir, exist_ok=True)

@@ -32,6 +32,10 @@ from repro.errors import ConfigError
 from repro.obs import Metrics
 from repro.warped.parallel.ring import WorkerRing
 
+#: Idle rings the server's shelf keeps: each holds k live worker
+#: processes, and four cover the few node counts a small host serves.
+MAX_IDLE_RINGS = 4
+
 
 class RingPool:
     """Bounded shelf of warm :class:`WorkerRing` instances."""
@@ -40,7 +44,7 @@ class RingPool:
         self,
         *,
         transport: str | None = None,
-        max_idle: int = 4,
+        max_idle: int = MAX_IDLE_RINGS,
         metrics: Metrics | None = None,
     ) -> None:
         if max_idle < 0:

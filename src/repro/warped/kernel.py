@@ -72,7 +72,6 @@ class TimeWarpSimulator:
         machine: VirtualMachine,
         *,
         max_events: int = 50_000_000,
-        trace_hook=None,
         tracer=None,
     ) -> None:
         check_job(circuit, assignment, stimulus, machine)
@@ -81,12 +80,8 @@ class TimeWarpSimulator:
         self.stimulus = stimulus
         self.machine = machine
         self.max_events = max_events
-        #: Optional callable receiving (op, *details) tuples for every
-        #: kernel action — used by protocol tests and debugging.
-        self.trace_hook = trace_hook
         #: Optional :class:`repro.obs.tracer.TraceWriter` — structured
-        #: rollback / GVT-round / node-summary records.  Orthogonal to
-        #: ``trace_hook`` (that one sees raw kernel ops).
+        #: rollback / GVT-round / node-summary records.
         self.tracer = tracer
 
     # ------------------------------------------------------------------
@@ -165,7 +160,6 @@ class TimeWarpSimulator:
         next_uid = uids.__next__
 
         flight_seq = 0
-        trace = self.trace_hook
         tracer = self.tracer
         # Committed DFF captures: (gate, cycle) -> value captured.
         # Entries are removed when their record is rolled back, so at
@@ -192,21 +186,14 @@ class TimeWarpSimulator:
             """Cancel emission *em*; returns 1 if a remote anti was sent."""
             if lps[em.dest].node == node:
                 pending_cancels.append(em)
-                sent = 0
-            else:
-                anti = em.make_anti()
-                nonlocal flight_seq, next_arrival
-                flight_seq += 1
-                arr = depart + hop_delay
-                heapq.heappush(in_flight, (arr, flight_seq, anti))
-                if arr < next_arrival:
-                    next_arrival = arr
-                sent = 1
-                if trace:
-                    trace("anti_sent", em.uid, node, lps[em.dest].node)
-            if trace:
-                trace("emission_cancelled", em.uid)
-            return sent
+                return 0
+            nonlocal flight_seq, next_arrival
+            flight_seq += 1
+            arr = depart + hop_delay
+            heapq.heappush(in_flight, (arr, flight_seq, em.make_anti()))
+            if arr < next_arrival:
+                next_arrival = arr
+            return 1
 
         def flush_lazy(lp: LogicalProcess, now_wall: float, *, before: int | None = None) -> None:
             """Cancel buffered sends of *lp* (all, or those with time < before).
@@ -258,8 +245,6 @@ class TimeWarpSimulator:
                     new_emissions.append(head)
                     reused_uids.add(head.uid)
                     counters["lazy_reuses"] += 1
-                    if trace:
-                        trace("lazy_reuse", head.uid)
                 else:
                     diverged = True
                     new_emissions.append(em)
@@ -290,11 +275,6 @@ class TimeWarpSimulator:
             history_total -= undone
             if not lp.processed:
                 oldest_times.pop(lp.gate_index, None)
-            if trace:
-                for record in undone_records:
-                    uid = record.msg.uid
-                    op = "annihilate_processed" if uid == cancel_uid else "reenqueue"
-                    trace(op, uid)
             if lazy:
                 # Older buffered sends are stale the moment a second
                 # rollback reaches further back: cancel them, then hold
@@ -328,21 +308,15 @@ class TimeWarpSimulator:
         def apply_cancel(em: Message, now_wall: float) -> None:
             """Annihilate the (node-local or delivered) positive copy *em*."""
             lp = lps[em.dest]
-            queue = queues[lp.node]
-            if queue.annihilate(em):
-                if trace:
-                    trace("annihilate_pending", em.uid)
-            elif lp.holds(em):
-                if trace:
-                    trace("cancel_rollback", em.uid, lp.gate.index)
+            if queues[lp.node].annihilate(em):
+                return  # the positive copy was still pending
+            if lp.holds(em):
                 rollback(lp, em.key, now_wall, cancel_uid=em.uid, cause_msg=em)
             else:
                 # Positive copy not yet arrived (it can still be in
                 # flight even if the LP advanced past its key — the anti
                 # took a shorter wall-clock path); annihilate on arrival.
                 waiting_antis[em.uid] = em
-                if trace:
-                    trace("stash_anti", em.uid)
 
         def drain_cancels(now_wall: float) -> None:
             while pending_cancels:
@@ -581,8 +555,6 @@ class TimeWarpSimulator:
                             apply_cancel(msg, arrival)
                         elif msg.uid in waiting_antis:
                             del waiting_antis[msg.uid]
-                            if trace:
-                                trace("annihilate_on_arrival", msg.uid)
                         else:
                             if msg.key <= d_lp.last_key:
                                 rollback(
@@ -751,8 +723,6 @@ class TimeWarpSimulator:
                 lp.processed.append(record)
                 lp.last_key = msg.key
                 # --- end inlined process ---------------------------------
-                if trace:
-                    trace("process", msg.uid, dest, msg.key)
                 ns_events[node] += 1
                 history_total += 1
                 if history_total > peak_history:
@@ -798,8 +768,6 @@ class TimeWarpSimulator:
                             # partition).
                             if waiting_antis and em.uid in waiting_antis:
                                 del waiting_antis[em.uid]
-                                if trace:
-                                    trace("annihilate_on_arrival", em.uid)
                                 continue
                             if em.key <= dest_lp.last_key:
                                 rollback(

@@ -1430,7 +1430,8 @@ class ProcessTimeWarpSimulator:
         any single node exhausts its budget the run degrades to the
         virtual backend (``result.degraded``).  A timeout is terminal,
         and the wall-clock timeout spans the whole run, restarts
-        included.
+        included.  Every finished run, degraded or not, merges its
+        attempts' trace shards and ``restart`` records.
         """
         from repro.warped.parallel.ring import RingFailure, WorkerRing
 
@@ -1450,6 +1451,7 @@ class ProcessTimeWarpSimulator:
                 ckpt_dir = self.checkpoint_dir
                 os.makedirs(ckpt_dir, exist_ok=True)
         attempt = Attempt(trace_epoch=time.time(), ckpt_dir=ckpt_dir)
+        result = None  # stays None when the restart budget runs out
         try:
             while True:
                 ring = WorkerRing(
@@ -1478,7 +1480,7 @@ class ProcessTimeWarpSimulator:
                         restarts_by_node.get(i, 0) >= self.max_restarts
                         for i in failure.failed
                     ):
-                        return self._degrade()
+                        break
                     down_t0 = time.monotonic()
                     resume = self._prepare_resume(ckpt_dir, n)
                     if resume is None:
@@ -1528,6 +1530,8 @@ class ProcessTimeWarpSimulator:
                 ],
                 extra=self.restart_log or None,
             )
+        if result is None:
+            result = self._degrade()
         result.restarts = self.restarts
         return result
 
@@ -1571,7 +1575,6 @@ class ProcessTimeWarpSimulator:
             max_events=self.max_events,
         ).run()
         result.degraded = True
-        result.restarts = self.restarts
         return result
 
 

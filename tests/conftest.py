@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.circuit import GeneratorSpec, generate_circuit
 from repro.circuit.netlists import S27_BENCH, load_s27
+from repro.warped.lp import LogicalProcess
+from repro.warped.queues import NodeQueue
 
 __all__ = ["S27_BENCH"]  # re-exported for scripts that import conftest
 
@@ -59,3 +63,32 @@ def combinational_circuit():
         seed=44,
     )
     return generate_circuit(spec)
+
+
+@pytest.fixture
+def cancel_spy(monkeypatch):
+    """Count how the virtual kernel resolves each cancellation.
+
+    ``annihilate`` counts :meth:`NodeQueue.annihilate` calls (one per
+    cancelled send), ``pending`` those that found the copy still
+    queued; of the rest, :meth:`LogicalProcess.holds` splits
+    ``processed`` (roll the LP back) from ``stashed`` (annihilate on
+    arrival).
+    """
+    counts = Counter()
+    annihilate, holds = NodeQueue.annihilate, LogicalProcess.holds
+
+    def spy_annihilate(queue, msg):
+        found = annihilate(queue, msg)
+        counts["annihilate"] += 1
+        counts["pending"] += found
+        return found
+
+    def spy_holds(lp, msg):
+        held = holds(lp, msg)
+        counts["processed" if held else "stashed"] += 1
+        return held
+
+    monkeypatch.setattr(NodeQueue, "annihilate", spy_annihilate)
+    monkeypatch.setattr(LogicalProcess, "holds", spy_holds)
+    return counts

@@ -16,7 +16,7 @@ from repro.harness.experiment import ExperimentRunner
 from repro.harness.figures import fig5_series, fig6_series
 from repro.harness.table1 import PAPER_TABLE1, generate_table1, table1_rows
 from repro.harness.table2 import PAPER_TABLE2, generate_table2
-from repro.warped import UniformNetwork
+from repro.warped import TimeWarpCostModel, UniformNetwork
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +132,7 @@ class TestPolicyPath:
         assert machine.num_nodes == 3
         assert machine.cancellation == "lazy"
         assert machine.optimism_window == tiny_runner.config.optimism_window
-        assert machine.cost_model is tiny_runner.config.tw_costs
+        assert machine.cost_model == TimeWarpCostModel()
 
     def test_conservative_kernel_agrees_with_oracle(self, tiny_runner):
         cmb = tiny_runner.run("s9234", "DFS", 2, kernel="conservative")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.tracer import TraceWriter, read_trace
 from repro.partition import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped import TimeWarpSimulator, VirtualMachine
@@ -52,34 +53,36 @@ class TestLazyBehaviour:
             "value-correct speculation should be reused, not cancelled"
         )
 
-    def test_reuse_plus_cancel_covers_all_undone_sends(self, medium_circuit):
+    def test_reuse_plus_cancel_covers_all_undone_sends(
+        self, medium_circuit, tmp_path, cancel_spy
+    ):
         """Lazy never both reuses and cancels the same send: every
         rolled-back remote emission ends as exactly one of the two.
         (Whether lazy sends fewer antis overall is workload-dependent —
         wrong speculation propagates further before cancellation and
         can amplify cascades; ablation A6 reports the comparison.)"""
         stim = RandomStimulus(medium_circuit, num_cycles=25, seed=2)
-        counts = {}
         assignment = get_partitioner("Cluster", seed=3).partition(
             medium_circuit, 4
         )
         machine = VirtualMachine(num_nodes=4, cancellation="lazy")
-        result = TimeWarpSimulator(
-            medium_circuit, assignment, stim, machine,
-            trace_hook=lambda op, *a: counts.__setitem__(
-                op, counts.get(op, 0) + 1
-            ),
-        ).run()
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(str(path)) as tracer:
+            result = TimeWarpSimulator(
+                medium_circuit, assignment, stim, machine, tracer=tracer,
+            ).run()
         assert result.rollbacks > 0
-        cancelled = counts.get("emission_cancelled", 0)
-        reused = counts.get("lazy_reuses", 0) or result.lazy_reuses
-        resolved = (
-            counts.get("annihilate_pending", 0)
-            + counts.get("annihilate_processed", 0)
-            + counts.get("annihilate_on_arrival", 0)
+        assert result.lazy_reuses > 0
+        undone = sum(
+            len(r["antis"]) for r in read_trace(path) if r["kind"] == "rollback"
         )
-        assert cancelled == resolved
-        assert reused == result.lazy_reuses
+        resolved = (
+            cancel_spy["pending"]
+            + cancel_spy["processed"]
+            + cancel_spy["stashed"]
+        )
+        assert cancel_spy["annihilate"] == resolved
+        assert undone == cancel_spy["annihilate"] + result.lazy_reuses
 
     def test_aggressive_mode_never_reuses(self, medium_circuit):
         stim = RandomStimulus(medium_circuit, num_cycles=15, seed=2)

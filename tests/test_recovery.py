@@ -274,6 +274,24 @@ class TestRecoveryEndToEnd:
         assert result.committed_captures == sequential.committed_captures
         assert "DEGRADED" in result.summary()
 
+    def test_degraded_run_still_merges_its_trace(
+        self, s27_setup, monkeypatch, tmp_path
+    ):
+        """A run that degrades finishes like any other: its attempts'
+        shards are merged into the trace, with one ``restart`` record
+        per restart, and no shard is left behind."""
+        from repro.obs.tracer import read_trace
+
+        monkeypatch.setenv("REPRO_TW_FAULT", "1:exit*:7")
+        path = tmp_path / "t.jsonl"
+        result = self._sim(
+            s27_setup, max_restarts=1, trace_path=str(path)
+        ).run()
+        assert result.degraded
+        restarts = [r for r in read_trace(path) if r["kind"] == "restart"]
+        assert len(restarts) == result.restarts == 1
+        assert os.listdir(tmp_path) == ["t.jsonl"]
+
     def test_clean_run_prunes_old_epochs(self, s27_setup, monkeypatch, tmp_path):
         _, _, sequential = s27_setup
         monkeypatch.delenv("REPRO_TW_FAULT", raising=False)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, SimulationError
+from repro.obs.tracer import TraceWriter, read_trace
 from repro.partition import PartitionAssignment, get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped import (
@@ -121,42 +122,52 @@ class TestOracle:
 
 
 class TestProtocolInternals:
-    def test_trace_hook_sees_processing(self, s27):
+    def test_trace_hook_sees_processing(self, s27, tmp_path):
+        """Every event the run keeps is committed exactly once in the
+        structured trace, and every rollback leaves one record."""
         stim = RandomStimulus(s27, num_cycles=10, seed=1)
         assignment = get_partitioner("Random", seed=3).partition(s27, 2)
-        ops = []
-        sim = TimeWarpSimulator(
-            s27, assignment, stim, VirtualMachine(num_nodes=2),
-            trace_hook=lambda op, *a: ops.append(op),
-        )
-        result = sim.run()
-        assert ops.count("process") == result.events_processed
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(str(path)) as tracer:
+            result = TimeWarpSimulator(
+                s27, assignment, stim, VirtualMachine(num_nodes=2),
+                tracer=tracer,
+            ).run()
+        records = read_trace(path)
+        committed = sum(r["n"] for r in records if r["kind"] == "commit")
+        assert committed == result.events_processed - result.events_rolled_back
+        rollbacks = [r for r in records if r["kind"] == "rollback"]
+        assert len(rollbacks) == result.rollbacks
 
-    def test_every_cancelled_emission_is_resolved(self, medium_circuit):
+    def test_every_cancelled_emission_is_resolved(
+        self, medium_circuit, tmp_path, cancel_spy
+    ):
         """Conservation law: each cancelled emission is annihilated
-        exactly once (pending, processed, stashed or on arrival)."""
+        exactly once (pending, processed or stashed until arrival)."""
         stim = RandomStimulus(medium_circuit, num_cycles=15, seed=7)
         assignment = get_partitioner("Cluster", seed=3).partition(
             medium_circuit, 4
         )
-        counts = {}
-
-        def hook(op, *args):
-            counts[op] = counts.get(op, 0) + 1
-
-        sim = TimeWarpSimulator(
-            medium_circuit, assignment, stim, VirtualMachine(num_nodes=4),
-            trace_hook=hook,
-        )
-        result = sim.run()
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(str(path)) as tracer:
+            result = TimeWarpSimulator(
+                medium_circuit, assignment, stim, VirtualMachine(num_nodes=4),
+                tracer=tracer,
+            ).run()
         assert result.rollbacks > 0, "want a run that actually rolls back"
-        cancelled = counts.get("emission_cancelled", 0)
+        rollbacks = [r for r in read_trace(path) if r["kind"] == "rollback"]
+        assert len(rollbacks) == result.rollbacks
+        cancelled = sum(len(r["antis"]) for r in rollbacks)
         resolved = (
-            counts.get("annihilate_pending", 0)
-            + counts.get("annihilate_processed", 0)
-            + counts.get("annihilate_on_arrival", 0)
+            cancel_spy["pending"]
+            + cancel_spy["processed"]
+            + cancel_spy["stashed"]
         )
-        assert cancelled == resolved
+        assert cancelled == cancel_spy["annihilate"] == resolved
+        # A processed copy is undone by exactly one anti-caused rollback.
+        assert cancel_spy["processed"] == sum(
+            r["cause_kind"] == "anti" for r in rollbacks
+        )
 
     def test_max_events_guard(self, medium_circuit):
         stim = RandomStimulus(medium_circuit, num_cycles=10, seed=1)

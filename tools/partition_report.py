@@ -81,7 +81,7 @@ def build_scorecard(
                     analyze_trace(
                         records, circuit=runner.circuit(circuit_name),
                         assignment=assignment,
-                        cost_model=runner.config.tw_costs,
+                        cost_model=runner.machine(nodes).cost_model,
                     ),
                     title=f"{circuit_name} / {label} x{nodes}",
                 ))
