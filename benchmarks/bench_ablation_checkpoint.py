@@ -15,7 +15,7 @@ from repro.utils.tables import format_table
 INTERVALS = (None, 1, 4, 16, 64)
 
 
-def test_ablation_checkpoint(benchmark, runner, artifact_dir):
+def test_ablation_checkpoint(runner, artifact_dir):
     def build_table():
         rows = []
         results = {}
@@ -43,7 +43,7 @@ def test_ablation_checkpoint(benchmark, runner, artifact_dir):
         )
         return table, results
 
-    table, results = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    table, results = build_table()
     save_artifact(artifact_dir, "ablation_checkpoint.txt", table)
 
     # The policy changes costs, and costs shift the schedule, so only

@@ -13,14 +13,8 @@ from repro.partition.multilevel import MultilevelPartitioner
 THRESHOLDS = (16, 32, 64, 128, 256)
 
 
-def test_ablation_coarsen_threshold(benchmark, runner, artifact_dir):
-    table = benchmark.pedantic(
-        ablation_coarsen_threshold,
-        args=(runner,),
-        kwargs={"thresholds": THRESHOLDS},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_coarsen_threshold(runner, artifact_dir):
+    table = ablation_coarsen_threshold(runner, thresholds=THRESHOLDS)
     save_artifact(artifact_dir, "ablation_coarsen.txt", table)
 
     circuit = runner.circuit("s9234")

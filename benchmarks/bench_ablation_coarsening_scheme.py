@@ -16,7 +16,7 @@ from repro.partition.multilevel import MultilevelPartitioner
 from repro.utils.tables import format_table
 
 
-def test_ablation_coarsening_scheme(benchmark, runner, artifact_dir):
+def test_ablation_coarsening_scheme(runner, artifact_dir):
     circuit = runner.circuit("s9234")
 
     def build_table():
@@ -50,7 +50,7 @@ def test_ablation_coarsening_scheme(benchmark, runner, artifact_dir):
         )
         return table, data
 
-    table, data = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    table, data = build_table()
     save_artifact(artifact_dir, "ablation_coarsening_scheme.txt", table)
 
     fanout_q, _ = data["fanout"]

@@ -17,7 +17,7 @@ from repro.utils.tables import format_table
 COMPARED = ("Multilevel", "Random", "DFS")
 
 
-def test_ablation_conservative(benchmark, runner, artifact_dir):
+def test_ablation_conservative(runner, artifact_dir):
     def build_table():
         rows = []
         data = {}
@@ -44,7 +44,7 @@ def test_ablation_conservative(benchmark, runner, artifact_dir):
         )
         return table, data
 
-    table, data = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    table, data = build_table()
     save_artifact(artifact_dir, "ablation_conservative.txt", table)
 
     for algorithm, (tw, cmb) in data.items():

@@ -18,7 +18,7 @@ from repro.harness.config import ALGORITHMS
 from repro.utils.tables import format_table
 
 
-def test_ablation_lazy_cancellation(benchmark, runner, artifact_dir):
+def test_ablation_lazy_cancellation(runner, artifact_dir):
     def build_table():
         rows = []
         for algorithm in ALGORITHMS:
@@ -42,7 +42,7 @@ def test_ablation_lazy_cancellation(benchmark, runner, artifact_dir):
             f"{runner.config.describe()})",
         ), rows
 
-    (table, rows) = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    table, rows = build_table()
     save_artifact(artifact_dir, "ablation_lazy.txt", table)
 
     total_reuses = sum(row[3] for row in rows)

@@ -20,7 +20,7 @@ from repro.utils.tables import format_table
 COMPARED = ("Multilevel", "ConePartition", "Cluster", "Topological")
 
 
-def test_ablation_migration(benchmark, runner, artifact_dir):
+def test_ablation_migration(runner, artifact_dir):
     def build_table():
         rows = []
         data = {}
@@ -51,7 +51,7 @@ def test_ablation_migration(benchmark, runner, artifact_dir):
         )
         return table, data
 
-    table, data = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    table, data = build_table()
     save_artifact(artifact_dir, "ablation_migration.txt", table)
 
     # Migration actually fires for every strategy at this threshold...

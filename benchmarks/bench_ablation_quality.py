@@ -12,10 +12,8 @@ from repro.harness.config import ALGORITHMS
 from repro.partition.metrics import partition_quality
 
 
-def test_ablation_quality(benchmark, runner, artifact_dir):
-    table = benchmark.pedantic(
-        ablation_quality, args=(runner,), rounds=1, iterations=1
-    )
+def test_ablation_quality(runner, artifact_dir):
+    table = ablation_quality(runner)
     save_artifact(artifact_dir, "ablation_quality.txt", table)
 
     cuts = {}

@@ -14,10 +14,8 @@ from repro.partition.metrics import edge_cut
 from repro.partition.multilevel import MultilevelPartitioner
 
 
-def test_ablation_refiner(benchmark, runner, artifact_dir):
-    table = benchmark.pedantic(
-        ablation_refiner, args=(runner,), rounds=1, iterations=1
-    )
+def test_ablation_refiner(runner, artifact_dir):
+    table = ablation_refiner(runner)
     save_artifact(artifact_dir, "ablation_refine.txt", table)
 
     circuit = runner.circuit("s9234")

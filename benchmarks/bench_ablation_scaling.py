@@ -14,13 +14,8 @@ from repro.harness.ablations import ablation_scaling
 from repro.partition.multilevel import MultilevelPartitioner
 
 
-def test_ablation_scaling(benchmark, runner, artifact_dir):
-    table = benchmark.pedantic(
-        ablation_scaling,
-        kwargs={"sizes": (500, 1000, 2000, 4000)},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_scaling(artifact_dir):
+    table = ablation_scaling(sizes=(500, 1000, 2000, 4000))
     save_artifact(artifact_dir, "ablation_scaling.txt", table)
 
     per_edge = []

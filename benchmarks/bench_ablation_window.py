@@ -11,10 +11,8 @@ from conftest import save_artifact
 from repro.harness.ablations import ablation_window
 
 
-def test_ablation_window(benchmark, runner, artifact_dir):
-    table = benchmark.pedantic(
-        ablation_window, args=(runner,), rounds=1, iterations=1
-    )
+def test_ablation_window(runner, artifact_dir):
+    table = ablation_window(runner)
     save_artifact(artifact_dir, "ablation_window.txt", table)
 
     # The sweep's cells, from the runner's cache: unbounded and 0.5 periods.

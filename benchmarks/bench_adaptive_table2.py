@@ -19,7 +19,7 @@ NODES = 8
 THRESHOLD = 1.5
 
 
-def test_adaptive_table2(benchmark, runner, artifact_dir):
+def test_adaptive_table2(runner, artifact_dir):
     def build_table():
         data = {}
         rows = []
@@ -46,7 +46,7 @@ def test_adaptive_table2(benchmark, runner, artifact_dir):
         )
         return table, data
 
-    table, data = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    table, data = build_table()
     save_artifact(artifact_dir, "adaptive_table2.txt", table)
 
     # The worst static partition is rescued by runtime repartitioning:

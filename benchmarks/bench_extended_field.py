@@ -19,7 +19,7 @@ from repro.partition.registry import all_partitioners, get_partitioner
 from repro.utils.tables import format_table
 
 
-def test_extended_field(benchmark, runner, artifact_dir):
+def test_extended_field(runner, artifact_dir):
     circuit = runner.circuit("s9234")
 
     def build_table():
@@ -54,7 +54,7 @@ def test_extended_field(benchmark, runner, artifact_dir):
         )
         return table, data
 
-    table, data = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    table, data = build_table()
     save_artifact(artifact_dir, "extended_field.txt", table)
 
     cuts = {name: d[0].edge_cut for name, d in data.items()}

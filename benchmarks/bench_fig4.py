@@ -11,10 +11,8 @@ from repro.harness.config import ALGORITHMS
 from repro.harness.figures import FIGURE_NODE_COUNTS, fig4_series, generate_fig4
 
 
-def test_fig4(benchmark, runner, artifact_dir):
-    rendered = benchmark.pedantic(
-        generate_fig4, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig4(runner, artifact_dir):
+    rendered = generate_fig4(runner)
     save_artifact(artifact_dir, "fig4.txt", rendered)
 
     if runner.config.scale < 0.1:

@@ -12,10 +12,8 @@ from repro.harness.config import ALGORITHMS
 from repro.harness.figures import FIGURE_NODE_COUNTS, fig5_series, generate_fig5
 
 
-def test_fig5(benchmark, runner, artifact_dir):
-    rendered = benchmark.pedantic(
-        generate_fig5, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig5(runner, artifact_dir):
+    rendered = generate_fig5(runner)
     save_artifact(artifact_dir, "fig5.txt", rendered)
 
     series = fig5_series(runner)

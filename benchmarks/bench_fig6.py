@@ -15,10 +15,8 @@ from repro.harness.config import ALGORITHMS
 from repro.harness.figures import FIGURE_NODE_COUNTS, fig6_series, generate_fig6
 
 
-def test_fig6(benchmark, runner, artifact_dir):
-    rendered = benchmark.pedantic(
-        generate_fig6, args=(runner,), rounds=1, iterations=1
-    )
+def test_fig6(runner, artifact_dir):
+    rendered = generate_fig6(runner)
     save_artifact(artifact_dir, "fig6.txt", rendered)
 
     series = fig6_series(runner)

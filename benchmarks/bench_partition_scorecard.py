@@ -26,13 +26,9 @@ CIRCUIT = "s9234"
 NODES = 4
 
 
-def test_partition_scorecard(benchmark, runner, artifact_dir):
-    rows, forensics = benchmark.pedantic(
-        build_scorecard,
-        args=(runner, CIRCUIT, NODES),
-        kwargs={"trace_dir": str(artifact_dir), "forensics": True},
-        rounds=1,
-        iterations=1,
+def test_partition_scorecard(runner, artifact_dir):
+    rows, forensics = build_scorecard(
+        runner, CIRCUIT, NODES, trace_dir=str(artifact_dir), forensics=True
     )
     assert all(row["reconciled"] for row in rows)
     scorecard = render_scorecard(

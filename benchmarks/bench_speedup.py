@@ -14,10 +14,8 @@ from conftest import save_artifact
 from repro.harness.extensions import generate_speedup, speedup_rows
 
 
-def test_speedup(benchmark, runner, artifact_dir):
-    table = benchmark.pedantic(
-        generate_speedup, args=(runner,), rounds=1, iterations=1
-    )
+def test_speedup(runner, artifact_dir):
+    table = generate_speedup(runner)
     save_artifact(artifact_dir, "speedup.txt", table)
 
     by_circuit = defaultdict(list)

@@ -9,10 +9,8 @@ from conftest import save_artifact
 from repro.harness.table1 import PAPER_TABLE1, generate_table1, table1_rows
 
 
-def test_table1(benchmark, runner, artifact_dir):
-    table = benchmark.pedantic(
-        generate_table1, args=(runner,), rounds=1, iterations=1
-    )
+def test_table1(runner, artifact_dir):
+    table = generate_table1(runner)
     save_artifact(artifact_dir, "table1.txt", table)
 
     scale = runner.config.scale

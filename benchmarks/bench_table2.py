@@ -18,10 +18,8 @@ from repro.harness.config import ALGORITHMS, TABLE2_NODE_COUNTS
 from repro.harness.table2 import generate_table2, winners_by_row
 
 
-def test_table2(benchmark, runner, artifact_dir):
-    table = benchmark.pedantic(
-        generate_table2, args=(runner,), rounds=1, iterations=1
-    )
+def test_table2(runner, artifact_dir):
+    table = generate_table2(runner)
     save_artifact(artifact_dir, "table2.txt", table)
 
     if runner.config.scale < 0.1:

@@ -16,9 +16,6 @@ FALSE = 0
 TRUE = 1
 UNKNOWN = 2
 
-#: All legal signal values.
-LOGIC_VALUES = (FALSE, TRUE, UNKNOWN)
-
 
 class GateType(Enum):
     """Kinds of vertices in the circuit graph.
@@ -320,15 +317,6 @@ def _nor3(values: Sequence[int]) -> int:
 #: dominate ISCAS'89 netlists; the generic loops above pay per-call
 #: iterator setup that a fixed-arity body avoids. Same ternary truth
 #: tables, bit for bit.
-EVAL_FUNCS_2: dict[GateType, "Callable[[Sequence[int]], int]"] = {
-    GateType.AND: _and2,
-    GateType.NAND: _nand2,
-    GateType.OR: _or2,
-    GateType.NOR: _nor2,
-    GateType.XOR: _xor2,
-    GateType.XNOR: _xnor2,
-}
-
 EVAL_FUNCS_BY_ARITY: dict[tuple[GateType, int], "Callable[[Sequence[int]], int]"] = {
     (GateType.AND, 2): _and2,
     (GateType.NAND, 2): _nand2,
@@ -347,19 +335,3 @@ def eval_func(gate_type: GateType, arity: int) -> "Callable[[Sequence[int]], int
     """Fastest evaluator for *gate_type* at *arity* (``None`` for INPUT)."""
     f = EVAL_FUNCS_BY_ARITY.get((gate_type, arity))
     return f if f is not None else EVAL_FUNCS.get(gate_type)
-
-
-#: Controlling value per gate type: an input at this value fixes the output
-#: regardless of the other inputs. Used by activity estimation.
-CONTROLLING_VALUE: dict[GateType, int | None] = {
-    GateType.AND: FALSE,
-    GateType.NAND: FALSE,
-    GateType.OR: TRUE,
-    GateType.NOR: TRUE,
-    GateType.XOR: None,
-    GateType.XNOR: None,
-    GateType.NOT: None,
-    GateType.BUF: None,
-    GateType.DFF: None,
-    GateType.INPUT: None,
-}

@@ -12,7 +12,7 @@ richer library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.circuit.gate import GateType
 from repro.errors import CircuitError
@@ -232,10 +232,6 @@ class CircuitGraph:
         for u, v in self.edges():
             g.add_edge(u, v)
         return g
-
-    def subgraph_gate_names(self, indices: Iterable[int]) -> list[str]:
-        """Names for a set of gate indices, in index order."""
-        return [self.gates[i].name for i in sorted(set(indices))]
 
     def copy(self) -> "CircuitGraph":
         """Deep copy (unfrozen copies stay unfrozen)."""

@@ -101,6 +101,28 @@ def all_benchmarks() -> dict[str, BenchmarkSpec]:
     return {**BENCHMARKS, **EXTENDED_BENCHMARKS}
 
 
+def benchmark_spec(
+    name: str, *, scale: float = 1.0, seed: int = 2000
+) -> GeneratorSpec | None:
+    """The spec :func:`load_benchmark` generates *name* from.
+
+    ``None`` for ``"s27"``, the embedded real netlist.  Raises
+    :class:`ConfigError` for an unknown name or a scale the circuit
+    cannot take, without building anything.
+    """
+    if name == "s27":
+        if scale != 1.0:
+            raise ConfigError("s27 is a real netlist; scale must be 1.0")
+        return None
+    spec = all_benchmarks().get(name)
+    if spec is None:
+        raise ConfigError(
+            f"unknown benchmark {name!r}; available: "
+            f"{['s27', *sorted(all_benchmarks())]}"
+        )
+    return spec.generator_spec(scale=scale, seed=seed)
+
+
 def load_benchmark(
     name: str, *, scale: float = 1.0, seed: int = 2000
 ) -> CircuitGraph:
@@ -110,16 +132,9 @@ def load_benchmark(
     (:mod:`repro.circuit.netlists`); every other name generates the
     synthetic equivalent at *scale*.
     """
-    if name == "s27":
+    spec = benchmark_spec(name, scale=scale, seed=seed)
+    if spec is None:
         from repro.circuit.netlists import load_s27
 
-        if scale != 1.0:
-            raise ConfigError("s27 is a real netlist; scale must be 1.0")
         return load_s27()
-    spec = all_benchmarks().get(name)
-    if spec is None:
-        raise ConfigError(
-            f"unknown benchmark {name!r}; available: "
-            f"{['s27', *sorted(all_benchmarks())]}"
-        )
-    return generate_circuit(spec.generator_spec(scale=scale, seed=seed))
+    return generate_circuit(spec)

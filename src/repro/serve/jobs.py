@@ -42,8 +42,8 @@ from enum import Enum
 
 from repro.circuit.bench_parser import parse_bench
 from repro.circuit.graph import CircuitGraph
-from repro.circuit.iscas89 import load_benchmark
-from repro.errors import ConfigError, ReproError
+from repro.circuit.iscas89 import benchmark_spec, load_benchmark
+from repro.errors import ConfigError, PartitionError, ReproError
 from repro.obs import Metrics
 from repro.obs.tracer import shard_path
 from repro.partition.registry import get_partitioner
@@ -122,8 +122,17 @@ class JobRequest:
                 "a job names exactly one netlist source: 'circuit' "
                 "(a benchmark name) or 'bench' (inline netlist text)"
             )
-        if self.nodes < 1:
-            raise ConfigError("nodes must be >= 1")
+        if self.scale <= 0:
+            raise ConfigError("scale must be positive")
+        if self.circuit is not None:
+            benchmark_spec(
+                self.circuit, scale=self.scale, seed=self.circuit_seed
+            )
+        try:
+            get_partitioner(self.algorithm)
+        except PartitionError as exc:
+            raise ConfigError(str(exc)) from None
+        self.machine()  # validates nodes and the machine knobs
         if self.num_cycles < 2:
             raise ConfigError("need at least 2 cycles (cycle 0 is reset)")
         if not 0.0 < self.activity <= 1.0:

@@ -38,14 +38,5 @@ class Trace:
             raise KeyError(f"gate {gate} has no recorded value at t={time}")
         return best
 
-    def as_vcd_like(self) -> str:
-        """Cheap textual dump (time-sorted change list per gate)."""
-        lines = []
-        for gate in sorted(self._changes):
-            name = self.circuit.gates[gate].name
-            changes = " ".join(f"{t}:{v}" for t, v in self._changes[gate])
-            lines.append(f"{name}: {changes}")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return sum(len(ch) for ch in self._changes.values())

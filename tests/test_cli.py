@@ -10,6 +10,14 @@ from repro.partition.registry import all_partitioners
 
 TINY = ["--scale", "0.03", "--cycles", "10"]
 
+#: Titles each artifact subcommand must print (ablations prints A1-A5).
+ARTIFACT_TITLES = {
+    "table2": ["Table 2:"],
+    "fig4": ["Figure 4:"],
+    "fig6": ["Figure 6:"],
+    "ablations": ["A1:", "A2:", "A3:", "A4:", "A5:"],
+}
+
 #: (flag, argument or None for a switch, config field, parsed value,
 #:  environment variable, its value, parsed value)
 FLAGS = [
@@ -90,6 +98,13 @@ class TestCli:
     def test_fig5(self, capsys):
         assert main(["fig5", *TINY]) == 0
         assert "Figure 5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(ARTIFACT_TITLES))
+    def test_artifact_commands(self, capsys, command):
+        assert main([command, *TINY]) == 0
+        out = capsys.readouterr().out
+        for title in ARTIFACT_TITLES[command]:
+            assert title in out
 
     def test_rejects_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -180,14 +180,14 @@ def test_partition_cache_hit_on_stimulus_change(manager):
 
 
 def test_job_failure_is_reported_not_fatal(manager):
+    # More nodes than s27 has gates: valid at construction (the gate
+    # count is unknown until the netlist loads), so it fails in the run.
     bad = manager.wait(
-        manager.submit(
-            JobRequest.from_dict(dict(S27_JOB, algorithm="NoSuchAlgo"))
-        ).id,
+        manager.submit(JobRequest.from_dict(dict(S27_JOB, nodes=64))).id,
         timeout=60,
     )
     assert bad.state is JobState.FAILED
-    assert "NoSuchAlgo" in bad.error
+    assert "64 partitions" in bad.error
     # The manager survives and still serves jobs.
     ok = manager.wait(manager.submit(JobRequest.from_dict(S27_JOB)).id, 60)
     assert ok.state is JobState.DONE, ok.error
@@ -329,6 +329,27 @@ def test_http_rejects_bad_requests(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         server.request("GET", "/nope")
     assert excinfo.value.code == 404
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gvt_interval", 0),
+        ("optimism_window", 0),
+        ("migration_threshold", 0.5),
+        ("migration_fraction", 2.0),
+        ("algorithm", "Bogus"),
+        ("scale", -1),
+        ("circuit", "s99"),
+    ],
+)
+def test_invalid_job_is_rejected_at_submission(server, field, value):
+    payload = dict(S27_JOB, **{field: value})
+    with pytest.raises(ConfigError):
+        JobRequest.from_dict(payload)
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        server.request("POST", "/jobs", payload)
+    assert excinfo.value.code == 400
 
 
 def test_job_table_keeps_only_the_newest_terminal_jobs(server, monkeypatch):
