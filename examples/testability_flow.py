@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Netlist utilities end-to-end: optimize, verify, fault-grade, dump.
+"""Netlist utilities end-to-end: optimize, verify, dump.
 
 Shows the supporting toolbox around the partitioning study:
 
@@ -7,15 +7,14 @@ Shows the supporting toolbox around the partitioning study:
 2. run the optimization pipeline (buffer sweep, structural hashing,
    dead-logic removal) and PROVE the result equivalent by
    random-vector equivalence checking;
-3. grade a test-vector set with stuck-at fault simulation;
-4. dump a waveform of the interesting signals as standard VCD.
+3. dump a waveform of the carry chain, driven by a walking-ones
+   vector set, as standard VCD.
 
 Run:  python examples/testability_flow.py
 """
 
 from repro.circuit import ripple_carry_adder
 from repro.circuit.transform import optimize
-from repro.faults import FaultSimulator, all_single_stuck_at
 from repro.sim import (
     SequentialSimulator,
     Trace,
@@ -39,7 +38,7 @@ def main() -> None:
           f"{'PASS' if report else 'FAIL'}")
     assert report
 
-    # --- fault-grade a vector set: walking ones plus corner cases
+    # --- a vector set: walking ones plus corner cases
     vectors = []
     for bit in range(width):
         vectors.append({f"a{i}": int(i == bit) for i in range(width)}
@@ -52,11 +51,6 @@ def main() -> None:
     vectors.append({f"a{i}": 0 for i in range(width)}
                    | {f"b{i}": 0 for i in range(width)} | {"cin": 0})
     stimulus = VectorStimulus(adder, vectors, period=50)
-    coverage = FaultSimulator(adder, stimulus).run(all_single_stuck_at(adder))
-    print(coverage.summary())
-    if coverage.undetected:
-        names = [f.describe(adder) for f in coverage.undetected[:8]]
-        print(f"  undetected: {names}")
 
     # --- waveform dump of the carry chain
     watch = [adder.index_of(f"c{i + 1}") for i in range(width)]

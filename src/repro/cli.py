@@ -30,7 +30,8 @@ from repro.warped.parallel.transport import TRANSPORT_NAMES
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """The flags every run subcommand takes.  Each one that configures a
     run stores into its :class:`ExperimentConfig` field (``dest``) and
-    is ``None`` when absent, so :func:`_runner` copies them by name."""
+    is ``None`` (the ``--metrics`` switch: ``False``) when absent, so
+    :func:`_runner` copies them by name."""
     parser.add_argument("--scale", type=float, default=None,
                         help="circuit scale (default: env or 0.12)")
     parser.add_argument("--cycles", type=int, default=None,
@@ -39,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None,
                         choices=["virtual", "process"],
                         help="Time Warp substrate: modelled virtual machine "
-                        "or real OS processes (default: env or virtual)")
+                        "or real OS processes (default: virtual)")
     parser.add_argument("--transport", default=None,
                         choices=TRANSPORT_NAMES,
                         help="process backend wire transport: one pipe per "
@@ -80,8 +81,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         dest="migration_fraction", metavar="F",
                         help="max fraction of the busiest node's LPs moved "
                         "per migration epoch (default 0.05)")
-    # default=None, not False: an absent flag leaves REPRO_METRICS in force.
-    parser.add_argument("--metrics", action="store_true", default=None,
+    parser.add_argument("--metrics", action="store_true",
                         dest="metrics_enabled",
                         help="collect harness metrics and print them at exit")
 

@@ -26,33 +26,6 @@ class BenchParseError(CircuitError):
         super().__init__(message)
 
 
-class VHDLError(ReproError):
-    """Base class for the VHDL analyzer substrate."""
-
-
-class VHDLLexError(VHDLError):
-    """Invalid character sequence in VHDL source."""
-
-    def __init__(self, message: str, line: int, column: int) -> None:
-        self.line = line
-        self.column = column
-        super().__init__(f"{line}:{column}: {message}")
-
-
-class VHDLParseError(VHDLError):
-    """Syntactically invalid VHDL (for the structural subset)."""
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class ElaborationError(VHDLError):
-    """Design could not be elaborated into a circuit graph."""
-
-
 class PartitionError(ReproError):
     """A partitioner produced (or was asked for) an invalid partition."""
 

@@ -7,25 +7,12 @@ circuits (DESIGN.md §5). Environment overrides:
 - ``REPRO_FULL=1`` — paper-scale circuits and cycle counts;
 - ``REPRO_SCALE=0.25`` — explicit circuit scale;
 - ``REPRO_CYCLES=200`` — explicit stimulus cycle count;
-- ``REPRO_BACKEND=process`` — run Time Warp on real OS processes
-  instead of the modelled virtual machine;
+- ``REPRO_REPS=5`` — repetitions per cell (distinct stimulus seeds);
 - ``REPRO_TW_TRANSPORT=shm`` — process-backend wire transport
-  (``queue`` or ``shm`` shared-memory rings);
-- ``REPRO_TRACE=path.jsonl`` — record a JSONL trace of every run
-  (rollbacks, GVT rounds, queue depths; see :mod:`repro.obs`);
-- ``REPRO_STATUS=path`` — live per-node status snapshots (process
-  backend; ``tools/tw_top.py`` tails them);
-- ``REPRO_TW_CKPT=interval`` — periodic consistent checkpoints every
-  *interval* virtual time units (process backend: crash-recovery
-  epochs; virtual backend: periodic state saving);
-- ``REPRO_TW_RESTARTS=n`` — per-node restart budget for the process
-  backend (needs ``REPRO_TW_CKPT``);
-- ``REPRO_TW_MIGRATE=ratio`` — adaptive LP migration threshold (> 1):
-  at each GVT epoch the busiest node sheds LPs toward the idlest when
-  its busy window exceeds *ratio* times the idlest's (both backends);
-- ``REPRO_TW_MIGRATE_FRACTION=f`` — max fraction of the busiest
-  node's LPs moved per migration epoch (default 0.05);
-- ``REPRO_METRICS=1`` — collect and print harness-level metrics.
+  (``queue`` or ``shm`` shared-memory rings).
+
+Every other run setting is a CLI flag (``repro-sim --help``) or a
+keyword override only.
 """
 
 from __future__ import annotations
@@ -177,35 +164,10 @@ class ExperimentConfig:
             overrides.setdefault("num_cycles", 400)
         if "REPRO_REPS" in os.environ:
             overrides.setdefault("repetitions", int(os.environ["REPRO_REPS"]))
-        if "REPRO_BACKEND" in os.environ:
-            overrides.setdefault("backend", os.environ["REPRO_BACKEND"])
         if "REPRO_TW_TRANSPORT" in os.environ:
             overrides.setdefault(
                 "transport", os.environ["REPRO_TW_TRANSPORT"]
             )
-        if "REPRO_TRACE" in os.environ:
-            overrides.setdefault("trace_path", os.environ["REPRO_TRACE"])
-        if "REPRO_STATUS" in os.environ:
-            overrides.setdefault("status_path", os.environ["REPRO_STATUS"])
-        if "REPRO_TW_CKPT" in os.environ:
-            overrides.setdefault(
-                "checkpoint_interval", int(os.environ["REPRO_TW_CKPT"])
-            )
-        if "REPRO_TW_RESTARTS" in os.environ:
-            overrides.setdefault(
-                "max_restarts", int(os.environ["REPRO_TW_RESTARTS"])
-            )
-        if "REPRO_TW_MIGRATE" in os.environ:
-            overrides.setdefault(
-                "migration_threshold", float(os.environ["REPRO_TW_MIGRATE"])
-            )
-        if "REPRO_TW_MIGRATE_FRACTION" in os.environ:
-            overrides.setdefault(
-                "migration_fraction",
-                float(os.environ["REPRO_TW_MIGRATE_FRACTION"]),
-            )
-        if os.environ.get("REPRO_METRICS") == "1":
-            overrides.setdefault("metrics_enabled", True)
         return cls(**overrides)
 
     def describe(self) -> str:

@@ -67,7 +67,6 @@ class SequentialSimulator:
         cost_model: SequentialCostModel | None = None,
         trace: Trace | None = None,
         max_events: int = 50_000_000,
-        forced: dict[int, int] | None = None,
         tracer=None,
     ) -> None:
         if not circuit.frozen:
@@ -84,18 +83,6 @@ class SequentialSimulator:
         #: ``run_start``/``run_end`` records so cross-engine traces
         #: share one schema.
         self.tracer = tracer
-        #: Gate outputs pinned to constant values for the whole run —
-        #: the fault-injection mechanism (stuck-at faults) and a general
-        #: what-if tool. A forced gate never evaluates, captures or
-        #: follows stimulus; its pinned value propagates from t=0.
-        self.forced = dict(forced or {})
-        for gate, value in self.forced.items():
-            if not 0 <= gate < circuit.num_gates:
-                raise SimulationError(f"forced gate {gate} out of range")
-            if value not in (0, 1):
-                raise SimulationError(
-                    f"forced value for gate {gate} must be 0 or 1"
-                )
 
     def run(self) -> SequentialResult:
         """Simulate to quiescence and return the result."""
@@ -118,14 +105,8 @@ class SequentialSimulator:
             queue.push(Event(time, SIG, src, seq, v))
             emissions += 1
 
-        forced = self.forced
-        # --- initial schedule: forced pins, DFF resets, captures, stimulus.
-        for gate_index, pinned in forced.items():
-            eval_value[gate_index] = pinned
-            emit(0, gate_index, pinned)
+        # --- initial schedule: DFF resets, captures, stimulus.
         for ff in circuit.dffs:
-            if ff in forced:
-                continue
             eval_value[ff] = FALSE
             emit(0, ff, FALSE)
         for cycle in range(stim.num_cycles):
@@ -172,8 +153,6 @@ class SequentialSimulator:
                     "runaway oscillation or workload too large"
                 )
             src = event.src
-            if forced and src in forced and event.prio != SIG:
-                continue  # pinned gates ignore stimulus and clocks
             if event.prio == CAPTURE:
                 data = value[fanins[src][0]]
                 if data != eval_value[src]:
@@ -187,8 +166,6 @@ class SequentialSimulator:
                 trace_record(event.time, src, event.value)
             time_ = event.time
             for sink in fanouts[src]:
-                if forced and sink in forced:
-                    continue  # pinned gates never re-evaluate
                 if sequential[sink]:
                     continue  # DFFs sample on CAPTURE, not on data edges
                 nv = evals[sink]([value[d] for d in fanins[sink]])

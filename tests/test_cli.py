@@ -19,27 +19,29 @@ ARTIFACT_TITLES = {
 }
 
 #: (flag, argument or None for a switch, config field, parsed value,
-#:  environment variable, its value, parsed value)
+#:  None or the environment variable that supplies the field's default
+#:  as (name, value, parsed value))
 FLAGS = [
-    ("--scale", "0.5", "scale", 0.5, "REPRO_SCALE", "0.25", 0.25),
-    ("--cycles", "30", "num_cycles", 30, "REPRO_CYCLES", "120", 120),
-    ("--backend", "process", "backend", "process",
-     "REPRO_BACKEND", "process", "process"),
+    ("--scale", "0.5", "scale", 0.5, ("REPRO_SCALE", "0.25", 0.25)),
+    ("--cycles", "30", "num_cycles", 30, ("REPRO_CYCLES", "120", 120)),
+    ("--backend", "process", "backend", "process", None),
     ("--transport", "shm", "transport", "shm",
-     "REPRO_TW_TRANSPORT", "shm", "shm"),
-    ("--trace", "cli.jsonl", "trace_path", "cli.jsonl",
-     "REPRO_TRACE", "env.jsonl", "env.jsonl"),
-    ("--live-status", "cli.status", "status_path", "cli.status",
-     "REPRO_STATUS", "env.status", "env.status"),
-    ("--checkpoint-interval", "75", "checkpoint_interval", 75,
-     "REPRO_TW_CKPT", "60", 60),
-    ("--max-restarts", "1", "max_restarts", 1, "REPRO_TW_RESTARTS", "2", 2),
-    ("--migration-threshold", "3.0", "migration_threshold", 3.0,
-     "REPRO_TW_MIGRATE", "2.0", 2.0),
-    ("--migration-fraction", "0.2", "migration_fraction", 0.2,
-     "REPRO_TW_MIGRATE_FRACTION", "0.1", 0.1),
-    ("--metrics", None, "metrics_enabled", True, "REPRO_METRICS", "1", True),
+     ("REPRO_TW_TRANSPORT", "shm", "shm")),
+    ("--trace", "cli.jsonl", "trace_path", "cli.jsonl", None),
+    ("--live-status", "cli.status", "status_path", "cli.status", None),
+    ("--checkpoint-interval", "75", "checkpoint_interval", 75, None),
+    ("--max-restarts", "1", "max_restarts", 1, None),
+    ("--migration-threshold", "3.0", "migration_threshold", 3.0, None),
+    ("--migration-fraction", "0.2", "migration_fraction", 0.2, None),
+    ("--metrics", None, "metrics_enabled", True, None),
 ]
+
+#: Flags that validate only beside another: flag -> (argv, fields).
+NEEDS = {
+    "--max-restarts": (
+        ["--checkpoint-interval", "50"], {"checkpoint_interval": 50},
+    ),
+}
 
 
 def _config(argv):
@@ -47,25 +49,30 @@ def _config(argv):
 
 
 @pytest.mark.parametrize(
-    "flag,value,field,parsed,env_name,env_value,env_parsed", FLAGS,
-    ids=[case[0] for case in FLAGS],
+    "flag,value,field,parsed,env", FLAGS, ids=[case[0] for case in FLAGS],
 )
 def test_flag_sets_its_field_and_absent_flag_keeps_env(
-    monkeypatch, flag, value, field, parsed, env_name, env_value, env_parsed
+    monkeypatch, flag, value, field, parsed, env
 ):
     for name in list(os.environ):
         if name.startswith("REPRO_"):
             monkeypatch.delenv(name)
-    # --max-restarts (and REPRO_TW_RESTARTS) only validate with a
-    # checkpoint interval; every case runs with one in the environment.
-    monkeypatch.setenv("REPRO_TW_CKPT", "50")
-    argv = ["table1", flag] + ([] if value is None else [value])
+    needed_argv, needed_fields = NEEDS.get(flag, ([], {}))
+    argv = ["table1", *needed_argv, flag] + ([] if value is None else [value])
     config = _config(argv)
     assert getattr(config, field) == parsed
     # The flag sets its field and nothing else.
-    assert config == ExperimentConfig.from_env(**{field: parsed})
-    monkeypatch.setenv(env_name, env_value)
-    assert getattr(_config(["table1"]), field) == env_parsed
+    assert config == ExperimentConfig.from_env(
+        **needed_fields, **{field: parsed}
+    )
+    if env is None:
+        # An absent flag leaves the field at its default.
+        default = getattr(ExperimentConfig(), field)
+        assert getattr(_config(["table1"]), field) == default
+    else:
+        env_name, env_value, env_parsed = env
+        monkeypatch.setenv(env_name, env_value)
+        assert getattr(_config(["table1"]), field) == env_parsed
 
 
 class TestCli:

@@ -4,27 +4,27 @@ The contract (the bug this pins down was its violation): the
 environment only supplies *defaults* — an explicit keyword override
 (CLI flag, served job config) always wins, uniformly across every
 knob.  The specific knobs ``REPRO_SCALE``/``REPRO_CYCLES`` also beat
-the blanket ``REPRO_FULL``.
+the blanket ``REPRO_FULL``.  The set of knobs itself is pinned to the
+README's "Environment variables" table.
 """
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.harness.config import ExperimentConfig
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: (env var, env value, config field, parsed value, explicit override)
 KNOBS = [
     ("REPRO_SCALE", "0.5", "scale", 0.5, 0.25),
     ("REPRO_CYCLES", "120", "num_cycles", 120, 30),
     ("REPRO_REPS", "3", "repetitions", 3, 2),
-    ("REPRO_BACKEND", "process", "backend", "process", "virtual"),
     ("REPRO_TW_TRANSPORT", "shm", "transport", "shm", "queue"),
-    ("REPRO_TRACE", "env.jsonl", "trace_path", "env.jsonl", "cli.jsonl"),
-    ("REPRO_STATUS", "env.status", "status_path", "env.status", "cli.status"),
-    ("REPRO_TW_CKPT", "50", "checkpoint_interval", 50, 75),
-    ("REPRO_TW_MIGRATE", "2.0", "migration_threshold", 2.0, 3.0),
-    ("REPRO_TW_MIGRATE_FRACTION", "0.1", "migration_fraction", 0.1, 0.2),
 ]
 
 
@@ -33,8 +33,7 @@ def _clean_env(monkeypatch):
     """No ambient REPRO_* state may leak into these tests."""
     for name, *_ in KNOBS:
         monkeypatch.delenv(name, raising=False)
-    for name in ("REPRO_FULL", "REPRO_METRICS", "REPRO_TW_RESTARTS"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_FULL", raising=False)
 
 
 @pytest.mark.parametrize(
@@ -50,25 +49,10 @@ def test_env_supplies_default_and_override_wins(
     assert getattr(explicit, field) == override
 
 
-def test_restarts_env_default_and_override(monkeypatch):
-    # REPRO_TW_RESTARTS needs a checkpoint interval to validate.
-    monkeypatch.setenv("REPRO_TW_CKPT", "50")
-    monkeypatch.setenv("REPRO_TW_RESTARTS", "2")
-    assert ExperimentConfig.from_env().max_restarts == 2
-    assert ExperimentConfig.from_env(max_restarts=1).max_restarts == 1
-
-
-def test_metrics_flag(monkeypatch):
+def test_metrics_flag():
+    """Metrics are off unless asked for (``--metrics``)."""
     assert ExperimentConfig.from_env().metrics_enabled is False
-    monkeypatch.setenv("REPRO_METRICS", "1")
-    assert ExperimentConfig.from_env().metrics_enabled is True
-    # An explicit False must survive REPRO_METRICS=1 in the env.
-    assert (
-        ExperimentConfig.from_env(metrics_enabled=False).metrics_enabled
-        is False
-    )
-    monkeypatch.setenv("REPRO_METRICS", "0")
-    assert ExperimentConfig.from_env().metrics_enabled is False
+    assert ExperimentConfig.from_env(metrics_enabled=True).metrics_enabled
 
 
 def test_full_sets_paper_scale_defaults(monkeypatch):
@@ -101,7 +85,28 @@ def test_every_documented_knob_is_covered():
         for word in config_mod.__doc__.split()
         if word.strip("`;,.():").startswith("REPRO_")
     }
-    covered = {name for name, *_ in KNOBS} | {
-        "REPRO_FULL", "REPRO_METRICS", "REPRO_TW_RESTARTS",
-    }
+    covered = {name for name, *_ in KNOBS} | {"REPRO_FULL"}
     assert documented <= covered, documented - covered
+
+
+def test_environment_surface_is_the_readme_table():
+    """The ``REPRO_*`` names ``src/`` reads from the environment are
+    exactly the rows of the README's "Environment variables" table, so
+    a new variable cannot appear without being documented (and weighed
+    against a CLI flag, which is the default way to add a setting)."""
+    access = re.compile(
+        r"""(?:environ(?:\.get)?[\[(]|getenv\()\s*["'](REPRO_[A-Z0-9_]+)"""
+    )
+    read = {
+        name
+        for path in (REPO_ROOT / "src").rglob("*.py")
+        for name in access.findall(path.read_text())
+    }
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("\n## Environment variables\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)`", section, re.M))
+    assert read == documented, (
+        f"read but not documented: {sorted(read - documented)}; "
+        f"documented but not read: {sorted(documented - read)}"
+    )

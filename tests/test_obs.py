@@ -340,13 +340,6 @@ class TestProcessTraceAcceptance:
 # harness wiring
 # ----------------------------------------------------------------------
 class TestHarnessWiring:
-    def test_config_env_plumbing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "/tmp/x.jsonl")
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        config = ExperimentConfig.from_env()
-        assert config.trace_path == "/tmp/x.jsonl"
-        assert config.metrics_enabled
-
     def test_runner_traces_and_measures(self, tmp_path):
         base = str(tmp_path / "runner.jsonl")
         runner = ExperimentRunner(

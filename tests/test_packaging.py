@@ -1,4 +1,5 @@
-"""Repository hygiene: no build artifacts tracked, packages complete.
+"""Repository hygiene: no build artifacts tracked, packages complete,
+and every tool and example runs from a plain checkout.
 
 An orphaned ``src/repro/serve/__pycache__/`` directory once shipped a
 package whose *source* had been deleted — imports kept working locally
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,3 +76,39 @@ def test_cli_and_server_import_without_networkx():
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert result.returncode == 0, result.stderr or "networkx was imported"
+
+
+def _without_pythonpath() -> dict[str, str]:
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+
+@pytest.mark.parametrize(
+    "tool",
+    sorted(p.name for p in (REPO_ROOT / "tools").glob("[!_]*.py")),
+)
+def test_tool_runs_from_a_checkout(tool, tmp_path):
+    """``python tools/<tool>.py`` works as the docstrings show it: no
+    installed package and no ``PYTHONPATH`` needed."""
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / tool), "--help"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env=_without_pythonpath(),
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "example", sorted(p.name for p in (REPO_ROOT / "examples").glob("*.py")),
+)
+def test_example_runs(example, tmp_path):
+    """Every example runs to completion (each takes about a second)."""
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "examples" / example)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={
+            **_without_pythonpath(),
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "TMPDIR": str(tmp_path),
+        },
+    )
+    assert result.returncode == 0, result.stderr

@@ -24,7 +24,6 @@ from repro.partition.multilevel import CoarseGraph, coarsen_once
 from repro.partition.multilevel.refine_greedy import cut_weight, greedy_refine
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.conservative import ConservativeSimulator
-from repro.vhdl import elaborate, parse_vhdl, write_vhdl
 from repro.warped import (
     ProcessTimeWarpSimulator,
     TimeWarpSimulator,
@@ -66,15 +65,6 @@ def test_bench_round_trip_preserves_structure(spec):
     again = parse_bench(write_bench(circuit))
     assert again.num_gates == circuit.num_gates
     assert sorted(again.edges()) == sorted(circuit.edges())
-
-
-@relaxed
-@given(spec=specs)
-def test_vhdl_round_trip_preserves_structure(spec):
-    circuit = generate_circuit(spec)
-    again = elaborate(parse_vhdl(write_vhdl(circuit)))
-    assert again.num_gates == circuit.num_gates
-    assert again.num_edges == circuit.num_edges
 
 
 @relaxed

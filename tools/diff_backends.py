@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+import _checkout  # noqa: F401
 from repro.circuit import GeneratorSpec, generate_circuit
 from repro.circuit.netlists import load_s27
 from repro.harness.config import ALGORITHMS, ExperimentConfig

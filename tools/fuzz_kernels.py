@@ -24,6 +24,7 @@ import argparse
 import time
 import traceback
 
+import _checkout  # noqa: F401
 from repro.harness.regression import run_case, write_case
 from repro.partition.registry import all_partitioners
 from repro.utils.rng import make_rng

@@ -47,6 +47,7 @@ import tempfile
 import time
 from collections import defaultdict
 
+import _checkout  # noqa: F401
 from soak_ring import verdict, world
 
 from repro.sim import RandomStimulus, SequentialSimulator

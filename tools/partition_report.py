@@ -22,11 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import _checkout  # noqa: F401
 from repro.harness.config import ALGORITHMS, ExperimentConfig
 from repro.harness.experiment import ExperimentRunner
 from repro.obs import (

@@ -32,6 +32,7 @@ import random
 import sys
 import time
 
+import _checkout  # noqa: F401
 from repro.circuit.iscas89 import load_benchmark
 from repro.errors import ReproError
 from repro.partition.registry import get_partitioner

@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-try:
-    from repro.obs import analyze_trace, read_trace, render_analysis
-except ImportError:  # running from a checkout without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.obs import analyze_trace, read_trace, render_analysis
+import _checkout  # noqa: F401
+from repro.obs import analyze_trace, read_trace, render_analysis
 
 #: Relative growth beyond which --compare flags a metric as regressed.
 REGRESSION_THRESHOLD = 0.20
