@@ -69,11 +69,3 @@ def input_cones(circuit: CircuitGraph) -> dict[int, set[int]]:
         pi: fanout_cone(circuit, pi, through_dffs=True)
         for pi in circuit.primary_inputs
     }
-
-
-def output_cones(circuit: CircuitGraph) -> dict[int, set[int]]:
-    """Fanin cone of each primary output."""
-    return {
-        po: fanin_cone(circuit, po, through_dffs=True)
-        for po in circuit.primary_outputs
-    }

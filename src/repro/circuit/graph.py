@@ -196,24 +196,6 @@ class CircuitGraph:
             for sink in gate.fanout:
                 yield gate.index, sink
 
-    def combinational_fanin(self, index: int) -> list[int]:
-        """Fanin of *index*, treating DFF *drivers* as cut points.
-
-        Edges out of a DFF carry next-cycle values; analyses that need a
-        DAG (levelization, cones) traverse this view.
-        """
-        return [
-            d
-            for d in self.gates[index].fanin
-            if self.gates[d].gate_type is not GateType.DFF
-        ]
-
-    def combinational_fanout(self, index: int) -> list[int]:
-        """Fanout of *index* unless *index* is a DFF (then empty)."""
-        if self.gates[index].gate_type is GateType.DFF:
-            return []
-        return self.gates[index].fanout
-
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------

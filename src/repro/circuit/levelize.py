@@ -66,9 +66,3 @@ def levels_to_buckets(level: list[int]) -> list[list[int]]:
     for index, lvl in enumerate(level):
         buckets[lvl].append(index)
     return buckets
-
-
-def critical_path_length(circuit: CircuitGraph) -> int:
-    """Longest combinational path length (max level)."""
-    level = levelize(circuit)
-    return max(level) if level else 0

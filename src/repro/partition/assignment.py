@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.circuit.graph import CircuitGraph
 from repro.errors import PartitionError
@@ -64,21 +64,6 @@ class PartitionAssignment:
             )
         return cls(circuit, len(blocks), assignment, algorithm=algorithm)
 
-    @classmethod
-    def from_mapping(
-        cls,
-        circuit: CircuitGraph,
-        k: int,
-        mapping: Mapping[int, int],
-        *,
-        algorithm: str = "unknown",
-    ) -> "PartitionAssignment":
-        """Build from a ``{gate_index: partition}`` mapping."""
-        assignment = [-1] * circuit.num_gates
-        for gate, part in mapping.items():
-            assignment[gate] = part
-        return cls(circuit, k, assignment, algorithm=algorithm)
-
     # ------------------------------------------------------------------
     def __getitem__(self, gate: int) -> int:
         return self.assignment[gate]
@@ -118,17 +103,6 @@ class PartitionAssignment:
             for part, size in enumerate(sizes):
                 if size == 0:
                     raise PartitionError(f"partition {part} is empty")
-
-    def relabel(self, new_k: int, mapping: Sequence[int]) -> "PartitionAssignment":
-        """Apply a partition-id relabelling (e.g. merging partitions)."""
-        if len(mapping) != self.k:
-            raise PartitionError("mapping must cover all current partitions")
-        return PartitionAssignment(
-            self.circuit,
-            new_k,
-            [mapping[p] for p in self.assignment],
-            algorithm=self.algorithm,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -164,10 +164,16 @@ class ServeApp:
         return method.upper(), path, query, headers
 
     async def _read_body(self, reader, headers: dict[str, str]) -> bytes:
-        length = int(headers.get("content-length", "0") or "0")
+        raw = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HttpError(400, f"bad Content-Length {raw!r}")
         if length > _MAX_BODY:
             raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
-        if length <= 0:
+        if length == 0:
             return b""
         return await reader.readexactly(length)
 

@@ -484,8 +484,14 @@ class JobManager:
             self._closed = True
             jobs = list(self._jobs.values())
         for job in jobs:
+            # A job cancelled while queued is finished already (and its
+            # future, cancelled, would answer True again).
             future = job._future
-            if future is not None and future.cancel():
+            if (
+                not job.state.terminal
+                and future is not None
+                and future.cancel()
+            ):
                 self._finish(
                     job, JobState.CANCELLED, error="server shutting down"
                 )

@@ -136,10 +136,6 @@ class RingPool:
             self._metrics.inc("ring_retires")
 
     # ------------------------------------------------------------------
-    def idle_count(self) -> int:
-        with self._lock:
-            return len(self._idle)
-
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -26,17 +26,5 @@ class Trace:
         """All recorded ``(time, value)`` changes of *gate*."""
         return list(self._changes[gate])
 
-    def value_at(self, gate: int, time: int, default: int | None = None) -> int:
-        """Value of *gate* at *time* (last change at or before it)."""
-        best = default
-        for t, v in self._changes[gate]:
-            if t <= time:
-                best = v
-            else:
-                break
-        if best is None:
-            raise KeyError(f"gate {gate} has no recorded value at t={time}")
-        return best
-
     def __len__(self) -> int:
         return sum(len(ch) for ch in self._changes.values())

@@ -9,8 +9,6 @@ single integer seed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 #: Default seed used across the library when the caller does not supply one.
@@ -70,39 +68,3 @@ def _token_to_int(token: object) -> int:
         acc ^= byte
         acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return acc
-
-
-class ReservoirSampler:
-    """Uniform reservoir sampling over a stream of unknown length.
-
-    Used by partitioners that must pick representatives from large
-    traversal frontiers without materialising them.
-    """
-
-    def __init__(self, capacity: int, rng: RngLike = None) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._rng = make_rng(rng)
-        self._seen = 0
-        self._items: list[object] = []
-
-    def offer(self, item: object) -> None:
-        """Consider *item* for inclusion in the reservoir."""
-        self._seen += 1
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            j = int(self._rng.integers(0, self._seen))
-            if j < self.capacity:
-                self._items[j] = item
-
-    @property
-    def sample(self) -> list[object]:
-        """Current reservoir contents (at most ``capacity`` items)."""
-        return list(self._items)
-
-    @property
-    def seen(self) -> int:
-        """Number of items offered so far."""
-        return self._seen

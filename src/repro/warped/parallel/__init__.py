@@ -1,10 +1,12 @@
 """Multiprocess Time Warp backend: real OS processes, real messages.
 
 See :mod:`repro.warped.parallel.backend` for the execution model and
+how the modules depend on each other, and
 :mod:`repro.warped.parallel.protocol` for the GVT token ring.
 """
 
-from repro.warped.parallel.backend import NodeLoop, ProcessTimeWarpSimulator
+from repro.warped.parallel.backend import ProcessTimeWarpSimulator
+from repro.warped.parallel.loop import NodeLoop
 from repro.warped.parallel.node import NodeEngine
 from repro.warped.parallel.ring import WorkerRing
 from repro.warped.parallel.protocol import GvtClerk, GvtToken

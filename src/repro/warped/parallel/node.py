@@ -8,8 +8,8 @@ iterative cancellation cascades — and, as one shared copy, the same
 :class:`~repro.warped.world.World`, rollback (``unwind`` and its
 ``rollback`` trace record), fossil sweep, commit flush and migrant
 policy.  What differs is the boundary — remote
-sends leave through an outbox the hosting worker loop flushes onto real
-``multiprocessing`` queues, and stragglers/anti-messages arrive whenever
+sends leave through an outbox the hosting node loop flushes onto the
+transport's channels, and stragglers/anti-messages arrive whenever
 the transport delivers them, not on a modelled clock.
 
 :attr:`NodeEngine.counters` is the engine's one set of books; the
@@ -18,8 +18,9 @@ node reports.
 
 The engine is transport-agnostic on purpose: unit tests drive two
 engines in one process by shuttling their outboxes by hand, and the
-worker loop in :mod:`repro.warped.parallel.backend` drives it across
-real OS processes.  Results are interleaving-independent either way —
+:class:`~repro.warped.parallel.loop.NodeLoop` of each
+:mod:`repro.warped.parallel.worker` process drives it across real OS
+processes.  Results are interleaving-independent either way —
 that is Time Warp's correctness argument, and what the differential
 suite checks.
 """
@@ -520,7 +521,7 @@ class NodeEngine:
         flush_committed(self.lps.values(), self.tracer)
 
     # ------------------------------------------------------------------
-    # adaptive migration (see repro.warped.parallel.backend)
+    # adaptive migration (see repro.warped.parallel.loop)
     # ------------------------------------------------------------------
     def select_migrants(self, fraction: float) -> list[int]:
         """The resident gates to shed, by :meth:`World.migrants

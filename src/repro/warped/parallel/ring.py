@@ -1,14 +1,16 @@
-"""Time Warp worker rings: the one owner of node processes.
+"""Time Warp worker rings: the parent side of the node processes.
 
-:class:`WorkerRing` forks N node processes and executes jobs on them,
-shipping a :class:`~repro.warped.parallel.backend.JobSpec` to every
-worker per job over per-node job queues.  Each job builds a fresh
-:class:`~repro.warped.parallel.node.NodeEngine` and
-:class:`~repro.warped.parallel.backend.NodeLoop` inside the existing
-process (engine state fully reset between jobs) and runs the per-job
-body :func:`backend._run_node`, over the same transport channels —
-re-armed by draining any remnants before the new engine schedules its
-first event.
+:class:`WorkerRing` is the one code that forks, watches, joins and
+terminates node processes.  It forks N workers into
+:func:`~repro.warped.parallel.worker.worker_main` and executes jobs on
+them: per job it admits the job's world (below), puts one
+:class:`~repro.warped.parallel.worker.JobSpec` and one
+:class:`~repro.warped.parallel.worker.NodeAttempt` on each worker's job
+queue, collects one DONE payload per node from the control channel and
+assembles them into a :class:`~repro.warped.stats.TimeWarpResult`
+(:func:`assemble_result`).  What a worker does with a job — drain and
+arm its inbox, build a fresh engine and loop, run to quiescence — is
+:mod:`repro.warped.parallel.worker`'s.
 
 A ring lives for one job or for many, and nothing else differs:
 
@@ -17,10 +19,10 @@ A ring lives for one job or for many, and nothing else differs:
   it, forking the workers with the job's world already in their
   tables, so the job ships no world.  A crash-recovery run is a
   sequence of such rings; the restart policy is the simulator's, and a
-  ring carries out one attempt of it (an
-  :class:`~repro.warped.parallel.backend.Attempt`: checkpoint
-  directory, restore payloads, in-flight replays) and reports how it
-  failed.
+  ring carries out one attempt of it (one
+  :class:`~repro.warped.parallel.worker.NodeAttempt` per node:
+  checkpoint directory, restore payload, in-flight replays) and
+  reports how it failed.
 - **A served ring.**  ``repro.serve`` keeps a pool of rings started
   empty with :meth:`WorkerRing.start`, each running job after job:
   process spawn, interpreter fork, transport construction and teardown
@@ -33,7 +35,7 @@ test layer holds them to that.
 derives from them (:class:`~repro.warped.world.World`) belong to many
 jobs, so the ring ships a world to its workers the first time a job
 needs it and the workers keep it; every later job on it is a
-:class:`~repro.warped.parallel.backend.JobSpec` of about a kilobyte —
+:class:`~repro.warped.parallel.worker.JobSpec` of about a kilobyte —
 the world's key, the stimulus table, the knobs.  Residency is decided
 in exactly one place, the parent: :attr:`WorkerRing._resident` is an
 LRU of the worlds the workers hold, bounded by
@@ -53,13 +55,13 @@ not from multiplexing one.
 
 from __future__ import annotations
 
+import glob
 import multiprocessing as mp
 import os
 import queue as queue_mod
-import stat
 import time
-import traceback
 from collections import OrderedDict
+from collections.abc import Sequence
 
 from repro.circuit.graph import CircuitGraph
 from repro.errors import ConfigError, SimulationError
@@ -68,29 +70,14 @@ from repro.partition.assignment import PartitionAssignment
 from repro.sim.stimulus import Stimulus
 from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.parallel import recovery as recovery_mod
-from repro.warped.parallel.backend import (
-    Attempt,
-    JobSpec,
-    _apply_startup_faults,
-    _drain_queue,
-    _run_node,
-    assemble_result,
-    clear_status_files,
-)
 from repro.warped.parallel.protocol import CKPT, DONE, ERROR
-from repro.warped.parallel.transport import default_transport, make_transport
-from repro.warped.stats import TimeWarpResult
+from repro.warped.parallel.transport import drain_queue, make_transport
+from repro.warped.parallel.worker import JobSpec, NodeAttempt, STOP, worker_main
+from repro.warped.stats import NodeStats, TimeWarpResult, node_totals
 from repro.warped.world import World
 
-#: Sentinel telling a ring worker to exit its job loop.
-_STOP = None
 #: Join budget when closing a healthy ring.
 _CLOSE_PATIENCE = 5.0
-#: How long a worker waits at the arming barrier for its peers.  A
-#: peer can be late only if it is wedged or dead, and the parent's
-#: collection loop notices a death within a fraction of a second and
-#: terminates the ring — so this is a backstop, not a tuning knob.
-_ARM_PATIENCE = 60.0
 #: Gates a ring keeps resident in its workers, summed over worlds (the
 #: newest world always stays, whatever its size).  A resident world
 #: costs each worker ≈1.7 KB per gate (measured: the unpickled netlist,
@@ -147,88 +134,6 @@ class _ControlQueue:
         self._q.close()
 
 
-def _close_inherited_sockets() -> None:
-    """Close every socket fd this forked worker inherited.
-
-    Ring workers are forked from whatever process owns the pool — in
-    ``repro.serve`` that is a live HTTP server, so the fork snapshots
-    the listening socket and any open client connections.  A worker
-    never needs a socket (its plumbing is pipes and shared memory),
-    but its inherited copies keep those connections half-open: the
-    server can close its end and the client still sees no FIN while a
-    long-lived pooled worker holds the fd.  Closing them at birth
-    restores normal connection teardown.
-    """
-    try:
-        fds = [int(name) for name in os.listdir("/proc/self/fd")]
-    except (OSError, ValueError):  # pragma: no cover - non-Linux
-        return
-    for fd in fds:
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:  # pragma: no cover - raced or invalid fd
-            continue
-
-
-def _ring_worker_main(
-    node: int, inboxes, job_queue, barrier, results, worlds: dict[str, World]
-) -> None:
-    """Persistent worker: execute jobs until the STOP sentinel.
-
-    *worlds* is the table the worker was forked with: the world of the
-    job that started the ring, or nothing.  A job message is ``(spec,
-    shipped, dropped, recovery)``: the parent's residency decisions ride
-    with the job they precede — drop the worlds keyed *dropped*, install
-    *shipped* (the job's world, or None when it is already here) under
-    ``spec.world`` — and are applied before anything else, so the table
-    here is always the parent's; *recovery* is this node's
-    :meth:`~repro.warped.parallel.backend.Attempt.node_record`.  Every
-    iteration then re-arms this node's transport channel (draining
-    remnants a poisoned previous job might have left), waits at the
-    arming barrier, fires the node's startup faults (a test hook;
-    ``flood`` ends the worker with exit code 0 and no report) and runs
-    the shared per-job body.
-    Any failure reports ERROR and ends the worker — ring integrity is
-    unknown after a mid-job error, so the whole ring dies with it.
-
-    The arming *barrier* between drain and run is load-bearing: job
-    specs arrive over per-node queues, so one node can receive the job
-    and start simulating while a peer is still blocked waiting for its
-    own copy.  The early starter's first remote messages would land in
-    the late peer's inbox only to be thrown away by that peer's arming
-    drain — messages the sender's GVT clerk counts as sent, so no GVT
-    round could ever balance and the job would livelock.  No node may
-    send until every node has drained and armed.
-    """
-    _close_inherited_sockets()
-    try:
-        while True:
-            item = job_queue.get()
-            if item is _STOP:
-                break
-            spec, shipped, dropped, recovery = item
-            for key in dropped:
-                del worlds[key]
-            if shipped is not None:
-                worlds[spec.world] = shipped
-            # Re-arm the transport: a healthy previous job quiesced with
-            # empty channels (GVT == +inf proves it), but drain anyway
-            # so one poisoned job can never leak messages into the next.
-            _drain_queue(inboxes[node])
-            barrier.wait(timeout=_ARM_PATIENCE)
-            _apply_startup_faults(
-                node, inboxes, recovery["attempt"], spec.fault_spec
-            )
-            _run_node(node, spec, worlds, inboxes, results, recovery)
-    except BaseException:  # noqa: BLE001 - ship the diagnosis, then die
-        results.put((ERROR, node, traceback.format_exc()))
-        return
-    # Clean shutdown: everything sent is already in its pipe, so skip
-    # interpreter teardown of the fork-copied heap.
-    os._exit(0)
-
-
 class WorkerRing:
     """N node processes executing one simulation job at a time.
 
@@ -251,8 +156,13 @@ class WorkerRing:
         if num_nodes < 1:
             raise ConfigError("num_nodes must be >= 1")
         self.num_nodes = num_nodes
+        #: ``REPRO_TW_TRANSPORT`` overrides the built-in default
+        #: (``queue``) so CI can sweep the whole process-backend test
+        #: matrix across transports; a ring is the one place it is read.
         self.transport = (
-            transport if transport is not None else default_transport()
+            transport
+            if transport is not None
+            else os.environ.get("REPRO_TW_TRANSPORT", "queue")
         )
         self.inbox_maxsize = inbox_maxsize
         self._transport = make_transport(self.transport)
@@ -313,7 +223,7 @@ class WorkerRing:
         self._results = _ControlQueue(self._ctx)
         self._workers = [
             self._ctx.Process(
-                target=_ring_worker_main,
+                target=worker_main,
                 args=(
                     node, self._inboxes, self._job_queues[node],
                     self._barrier, self._results, worlds,
@@ -347,7 +257,7 @@ class WorkerRing:
         status_path: str | None = None,
         run_id: str = "",
         fault_spec: str = "",
-        attempt: Attempt | None = None,
+        attempt: Sequence[NodeAttempt] | None = None,
     ) -> TimeWarpResult:
         """Execute one job on the ring; returns its result.
 
@@ -357,10 +267,11 @@ class WorkerRing:
         not running yet is forked with the job's world resident; a
         running one ships the world only if its workers do not hold an
         equal one.  *fault_spec* is a resolved ``REPRO_TW_FAULT`` string
-        (a test hook).  *attempt* makes the job one try of a supervised
-        run: checkpoints go to its directory, a restart's nodes restore
-        its epoch and handle its replays, and the trace shards are left
-        for the supervisor to merge across attempts.
+        (a test hook).  *attempt*, one :class:`NodeAttempt` per node,
+        makes the job one try of a supervised run: checkpoints go to its
+        directory, a restart's nodes restore its epoch and handle its
+        replays, and the trace shards are left for the supervisor to
+        merge across attempts.
 
         On any worker error, death, or timeout the ring is poisoned:
         remaining workers are terminated and :class:`RingFailure`
@@ -383,7 +294,7 @@ class WorkerRing:
                 "directory and the restart policy"
             )
         if not supervised:
-            attempt = Attempt(trace_epoch=time.time())
+            attempt = [NodeAttempt(trace_epoch=time.time())] * self.num_nodes
         if status_path is not None:
             clear_status_files(status_path)
         world = World.of(assignment)
@@ -397,7 +308,6 @@ class WorkerRing:
             gvt_interval=machine.gvt_interval,
             max_events=max_events,
             trace_base=trace_path,
-            trace_epoch=attempt.trace_epoch,
             status_base=status_path,
             run_id=run_id,
             fault_spec=fault_spec,
@@ -405,16 +315,15 @@ class WorkerRing:
             migration_fraction=machine.migration_fraction,
         )
         try:
-            for node, q in enumerate(self._job_queues):
-                record = attempt.node_record(node, machine.checkpoint_interval)
-                q.put((spec, shipped, dropped, record))
+            for q, node_attempt in zip(self._job_queues, attempt):
+                q.put((spec, shipped, dropped, node_attempt))
         except BaseException:
             # Some workers have the job (and its residency verdict),
             # some do not: neither the barrier nor the table can be
             # trusted again.
             self._poison()
             raise
-        payloads = self._collect(timeout, attempt.ckpt_dir)
+        payloads = self._collect(timeout, attempt[0].ckpt_dir)
         self.jobs_run += 1
         if trace_path is not None and not supervised:
             merge_shards(
@@ -577,7 +486,7 @@ class WorkerRing:
             if q is None:
                 continue
             try:
-                _drain_queue(q)
+                drain_queue(q)
                 q.close()
             except (OSError, ValueError):  # pragma: no cover
                 pass
@@ -594,14 +503,14 @@ class WorkerRing:
             return
         for q in self._job_queues:
             try:
-                q.put(_STOP)
+                q.put(STOP)
             except (OSError, ValueError):  # pragma: no cover
                 pass
         join_deadline = time.monotonic() + _CLOSE_PATIENCE
         pending = [w for w in self._workers if w.is_alive()]
         while pending and time.monotonic() < join_deadline:
             for q in (*self._inboxes, self._results):
-                _drain_queue(q)
+                drain_queue(q)
             for w in pending:
                 w.join(timeout=0.05)
             pending = [w for w in pending if w.is_alive()]
@@ -610,3 +519,61 @@ class WorkerRing:
             w.join(timeout=5.0)
         self._release_channels()
         self._dead = True
+
+
+def clear_status_files(base: str) -> int:
+    """Delete every ``<base>.node*`` snapshot file; returns the count.
+
+    Run start calls this so a run reusing a ``--live-status`` base
+    never inherits a previous run's per-node files (a 4-node run after
+    an 8-node run used to leave nodes 4-7 haunting the dashboard).
+    """
+    removed = 0
+    for path in glob.glob(f"{base}.node*"):
+        try:
+            os.remove(path)
+            removed += 1
+        except OSError:  # pragma: no cover - raced unlink
+            pass
+    return removed
+
+
+def assemble_result(
+    circuit: CircuitGraph,
+    algorithm: str,
+    num_cycles: int,
+    payloads: dict[int, dict],
+    *,
+    transport: str,
+) -> TimeWarpResult:
+    """Merge per-node DONE payloads into one :class:`TimeWarpResult`
+    (its ``restarts`` are the supervisor's to fill in)."""
+    n = len(payloads)
+    node_stats: list[NodeStats] = [payloads[i]["stats"] for i in range(n)]
+    final_values = [0] * circuit.num_gates
+    for payload in payloads.values():
+        for index, value in payload["final_values"].items():
+            final_values[index] = value
+    captures: dict[tuple[int, int], int] = {}
+    for payload in payloads.values():
+        captures.update(payload["captures"])
+    return TimeWarpResult(
+        circuit_name=circuit.name,
+        algorithm=algorithm,
+        num_nodes=n,
+        num_cycles=num_cycles,
+        execution_time=max(s.wall_time for s in node_stats),
+        **node_totals(node_stats),
+        gvt_rounds=payloads[0]["gvt_rounds"],
+        lazy_reuses=0,
+        peak_history=sum(p["peak_history"] for p in payloads.values()),
+        migrations=sum(p["counters"]["migrations_out"] for p in payloads.values()),
+        final_values=final_values,
+        node_stats=node_stats,
+        committed_captures=sorted(
+            (gate, cycle, value)
+            for (gate, cycle), value in captures.items()
+        ),
+        backend="process",
+        transport=transport,
+    )

@@ -1,10 +1,9 @@
 """Pluggable wire transports for the multiprocess Time Warp backend.
 
-The :class:`~repro.warped.parallel.backend.NodeLoop` has been
-transport-agnostic since PR 2 — it only ever calls ``put_nowait`` /
-``put_batch`` / ``take`` / ``get`` / ``qsize`` on its inboxes.
-This module makes the substrate an explicit, selectable
-:class:`Transport`:
+The :class:`~repro.warped.parallel.loop.NodeLoop` is transport-agnostic
+— it only ever calls ``put_nowait`` / ``put_batch`` / ``take`` /
+``get`` / ``qsize`` on its inboxes.  This module makes the substrate an
+explicit, selectable :class:`Transport`:
 
 - ``queue`` — one OS pipe per node (:class:`PipeChannel`): every flush
   is one length-prefixed pickle of a *list* of wire items, written with
@@ -1018,11 +1017,22 @@ def make_transport(name: str) -> Transport:
     return cls()
 
 
-def default_transport() -> str:
-    """The transport used when none is requested explicitly.
+def drain_queue(q) -> int:
+    """Discard whatever *q* currently holds; returns the count.
 
-    ``REPRO_TW_TRANSPORT`` overrides the built-in default (``queue``)
-    so CI can sweep the whole process-backend test matrix across
-    transports without touching every construction site.
+    A channel with a ``drain`` of its own (the pipe channel: local
+    deque and half-reassembled blobs besides the pipe) is asked to.
     """
-    return os.environ.get("REPRO_TW_TRANSPORT", "queue")
+    drain = getattr(q, "drain", None)
+    drained = 0
+    try:
+        if drain is not None:
+            return drain()
+        while True:
+            q.get_nowait()
+            drained += 1
+    except (queue_mod.Empty, OSError, ValueError, ProtocolError):
+        # ProtocolError: a just-terminated worker can in principle
+        # leave a torn record at the shm ring frontier; shutdown
+        # drains must never die over garbage they are discarding.
+        return drained

@@ -100,21 +100,6 @@ class TestQueries:
         c, (a, b, g) = tiny()
         assert sorted(c.edges()) == [(a, g), (b, g)]
 
-    def test_combinational_views_cut_dffs(self):
-        c = build_circuit(
-            "loop",
-            [
-                ("i", GateType.INPUT, []),
-                ("ff", GateType.DFF, ["n"]),
-                ("n", GateType.NOR, ["i", "ff"]),
-            ],
-            outputs=["n"],
-        )
-        ff = c.index_of("ff")
-        n = c.index_of("n")
-        assert c.combinational_fanout(ff) == []
-        assert c.combinational_fanin(n) == [c.index_of("i")]
-
     def test_copy_preserves_structure(self):
         c, _ = tiny()
         c.freeze()

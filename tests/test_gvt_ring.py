@@ -34,7 +34,7 @@ from repro.sim import RandomStimulus, SequentialSimulator
 from repro.sim.event import SIG
 from repro.warped.messages import Message
 from repro.warped.parallel import NodeEngine, NodeLoop
-from repro.warped.parallel import backend as backend_mod
+from repro.warped.parallel import loop as loop_mod
 from repro.warped.parallel import transport as transport_mod
 from repro.warped.parallel.protocol import GVT, MSG, T_INF
 from repro.warped.world import World
@@ -471,7 +471,7 @@ class TestPollBeforePark:
     def test_arrival_inside_the_spin_window_costs_no_blocking_get(
         self, monkeypatch
     ):
-        monkeypatch.setattr(backend_mod, "_IDLE_SPIN", 60.0)
+        monkeypatch.setattr(loop_mod, "_IDLE_SPIN", 60.0)
         inbox = ScriptedInbox([(GVT, 1, T_INF)], empty_polls=25)
         loop = self.idle_follower(inbox)
         loop.run()
@@ -487,7 +487,7 @@ class TestPollBeforePark:
         loop.run()
         assert loop.done
         assert inbox.polls >= 2, "parked without lapping the loop first"
-        assert inbox.blocking_gets == [backend_mod._BATCH_IDLE_WAIT]
+        assert inbox.blocking_gets == [loop_mod._BATCH_IDLE_WAIT]
         assert loop.parks == 1 and loop.park >= 0.0
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -497,7 +497,7 @@ class TestPollBeforePark:
         """The spin laps the *whole* loop, so the initiator keeps
         initiating idle GVT rounds while it polls: an idle ring proves
         quiescence through ``run()`` without one blocking receive."""
-        monkeypatch.setattr(backend_mod, "_IDLE_SPIN", 60.0)
+        monkeypatch.setattr(loop_mod, "_IDLE_SPIN", 60.0)
         inboxes = [NoParkQueue() for _ in range(k)]
         loops = [
             NodeLoop(node, k, IdleEngine(), inboxes) for node in range(k)
@@ -553,7 +553,7 @@ def loaded_loop(s27, *, window=None, loop_cls=NodeLoop, **kw):
         s27, 1, cycles=120, loop_cls=loop_cls, **kw
     )
     engine.window = window
-    assert len(engine.queue) >= 4 * backend_mod._BACKLOG_FLOOR
+    assert len(engine.queue) >= 4 * loop_mod._BACKLOG_FLOOR
     return engine, loop
 
 
@@ -573,17 +573,17 @@ class TestSliceByBacklog:
     def test_little_pending_keeps_the_latency_first_batch(self, s27):
         _, _, engines, loops = make_s27_ring(s27, 2, cycles=2)
         for engine, loop in zip(engines, loops):
-            assert 0 < len(engine.queue) < backend_mod._BACKLOG_FLOOR
-            assert loop.slice_size() == backend_mod._BATCH
+            assert 0 < len(engine.queue) < loop_mod._BACKLOG_FLOOR
+            assert loop.slice_size() == loop_mod._BATCH
 
     def test_loaded_queue_takes_its_share_up_to_the_cap(self, s27):
         engine, loop = loaded_loop(s27)
         pending = len(engine.queue)
         assert engine.backlog(0.0) == pending  # unbounded window: all of it
         assert loop.slice_size() == min(
-            pending // backend_mod._SLICE_SHARE, backend_mod._SLICE_MAX
+            pending // loop_mod._SLICE_SHARE, loop_mod._SLICE_MAX
         )
-        assert backend_mod._BATCH < loop.slice_size() <= backend_mod._SLICE_MAX
+        assert loop_mod._BATCH < loop.slice_size() <= loop_mod._SLICE_MAX
 
     def test_entries_beyond_the_horizon_do_not_count(self, s27):
         engine, loop = loaded_loop(s27, window=45)
@@ -595,8 +595,8 @@ class TestSliceByBacklog:
             assert engine.backlog(gvt) == inside
             loop.gvt = gvt
             assert loop.slice_size() == max(
-                backend_mod._BATCH,
-                min(inside // backend_mod._SLICE_SHARE, backend_mod._SLICE_MAX),
+                loop_mod._BATCH,
+                min(inside // loop_mod._SLICE_SHARE, loop_mod._SLICE_MAX),
             )
 
     def test_exit_at_dies_at_exactly_the_injected_event(self, s27, monkeypatch):
@@ -611,7 +611,7 @@ class TestSliceByBacklog:
         def die(code):
             raise Died(code)
 
-        monkeypatch.setattr(backend_mod.os, "_exit", die)
+        monkeypatch.setattr(loop_mod.os, "_exit", die)
         with pytest.raises(Died, match="13"):
             for _ in range(3):
                 loop.work_batch()
@@ -631,7 +631,7 @@ class TestSliceByBacklog:
             peak = max(peak, loop.since_gvt)
             loop.maybe_initiate()  # k = 1: concludes and applies at once
             assert loop.since_gvt == 0 or loop.since_gvt < 40
-        assert max(asked) > backend_mod._BATCH  # large slices were taken
+        assert max(asked) > loop_mod._BATCH  # large slices were taken
         assert peak >= 40
         engine.check_quiescent()
 
@@ -707,7 +707,7 @@ class TestSweepByNeed:
             return 0
 
         monkeypatch.setattr(
-            backend_mod.recovery_mod, "write_checkpoint", capture
+            loop_mod.recovery_mod, "write_checkpoint", capture
         )
         class NeverDue(NodeLoop):
             """Need never arises: whatever sweeps, was forced."""
@@ -735,7 +735,7 @@ class TestSweepByNeed:
 
         class ShipSpy(FixedLoadLoop):
             def put(self, dest, item):
-                if item[0] == backend_mod.MIGRATE and "lps" in item[4]:
+                if item[0] == loop_mod.MIGRATE and "lps" in item[4]:
                     shipped.append((self.gvt, item[4]))
                 super().put(dest, item)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuit import GateType, levelize, parse_bench
 from repro.circuit.graph import build_circuit
-from repro.circuit.levelize import critical_path_length, levels_to_buckets
+from repro.circuit.levelize import levels_to_buckets
 from repro.errors import CircuitError
 
 
@@ -79,9 +79,3 @@ class TestHelpers:
 
     def test_levels_to_buckets_empty(self):
         assert levels_to_buckets([]) == []
-
-    def test_critical_path(self):
-        c = parse_bench(
-            "INPUT(a)\nb = NOT(a)\nc = NOT(b)\nd = NOT(c)\nOUTPUT(d)\n"
-        )
-        assert critical_path_length(c) == 3

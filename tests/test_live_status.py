@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.warped.parallel.backend import clear_status_files
+from repro.warped.parallel.ring import clear_status_files
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

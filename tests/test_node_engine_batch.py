@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.warped.parallel.backend as backend_mod
+import repro.warped.parallel.loop as loop_mod
 from repro.circuit import GeneratorSpec, generate_circuit
 from repro.errors import SimulationError
 from repro.harness.regression import load_case
@@ -29,7 +29,7 @@ from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.sim.event import CAPTURE
 from repro.warped.parallel import NodeEngine, NodeLoop
-from repro.warped.parallel.backend import JobSpec, _run_node
+from repro.warped.parallel.worker import JobSpec, _run_node
 from repro.warped.parallel.protocol import DONE
 from repro.warped.world import World
 
@@ -359,7 +359,7 @@ def test_exit_at_fault_fires_at_exactly_n_events(s27, monkeypatch, at):
         raise _Died(code)
 
     monkeypatch.setattr(NodeEngine, "run_batch", spying_run_batch)
-    monkeypatch.setattr(backend_mod.os, "_exit", fake_exit)
+    monkeypatch.setattr(loop_mod.os, "_exit", fake_exit)
     stimulus = RandomStimulus(s27, num_cycles=15, period=20, seed=11)
     spec, worlds = _job_spec(s27, stimulus, fault_spec=f"0:exit-at:{at}")
     with pytest.raises(_Died) as died:

@@ -9,6 +9,7 @@ broke.  These checks make that class of accident loud.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -77,6 +78,43 @@ def test_cli_and_server_import_without_networkx():
     )
     assert result.returncode == 0, result.stderr or "networkx was imported"
 
+
+
+def _parsed_sources(root: Path):
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(REPO_ROOT), ast.parse(path.read_text())
+
+
+def test_no_module_imports_another_modules_private_names():
+    """An underscore-prefixed name is its module's own: a module that
+    needs one from elsewhere is a module split along the wrong line."""
+    offenders = [
+        f"{path}:{node.lineno} {alias.name} from {node.module}"
+        for path, tree in _parsed_sources(REPO_ROOT / "src" / "repro")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "repro")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not offenders, offenders
+
+
+def test_process_backend_imports_only_at_module_top():
+    """Imports under ``repro.warped.parallel`` run one way (backend ->
+    ring -> worker -> loop) at import time; an import inside a function
+    is how a cycle hides."""
+    offenders = [
+        f"{path}:{node.lineno} in {func.name}"
+        for path, tree in _parsed_sources(
+            REPO_ROOT / "src" / "repro" / "warped" / "parallel"
+        )
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not offenders, offenders
 
 def _without_pythonpath() -> dict[str, str]:
     return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -32,12 +32,6 @@ class TestAssignment:
                 s27, [[0], list(range(2, s27.num_gates))]
             )
 
-    def test_from_mapping(self, s27):
-        mapping = {i: i % 3 for i in range(s27.num_gates)}
-        a = PartitionAssignment.from_mapping(s27, 3, mapping)
-        a.validate()
-        assert a[4] == 1
-
     def test_validate_rejects_out_of_range(self, s27):
         a = PartitionAssignment(s27, 2, [0] * s27.num_gates)
         a.assignment[3] = 7
@@ -59,12 +53,6 @@ class TestAssignment:
         )
         for part, members in enumerate(a.parts()):
             assert all(a[g] == part for g in members)
-
-    def test_relabel_merges(self, s27):
-        a = PartitionAssignment(s27, 4, [i % 4 for i in range(s27.num_gates)])
-        merged = a.relabel(2, [0, 0, 1, 1])
-        assert merged.k == 2
-        assert set(merged.assignment) == {0, 1}
 
 
 class TestMetrics:

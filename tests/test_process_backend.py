@@ -383,54 +383,54 @@ class TestWorkerDeath:
         )
 
     def test_fault_spec_parsing_ignores_other_nodes(self, monkeypatch):
-        from repro.warped.parallel.backend import _worker_faults
+        from repro.warped.parallel.worker import node_faults
 
         monkeypatch.setenv(
             "REPRO_TW_FAULT", "0:exit:3, 1:late-report:0.5 ,2:raise"
         )
-        assert _worker_faults(0) == [("exit", "3")]
-        assert _worker_faults(1) == [("late-report", "0.5")]
-        assert _worker_faults(2) == [("raise", None)]
-        assert _worker_faults(3) == []
+        assert node_faults(0) == [("exit", "3")]
+        assert node_faults(1) == [("late-report", "0.5")]
+        assert node_faults(2) == [("raise", None)]
+        assert node_faults(3) == []
         monkeypatch.delenv("REPRO_TW_FAULT")
-        assert _worker_faults(0) == []
+        assert node_faults(0) == []
 
     def test_fault_spec_without_mode_is_config_error(self, monkeypatch):
         """Regression: ``REPRO_TW_FAULT=0`` used to IndexError."""
-        from repro.warped.parallel.backend import _worker_faults
+        from repro.warped.parallel.worker import node_faults
 
         monkeypatch.setenv("REPRO_TW_FAULT", "0")
         with pytest.raises(ConfigError, match=r"'0' has no mode"):
-            _worker_faults(0)
+            node_faults(0)
         # A trailing colon with nothing after it is equally modeless.
         monkeypatch.setenv("REPRO_TW_FAULT", "1:")
         with pytest.raises(ConfigError, match="has no mode"):
-            _worker_faults(1)
+            node_faults(1)
 
     def test_fault_spec_non_integer_node_is_config_error(self, monkeypatch):
         """Regression: ``REPRO_TW_FAULT=x:raise`` used to ValueError."""
-        from repro.warped.parallel.backend import _worker_faults
+        from repro.warped.parallel.worker import node_faults
 
         monkeypatch.setenv("REPRO_TW_FAULT", "x:raise")
         with pytest.raises(ConfigError, match=r"'x:raise' has a non-integer"):
-            _worker_faults(0)
+            node_faults(0)
 
     def test_fault_spec_unknown_mode_is_config_error(self, monkeypatch):
-        from repro.warped.parallel.backend import _worker_faults
+        from repro.warped.parallel.worker import node_faults
 
         monkeypatch.setenv("REPRO_TW_FAULT", "0:explode")
         with pytest.raises(ConfigError, match="unknown mode 'explode'"):
-            _worker_faults(0)
+            node_faults(0)
 
     def test_fault_spec_attempt_gating_and_persistence(self, monkeypatch):
         """Faults fire on attempt 0 only unless re-armed with ``*``."""
-        from repro.warped.parallel.backend import _worker_faults
+        from repro.warped.parallel.worker import node_faults
 
         monkeypatch.setenv("REPRO_TW_FAULT", "0:exit:3,1:exit-at*:200")
-        assert _worker_faults(0, attempt=0) == [("exit", "3")]
-        assert _worker_faults(0, attempt=1) == []
-        assert _worker_faults(1, attempt=0) == [("exit-at", "200")]
-        assert _worker_faults(1, attempt=3) == [("exit-at", "200")]
+        assert node_faults(0, attempt=0) == [("exit", "3")]
+        assert node_faults(0, attempt=1) == []
+        assert node_faults(1, attempt=0) == [("exit-at", "200")]
+        assert node_faults(1, attempt=3) == [("exit-at", "200")]
 
     def test_flood_fault_terminates_against_bounded_inbox(
         self, s27_setup, monkeypatch

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -79,11 +80,11 @@ def test_pool_reuses_rings_and_respects_bound():
         # Two concurrent leases of different sizes; the shelf holds 1.
         with pool.lease(2), pool.lease(1):
             pass
-        assert pool.idle_count() == 1
+        assert pool.stats()["idle"] == 1
         assert pool.retired >= 1
     finally:
         pool.close()
-    assert pool.idle_count() == 0
+    assert pool.stats()["idle"] == 0
 
 
 def test_pool_discards_poisoned_rings():
@@ -92,7 +93,7 @@ def test_pool_discards_poisoned_rings():
         with pool.lease(2) as ring:
             pids = dict(ring.worker_pids)
             ring.kill()
-        assert pool.idle_count() == 0 and pool.retired == 1
+        assert pool.stats()["idle"] == 0 and pool.retired == 1
         with pool.lease(2) as replacement:
             assert dict(replacement.worker_pids) != pids
         assert pool.spawned == 2
@@ -209,6 +210,24 @@ def test_cancel_queued_job():
     finally:
         manager.close()
 
+
+
+def test_close_does_not_finish_a_cancelled_queued_job_twice():
+    """A job cancelled while queued is terminal: shutting the manager
+    down must neither count it again nor overwrite its error."""
+    manager = JobManager(max_concurrency=1)
+    gate = threading.Event()
+    manager._execute = lambda job: gate.wait(30)  # holds the one slot
+    held = manager.submit(JobRequest.from_dict(S27_JOB))
+    queued = manager.submit(JobRequest.from_dict(dict(S27_JOB, num_cycles=9)))
+    assert manager.cancel(queued.id)
+    gate.set()
+    manager.close()
+    assert manager.metrics.snapshot()["counters"]["jobs_cancelled"] == 1
+    assert list(manager._finished) == [queued.id]
+    assert queued.state is JobState.CANCELLED
+    assert queued.error == "cancelled while queued"
+    assert held.id not in manager._finished
 
 def test_accepted_cancel_always_ends_cancelled():
     """A cancel that returned True ends the job CANCELLED wherever it
@@ -390,6 +409,23 @@ def test_job_table_keeps_only_the_newest_terminal_jobs(server, monkeypatch):
     assert done.state is JobState.DONE, done.error
     assert done.cache == {"result": "hit"}
 
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_http_bad_content_length_is_400(server, length):
+    """A Content-Length that is not a non-negative integer is the
+    client's error, answered before any body is read."""
+    with socket.create_connection(("127.0.0.1", server.app.port), 10) as sock:
+        sock.sendall(
+            f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    assert length in json.loads(body)["error"]
 
 def test_http_event_stream_ends_with_terminal_state(server):
     _, job = server.request(

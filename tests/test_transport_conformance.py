@@ -46,7 +46,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SimulationError
 from repro.warped.messages import ANTI, POSITIVE, Message
-from repro.warped.parallel import backend as backend_mod
+from repro.warped.parallel import loop as loop_mod
 from repro.warped.parallel import recovery
 from repro.warped.parallel.protocol import (
     GVT,
@@ -66,6 +66,7 @@ from repro.warped.parallel.transport import (
     _fragment,
     _pack,
     decode_record,
+    drain_queue,
     encode_migrate,
     encode_record,
     make_transport,
@@ -218,23 +219,23 @@ def test_full_channel_raises_full(channels):
 def test_retry_then_dead_single(channels, monkeypatch):
     """_put_wire against a full ring nobody drains: bounded retry, then
     a diagnosable failure — never an eternal block."""
-    monkeypatch.setattr(backend_mod, "_PUT_RETRIES", 3)
-    monkeypatch.setattr(backend_mod, "_PUT_BACKOFF", 0.001)
+    monkeypatch.setattr(loop_mod, "_PUT_RETRIES", 3)
+    monkeypatch.setattr(loop_mod, "_PUT_BACKOFF", 0.001)
     (chan,) = channels(maxsize=2)
     for i in range(2):
         chan.put((GVT, i, 1.0), timeout=10)
     with pytest.raises(SimulationError, match="transport put failed"):
-        backend_mod._put_wire(chan, (GVT, 9, 2.0))
+        loop_mod._put_wire(chan, (GVT, 9, 2.0))
 
 
 def test_retry_then_dead_batch(channels, monkeypatch):
-    monkeypatch.setattr(backend_mod, "_PUT_RETRIES", 3)
-    monkeypatch.setattr(backend_mod, "_PUT_BACKOFF", 0.001)
+    monkeypatch.setattr(loop_mod, "_PUT_RETRIES", 3)
+    monkeypatch.setattr(loop_mod, "_PUT_BACKOFF", 0.001)
     (chan,) = channels(maxsize=2)
     for i in range(2):
         chan.put((GVT, i, 1.0), timeout=10)
     with pytest.raises(SimulationError, match="transport put failed"):
-        backend_mod._put_wire_batch(chan, [(GVT, 9, 2.0), (GVT, 10, 3.0)])
+        loop_mod._put_wire_batch(chan, [(GVT, 9, 2.0), (GVT, 10, 3.0)])
 
 
 def test_put_wire_batch_drains_clean(channels):
@@ -242,7 +243,7 @@ def test_put_wire_batch_drains_clean(channels):
     substrates (one frame per write on queue, one locked write on shm)."""
     (chan,) = channels()
     items = [(GVT, i, float(i)) for i in range(64)]
-    backend_mod._put_wire_batch(chan, list(items))
+    loop_mod._put_wire_batch(chan, list(items))
     got = [chan.get(timeout=10) for _ in items]
     assert got == items
 
@@ -318,7 +319,7 @@ def test_take_shares_one_stream_with_get_and_drain(channels):
     assert list(_take_all(chan, 3)) == [(GVT, i, float(i)) for i in (2, 3, 4)]
     for i in range(5, 8):
         chan.put_nowait((GVT, i, float(i)))
-    assert backend_mod._drain_queue(chan) == 3
+    assert drain_queue(chan) == 3
     assert len(chan.take()) == 0
     chan.put_nowait((GVT, 8, 8.0))
     assert list(_take_all(chan, 1)) == [(GVT, 8, 8.0)]
@@ -371,7 +372,7 @@ def pipes():
 
 def _batch_producer(chan, producer: int, batches: int, size: int) -> None:
     for batch in range(batches):
-        backend_mod._put_wire_batch(
+        loop_mod._put_wire_batch(
             chan,
             [
                 (MSG, producer, _msg(i % 40, value=batch * size + i))
@@ -407,8 +408,8 @@ def test_pipe_concurrent_producers_stay_intact_and_fifo(pipes):
 
 
 def _blob_producer(chan, payload: dict) -> None:
-    backend_mod._put_wire(chan, (MIGRATE, 3, 0, 7, payload))
-    backend_mod._put_wire(chan, (GVT, 8, 1.0))  # FIFO behind the blob
+    loop_mod._put_wire(chan, (MIGRATE, 3, 0, 7, payload))
+    loop_mod._put_wire(chan, (GVT, 8, 1.0))  # FIFO behind the blob
 
 
 def test_pipe_blob_larger_than_pipe_interleaves_with_msg_frames(pipes):
@@ -467,7 +468,7 @@ def _flooder(own, peer, node: int, total: int) -> None:
     """Send everything, only then read: deadlocks unless waiting out
     ``Full`` drains the sender's own inbox."""
     for start in range(0, total, 64):
-        backend_mod._put_wire_batch(
+        loop_mod._put_wire_batch(
             peer,
             [(MSG, node, _msg(i % 40, value=i)) for i in range(start, start + 64)],
             own,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils.rng import (
     DEFAULT_SEED,
-    ReservoirSampler,
     derive_rng,
     make_rng,
     spawn_seeds,
@@ -37,22 +36,6 @@ class TestRng:
         assert spawn_seeds(1, 4) == spawn_seeds(1, 4)
         assert len(set(spawn_seeds(1, 16))) == 16
 
-    def test_reservoir_uniformish(self):
-        sampler = ReservoirSampler(capacity=10, rng=0)
-        for i in range(1000):
-            sampler.offer(i)
-        assert len(sampler.sample) == 10
-        assert sampler.seen == 1000
-
-    def test_reservoir_small_stream(self):
-        sampler = ReservoirSampler(capacity=10, rng=0)
-        for i in range(3):
-            sampler.offer(i)
-        assert sorted(sampler.sample) == [0, 1, 2]
-
-    def test_reservoir_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            ReservoirSampler(0)
 
 
 class TestTables:

@@ -228,8 +228,8 @@ def test_restart_forks_fresh_processes(monkeypatch):
     assert not first.alive and sim.worker_pids == second.worker_pids
     for _, shipped, _, record in first_sent + second_sent:
         assert shipped is None
-    assert [record["attempt"] for *_, record in second_sent] == [1, 1]
-    assert all(record["payload"] is not None for *_, record in second_sent)
+    assert [record.number for *_, record in second_sent] == [1, 1]
+    assert all(record.restore is not None for *_, record in second_sent)
 
 
 def test_timeout_poisons_ring(world):

@@ -35,7 +35,7 @@ from repro.sim.stimulus import VectorStimulus
 from repro.warped import ProcessTimeWarpSimulator, VirtualMachine
 from repro.warped.messages import Message
 from repro.warped.parallel import NodeEngine
-from repro.warped.parallel.backend import JobSpec, _run_node
+from repro.warped.parallel.worker import JobSpec, _run_node
 from repro.warped.parallel.ring import WorkerRing
 from repro.warped.queues import NodeQueue, bucketed
 from repro.warped.world import World

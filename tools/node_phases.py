@@ -22,10 +22,11 @@ contains ``fossil_collect``; ``work_batch`` contains ``run_batch`` and its
 ``flush_wire``), and the timers themselves cost about 0.3 µs a call — so
 read the table for proportions and before/after differences, and claim
 speed with ``benchmarks/e2e/run.py``, which runs unpatched code.  The
-wrapped engine and loop names exist in every checkout since PR 17; the
-queue's (``NodeQueue._advance``, ``NodeQueue.push``) since the bucket
-queue — for a before/after table across that change run each checkout's
-own copy of this tool.
+loop and its wire puts live in ``repro.warped.parallel.loop`` since the
+process backend was split by concern (``backend`` before), the queue's
+wrapped names (``NodeQueue._advance``, ``NodeQueue.push``) exist since
+the bucket queue — for a before/after table across either change run
+each checkout's own copy of this tool.
 
 The queue rows are counts, not times: how often a bucket became the
 open one and how many entries it held then (what each sort paid for),
@@ -52,8 +53,8 @@ from soak_ring import verdict, world
 
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped import ProcessTimeWarpSimulator, VirtualMachine
-from repro.warped.parallel import backend
-from repro.warped.parallel.backend import NodeLoop
+from repro.warped.parallel import loop
+from repro.warped.parallel.loop import NodeLoop
 from repro.warped.parallel.node import NodeEngine
 from repro.warped.parallel.ring import WorkerRing
 from repro.warped.queues import NodeQueue
@@ -129,14 +130,14 @@ def install(out_dir: str) -> None:
 
     NodeEngine.fossil_collect = count_freed
 
-    put_wire_batch = backend._put_wire_batch
+    put_wire_batch = loop._put_wire_batch
 
     def count_frames(chan, items, own=None):
         _calls["frames"] += 1
         _calls["framed messages"] += len(items)
         put_wire_batch(chan, items, own)
 
-    backend._put_wire_batch = count_frames
+    loop._put_wire_batch = count_frames
 
     advance, push = NodeQueue._advance, NodeQueue.push
 
