@@ -3,9 +3,9 @@
 A circuit is a directed graph of logic gates (:class:`CircuitGraph`);
 edges are the signals that interconnect gates, exactly as in Section 3 of
 the paper. This subpackage provides the graph, the ISCAS'89 ``.bench``
-reader/writer, levelization and cone analyses, a parametric synthetic
-generator, and synthetic stand-ins for the three ISCAS'89 benchmarks the
-paper evaluates (see DESIGN.md for the substitution rationale).
+reader/writer, levelization, a parametric synthetic generator, and
+synthetic stand-ins for the three ISCAS'89 benchmarks the paper
+evaluates (see DESIGN.md for the substitution rationale).
 """
 
 from repro.circuit.gate import (
@@ -19,7 +19,6 @@ from repro.circuit.gate import (
 from repro.circuit.graph import CircuitGraph, Gate
 from repro.circuit.bench_parser import parse_bench, parse_bench_file, write_bench
 from repro.circuit.levelize import levelize
-from repro.circuit.cones import fanin_cone, fanout_cone, input_cones
 from repro.circuit.stats import CircuitStats, circuit_stats
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuit.iscas89 import (
@@ -61,10 +60,7 @@ __all__ = [
     "UNKNOWN",
     "circuit_stats",
     "evaluate_gate",
-    "fanin_cone",
-    "fanout_cone",
     "generate_circuit",
-    "input_cones",
     "levelize",
     "load_benchmark",
     "logic_not",

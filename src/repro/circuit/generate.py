@@ -15,7 +15,7 @@ Generation is deterministic in the spec's seed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

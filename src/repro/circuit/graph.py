@@ -4,15 +4,13 @@ This is the directed graph ``G = (V, E)`` of Section 3 of the paper. The
 representation is index-based (gates are dense integers ``0..n-1``) with
 adjacency stored as Python lists — the partitioners and both simulators
 iterate fanin/fanout constantly, and list-of-list adjacency benchmarks
-faster than networkx views for these access patterns. A
-:meth:`CircuitGraph.to_networkx` bridge exists for analyses that want the
-richer library.
+faster than a graph library's views for these access patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from repro.circuit.gate import GateType
 from repro.errors import CircuitError
@@ -199,22 +197,6 @@ class CircuitGraph:
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    def to_networkx(self) -> networkx.MultiDiGraph:
-        """Export as a :class:`networkx.MultiDiGraph` (parallel edges kept)."""
-        import networkx  # here only, so the CLI and the server start without it
-
-        g = networkx.MultiDiGraph(name=self.name)
-        for gate in self.gates:
-            g.add_node(
-                gate.index,
-                name=gate.name,
-                gate_type=gate.gate_type.value,
-                is_output=gate.is_output,
-            )
-        for u, v in self.edges():
-            g.add_edge(u, v)
-        return g
-
     def copy(self) -> "CircuitGraph":
         """Deep copy (unfrozen copies stay unfrozen)."""
         dup = CircuitGraph(self.name)
@@ -249,24 +231,3 @@ class CircuitGraph:
             f"edges={self.num_edges}, frozen={self._frozen})"
         )
 
-
-def build_circuit(
-    name: str,
-    gates: Sequence[tuple[str, GateType, Sequence[str]]],
-    outputs: Sequence[str] = (),
-) -> CircuitGraph:
-    """Convenience constructor from ``(name, type, fanin-names)`` triples.
-
-    Fanin names may reference gates declared later in the sequence
-    (two-pass construction), which feedback through DFFs requires.
-    """
-    circuit = CircuitGraph(name)
-    for gate_name, gate_type, _ in gates:
-        circuit.add_gate(gate_name, gate_type)
-    for gate_name, _, fanin_names in gates:
-        sink = circuit.index_of(gate_name)
-        for driver_name in fanin_names:
-            circuit.connect(circuit.index_of(driver_name), sink)
-    for out_name in outputs:
-        circuit.mark_output(circuit.index_of(out_name))
-    return circuit.freeze()

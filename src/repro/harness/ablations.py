@@ -15,7 +15,6 @@ from repro.harness.config import ALGORITHMS
 from repro.harness.experiment import ExperimentRunner
 from repro.partition.metrics import partition_quality
 from repro.partition.multilevel.multilevel import MultilevelPartitioner
-from repro.partition.registry import get_partitioner
 from repro.utils.tables import format_table
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.circuit.graph import CircuitGraph
 from repro.errors import PartitionError
@@ -35,34 +35,6 @@ class PartitionAssignment:
         self.k = k
         self.assignment = list(assignment)
         self.algorithm = algorithm
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_blocks(
-        cls,
-        circuit: CircuitGraph,
-        blocks: Sequence[Iterable[int]],
-        *,
-        algorithm: str = "unknown",
-    ) -> "PartitionAssignment":
-        """Build from explicit per-partition gate lists."""
-        assignment = [-1] * circuit.num_gates
-        for part, members in enumerate(blocks):
-            for gate in members:
-                if not 0 <= gate < circuit.num_gates:
-                    raise PartitionError(f"gate index {gate} out of range")
-                if assignment[gate] != -1:
-                    raise PartitionError(
-                        f"gate {gate} assigned to partitions "
-                        f"{assignment[gate]} and {part}"
-                    )
-                assignment[gate] = part
-        if any(p == -1 for p in assignment):
-            missing = assignment.index(-1)
-            raise PartitionError(
-                f"gate {circuit.gates[missing].name!r} is unassigned"
-            )
-        return cls(circuit, len(blocks), assignment, algorithm=algorithm)
 
     # ------------------------------------------------------------------
     def __getitem__(self, gate: int) -> int:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.circuit.graph import CircuitGraph
 from repro.circuit.levelize import levelize, levels_to_buckets
 from repro.partition.assignment import PartitionAssignment

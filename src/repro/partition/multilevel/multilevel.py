@@ -11,8 +11,6 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 
-import numpy as np
-
 from repro.circuit.graph import CircuitGraph
 from repro.errors import PartitionError
 from repro.partition.assignment import PartitionAssignment

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.circuit.bench_parser import parse_bench
-from repro.circuit.graph import CircuitGraph
 from repro.circuit.iscas89 import benchmark_spec, load_benchmark
 from repro.errors import ConfigError, PartitionError, ReproError
 from repro.obs import Metrics

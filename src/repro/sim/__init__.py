@@ -17,7 +17,6 @@ from repro.sim.kernel import SequentialResult, SequentialSimulator
 from repro.sim.cost_model import SequentialCostModel
 from repro.sim.trace import Trace
 from repro.sim.activity import ActivityProfile, profile_activity
-from repro.sim.vcd import write_vcd
 
 __all__ = [
     "ActivityProfile",
@@ -34,5 +33,4 @@ __all__ = [
     "Trace",
     "VectorStimulus",
     "profile_activity",
-    "write_vcd",
 ]

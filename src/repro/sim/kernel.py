@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuit.gate import FALSE, UNKNOWN, GateType, eval_func
+from repro.circuit.gate import FALSE, UNKNOWN, eval_func
 from repro.circuit.graph import CircuitGraph
 from repro.errors import SimulationError
 from repro.sim.cost_model import SequentialCostModel

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG plumbing and ASCII reporting."""
 
-from repro.utils.rng import derive_rng, make_rng, spawn_seeds
+from repro.utils.rng import derive_rng, make_rng
 from repro.utils.tables import ascii_plot, format_series, format_table
 
 __all__ = [
@@ -9,5 +9,4 @@ __all__ = [
     "format_series",
     "format_table",
     "make_rng",
-    "spawn_seeds",
 ]

@@ -51,12 +51,6 @@ def derive_rng(seed: RngLike, *tokens: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(material))
 
 
-def spawn_seeds(seed: RngLike, count: int) -> list[int]:
-    """Return *count* independent integer seeds derived from *seed*."""
-    rng = make_rng(seed)
-    return [int(x) for x in rng.integers(0, 2**62, size=count)]
-
-
 def _token_to_int(token: object) -> int:
     """Map an arbitrary hashable label to a stable 64-bit integer."""
     if isinstance(token, (int, np.integer)):

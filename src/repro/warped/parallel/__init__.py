@@ -34,6 +34,7 @@ __all__ = [
     "ShmTransport",
     "Transport",
     "TRANSPORT_NAMES",
+    "WorkerRing",
     "decode_record",
     "encode_record",
     "make_transport",

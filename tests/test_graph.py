@@ -3,7 +3,6 @@
 import pytest
 
 from repro.circuit import CircuitGraph, GateType
-from repro.circuit.graph import build_circuit
 from repro.errors import CircuitError
 
 
@@ -108,31 +107,6 @@ class TestQueries:
         assert dup.num_gates == c.num_gates
         assert sorted(dup.edges()) == sorted(c.edges())
         assert dup.primary_outputs == c.primary_outputs
-
-    def test_to_networkx(self):
-        c, (a, b, g) = tiny()
-        c.freeze()
-        nxg = c.to_networkx()
-        assert nxg.number_of_nodes() == 3
-        assert nxg.number_of_edges() == 2
-        assert nxg.nodes[g]["gate_type"] == "AND"
-
-
-class TestBuildCircuit:
-    def test_forward_references_allowed(self, s27):
-        # s27 fixture itself relies on forward references via the parser;
-        # build_circuit supports the same for programmatic construction.
-        c = build_circuit(
-            "fwd",
-            [
-                ("i", GateType.INPUT, []),
-                ("ff", GateType.DFF, ["g"]),  # g defined later
-                ("g", GateType.NAND, ["i", "ff"]),
-            ],
-            outputs=["g"],
-        )
-        assert c.frozen
-        assert c.num_edges == 3
 
     def test_s27_shape(self, s27):
         assert len(s27.primary_inputs) == 4

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.circuit import GateType, levelize, parse_bench
-from repro.circuit.graph import build_circuit
+from repro.circuit import levelize, parse_bench
 from repro.circuit.levelize import levels_to_buckets
 from repro.errors import CircuitError
 
@@ -27,15 +26,9 @@ class TestLevelize:
         assert levelize(c)[c.index_of("d")] == 3
 
     def test_dff_is_level_zero_source(self):
-        c = build_circuit(
-            "seq",
-            [
-                ("i", GateType.INPUT, []),
-                ("ff", GateType.DFF, ["g"]),
-                ("g", GateType.NAND, ["i", "ff"]),
-                ("h", GateType.NOT, ["ff"]),
-            ],
-            outputs=["g", "h"],
+        c = parse_bench(
+            "INPUT(i)\nff = DFF(g)\ng = NAND(i, ff)\nh = NOT(ff)\n"
+            "OUTPUT(g)\nOUTPUT(h)\n"
         )
         level = levelize(c)
         assert level[c.index_of("ff")] == 0
@@ -43,14 +36,8 @@ class TestLevelize:
         assert level[c.index_of("g")] == 1
 
     def test_combinational_cycle_detected(self):
-        c = build_circuit(
-            "cyc",
-            [
-                ("i", GateType.INPUT, []),
-                ("x", GateType.NAND, ["i", "y"]),
-                ("y", GateType.NAND, ["i", "x"]),
-            ],
-            outputs=["y"],
+        c = parse_bench(
+            "INPUT(i)\nx = NAND(i, y)\ny = NAND(i, x)\nOUTPUT(y)\n"
         )
         with pytest.raises(CircuitError, match="cycle"):
             levelize(c)

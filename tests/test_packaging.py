@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,10 @@ def _tracked_files() -> list[str]:
     return out.stdout.splitlines()
 
 
+@pytest.mark.skipif(
+    not (REPO_ROOT / ".git").exists(),
+    reason="not a git checkout: no tracked files to inspect",
+)
 def test_no_tracked_build_artifacts():
     offenders = [
         path
@@ -64,25 +69,111 @@ def test_gitignore_covers_bytecode():
     assert "__pycache__" in gitignore
 
 
-def test_cli_and_server_import_without_networkx():
-    """networkx is imported only by ``CircuitGraph.to_networkx``: the
-    CLI and the job server start without paying for it."""
-    probe = (
-        "import sys, repro.cli, repro.serve; "
-        "sys.exit('networkx' in sys.modules)"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        cwd=REPO_ROOT, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-    )
-    assert result.returncode == 0, result.stderr or "networkx was imported"
-
-
-
 def _parsed_sources(root: Path):
     for path in sorted(root.rglob("*.py")):
         yield path.relative_to(REPO_ROOT), ast.parse(path.read_text())
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The names an import statement binds in its module."""
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for alias in node.names
+        if alias.name != "*"
+    ]
+
+
+def _top_level_imports(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            yield node
+
+
+def test_declared_dependencies_match_imports():
+    """Every third-party package ``src/`` imports, at module top or
+    inside a function, is a declared dependency, and every declared
+    dependency is imported."""
+    # Read with a regex: tomllib is Python 3.11+, the project supports 3.10.
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+    specs = re.search(r"^dependencies = (\[.*?\])", pyproject, re.M | re.S)
+    declared = {
+        re.split(r"[<>=!~\[ ;]", spec, maxsplit=1)[0].lower()
+        for spec in ast.literal_eval(specs.group(1))
+    }
+    roots = set()
+    for _, tree in _parsed_sources(REPO_ROOT / "src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots.add(node.module.split(".")[0])
+    third_party = roots - set(sys.stdlib_module_names) - {"repro"}
+    assert third_party == declared
+
+
+def _dunder_all(tree: ast.Module) -> set[str]:
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name a module reads, including those inside string
+    annotations and the strings of its ``__all__``."""
+    annotations = [
+        getattr(node, attr)
+        for node in ast.walk(tree)
+        for attr in ("returns", "annotation")
+        if getattr(node, attr, None) is not None
+    ]
+    quoted = [
+        ast.parse(part.value, mode="eval")
+        for annotation in annotations
+        for part in ast.walk(annotation)
+        if isinstance(part, ast.Constant) and isinstance(part.value, str)
+    ]
+    return _dunder_all(tree) | {
+        node.id
+        for root in [tree, *quoted]
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name)
+    }
+
+
+def test_no_unused_module_imports():
+    """A module imports only what it uses (``__init__.py`` re-exports
+    are checked against ``__all__`` below)."""
+    offenders = [
+        f"{path}:{node.lineno} {name}"
+        for path, tree in _parsed_sources(REPO_ROOT / "src" / "repro")
+        if path.name != "__init__.py"
+        for used in [_names_used(tree)]
+        for node in _top_level_imports(tree)
+        for name in _bound_names(node)
+        if name not in used
+    ]
+    assert not offenders, offenders
+
+
+def test_package_all_lists_its_public_imports():
+    """A package's ``__init__.py`` imports a public name only to export
+    it, so ``__all__`` names it."""
+    offenders = [
+        f"{path}:{node.lineno} {name}"
+        for path, tree in _parsed_sources(REPO_ROOT / "src" / "repro")
+        if path.name == "__init__.py"
+        for exported in [_dunder_all(tree)]
+        for node in _top_level_imports(tree)
+        for name in _bound_names(node)
+        if not name.startswith("_") and name not in exported
+    ]
+    assert not offenders, offenders
 
 
 def test_no_module_imports_another_modules_private_names():

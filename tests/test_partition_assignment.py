@@ -14,24 +14,6 @@ from repro.partition.metrics import (
 
 
 class TestAssignment:
-    def test_from_blocks(self, s27):
-        n = s27.num_gates
-        blocks = [range(0, n // 2), range(n // 2, n)]
-        a = PartitionAssignment.from_blocks(s27, blocks, algorithm="manual")
-        assert a.k == 2
-        assert sum(a.sizes()) == n
-        a.validate()
-
-    def test_from_blocks_rejects_overlap(self, s27):
-        with pytest.raises(PartitionError, match="assigned to partitions"):
-            PartitionAssignment.from_blocks(s27, [[0, 1], [1, 2]])
-
-    def test_from_blocks_rejects_gap(self, s27):
-        with pytest.raises(PartitionError, match="unassigned"):
-            PartitionAssignment.from_blocks(
-                s27, [[0], list(range(2, s27.num_gates))]
-            )
-
     def test_validate_rejects_out_of_range(self, s27):
         a = PartitionAssignment(s27, 2, [0] * s27.num_gates)
         a.assignment[3] = 7

@@ -7,7 +7,6 @@ from repro.utils.rng import (
     DEFAULT_SEED,
     derive_rng,
     make_rng,
-    spawn_seeds,
 )
 from repro.utils.tables import ascii_plot, format_series, format_table
 
@@ -31,11 +30,6 @@ class TestRng:
         a = derive_rng(7, "alpha", 3)
         b = derive_rng(7, "alpha", 3)
         assert list(a.integers(0, 100, 5)) == list(b.integers(0, 100, 5))
-
-    def test_spawn_seeds_deterministic(self):
-        assert spawn_seeds(1, 4) == spawn_seeds(1, 4)
-        assert len(set(spawn_seeds(1, 16))) == 16
-
 
 
 class TestTables:

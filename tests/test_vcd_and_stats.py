@@ -1,70 +1,25 @@
-"""Tests for VCD export, peak-history stats and work balancing."""
+"""Tests for the waveform trace, peak-history stats and work balancing."""
 
 import pytest
 
 from repro.circuit.netlists import load_s27
-from repro.errors import SimulationError
 from repro.partition import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator, Trace
-from repro.sim.vcd import _identifier, write_vcd
 from repro.warped import TimeWarpSimulator, VirtualMachine
 
 
-@pytest.fixture(scope="module")
-def traced_run():
-    circuit = load_s27()
-    trace = Trace(circuit)  # watch everything
-    stim = RandomStimulus(circuit, num_cycles=20, seed=4)
-    result = SequentialSimulator(circuit, stim, trace=trace).run()
-    return circuit, trace, result
-
-
-class TestVcd:
-    def test_identifiers_unique_and_printable(self):
-        ids = [_identifier(i) for i in range(2000)]
-        assert len(set(ids)) == 2000
-        for code in ids:
-            assert all(33 <= ord(c) <= 126 for c in code)
-
-    def test_header_and_vars(self, traced_run):
-        circuit, trace, _ = traced_run
-        vcd = write_vcd(trace)
-        assert "$timescale 1 ns $end" in vcd
-        assert f"$scope module {circuit.name} $end" in vcd
-        assert "$enddefinitions $end" in vcd
-        assert "G17" in vcd
-
-    def test_changes_time_ordered(self, traced_run):
-        _, trace, _ = traced_run
-        vcd = write_vcd(trace)
-        times = [
-            int(line[1:]) for line in vcd.splitlines() if line.startswith("#")
-        ]
-        assert times == sorted(times)
-        assert times, "expected at least one timestamped change"
-
-    def test_final_values_match_simulation(self, traced_run):
-        circuit, trace, result = traced_run
-        vcd = write_vcd(trace)
-        # last change recorded for the primary output equals the final value
-        g17 = circuit.index_of("G17")
-        last_value = trace.changes(g17)[-1][1]
-        assert last_value == result.final_values[g17]
-        assert str(last_value) in vcd
-
-    def test_gate_subset(self, traced_run):
-        circuit, trace, _ = traced_run
-        g17 = circuit.index_of("G17")
-        vcd = write_vcd(trace, gates=[g17])
-        assert vcd.count("$var wire") == 1
-
-    def test_empty_selection_rejected(self, traced_run):
-        circuit, trace, _ = traced_run
-        quiet = [
-            g for g in range(circuit.num_gates) if not trace.changes(g)
-        ]
-        with pytest.raises(SimulationError, match="no changes"):
-            write_vcd(trace, gates=quiet or [])
+class TestTrace:
+    def test_final_values_match_simulation(self):
+        circuit = load_s27()
+        trace = Trace(circuit)  # watch everything
+        stim = RandomStimulus(circuit, num_cycles=20, seed=4)
+        result = SequentialSimulator(circuit, stim, trace=trace).run()
+        changed = [g for g in range(circuit.num_gates) if trace.changes(g)]
+        assert circuit.index_of("G17") in changed
+        for gate in changed:
+            times = [t for t, _ in trace.changes(gate)]
+            assert times == sorted(times)
+            assert trace.changes(gate)[-1][1] == result.final_values[gate]
 
 
 class TestPeakHistory:
