@@ -16,6 +16,7 @@ import pathlib
 
 import pytest
 
+from repro.harness.claims import evaluate
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentRunner
 
@@ -36,3 +37,14 @@ def artifact_dir() -> pathlib.Path:
 def save_artifact(directory: pathlib.Path, name: str, text: str) -> None:
     (directory / name).write_text(text + "\n")
     print(f"\n{text}\n")
+
+
+def assert_claims(runner: ExperimentRunner, artifact: str) -> None:
+    """Assert every claim of *artifact* (``repro.harness.claims``) that
+    applies at the runner's scale."""
+    verdicts = evaluate(runner, artifact)
+    assert verdicts, f"no claim names {artifact!r}"
+    failed = [v for v in verdicts if v.holds is False]
+    assert not failed, "\n".join(
+        f"{v.claim.id}: {v.claim.text} — {v.evidence}" for v in failed
+    )

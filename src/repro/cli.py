@@ -5,7 +5,8 @@ Subcommands::
     repro-sim table1                  # Table 1 at the current scale
     repro-sim table2                  # Table 2 (all circuits)
     repro-sim fig4|fig5|fig6          # the s9234 figures
-    repro-sim report [--output f.md]  # all artifacts + claim verdicts
+    repro-sim report [--output f.md]  # all artifacts + claim verdicts;
+                                      # exit 1 if a claim that applies fails
     repro-sim ablations               # A1-A5
     repro-sim run --circuit s9234 --algorithm Multilevel --nodes 8
     repro-sim partition --circuit s9234 --k 8    # static quality only
@@ -107,6 +108,7 @@ def _runner(args: argparse.Namespace) -> ExperimentRunner:
 def _serve(args: argparse.Namespace) -> int:
     """Run the job server until interrupted."""
     import asyncio
+    import shutil
     import tempfile
 
     from repro.serve.app import run_server
@@ -124,6 +126,8 @@ def _serve(args: argparse.Namespace) -> int:
         pass
     finally:
         manager.close()
+        if args.status_dir is None:  # the server made it: remove it
+            shutil.rmtree(status_dir, ignore_errors=True)
     return 0
 
 
@@ -140,7 +144,9 @@ def _parser() -> argparse.ArgumentParser:
         _add_common(p)
 
     report_p = sub.add_parser(
-        "report", help="full reproduction report (markdown)"
+        "report",
+        help="full reproduction report (markdown); exits 1 when a claim "
+        "that applies at this scale fails",
     )
     _add_common(report_p)
     report_p.add_argument("--output", default=None,
@@ -195,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     runner = _runner(args)
     if getattr(args, "analyze", False) and runner.config.trace_path is None:
         parser.error("--analyze requires --trace (there is no trace to read)")
+    status = 0
 
     if args.command == "table1":
         from repro.harness.table1 import generate_table1
@@ -221,6 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(ablations.ablation_window(runner))
     elif args.command == "report":
+        from repro.harness.claims import evaluate
         from repro.harness.report import generate_report
 
         report = generate_report(runner)
@@ -231,6 +239,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.output}")
         else:
             print(report)
+        # The runs are cached: grading again costs no simulation.
+        failed = [v.claim.id for v in evaluate(runner) if v.holds is False]
+        if failed:
+            print(f"claims that fail: {', '.join(failed)}", file=sys.stderr)
+            status = 1
     elif args.command == "run":
         seq = runner.sequential(args.circuit)
         try:
@@ -297,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
             ))
     if runner.config.metrics_enabled:
         print(runner.metrics.render())
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,99 +1,29 @@
 """One-shot reproduction report: every artifact plus verdicts.
 
 ``repro-sim report`` (or :func:`generate_report`) regenerates Table 1,
-Table 2 and Figures 4-6 at the current configuration, computes the
-paper's headline claims on the fresh numbers, and emits a single
-markdown document — the quickest way to see whether a configuration
-still reproduces the paper.
+Table 2, Figures 4-6 and E1 at the current configuration, grades every
+claim of :mod:`repro.harness.claims` on the fresh numbers (PASS, FAIL,
+or n/a below the claim's scale), and emits a single markdown document
+— the quickest way to see whether a configuration still reproduces
+the paper.
 """
 
 from __future__ import annotations
 
-from repro.harness.config import ALGORITHMS, TABLE2_NODE_COUNTS
+from repro.harness.claims import evaluate
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.figures import (
-    FIGURE_NODE_COUNTS,
-    fig4_series,
-    fig5_series,
-    fig6_series,
-    generate_fig4,
-    generate_fig5,
-    generate_fig6,
-)
+from repro.harness.extensions import generate_speedup
+from repro.harness.figures import generate_fig4, generate_fig5, generate_fig6
 from repro.harness.table1 import generate_table1
-from repro.harness.table2 import generate_table2, winners_by_row
-
-
-def headline_claims(runner: ExperimentRunner) -> list[tuple[str, bool, str]]:
-    """(claim, holds?, evidence) for the paper's key statements."""
-    claims: list[tuple[str, bool, str]] = []
-
-    # 1. Multilevel halves sequential time at 8 nodes.
-    evidence = []
-    holds = True
-    for circuit in TABLE2_NODE_COUNTS:
-        seq = runner.sequential_time(circuit)
-        ml = runner.record(circuit, "Multilevel", 8).execution_time
-        ratio = ml / seq
-        evidence.append(f"{circuit}: {ratio:.2f}x")
-        holds &= ratio < 0.5
-    claims.append((
-        "Multilevel on 8 nodes runs in < 1/2 the sequential time",
-        holds,
-        ", ".join(evidence),
-    ))
-
-    # 2. Multilevel wins beyond 4 nodes on the figure circuit.
-    series = fig4_series(runner)
-    wins = []
-    for nodes in (5, 6, 7, 8):
-        idx = FIGURE_NODE_COUNTS.index(nodes)
-        ml = series["Multilevel"][idx]
-        best_other = min(
-            series[a][idx] for a in ALGORITHMS if a != "Multilevel"
-        )
-        wins.append(ml <= best_other)
-    claims.append((
-        "Multilevel fastest on s9234 beyond 4 nodes",
-        all(wins),
-        f"wins at {sum(wins)}/4 of nodes 5-8",
-    ))
-
-    # 3. Multilevel fewest messages, Topological most (Figure 5).
-    msg = fig5_series(runner)
-    idx = FIGURE_NODE_COUNTS.index(8)
-    ml_min = msg["Multilevel"][idx] == min(msg[a][idx] for a in ALGORITHMS)
-    topo_max = msg["Topological"][idx] == max(msg[a][idx] for a in ALGORITHMS)
-    claims.append((
-        "Multilevel fewest / Topological most messages at 8 nodes",
-        ml_min and topo_max,
-        f"ML {msg['Multilevel'][idx]:.0f} vs Topo {msg['Topological'][idx]:.0f}",
-    ))
-
-    # 4. Topological never wins a Table 2 row.
-    winners = winners_by_row(runner)
-    claims.append((
-        "Topological never the fastest strategy",
-        "Topological" not in winners.values(),
-        f"row winners: {sorted(set(winners.values()))}",
-    ))
-
-    # 5. Rollback-free at one node (sanity of the optimism machinery).
-    rb = fig6_series(runner)
-    one = FIGURE_NODE_COUNTS.index(1)
-    claims.append((
-        "No rollbacks and no messages on a single node",
-        all(rb[a][one] == 0 for a in ALGORITHMS),
-        "all algorithms at 0",
-    ))
-    return claims
+from repro.harness.table2 import generate_table2
 
 
 def generate_report(runner: ExperimentRunner | None = None) -> str:
     """The full markdown report."""
     runner = runner or ExperimentRunner()
-    claims = headline_claims(runner)
-    held = sum(1 for _, ok, _ in claims if ok)
+    verdicts = evaluate(runner)
+    applying = [v for v in verdicts if v.holds is not None]
+    held = sum(1 for v in applying if v.holds)
     lines = [
         "# Reproduction report",
         "",
@@ -102,12 +32,14 @@ def generate_report(runner: ExperimentRunner | None = None) -> str:
         "",
         f"Configuration: `{runner.config.describe()}`",
         "",
-        f"## Headline claims — {held}/{len(claims)} hold",
+        f"## Claims — {held}/{len(applying)} that apply hold",
         "",
     ]
-    for claim, ok, evidence in claims:
-        mark = "PASS" if ok else "FAIL"
-        lines.append(f"- **[{mark}]** {claim} — {evidence}")
+    for v in verdicts:
+        lines.append(
+            f"- **[{v.mark}]** {v.claim.id} ({v.claim.artifact}): "
+            f"{v.claim.text} — {v.evidence}"
+        )
     lines.append("")
     for title, text in (
         ("Table 1", generate_table1(runner)),
@@ -115,6 +47,7 @@ def generate_report(runner: ExperimentRunner | None = None) -> str:
         ("Figure 4", generate_fig4(runner)),
         ("Figure 5", generate_fig5(runner)),
         ("Figure 6", generate_fig6(runner)),
+        ("E1", generate_speedup(runner)),
     ):
         lines.append(f"## {title}")
         lines.append("")

@@ -20,8 +20,9 @@ Routes::
     DELETE /jobs/<id>          cancel (queued: dropped; running: ring
                                killed)
 
-Blocking :class:`~repro.serve.jobs.JobManager` calls stay off the event
-loop — submissions and long-polls run in the default thread executor.
+Submissions run on the event loop (queueing a job takes a lock and
+never blocks), and a long-poll awaits the job's own future, so no
+waiting client holds a thread.
 """
 
 from __future__ import annotations
@@ -227,11 +228,7 @@ class ServeApp:
         except (ValueError, UnicodeDecodeError) as exc:
             raise _HttpError(400, f"invalid JSON body: {exc}") from None
         try:
-            request = JobRequest.from_dict(payload)
-            loop = asyncio.get_running_loop()
-            job = await loop.run_in_executor(
-                None, self.manager.submit, request
-            )
+            job = self.manager.submit(JobRequest.from_dict(payload))
         except ConfigError as exc:
             raise _HttpError(400, str(exc)) from None
         writer.write(_json_response(202, job.to_dict(include_result=False)))
@@ -245,9 +242,11 @@ class ServeApp:
                 patience = min(float(query["wait"] or _MAX_WAIT), _MAX_WAIT)
             except ValueError:
                 raise _HttpError(400, "wait must be a number") from None
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                None, self.manager.wait, job_id, patience
+            # asyncio.wait never cancels what it waits on, so a poll
+            # that times out (or a client that hangs up) leaves the job
+            # running; wrap_future would pass a cancel on to it.
+            await asyncio.wait(
+                [asyncio.wrap_future(job._future)], timeout=patience
             )
         writer.write(_json_response(200, job.to_dict()))
 

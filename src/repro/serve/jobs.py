@@ -36,6 +36,7 @@ import os
 import threading
 import time
 from collections import deque
+from concurrent import futures
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,6 +58,7 @@ from repro.serve.keys import (
 from repro.serve.pool import RingPool
 from repro.sim.stimulus import RandomStimulus
 from repro.warped.machine import VirtualMachine
+from repro.warped.parallel.ring import clear_status_files
 from repro.warped.stats import TimeWarpResult
 from repro.warped.world import World
 
@@ -78,7 +80,8 @@ class JobState(str, Enum):
 MAX_TIMEOUT = 600.0
 #: Finished jobs the table remembers.  Each holds its whole
 #: :class:`TimeWarpResult`, so an unbounded table is a leak the size of
-#: the server's lifetime; an evicted id answers 404 like an unknown one.
+#: the server's lifetime; an evicted id answers 404 like an unknown one,
+#: and its live-status files are deleted with it.
 #: (The result cache is separate: a repeat of an evicted job still hits.)
 MAX_TERMINAL_JOBS = 1024
 #: Finished results the result cache keeps.  A served result is ≈5 KB;
@@ -194,7 +197,8 @@ class Job:
     status_base: str | None = None
     cancel_requested: bool = False
     _ring = None  # leased WorkerRing while RUNNING (not serialised)
-    _done_event: threading.Event = field(default_factory=threading.Event)
+    #: The executor's future; done once the job is terminal.  Set
+    #: before the job is published, so every reader finds it.
     _future = None
 
     def to_dict(self, *, include_result: bool = True) -> dict:
@@ -255,6 +259,7 @@ class JobManager:
     # ------------------------------------------------------------------
     def submit(self, request: JobRequest) -> Job:
         """Queue *request*; returns its :class:`Job` record."""
+        evicted = []
         with self._lock:
             if self._closed:
                 raise ConfigError("job manager is closed")
@@ -262,13 +267,18 @@ class JobManager:
             job = Job(id=job_id, request=request)
             if self.status_dir is not None:
                 job.status_base = os.path.join(self.status_dir, job_id)
+            job._future = self._executor.submit(self._execute, job)
             self._jobs[job_id] = job
             # Only terminal ids are ever in _finished, so a queued or
             # running job cannot be evicted.
             while len(self._finished) > MAX_TERMINAL_JOBS:
-                self._jobs.pop(self._finished.popleft(), None)
+                old = self._jobs.pop(self._finished.popleft(), None)
+                if old is not None:
+                    evicted.append(old)
         self.metrics.inc("jobs_submitted")
-        job._future = self._executor.submit(self._execute, job)
+        for old in evicted:
+            if old.status_base is not None:
+                clear_status_files(old.status_base)
         return job
 
     def get(self, job_id: str) -> Job | None:
@@ -284,8 +294,11 @@ class JobManager:
         job = self.get(job_id)
         if job is None:
             return None
-        job._done_event.wait(timeout)
-        return job
+        futures.wait([job._future], timeout)
+        # A job cancelled while queued has its future cancelled and is
+        # finished under the lock: taking it orders this read after.
+        with self._lock:
+            return job
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued or running job; True if anything changed."""
@@ -293,11 +306,14 @@ class JobManager:
         if job is None or job.state.terminal:
             return False
         job.cancel_requested = True
-        future = job._future
-        if future is not None and future.cancel():
-            # Never started: finalise here (the executor won't call us).
-            self._finish(job, JobState.CANCELLED, error="cancelled while queued")
-            return True
+        with self._lock:
+            if job._future.cancel():
+                # Never started: finalise here (the executor won't call
+                # us).
+                self._finish(
+                    job, JobState.CANCELLED, error="cancelled while queued"
+                )
+                return True
         ring = job._ring
         if ring is not None:
             # Running: killing the ring unblocks the worker thread's
@@ -459,7 +475,6 @@ class JobManager:
         job.finished = time.time()
         self.metrics.inc(f"jobs_{state.value}")
         self._finished.append(job.id)
-        job._done_event.set()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -481,18 +496,12 @@ class JobManager:
             if self._closed:
                 return
             self._closed = True
-            jobs = list(self._jobs.values())
-        for job in jobs:
-            # A job cancelled while queued is finished already (and its
-            # future, cancelled, would answer True again).
-            future = job._future
-            if (
-                not job.state.terminal
-                and future is not None
-                and future.cancel()
-            ):
-                self._finish(
-                    job, JobState.CANCELLED, error="server shutting down"
-                )
+            for job in self._jobs.values():
+                # A job cancelled while queued is finished already (and
+                # its future, cancelled, would answer True again).
+                if not job.state.terminal and job._future.cancel():
+                    self._finish(
+                        job, JobState.CANCELLED, error="server shutting down"
+                    )
         self._executor.shutdown(wait=True)
         self.pool.close()

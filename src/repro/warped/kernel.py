@@ -618,8 +618,8 @@ class TimeWarpSimulator:
                     # longer produce are refuted: virtual time passed them.
                     flush_lazy(lp, wall[node], before=msg.time)
                 # --- LogicalProcess.process, inlined ---------------------
-                # The method remains the public API (tests, the process
-                # backend) and keeps the straggler assertion; the
+                # The method remains the public API (the conservative
+                # kernel, the tests) and keeps the straggler assertion; the
                 # executive runs the body inline because the call
                 # dominated the per-event profile, and relies on the
                 # rollback-before-process contract the surrounding code

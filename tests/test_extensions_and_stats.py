@@ -1,5 +1,7 @@
 """Tests for the E1 extension artifact, utilization stats and report CLI."""
 
+import re
+
 import pytest
 
 from repro.harness.config import ExperimentConfig
@@ -62,14 +64,22 @@ class TestReportCli:
         from repro.cli import main
 
         out = tmp_path / "report.md"
-        assert main([
+        status = main([
             "report", "--scale", "0.03", "--cycles", "10",
             "--output", str(out),
-        ]) == 0
+        ])
         text = out.read_text()
         assert "# Reproduction report" in text
-        assert "Headline claims" in text
-        assert str(out) in capsys.readouterr().out
+        assert "## Claims" in text
+        captured = capsys.readouterr()
+        assert str(out) in captured.out
+        # Exit 1 exactly when the report grades a claim FAIL, naming it.
+        failed = re.findall(r"\*\*\[FAIL\]\*\* (\S+) ", text)
+        assert status == (1 if failed else 0)
+        if failed:
+            assert captured.err.strip() == (
+                f"claims that fail: {', '.join(failed)}"
+            )
 
     def test_run_conservative_kernel(self, capsys):
         from repro.cli import main

@@ -1,4 +1,8 @@
-"""Tests for the report generator and the extended benchmark family."""
+"""Tests for the claims list, the report generator and the extended
+benchmark family."""
+
+import pathlib
+import re
 
 import pytest
 
@@ -12,7 +16,8 @@ from repro.circuit.netlists import S27_BENCH, load_s27
 from repro.errors import ConfigError
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.report import generate_report, headline_claims
+from repro.harness.claims import CLAIMS, evaluate
+from repro.harness.report import generate_report
 
 
 class TestExtendedBenchmarks:
@@ -79,35 +84,74 @@ class TestRealS27:
         assert tw.final_values == seq.final_values
 
 
+BENCHMARKS_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+
 class TestReport:
     @pytest.fixture(scope="class")
     def tiny_runner(self):
         return ExperimentRunner(ExperimentConfig(scale=0.03, num_cycles=12))
 
-    def test_headline_claims_structure(self, tiny_runner):
-        claims = headline_claims(tiny_runner)
-        assert len(claims) == 5
-        for claim, holds, evidence in claims:
-            assert isinstance(claim, str) and claim
-            assert isinstance(holds, bool)
-            assert isinstance(evidence, str) and evidence
+    def test_every_claim_renders_with_evidence(self, tiny_runner):
+        verdicts = evaluate(tiny_runner)
+        assert [v.claim for v in verdicts] == list(CLAIMS)
+        assert len({c.id for c in CLAIMS}) == len(CLAIMS)
+        report = generate_report(tiny_runner)
+        for v in verdicts:
+            assert v.mark in ("PASS", "FAIL", "n/a")
+            assert (v.mark == "n/a") == (
+                tiny_runner.config.scale < v.claim.min_scale
+            )
+            assert isinstance(v.evidence, str) and v.evidence
+            line = f"**[{v.mark}]** {v.claim.id} ({v.claim.artifact})"
+            assert line in report
 
-    def test_single_node_claim_always_holds(self, tiny_runner):
-        claims = dict(
-            (claim, holds) for claim, holds, _ in headline_claims(tiny_runner)
-        )
-        assert claims["No rollbacks and no messages on a single node"]
+    def test_single_node_claims_hold_at_tiny_scale(self, tiny_runner):
+        holds = {v.claim.id: v.holds for v in evaluate(tiny_runner)}
+        assert holds["F5a"] is True  # no messages on one node
+        assert holds["F6a"] is True  # no rollbacks on one node
+
+    def test_every_claimed_artifact_has_a_bench_asserting_it(self):
+        asserted = set()
+        for bench in BENCHMARKS_DIR.glob("bench_*.py"):
+            asserted.update(
+                re.findall(r'assert_claims\(runner, "([^"]+)"\)',
+                           bench.read_text())
+            )
+        assert {c.artifact for c in CLAIMS} <= asserted
+
+    def test_cli_report_exits_1_naming_a_failed_claim(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        from repro import cli
+        from repro.harness import claims
+
+        monkeypatch.setattr(claims, "CLAIMS", (
+            claims.Claim("OK", "Table 1", "holds", lambda r: (True, "yes")),
+            claims.Claim("BAD", "Table 1", "fails", lambda r: (False, "no")),
+            claims.Claim("BIG", "Table 1", "n/a", lambda r: (False, "no"),
+                         min_scale=1.0),
+        ))
+        out = tmp_path / "report.md"
+        argv = ["report", "--scale", "0.03", "--cycles", "12",
+                "--output", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.strip() == "claims that fail: BAD"
+        assert "**[n/a]** BIG" in out.read_text()
+        monkeypatch.setattr(claims, "CLAIMS", claims.CLAIMS[:1])
+        assert cli.main(argv) == 0
 
     def test_report_contains_all_sections(self, tiny_runner):
         report = generate_report(tiny_runner)
         for section in (
             "# Reproduction report",
-            "Headline claims",
+            "## Claims",
             "## Table 1",
             "## Table 2",
             "## Figure 4",
             "## Figure 5",
             "## Figure 6",
+            "## E1",
         ):
             assert section in report
         assert "PASS" in report  # at least something holds even when tiny

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
 import socket
 import threading
 import time
@@ -250,6 +251,47 @@ def test_accepted_cancel_always_ends_cancelled():
         manager.close()
 
 
+def test_evicted_jobs_take_their_status_files(manager, monkeypatch):
+    """A job evicted from the table past ``MAX_TERMINAL_JOBS`` leaves no
+    live-status files behind."""
+    monkeypatch.setattr(jobs_mod, "MAX_TERMINAL_JOBS", 2)
+    ids = []
+    for seed in range(5):
+        request = JobRequest.from_dict(dict(S27_JOB, stimulus_seed=seed))
+        job = manager.wait(manager.submit(request).id, timeout=60)
+        assert job.state is JobState.DONE, job.error
+        ids.append(job.id)
+    # Eviction runs at submit: the 5th found 4 finished and kept 2.
+    assert [i for i in ids if manager.get(i) is None] == ids[:2]
+    owners = {name.split(".")[0] for name in os.listdir(manager.status_dir)}
+    assert owners == set(ids[2:])
+
+
+def test_serve_removes_only_the_status_dir_it_made(monkeypatch, tmp_path):
+    import tempfile
+
+    from repro import cli
+    from repro.serve import app
+
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording_mkdtemp(**kwargs):
+        made.append(mkdtemp(dir=tmp_path, **kwargs))
+        return made[-1]
+
+    async def no_server(manager, **_):
+        assert os.path.isdir(manager.status_dir)
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    monkeypatch.setattr(app, "run_server", no_server)
+    assert cli.main(["serve", "--port", "0"]) == 0
+    assert len(made) == 1 and not os.path.exists(made[0])
+    given = tmp_path / "given"
+    assert cli.main(["serve", "--port", "0", "--status-dir", str(given)]) == 0
+    assert given.is_dir()
+
+
 def test_live_status_snapshots_carry_run_id(manager):
     job = manager.submit(JobRequest.from_dict(dict(S27_JOB, num_cycles=60)))
     deadline = time.monotonic() + 60
@@ -409,6 +451,46 @@ def test_job_table_keeps_only_the_newest_terminal_jobs(server, monkeypatch):
     assert done.state is JobState.DONE, done.error
     assert done.cache == {"result": "hit"}
 
+
+
+def test_parked_long_polls_do_not_delay_a_submission(server, monkeypatch):
+    """A parked ``?wait=`` long-poll holds no thread: with as many polls
+    parked as the loop's default executor has threads, a POST still
+    answers at once."""
+    manager = server.manager
+    gate = threading.Event()
+    execute = manager._execute
+
+    def held(job):
+        if job.id == "job-000001":
+            gate.wait(30)
+        execute(job)
+
+    monkeypatch.setattr(manager, "_execute", held)
+    _, job = server.request("POST", "/jobs", S27_JOB)
+    # ThreadPoolExecutor's default size: 6 threads on a 2-core host.
+    parked = min(32, (os.cpu_count() or 1) + 4)
+    polls = [
+        threading.Thread(
+            target=server.request,
+            args=("GET", f"/jobs/{job['id']}?wait=10"),
+        )
+        for _ in range(parked)
+    ]
+    for poll in polls:
+        poll.start()
+    time.sleep(0.5)  # let every poll park
+    start = time.monotonic()
+    status, _ = server.request(
+        "POST", "/jobs", dict(S27_JOB, stimulus_seed=11)
+    )
+    elapsed = time.monotonic() - start
+    gate.set()
+    for poll in polls:
+        poll.join(timeout=30)
+        assert not poll.is_alive()
+    assert status == 202
+    assert elapsed < 0.5, f"POST took {elapsed:.2f} s behind parked polls"
 
 
 @pytest.mark.parametrize("length", ["abc", "-5"])
