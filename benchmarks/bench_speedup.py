@@ -2,8 +2,9 @@
 
 Derived view over the Table 2 runs (cached, so this bench is nearly
 free). Asserts its claim (E1 in ``repro.harness.claims``): speedup
-grows with the node count, exceeds 2x at 8 nodes, and parallel
-efficiency decays as nodes are added.
+grows with the node count and parallel efficiency decays as nodes are
+added.  (Beating sequential by 2x at 8 nodes is T2a, asserted by
+``bench_table2.py``.)
 """
 
 from conftest import assert_claims, save_artifact

@@ -31,8 +31,7 @@ from repro.warped.parallel.transport import TRANSPORT_NAMES
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """The flags every run subcommand takes.  Each one that configures a
     run stores into its :class:`ExperimentConfig` field (``dest``) and
-    is ``None`` (the ``--metrics`` switch: ``False``) when absent, so
-    :func:`_runner` copies them by name."""
+    is ``None`` when absent, so :func:`_runner` copies them by name."""
     parser.add_argument("--scale", type=float, default=None,
                         help="circuit scale (default: env or 0.12)")
     parser.add_argument("--cycles", type=int, default=None,
@@ -82,9 +81,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         dest="migration_fraction", metavar="F",
                         help="max fraction of the busiest node's LPs moved "
                         "per migration epoch (default 0.05)")
-    parser.add_argument("--metrics", action="store_true",
-                        dest="metrics_enabled",
-                        help="collect harness metrics and print them at exit")
 
 
 def _runner(args: argparse.Namespace) -> ExperimentRunner:
@@ -308,8 +304,6 @@ def main(argv: list[str] | None = None) -> int:
                 ),
                 title=path,
             ))
-    if runner.config.metrics_enabled:
-        print(runner.metrics.render())
     return status
 
 

@@ -97,8 +97,6 @@ class ExperimentConfig:
     #: At most this fraction of the busiest node's LPs moves per
     #: migration epoch.
     migration_fraction: float = 0.05
-    #: Collect counters/timers in the harness (printed by the CLI).
-    metrics_enabled: bool = False
 
     def __post_init__(self) -> None:
         if self.scale <= 0:

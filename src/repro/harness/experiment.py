@@ -9,7 +9,7 @@ from repro.circuit.iscas89 import load_benchmark
 from repro.conservative import ConservativeResult, ConservativeSimulator
 from repro.errors import ConfigError
 from repro.harness.config import ExperimentConfig
-from repro.obs import Metrics, TraceWriter
+from repro.obs import TraceWriter
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.registry import get_partitioner
 from repro.sim.kernel import SequentialResult, SequentialSimulator
@@ -95,8 +95,6 @@ class ExperimentRunner:
         self._sequential: dict[tuple[str, int], SequentialResult] = {}
         self._partitions: dict[tuple[str, str, int], PartitionAssignment] = {}
         self._runs: dict[tuple, TimeWarpResult | ConservativeResult] = {}
-        #: Harness-level counters/timers (a sink unless metrics_enabled).
-        self.metrics = Metrics(enabled=self.config.metrics_enabled)
         #: Trace files written so far, in execution order.
         self.trace_files: list[str] = []
 
@@ -141,11 +139,9 @@ class ExperimentRunner:
         """
         key = (name, rep)
         if key not in self._sequential:
-            with self.metrics.time("sequential_run_seconds"):
-                self._sequential[key] = SequentialSimulator(
-                    self.circuit(name), self.stimulus(name, rep)
-                ).run()
-            self.metrics.inc("sequential_runs")
+            self._sequential[key] = SequentialSimulator(
+                self.circuit(name), self.stimulus(name, rep)
+            ).run()
         return self._sequential[key]
 
     def sequential_time(self, name: str) -> float:
@@ -210,27 +206,21 @@ class ExperimentRunner:
             self.stimulus(name, rep),
             self.machine(assignment.k, **policy),
         )
-        with self.metrics.time(f"{kernel}_run_seconds"):
-            if kernel == "conservative":
-                result = ConservativeSimulator(*job).run()
-            elif self.config.backend == "process":
-                result = ProcessTimeWarpSimulator(
-                    *job,
-                    trace_path=trace_path,
-                    status_path=self.config.status_path,
-                    max_restarts=self.config.max_restarts,
-                    transport=self.config.transport,
-                ).run()
-            elif trace_path is not None:
-                with TraceWriter(trace_path) as tracer:
-                    result = TimeWarpSimulator(*job, tracer=tracer).run()
-            else:
-                result = TimeWarpSimulator(*job).run()
-        self.metrics.inc(f"{kernel}_runs")
-        if kernel == "timewarp":
-            self.metrics.inc("rollbacks_total", result.rollbacks)
-            self.metrics.observe("gvt_rounds", result.gvt_rounds)
-            self.metrics.observe("rollbacks_per_run", result.rollbacks)
+        if kernel == "conservative":
+            result = ConservativeSimulator(*job).run()
+        elif self.config.backend == "process":
+            result = ProcessTimeWarpSimulator(
+                *job,
+                trace_path=trace_path,
+                status_path=self.config.status_path,
+                max_restarts=self.config.max_restarts,
+                transport=self.config.transport,
+            ).run()
+        elif trace_path is not None:
+            with TraceWriter(trace_path) as tracer:
+                result = TimeWarpSimulator(*job, tracer=tracer).run()
+        else:
+            result = TimeWarpSimulator(*job).run()
         # Correctness oracle: neither optimism nor any policy may change
         # the committed results.
         why = self.sequential(name, rep).disagreement(result)

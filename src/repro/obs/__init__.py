@@ -1,12 +1,12 @@
-"""Cross-engine observability: metrics and JSONL tracing.
+"""Cross-engine observability: JSONL tracing and sample digests.
 
 ``repro.obs`` is the shared instrumentation layer of the three
 execution engines (sequential, virtual Time Warp, multiprocess Time
 Warp).  It has two halves:
 
-- :mod:`repro.obs.metrics` — counters, timers and histograms with
-  near-zero overhead when disabled (a single attribute check on the
-  hot path);
+- :mod:`repro.obs.metrics` — percentiles and sample digests (the
+  counts themselves live on the objects that make them: every
+  engine's result, the job server's caches, ring pool and job table);
 - :mod:`repro.obs.tracer` — a JSONL trace recorder.  Each engine emits
   structured records (per-LP rollback depth, GVT-round latency, inbox
   queue depth, per-node busy/idle breakdown); in the process backend
@@ -29,7 +29,7 @@ from repro.obs.analyze import (
     scorecard_row,
 )
 from repro.obs.causality import Cascade, RollbackEvent, build_cascades
-from repro.obs.metrics import Metrics, summarize
+from repro.obs.metrics import summarize
 from repro.obs.tracer import (
     TraceWriter,
     merge_shards,
@@ -39,7 +39,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "Cascade",
-    "Metrics",
     "RollbackEvent",
     "TraceWriter",
     "analyze_trace",

@@ -1,19 +1,13 @@
-"""Counters, timers and histograms with near-zero disabled overhead.
+"""Sample digests: percentiles and the count/min/mean/p50/p90/max summary.
 
-A :class:`Metrics` instance is either enabled or a sink: every method
-of a disabled instance returns immediately after one attribute check,
-and :meth:`Metrics.time` hands back a shared no-op context manager, so
-instrumented code pays (almost) nothing when observability is off —
-the overhead budget DESIGN.md §7 commits to.
-
-Histograms store raw samples (runs are bounded: thousands of rollback
-or GVT-round samples, not millions of events), which keeps percentile
-queries exact.
+Counts live on the objects that make them (every engine's result, the
+server's caches, ring pool and job table); this module only digests a
+list of samples, exactly (the lists are bounded by their owners), for
+``repro.obs.analyze``, the job server's ``/metrics`` and the
+end-to-end benchmark.
 """
 
 from __future__ import annotations
-
-import time
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -49,8 +43,8 @@ def summarize(values: list[float]) -> dict:
     """count/min/mean/p50/p90/max digest of a sample list.
 
     An empty sample yields :data:`EMPTY_DIGEST` — all keys present,
-    all statistics ``None`` — never a raise or a NaN, so empty-value
-    series survive ``snapshot()``/``render()`` and JSON round-trips.
+    all statistics ``None`` — never a raise or a NaN, so an empty
+    series survives rendering and JSON round-trips.
     """
     if not values:
         return dict(EMPTY_DIGEST)
@@ -64,90 +58,3 @@ def summarize(values: list[float]) -> dict:
         "max": ordered[-1],
     }
 
-
-class _NullTimer:
-    """Shared no-op context manager for disabled metrics."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class _Timer:
-    __slots__ = ("metrics", "name", "t0")
-
-    def __init__(self, metrics: "Metrics", name: str) -> None:
-        self.metrics = metrics
-        self.name = name
-
-    def __enter__(self) -> "_Timer":
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.metrics.observe(self.name, time.perf_counter() - self.t0)
-        return False
-
-
-class Metrics:
-    """Named counters and histograms; ``enabled=False`` makes it a sink."""
-
-    __slots__ = ("enabled", "counters", "histograms")
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.counters: dict[str, int] = {}
-        self.histograms: dict[str, list[float]] = {}
-
-    def inc(self, name: str, n: int = 1) -> None:
-        """Add *n* to counter *name*."""
-        if not self.enabled:
-            return
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into histogram *name*."""
-        if not self.enabled:
-            return
-        self.histograms.setdefault(name, []).append(float(value))
-
-    def time(self, name: str):
-        """Context manager recording elapsed seconds into *name*."""
-        if not self.enabled:
-            return _NULL_TIMER
-        return _Timer(self, name)
-
-    def snapshot(self) -> dict:
-        """Plain-dict digest (counters verbatim, histograms summarized)."""
-        return {
-            "counters": dict(self.counters),
-            "histograms": {
-                name: summarize(values)
-                for name, values in self.histograms.items()
-            },
-        }
-
-    def render(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = ["metrics:"]
-        for name in sorted(self.counters):
-            lines.append(f"  {name:<28s} {self.counters[name]}")
-        for name in sorted(self.histograms):
-            s = summarize(self.histograms[name])
-            if not s["count"]:
-                lines.append(f"  {name:<28s} n=0 (no samples)")
-                continue
-            lines.append(
-                f"  {name:<28s} n={s['count']} min={s['min']:.4g} "
-                f"p50={s['p50']:.4g} p90={s['p90']:.4g} max={s['max']:.4g}"
-            )
-        if len(lines) == 1:
-            lines.append("  (empty)")
-        return "\n".join(lines)

@@ -12,9 +12,10 @@ Events while a job runs.
 Layering::
 
     app.py    HTTP surface (stdlib asyncio; no third-party deps)
-    jobs.py   JobManager: queueing, concurrency, timeouts, caching
+    jobs.py   JobManager: queueing, concurrency, timeouts, caching,
+              and the /metrics view over the counts each layer keeps
     pool.py   RingPool: warm WorkerRing lifecycle
-    cache.py  LruCache: bounded, metrics-instrumented
+    cache.py  LruCache: bounded, counts its hits/misses/evictions
     keys.py   canonical digests: what "the same job" means
 """
 

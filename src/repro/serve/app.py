@@ -8,7 +8,9 @@ request/response bodies, Server-Sent Events, and ``curl``.
 Routes::
 
     GET    /healthz            liveness probe
-    GET    /metrics            counters, timers, cache + pool stats
+    GET    /metrics            cache, pool and job counts and the
+                               ring run-time digest, each read from
+                               its owner (``JobManager.stats``)
     GET    /jobs               job listing (summaries, no results)
     POST   /jobs               submit a job (JSON body -> 202 + record)
     GET    /jobs/<id>          job detail incl. result when done;
@@ -184,9 +186,7 @@ class ServeApp:
             writer.write(_json_response(200, {"ok": True}))
             return
         if path == "/metrics" and method == "GET":
-            payload = dict(self.manager.stats())
-            payload["counters"] = self.manager.metrics.snapshot()
-            writer.write(_json_response(200, payload))
+            writer.write(_json_response(200, self.manager.stats()))
             return
         if path == "/jobs" and method == "GET":
             writer.write(

@@ -1,12 +1,10 @@
-"""Bounded, metrics-instrumented LRU cache for the job server.
+"""Bounded LRU cache for the job server.
 
-Both server caches (partition, full result) are instances of
-:class:`LruCache`: an ``OrderedDict`` with move-to-end on hit and
-evict-oldest on overflow, guarded by a lock because job workers run on
-a thread pool.  Every get/put feeds ``repro.obs`` counters
-(``<name>_hits`` / ``<name>_misses`` / ``<name>_evictions``) so the
-``/metrics`` endpoint reports cache effectiveness without bespoke
-bookkeeping.
+The server's three caches (circuit, partition, full result) are
+instances of :class:`LruCache`: an ``OrderedDict`` with move-to-end on
+hit and evict-oldest on overflow, guarded by a lock because job workers
+run on a thread pool.  Each cache counts its own hits, misses and
+evictions; the ``/metrics`` endpoint reads them from :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import threading
 from collections import OrderedDict
 
 from repro.errors import ConfigError
-from repro.obs import Metrics
 
 _MISSING = object()
 
@@ -23,18 +20,10 @@ _MISSING = object()
 class LruCache:
     """Least-recently-used mapping bounded to *capacity* entries."""
 
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        metrics: Metrics | None = None,
-        name: str = "cache",
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.name = name
-        self._metrics = metrics if metrics is not None else Metrics(enabled=False)
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -55,11 +44,9 @@ class LruCache:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
-                self._metrics.inc(f"{self.name}_misses")
                 return default
             self._data.move_to_end(key)
             self.hits += 1
-            self._metrics.inc(f"{self.name}_hits")
             return value
 
     def put(self, key, value) -> None:
@@ -71,7 +58,6 @@ class LruCache:
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.evictions += 1
-                self._metrics.inc(f"{self.name}_evictions")
 
     def stats(self) -> dict:
         """Snapshot for the ``/metrics`` endpoint."""

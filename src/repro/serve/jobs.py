@@ -24,6 +24,12 @@ cache:
 Jobs are cancellable: a queued job is simply dropped; a running one
 has its leased ring killed (cancellation costs the ring — there is no
 safe mid-GVT stop), and the pool replaces it on the next lease.
+
+Every count the server reports lives once, on the object that makes
+it: the caches count their hits, misses and evictions, the pool its
+rings and world ships, and the manager its submissions, terminal
+states and ring run times.  :meth:`JobManager.stats` is the
+``/metrics`` view over them.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from enum import Enum
 from repro.circuit.bench_parser import parse_bench
 from repro.circuit.iscas89 import benchmark_spec, load_benchmark
 from repro.errors import ConfigError, PartitionError, ReproError
-from repro.obs import Metrics
+from repro.obs.metrics import summarize
 from repro.obs.tracer import shard_path
 from repro.partition.registry import get_partitioner
 from repro.serve.cache import LruCache
@@ -81,7 +87,8 @@ MAX_TIMEOUT = 600.0
 #: Finished jobs the table remembers.  Each holds its whole
 #: :class:`TimeWarpResult`, so an unbounded table is a leak the size of
 #: the server's lifetime; an evicted id answers 404 like an unknown one,
-#: and its live-status files are deleted with it.
+#: and its live-status files are deleted with it.  The ring run times
+#: ``/metrics`` digests are bounded to as many of the newest.
 #: (The result cache is separate: a repeat of an evicted job still hits.)
 MAX_TERMINAL_JOBS = 1024
 #: Finished results the result cache keeps.  A served result is ≈5 KB;
@@ -226,21 +233,13 @@ class JobManager:
         transport: str | None = None,
         max_concurrency: int = 2,
         status_dir: str | None = None,
-        metrics: Metrics | None = None,
     ) -> None:
         if max_concurrency < 1:
             raise ConfigError("max_concurrency must be >= 1")
-        self.metrics = metrics if metrics is not None else Metrics(enabled=True)
-        self.result_cache = LruCache(
-            RESULT_CACHE_SIZE, metrics=self.metrics, name="result_cache"
-        )
-        self.partition_cache = LruCache(
-            PARTITION_CACHE_SIZE, metrics=self.metrics, name="partition_cache"
-        )
-        self._circuit_cache = LruCache(
-            CIRCUIT_CACHE_SIZE, metrics=self.metrics, name="circuit_cache"
-        )
-        self.pool = RingPool(transport=transport, metrics=self.metrics)
+        self.result_cache = LruCache(RESULT_CACHE_SIZE)
+        self.partition_cache = LruCache(PARTITION_CACHE_SIZE)
+        self._circuit_cache = LruCache(CIRCUIT_CACHE_SIZE)
+        self.pool = RingPool(transport=transport)
         self.status_dir = status_dir
         if status_dir is not None:
             os.makedirs(status_dir, exist_ok=True)
@@ -251,7 +250,18 @@ class JobManager:
         #: Ids of terminal jobs, oldest finish first (eviction order).
         self._finished: deque[str] = deque()
         self._seq = itertools.count(1)
-        self._lock = threading.Lock()
+        #: Jobs submitted and jobs that reached each terminal state,
+        #: over the server's lifetime.
+        self.submitted = 0
+        self.outcomes = {
+            state.value: 0 for state in JobState if state.terminal
+        }
+        #: Seconds each of the newest result-cache misses held its
+        #: leased ring (spawn or reuse, run, release).
+        self.run_seconds: deque[float] = deque(maxlen=MAX_TERMINAL_JOBS)
+        # Reentrant: _finish takes it, and cancel/close call _finish
+        # holding it.
+        self._lock = threading.RLock()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -269,13 +279,13 @@ class JobManager:
                 job.status_base = os.path.join(self.status_dir, job_id)
             job._future = self._executor.submit(self._execute, job)
             self._jobs[job_id] = job
+            self.submitted += 1
             # Only terminal ids are ever in _finished, so a queued or
             # running job cannot be evicted.
             while len(self._finished) > MAX_TERMINAL_JOBS:
                 old = self._jobs.pop(self._finished.popleft(), None)
                 if old is not None:
                     evicted.append(old)
-        self.metrics.inc("jobs_submitted")
         for old in evicted:
             if old.status_base is not None:
                 clear_status_files(old.status_base)
@@ -413,7 +423,6 @@ class JobManager:
             if cached is not None:
                 job.cache["result"] = "hit"
                 job.result = cached
-                self.metrics.inc("jobs_result_cache_hits")
                 self._finish(job, JobState.DONE)
                 return
             job.cache["result"] = "miss"
@@ -430,7 +439,8 @@ class JobManager:
             )
             if job.cancel_requested:
                 raise CancelledError("cancelled before execution")
-            with self.metrics.time("job_run_seconds"):
+            leased = time.perf_counter()
+            try:
                 with self.pool.lease(request.nodes) as ring:
                     job._ring = ring
                     try:
@@ -450,6 +460,8 @@ class JobManager:
                         )
                     finally:
                         job._ring = None
+            finally:
+                self.run_seconds.append(time.perf_counter() - leased)
             self.result_cache.put(rkey, result)
             job.result = result
             self._finish(job, JobState.DONE)
@@ -470,24 +482,59 @@ class JobManager:
     def _finish(
         self, job: Job, state: JobState, *, error: str | None = None
     ) -> None:
-        job.state = state
-        job.error = error
-        job.finished = time.time()
-        self.metrics.inc(f"jobs_{state.value}")
-        self._finished.append(job.id)
+        with self._lock:
+            job.state = state
+            job.error = error
+            job.finished = time.time()
+            self.outcomes[state.value] += 1
+            self._finished.append(job.id)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
+        """The ``/metrics`` payload: a view over the counts the caches,
+        the pool and this manager keep.
+
+        ``counters`` repeats them under the flat names a metrics
+        scraper reads (``result_cache_hits``, ``ring_spawns``,
+        ``jobs_done`` ...), each rendered from its one owner.
+        """
         states: dict[str, int] = {}
         with self._lock:
             for job in self._jobs.values():
                 states[job.state.value] = states.get(job.state.value, 0) + 1
-        return {
-            "jobs": states,
+            submitted = self.submitted
+            outcomes = dict(self.outcomes)
+            run_seconds = list(self.run_seconds)
+        caches = {
             "result_cache": self.result_cache.stats(),
             "partition_cache": self.partition_cache.stats(),
             "circuit_cache": self._circuit_cache.stats(),
-            "pool": self.pool.stats(),
+        }
+        pool = self.pool.stats()
+        counters = {
+            f"{cache}_{count}": stats[count]
+            for cache, stats in caches.items()
+            for count in ("hits", "misses", "evictions")
+        }
+        counters.update(
+            ring_spawns=pool["spawned"],
+            ring_reuses=pool["reused"],
+            ring_retires=pool["retired"],
+            ring_world_ships=pool["world_ships"],
+            ring_world_hits=pool["world_hits"],
+            ring_world_evictions=pool["world_evictions"],
+            jobs_submitted=submitted,
+            jobs_result_cache_hits=caches["result_cache"]["hits"],
+            **{f"jobs_{state}": n for state, n in outcomes.items()},
+        )
+        return {
+            "jobs": states,
+            **caches,
+            "pool": pool,
+            "counters": {
+                "counters": counters,
+                "histograms": {"job_run_seconds": summarize(run_seconds)},
+            },
         }
 
     def close(self) -> None:

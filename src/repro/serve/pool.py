@@ -15,11 +15,11 @@ Lifecycle rules:
   full shelf closes the least-recently-used idle ring (LRU across node
   counts, so a burst of 8-node jobs eventually reclaims idle 2-node
   rings).
-- Counters (``ring_spawns`` / ``ring_reuses`` / ``ring_retires``) feed
-  the server's metrics so warm-pool effectiveness is observable; so do
-  the rings' world-residency counters (``ring_world_ships`` /
-  ``ring_world_hits`` / ``ring_world_evictions``), folded in after
-  every lease — a hit is a job that shipped no circuit.
+- The pool counts its rings (``spawned`` / ``reused`` / ``retired``)
+  and sums the rings' world-residency counters into ``worlds``
+  (``ships`` / ``hits`` / ``evictions``) after every lease — a hit is
+  a job that shipped no circuit.  The server's ``/metrics`` reads them
+  from :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 
 from repro.errors import ConfigError
-from repro.obs import Metrics
 from repro.warped.parallel.ring import WorkerRing
 
 #: Idle rings the server's shelf keeps: each holds k live worker
@@ -45,13 +44,11 @@ class RingPool:
         *,
         transport: str | None = None,
         max_idle: int = MAX_IDLE_RINGS,
-        metrics: Metrics | None = None,
     ) -> None:
         if max_idle < 0:
             raise ConfigError("max_idle must be >= 0")
         self.transport = transport
         self.max_idle = max_idle
-        self._metrics = metrics if metrics is not None else Metrics(enabled=False)
         # token -> (num_nodes, ring); ordered oldest-released first.
         self._idle: OrderedDict[int, tuple[int, WorkerRing]] = OrderedDict()
         self._token = 0
@@ -86,30 +83,21 @@ class RingPool:
             ring.close()
             with self._lock:
                 self.retired += 1
-            self._metrics.inc("ring_retires")
             ring = None
         if ring is None:
             ring = WorkerRing(num_nodes, transport=self.transport).start()
             with self._lock:
                 self.spawned += 1
-            self._metrics.inc("ring_spawns")
         else:
             with self._lock:
                 self.reused += 1
-            self._metrics.inc("ring_reuses")
         before = dict(ring.world_stats)
         try:
             yield ring
         finally:
-            deltas = {
-                name: count - before[name]
-                for name, count in ring.world_stats.items()
-            }
             with self._lock:
-                for name, delta in deltas.items():
-                    self.worlds[name] += delta
-            for name, delta in deltas.items():
-                self._metrics.inc(f"ring_world_{name}", delta)
+                for name, count in ring.world_stats.items():
+                    self.worlds[name] += count - before[name]
             self._release(num_nodes, ring)
 
     def _release(self, num_nodes: int, ring: WorkerRing) -> None:
@@ -117,7 +105,6 @@ class RingPool:
             ring.close()
             with self._lock:
                 self.retired += 1
-            self._metrics.inc("ring_retires")
             return
         to_close: list[WorkerRing] = []
         with self._lock:
@@ -133,7 +120,6 @@ class RingPool:
             stale.close()
             with self._lock:
                 self.retired += 1
-            self._metrics.inc("ring_retires")
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

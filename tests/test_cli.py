@@ -18,7 +18,7 @@ ARTIFACT_TITLES = {
     "ablations": ["A1:", "A2:", "A3:", "A4:", "A5:"],
 }
 
-#: (flag, argument or None for a switch, config field, parsed value,
+#: (flag, argument, config field, parsed value,
 #:  None or the environment variable that supplies the field's default
 #:  as (name, value, parsed value))
 FLAGS = [
@@ -33,7 +33,6 @@ FLAGS = [
     ("--max-restarts", "1", "max_restarts", 1, None),
     ("--migration-threshold", "3.0", "migration_threshold", 3.0, None),
     ("--migration-fraction", "0.2", "migration_fraction", 0.2, None),
-    ("--metrics", None, "metrics_enabled", True, None),
 ]
 
 #: Flags that validate only beside another: flag -> (argv, fields).
@@ -58,7 +57,7 @@ def test_flag_sets_its_field_and_absent_flag_keeps_env(
         if name.startswith("REPRO_"):
             monkeypatch.delenv(name)
     needed_argv, needed_fields = NEEDS.get(flag, ([], {}))
-    argv = ["table1", *needed_argv, flag] + ([] if value is None else [value])
+    argv = ["table1", *needed_argv, flag, value]
     config = _config(argv)
     assert getattr(config, field) == parsed
     # The flag sets its field and nothing else.

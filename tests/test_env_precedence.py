@@ -49,12 +49,6 @@ def test_env_supplies_default_and_override_wins(
     assert getattr(explicit, field) == override
 
 
-def test_metrics_flag():
-    """Metrics are off unless asked for (``--metrics``)."""
-    assert ExperimentConfig.from_env().metrics_enabled is False
-    assert ExperimentConfig.from_env(metrics_enabled=True).metrics_enabled
-
-
 def test_full_sets_paper_scale_defaults(monkeypatch):
     monkeypatch.setenv("REPRO_FULL", "1")
     config = ExperimentConfig.from_env()

@@ -1,6 +1,6 @@
-"""The observability layer: metrics, tracing, and cross-engine wiring.
+"""The observability layer: sample digests, tracing, and cross-engine wiring.
 
-Covers the pure pieces (counters, percentiles, JSONL writer, shard
+Covers the pure pieces (percentiles, digests, JSONL writer, shard
 merge) and then each engine's emission contract, ending with the
 acceptance invariant: a traced multiprocess s27 run whose merged trace
 accounts for *exactly* the rollbacks and GVT rounds the result reports.
@@ -17,7 +17,6 @@ import pytest
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import ExperimentRunner
 from repro.obs import (
-    Metrics,
     TraceWriter,
     analyze_trace,
     merge_shards,
@@ -26,14 +25,14 @@ from repro.obs import (
     shard_path,
     summarize,
 )
-from repro.obs.metrics import _NULL_TIMER, percentile
+from repro.obs.metrics import percentile
 from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped import ProcessTimeWarpSimulator, TimeWarpSimulator, VirtualMachine
 
 
 # ----------------------------------------------------------------------
-# metrics primitives
+# repro.obs.metrics: percentiles and sample digests
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_percentile_interpolates(self):
@@ -60,33 +59,7 @@ class TestMetrics:
             "count": 0, "min": None, "mean": None,
             "p50": None, "p90": None, "max": None,
         }
-        m = Metrics()
-        m.histograms["empty"] = []
-        assert m.snapshot()["histograms"]["empty"]["count"] == 0
-        assert "no samples" in m.render()
-
-    def test_counters_and_histograms(self):
-        m = Metrics()
-        m.inc("runs")
-        m.inc("runs", 2)
-        m.observe("latency", 0.5)
-        with m.time("latency"):
-            pass
-        snap = m.snapshot()
-        assert snap["counters"]["runs"] == 3
-        assert snap["histograms"]["latency"]["count"] == 2
-        assert "runs" in m.render()
-
-    def test_disabled_metrics_are_a_sink(self):
-        m = Metrics(enabled=False)
-        m.inc("runs")
-        m.observe("latency", 1.0)
-        assert m.counters == {}
-        assert m.histograms == {}
-        # No per-call allocation on the hot path: the null timer is
-        # one shared instance.
-        assert m.time("a") is _NULL_TIMER
-        assert m.time("b") is _NULL_TIMER
+        assert json.loads(json.dumps(digest)) == digest
 
 
 # ----------------------------------------------------------------------
@@ -343,23 +316,24 @@ class TestHarnessWiring:
     def test_runner_traces_and_measures(self, tmp_path):
         base = str(tmp_path / "runner.jsonl")
         runner = ExperimentRunner(
-            ExperimentConfig(
-                scale=0.05, num_cycles=10,
-                trace_path=base, metrics_enabled=True,
-            )
+            ExperimentConfig(scale=0.05, num_cycles=10, trace_path=base)
         )
-        runner.run("s5378", "Multilevel", 2)
-        runner.run("s5378", "DFS", 2)
+        results = [
+            runner.run("s5378", "Multilevel", 2),
+            runner.run("s5378", "DFS", 2),
+        ]
         assert runner.trace_files == [base, f"{base}.1"]
-        assert all(os.path.exists(p) for p in runner.trace_files)
-        assert runner.metrics.counters["timewarp_runs"] == 2
-        assert "timewarp_run_seconds" in runner.metrics.histograms
+        # Each run's counts are on its result, and its trace (what
+        # --analyze reads) accounts for exactly them.
+        for result, path in zip(results, runner.trace_files):
+            analysis = analyze_trace(read_trace(path))
+            assert analysis["cascade"]["rollbacks"] == result.rollbacks
+            assert analysis["gvt"]["rounds"] == result.gvt_rounds
 
     def test_runner_defaults_stay_dark(self, tmp_path):
         runner = ExperimentRunner(ExperimentConfig(scale=0.05, num_cycles=10))
         runner.run("s5378", "Multilevel", 2)
         assert runner.trace_files == []
-        assert runner.metrics.counters == {}
 
 
 # ----------------------------------------------------------------------
@@ -371,11 +345,10 @@ def test_disabled_tracing_overhead_budget(s27):
     Diffing two end-to-end wall clocks is scheduler noise at the budget
     scale, so measure the two quantities directly: the cost of one
     event in an (uninstrumented-path) run, and the cost of the
-    ``tracer is None`` guard plus a disabled-``Metrics`` call — the
-    only things the hot paths pay when observability is off.  The
-    guard fires at most once per rollback or GVT round, both far rarer
-    than events, so per-guard < 2% of per-event bounds the total well
-    under budget.
+    ``tracer is None`` guard — the only thing the hot paths pay when
+    observability is off.  The guard fires at most once per rollback or
+    GVT round, both far rarer than events, so per-guard < 2% of
+    per-event bounds the total well under budget.
     """
     import time
 
@@ -388,12 +361,10 @@ def test_disabled_tracing_overhead_budget(s27):
 
     n = 200_000
     tracer = None
-    sink = Metrics(enabled=False)
     t0 = time.perf_counter()
     for _ in range(n):
         if tracer is not None:
             raise AssertionError
-        sink.inc("x")
     per_guard = (time.perf_counter() - t0) / n
     assert math.isfinite(per_event)
     assert per_guard < 0.02 * per_event

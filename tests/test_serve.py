@@ -22,7 +22,6 @@ import pytest
 
 from repro.circuit.netlists import S27_BENCH
 from repro.errors import ConfigError
-from repro.obs import Metrics
 from repro.serve import jobs as jobs_mod
 from repro.serve.app import ServeApp
 from repro.serve.cache import LruCache
@@ -42,8 +41,7 @@ S27_JOB = {
 # LruCache
 # ----------------------------------------------------------------------
 def test_lru_cache_hit_miss_and_eviction_metrics():
-    metrics = Metrics(enabled=True)
-    cache = LruCache(2, metrics=metrics, name="unit")
+    cache = LruCache(2)
     assert cache.get("a") is None
     cache.put("a", 1)
     cache.put("b", 2)
@@ -56,10 +54,6 @@ def test_lru_cache_hit_miss_and_eviction_metrics():
     assert stats == {
         "size": 2, "capacity": 2, "hits": 2, "misses": 2, "evictions": 1,
     }
-    counters = metrics.snapshot()["counters"]
-    assert counters["unit_hits"] == 2
-    assert counters["unit_misses"] == 2
-    assert counters["unit_evictions"] == 1
 
 
 def test_lru_cache_rejects_nonpositive_capacity():
@@ -175,7 +169,7 @@ def test_partition_cache_hit_on_stimulus_change(manager):
     # ring's workers kept, so the second job shipped no circuit.
     pool = manager.stats()["pool"]
     assert (pool["world_ships"], pool["world_hits"]) == (1, 1)
-    counters = manager.metrics.snapshot()["counters"]
+    counters = manager.stats()["counters"]["counters"]
     assert counters["ring_world_ships"] == 1
     assert counters["ring_world_hits"] == 1
     assert counters["ring_world_evictions"] == 0
@@ -224,11 +218,34 @@ def test_close_does_not_finish_a_cancelled_queued_job_twice():
     assert manager.cancel(queued.id)
     gate.set()
     manager.close()
-    assert manager.metrics.snapshot()["counters"]["jobs_cancelled"] == 1
+    assert manager.stats()["counters"]["counters"]["jobs_cancelled"] == 1
     assert list(manager._finished) == [queued.id]
     assert queued.state is JobState.CANCELLED
     assert queued.error == "cancelled while queued"
     assert held.id not in manager._finished
+
+
+def test_job_counts_survive_concurrent_finishes(monkeypatch):
+    """Jobs finishing on more threads than cores lose no count."""
+    import sys
+
+    manager = JobManager(max_concurrency=8)
+    monkeypatch.setattr(
+        manager, "_execute", lambda job: manager._finish(job, JobState.DONE)
+    )
+    request = JobRequest.from_dict(S27_JOB)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        jobs = [manager.submit(request) for _ in range(2000)]
+        for job in jobs:
+            job._future.result(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        manager.close()
+    counters = manager.stats()["counters"]["counters"]
+    assert counters["jobs_submitted"] == counters["jobs_done"] == 2000
+
 
 def test_accepted_cancel_always_ends_cancelled():
     """A cancel that returned True ends the job CANCELLED wherever it
@@ -378,6 +395,63 @@ def test_http_submit_wait_and_cache_hit(server):
     status, listing = server.request("GET", "/jobs")
     assert {j["id"] for j in listing["jobs"]} >= {job["id"], again["id"]}
     assert all("result" not in j for j in listing["jobs"])
+
+
+def _run_jobs(server, payloads):
+    """Submit each payload and wait for it to finish, one at a time."""
+    for payload in payloads:
+        _, job = server.request("POST", "/jobs", payload)
+        _, done = server.request("GET", f"/jobs/{job['id']}?wait=60")
+        assert done["state"] == "done", done["error"]
+
+
+def test_metrics_payload_holds_what_its_readers_read(server):
+    """``GET /metrics`` after a fixed s27 sequence — a miss, its repeat,
+    a new stimulus — pins every key the served-mix benchmark
+    (``benchmarks/e2e/servemix.py``) and the CI serve smoke read."""
+    _run_jobs(server, [S27_JOB, S27_JOB, dict(S27_JOB, stimulus_seed=99)])
+    _, metrics = server.request("GET", "/metrics")
+    hits_misses = {
+        cache: (metrics[cache]["hits"], metrics[cache]["misses"])
+        for cache in ("result_cache", "partition_cache")
+    }
+    assert hits_misses == {"result_cache": (1, 2), "partition_cache": (1, 1)}
+    assert metrics["pool"]["spawned"] == 1
+    counters = metrics["counters"]["counters"]
+    # Read as the benchmark reads them: a counter still at 0 may be
+    # absent.
+    ring = {
+        name: counters.get(name, 0)
+        for name in (
+            "ring_spawns", "ring_reuses", "ring_retires", "ring_world_ships",
+        )
+    }
+    assert ring == {
+        "ring_spawns": 1, "ring_reuses": 1, "ring_retires": 0,
+        "ring_world_ships": 1,
+    }
+    assert counters["result_cache_hits"] == 1
+    assert counters["jobs_result_cache_hits"] == 1
+    # Two jobs ran on a ring (the repeat was a result-cache hit).
+    run = metrics["counters"]["histograms"]["job_run_seconds"]
+    assert run["count"] == 2 and run["p50"] > 0
+
+
+def test_metrics_keeps_only_the_newest_run_times(monkeypatch):
+    """The run times ``/metrics`` digests are bounded like the job
+    table: past ``MAX_TERMINAL_JOBS`` the oldest go."""
+    monkeypatch.setattr(jobs_mod, "MAX_TERMINAL_JOBS", 2)
+    manager = JobManager(max_concurrency=1)
+    server = _Server(manager)
+    try:
+        _run_jobs(
+            server, [dict(S27_JOB, stimulus_seed=seed) for seed in range(4)]
+        )
+        _, metrics = server.request("GET", "/metrics")
+    finally:
+        server.close()
+        manager.close()
+    assert metrics["counters"]["histograms"]["job_run_seconds"]["count"] == 2
 
 
 def test_http_rejects_bad_requests(server):
