@@ -12,22 +12,16 @@ Events while a job runs.
 Layering::
 
     app.py    HTTP surface (stdlib asyncio; no third-party deps)
-    jobs.py   JobManager: queueing, concurrency, timeouts, caching,
-              and the /metrics view over the counts each layer keeps
+    jobs.py   JobRequest, the validated job (its fields are every
+              cache key: a job is its request); JobManager: queueing,
+              concurrency, timeouts, caching, and the /metrics view
+              over the counts each layer keeps
     pool.py   RingPool: warm WorkerRing lifecycle
     cache.py  LruCache: bounded, counts its hits/misses/evictions
-    keys.py   canonical digests: what "the same job" means
 """
 
 from repro.serve.cache import LruCache
 from repro.serve.jobs import JobManager, JobRequest, JobState
-from repro.serve.keys import (
-    circuit_fingerprint,
-    machine_fingerprint,
-    partition_key,
-    result_key,
-    stimulus_fingerprint,
-)
 from repro.serve.pool import RingPool
 
 __all__ = [
@@ -36,9 +30,4 @@ __all__ = [
     "JobState",
     "LruCache",
     "RingPool",
-    "circuit_fingerprint",
-    "machine_fingerprint",
-    "partition_key",
-    "result_key",
-    "stimulus_fingerprint",
 ]

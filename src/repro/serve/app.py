@@ -41,6 +41,8 @@ _EVENT_INTERVAL = 0.25
 _MAX_WAIT = 120.0
 #: Largest request body the server accepts (inline netlists included).
 _MAX_BODY = 8 * 1024 * 1024
+#: Most header lines one request may send (as ``http.client`` allows).
+_MAX_HEADERS = 100
 
 _REASONS = {
     200: "OK",
@@ -158,10 +160,11 @@ class ServeApp:
                 if key:
                     query[key] = value
         headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
+        lines = 0
+        while line := (await reader.readline()).decode("latin-1").strip():
+            lines += 1
+            if lines > _MAX_HEADERS:
+                raise _HttpError(400, f"more than {_MAX_HEADERS} header lines")
             key, _, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
         return method.upper(), path, query, headers

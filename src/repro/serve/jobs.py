@@ -5,21 +5,27 @@ simulation a client asked for — a named benchmark or inline BENCH
 source, a partitioner, the machine knobs.  :class:`JobManager` runs
 requests on a bounded thread pool, each worker thread leasing a warm
 ring from the :class:`~repro.serve.pool.RingPool`, behind the two-tier
-cache:
+cache.  Every cache key is a projection of the request, so "the same
+job" has one definition: the request's fields.
 
-1. **Result cache** — keyed by :func:`~repro.serve.keys.result_key`.
-   A hit returns the stored :class:`TimeWarpResult` object itself: the
-   served payload is bit-identical to the cold run that populated the
-   entry, in every counter (the cache-key layer guarantees nothing
-   semantic differs between the two jobs).
-2. **Partition cache** — keyed by
-   :func:`~repro.serve.keys.partition_key`; partitioning dominates the
-   setup cost of repeat configurations that differ only in stimulus or
-   machine knobs.  An entry is the partition's
-   :class:`~repro.warped.world.World` — circuit and assignment as one
-   value, so the circuit the stimulus is built on is the assignment's,
-   and the object a warm ring keeps resident in its workers is the one
-   cached here: a partition hit is a world hit.
+1. **Result cache** — keyed by :meth:`JobRequest.result_key`, every
+   field but ``timeout``.  A hit returns the stored
+   :class:`TimeWarpResult` object itself: the served payload is
+   bit-identical to the cold run that populated the entry, in every
+   counter.
+2. **Partition cache** — keyed by :meth:`JobRequest.partition_key`,
+   the netlist source plus algorithm, seed and node count;
+   partitioning dominates the setup cost of repeat configurations that
+   differ only in stimulus or machine knobs.  An entry is the
+   partition's :class:`~repro.warped.world.World` — circuit and
+   assignment as one value, so the circuit the stimulus is built on is
+   the assignment's, and the object a warm ring keeps resident in its
+   workers is the one cached here: a partition hit is a world hit.
+
+A netlist source is a benchmark name (with scale and seed) or the
+digest of the inline text, never the circuit's structure: committed
+results are indexed by gate number, and gate numbers follow line order,
+so two orderings of one netlist are two jobs.
 
 Jobs are cancellable: a queued job is simply dropped; a running one
 has its leased ring killed (cancellation costs the ring — there is no
@@ -38,6 +44,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -54,13 +61,6 @@ from repro.obs.metrics import summarize
 from repro.obs.tracer import shard_path
 from repro.partition.registry import get_partitioner
 from repro.serve.cache import LruCache
-from repro.serve.keys import (
-    circuit_fingerprint,
-    machine_fingerprint,
-    partition_key,
-    result_key,
-    stimulus_fingerprint,
-)
 from repro.serve.pool import RingPool
 from repro.sim.stimulus import RandomStimulus
 from repro.warped.machine import VirtualMachine
@@ -84,6 +84,16 @@ class JobState(str, Enum):
 #: Hard ceiling on a client-supplied timeout (a server must not let one
 #: job camp on a worker slot for hours).
 MAX_TIMEOUT = 600.0
+#: Ceiling on ``nodes``: a leased ring forks one worker per node, and
+#: the paper's largest machine has 8.
+MAX_NODES = 64
+#: Ceiling on ``num_cycles``: the stimulus (one value per primary input
+#: per cycle) is built inside the server process; the paper runs 400.
+MAX_CYCLES = 10_000
+#: Ceiling on ``period``: it keeps virtual times (cycles x period) far
+#: below 2**53, past which a float GVT plus the optimism window rounds
+#: back to GVT and a process-backend node stalls until the timeout.
+MAX_PERIOD = 1_000_000
 #: Finished jobs the table remembers.  Each holds its whole
 #: :class:`TimeWarpResult`, so an unbounded table is a leak the size of
 #: the server's lifetime; an evicted id answers 404 like an unknown one,
@@ -100,10 +110,21 @@ PARTITION_CACHE_SIZE = 64
 #: Parsed netlists: the four named benchmarks plus inline sources.
 CIRCUIT_CACHE_SIZE = 32
 
+#: What a field annotated with each base type accepts (``bool`` never:
+#: it is an ``int`` to ``isinstance``, and not a count or a seed).
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
 
 @dataclass(frozen=True)
 class JobRequest:
-    """One client-submitted simulation, validated at construction."""
+    """One client-submitted simulation, validated at construction.
+
+    The request is the job: the serve caches key on its fields
+    (:meth:`partition_key`, :meth:`result_key`), so every field is
+    type-checked as well as range-checked.  ``source`` is the netlist
+    source key the circuit cache uses: ``("named", circuit, scale,
+    circuit_seed)`` or ``("bench", sha256 of the text)``.
+    """
 
     #: Named benchmark (``s27``/``s5378``/...) — exclusive with *bench*.
     circuit: str | None = None
@@ -126,6 +147,20 @@ class JobRequest:
     timeout: float = 120.0
 
     def __post_init__(self) -> None:
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            base, _, optional = spec.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, _FIELD_TYPES[base]
+            ):
+                raise ConfigError(
+                    f"{spec.name} must be {spec.type}, "
+                    f"not {type(value).__name__}"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be finite")
         if (self.circuit is None) == (self.bench is None):
             raise ConfigError(
                 "a job names exactly one netlist source: 'circuit' "
@@ -141,17 +176,29 @@ class JobRequest:
             get_partitioner(self.algorithm)
         except PartitionError as exc:
             raise ConfigError(str(exc)) from None
+        if self.nodes > MAX_NODES:
+            raise ConfigError(f"nodes must be <= {MAX_NODES}")
         self.machine()  # validates nodes and the machine knobs
-        if self.num_cycles < 2:
-            raise ConfigError("need at least 2 cycles (cycle 0 is reset)")
+        if not 2 <= self.num_cycles <= MAX_CYCLES:
+            raise ConfigError(
+                f"num_cycles must be in [2, {MAX_CYCLES}] "
+                "(cycle 0 is reset)"
+            )
         if not 0.0 < self.activity <= 1.0:
             raise ConfigError("activity must be in (0, 1]")
-        if self.period < 1:
-            raise ConfigError("period must be >= 1")
+        if not 1 <= self.period <= MAX_PERIOD:
+            raise ConfigError(f"period must be in [1, {MAX_PERIOD}]")
         if self.max_events < 1:
             raise ConfigError("max_events must be >= 1")
         if not 0 < self.timeout <= MAX_TIMEOUT:
             raise ConfigError(f"timeout must be in (0, {MAX_TIMEOUT:g}]")
+        # Derived once, so no job hashes its netlist twice.  Not a
+        # field: it is no constructor argument and no part of equality.
+        if self.bench is not None:
+            source = ("bench", hashlib.sha256(self.bench.encode()).hexdigest())
+        else:
+            source = ("named", self.circuit, self.scale, self.circuit_seed)
+        object.__setattr__(self, "source", source)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobRequest":
@@ -174,13 +221,27 @@ class JobRequest:
             migration_fraction=self.migration_fraction,
         )
 
+    def partition_key(self) -> tuple:
+        """The partition is a function of the netlist source and these."""
+        return (self.source, self.algorithm, self.partition_seed, self.nodes)
+
+    def result_key(self) -> tuple:
+        """Every field but ``timeout`` (which only bounds the wait),
+        with ``bench`` replaced by the source key, which holds its
+        digest.  A field added later is in the key unless it is left
+        out here on purpose."""
+        return tuple(
+            self.source if spec.name == "bench" else getattr(self, spec.name)
+            for spec in dataclasses.fields(self)
+            if spec.name != "timeout"
+        )
+
     def describe(self) -> dict:
         payload = dataclasses.asdict(self)
         if payload["bench"] is not None:
             # Don't echo whole netlists back in job listings.
             payload["bench"] = (
-                f"<{len(self.bench)} chars, "
-                f"sha256 {hashlib.sha256(self.bench.encode()).hexdigest()[:12]}>"
+                f"<{len(self.bench)} chars, sha256 {self.source[1][:12]}>"
             )
         return payload
 
@@ -356,16 +417,16 @@ class JobManager:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _resolve_circuit(self, request: JobRequest):
-        """(circuit, digest) for the request's netlist, cached."""
-        if request.bench is not None:
-            key = ("bench", hashlib.sha256(request.bench.encode()).hexdigest())
-        else:
-            key = (
-                "named", request.circuit, request.scale, request.circuit_seed,
-            )
-        entry = self._circuit_cache.get(key)
-        if entry is None:
+    def _resolve_world(self, request: JobRequest):
+        """The request's :class:`World` under the partition cache, and
+        whether it was a hit; a miss partitions the request's circuit,
+        parsed or generated once per netlist source."""
+        key = request.partition_key()
+        world = self.partition_cache.get(key)
+        if world is not None:
+            return world, "hit"
+        circuit = self._circuit_cache.get(request.source)
+        if circuit is None:
             if request.bench is not None:
                 circuit = parse_bench(request.bench, name="inline")
             else:
@@ -374,51 +435,21 @@ class JobManager:
                     scale=request.scale,
                     seed=request.circuit_seed,
                 )
-            entry = (circuit, circuit_fingerprint(circuit))
-            self._circuit_cache.put(key, entry)
-        return entry
-
-    def _resolve_partition(self, request: JobRequest, circuit, digest):
-        """The request's :class:`World` under the partition cache.
-
-        On a hit the stimulus must be built on the *cached* world's
-        circuit object (the circuit cache may have re-parsed since).
-        """
-        pkey = partition_key(
-            digest, request.algorithm, request.partition_seed, request.nodes
+            self._circuit_cache.put(request.source, circuit)
+        world = World.of(
+            get_partitioner(
+                request.algorithm, seed=request.partition_seed
+            ).partition(circuit, request.nodes)
         )
-        world = self.partition_cache.get(pkey)
-        if world is None:
-            world = World.of(
-                get_partitioner(
-                    request.algorithm, seed=request.partition_seed
-                ).partition(circuit, request.nodes)
-            )
-            self.partition_cache.put(pkey, world)
-            return world, "miss"
-        return world, "hit"
+        self.partition_cache.put(key, world)
+        return world, "miss"
 
     def _execute(self, job: Job) -> None:
         request = job.request
         try:
             job.started = time.time()
             job.state = JobState.RUNNING
-            circuit, digest = self._resolve_circuit(request)
-            machine = request.machine()
-            rkey = result_key(
-                digest,
-                request.algorithm,
-                request.partition_seed,
-                request.nodes,
-                machine_fingerprint(machine),
-                stimulus_fingerprint(
-                    request.num_cycles,
-                    request.period,
-                    request.activity,
-                    request.stimulus_seed,
-                ),
-                request.max_events,
-            )
+            rkey = request.result_key()
             cached = self.result_cache.get(rkey)
             if cached is not None:
                 job.cache["result"] = "hit"
@@ -426,10 +457,7 @@ class JobManager:
                 self._finish(job, JobState.DONE)
                 return
             job.cache["result"] = "miss"
-            world, partition_state = self._resolve_partition(
-                request, circuit, digest
-            )
-            job.cache["partition"] = partition_state
+            world, job.cache["partition"] = self._resolve_world(request)
             stimulus = RandomStimulus(
                 world.circuit,
                 num_cycles=request.num_cycles,
@@ -452,7 +480,7 @@ class JobManager:
                             world.circuit,
                             world,
                             stimulus,
-                            machine,
+                            request.machine(),
                             max_events=request.max_events,
                             timeout=request.timeout,
                             status_path=job.status_base,

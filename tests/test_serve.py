@@ -20,13 +20,16 @@ import urllib.request
 
 import pytest
 
+from repro.circuit.bench_parser import parse_bench
 from repro.circuit.netlists import S27_BENCH
 from repro.errors import ConfigError
 from repro.serve import jobs as jobs_mod
-from repro.serve.app import ServeApp
+from repro.serve.app import _MAX_HEADERS, ServeApp
 from repro.serve.cache import LruCache
 from repro.serve.jobs import JobManager, JobRequest, JobState
 from repro.serve.pool import RingPool
+from repro.sim.kernel import SequentialSimulator
+from repro.sim.stimulus import RandomStimulus
 
 S27_JOB = {
     "circuit": "s27",
@@ -35,6 +38,14 @@ S27_JOB = {
     "gvt_interval": 128,
     "optimism_window": 100,
 }
+
+
+def _reversed_s27() -> str:
+    """s27 with its gate lines in reverse order: the same gates under
+    the same names, but numbered differently by the parser."""
+    lines = S27_BENCH.splitlines()
+    gates = [line for line in lines if "=" in line]
+    return "\n".join([line for line in lines if "=" not in line] + gates[::-1])
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +124,71 @@ def test_job_request_validation():
     assert "<" in JobRequest(bench=S27_BENCH).describe()["bench"]
 
 
+def test_result_key_is_every_field_but_timeout():
+    """A job is its request: changing any field but ``timeout`` is
+    another result-cache key, and changing ``timeout`` is not.  A field
+    added to :class:`JobRequest` fails here until it is listed."""
+    named = {"circuit": "s5378", "scale": 0.2}
+    changed = {
+        "circuit": "s9234",
+        "bench": _reversed_s27(),
+        "scale": 0.3,
+        "circuit_seed": 2001,
+        "algorithm": "Random",
+        "partition_seed": 4,
+        "nodes": 4,
+        "num_cycles": 41,
+        "period": 101,
+        "activity": 0.25,
+        "stimulus_seed": 8,
+        "gvt_interval": 256,
+        "optimism_window": None,
+        "migration_threshold": 1.5,
+        "migration_fraction": 0.1,
+        "max_events": 10**6,
+        "timeout": 5.0,
+    }
+    assert set(changed) == {f.name for f in dataclasses.fields(JobRequest)}
+    for name, value in changed.items():
+        base = JobRequest.from_dict(
+            {"bench": S27_BENCH} if name == "bench" else named
+        )
+        variant = dataclasses.replace(base, **{name: value})
+        same = variant.result_key() == base.result_key()
+        assert same == (name == "timeout"), name
+
+
+def test_machine_fields_round_trip_through_request():
+    """The machine knobs of a request reach the machine it runs on, and
+    each one is part of the result key."""
+    knobs = {
+        "nodes": 4,
+        "gvt_interval": 256,
+        "optimism_window": 50,
+        "migration_threshold": None,
+        "migration_fraction": 0.05,
+    }
+    request = JobRequest.from_dict({"circuit": "s27", **knobs})
+    machine = request.machine()
+    assert machine.num_nodes == 4
+    assert machine.gvt_interval == 256
+    assert machine.optimism_window == 50
+    assert machine.migration_threshold is None
+    assert machine.migration_fraction == 0.05
+    twin = JobRequest.from_dict({"circuit": "s27", **knobs})
+    assert twin.machine() == machine
+    assert twin.result_key() == request.result_key()
+    for name, value in (
+        ("nodes", 2),
+        ("gvt_interval", 128),
+        ("optimism_window", None),
+        ("migration_threshold", 1.5),
+    ):
+        other = JobRequest.from_dict({"circuit": "s27", **knobs, name: value})
+        assert other.machine() != machine, name
+        assert other.result_key() != request.result_key(), name
+
+
 # ----------------------------------------------------------------------
 # JobManager
 # ----------------------------------------------------------------------
@@ -138,21 +214,42 @@ def test_result_cache_hit_is_bit_identical(manager):
     assert manager.result_cache.stats()["hits"] == 1
 
 
-def test_inline_bench_shares_cache_with_named_benchmark(manager):
-    """s27-by-name and s27-by-source canonicalise to the same key."""
-    named = manager.wait(
-        manager.submit(JobRequest.from_dict(S27_JOB)).id, timeout=60
-    )
-    assert named.state is JobState.DONE, named.error
-    inline_payload = dict(S27_JOB)
-    del inline_payload["circuit"]
-    inline_payload["bench"] = S27_BENCH
-    inline = manager.wait(
-        manager.submit(JobRequest.from_dict(inline_payload)).id, timeout=60
-    )
-    assert inline.state is JobState.DONE, inline.error
-    assert inline.cache == {"result": "hit"}
-    assert dataclasses.asdict(inline.result) == dataclasses.asdict(named.result)
+def test_reordered_netlist_is_its_own_job(manager):
+    """Committed results are indexed by gate number, and gate numbers
+    follow line order: a reordered netlist shares no cache entry with
+    the original, and every tier answers it with its own results."""
+    bench = _reversed_s27()
+    circuit = parse_bench(bench, name="inline")
+    inline_job = dict(S27_JOB, bench=bench)
+    del inline_job["circuit"]
+
+    def run(payload):
+        job = manager.wait(
+            manager.submit(JobRequest.from_dict(payload)).id, timeout=60
+        )
+        assert job.state is JobState.DONE, job.error
+        request = job.request
+        stimulus = RandomStimulus(
+            circuit,
+            num_cycles=request.num_cycles,
+            period=request.period,
+            activity=request.activity,
+            seed=request.stimulus_seed,
+        )
+        oracle = SequentialSimulator(circuit, stimulus).run()
+        assert job.result.final_values == oracle.final_values
+        assert job.result.committed_captures == oracle.committed_captures
+        return job.cache
+
+    named = manager.submit(JobRequest.from_dict(S27_JOB))
+    assert manager.wait(named.id, timeout=60).state is JobState.DONE
+    assert run(dict(inline_job, stimulus_seed=7)) == {
+        "result": "miss", "partition": "miss",
+    }
+    assert run(dict(inline_job, stimulus_seed=8)) == {
+        "result": "miss", "partition": "hit",
+    }
+    assert run(dict(inline_job, stimulus_seed=7)) == {"result": "hit"}
 
 
 def test_partition_cache_hit_on_stimulus_change(manager):
@@ -476,6 +573,20 @@ def test_http_rejects_bad_requests(server):
         ("algorithm", "Bogus"),
         ("scale", -1),
         ("circuit", "s99"),
+        # Ceilings: asking is all these cases do; no ring is leased.
+        ("nodes", jobs_mod.MAX_NODES + 1),
+        ("num_cycles", jobs_mod.MAX_CYCLES + 1),
+        ("period", jobs_mod.MAX_PERIOD + 1),
+        # Field types: the request is the cache key.
+        ("nodes", 2.5),
+        ("nodes", True),
+        ("num_cycles", 40.5),
+        ("stimulus_seed", 1.5),
+        ("partition_seed", "x"),
+        ("activity", "0.5"),
+        ("optimism_window", 1e9),
+        ("circuit", ["s27"]),
+        ("scale", float("nan")),
     ],
 )
 def test_invalid_job_is_rejected_at_submission(server, field, value):
@@ -582,6 +693,21 @@ def test_http_bad_content_length_is_400(server, length):
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.split(b"\r\n")[0].split()[1] == b"400"
     assert length in json.loads(body)["error"]
+
+@pytest.mark.parametrize("extra, status", [(0, b"200"), (1, b"400")])
+def test_http_request_head_is_bounded(server, extra, status):
+    """A request may send up to ``_MAX_HEADERS`` header lines; one more
+    is the client's error."""
+    lines = "".join(
+        f"X-Filler-{n}: {n}\r\n" for n in range(_MAX_HEADERS + extra)
+    )
+    with socket.create_connection(("127.0.0.1", server.app.port), 10) as sock:
+        sock.sendall(f"GET /healthz HTTP/1.1\r\n{lines}\r\n".encode())
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.split(b"\r\n")[0].split()[1] == status
+
 
 def test_http_event_stream_ends_with_terminal_state(server):
     _, job = server.request(
