@@ -32,15 +32,12 @@ from repro.circuit.gate import FALSE
 from repro.circuit.graph import CircuitGraph
 from repro.errors import SimulationError
 from repro.partition.assignment import PartitionAssignment
-from repro.sim.event import CAPTURE, SIG, STIM
+from repro.sim.event import CAPTURE, SIG, STIM, T_END
 from repro.sim.stimulus import Stimulus
 from repro.warped.lp import LogicalProcess
 from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.messages import Message
 from repro.warped.queues import NodeQueue
-
-#: Sentinel bound meaning "this channel will never carry anything again".
-INF_TIME = 1 << 60
 
 
 class ConservativeResult:
@@ -129,7 +126,7 @@ class ConservativeSimulator:
                     continue
                 key = (src_node, dst_node)
                 lookahead[key] = min(
-                    lookahead.get(key, INF_TIME), max(1, gate.delay)
+                    lookahead.get(key, T_END), max(1, gate.delay)
                 )
         incoming: dict[int, list[tuple[int, int]]] = defaultdict(list)
         outgoing: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -197,18 +194,18 @@ class ConservativeSimulator:
         def incoming_bound(node: int) -> int:
             channels = incoming.get(node)
             if not channels:
-                return INF_TIME
+                return T_END
             return min(bound[ch] for ch in channels)
 
         def output_floor(node: int, channel: tuple[int, int]) -> int:
             """Earliest timestamp *node* could still emit on *channel*."""
             pending_min = queues[node].min_time
             horizon = min(
-                pending_min if pending_min is not None else INF_TIME,
+                pending_min if pending_min is not None else T_END,
                 incoming_bound(node),
             )
-            if horizon >= INF_TIME:
-                return INF_TIME
+            if horizon >= T_END:
+                return T_END
             return horizon + lookahead[channel]
 
         def null_round() -> bool:

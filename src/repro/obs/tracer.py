@@ -20,16 +20,19 @@ ordered by ``(ts, node, seq)`` once the run completes — a total,
 deterministic order even when records from different writers collide
 on wall time.
 
-Non-finite floats are mapped to ``None`` on the way out so every line
-is strict JSON (``GVT == +inf`` — the quiescence proof — serializes as
-``"gvt": null`` with ``"final": true`` alongside).
+Every line is strict JSON: a non-finite float is refused, never
+written.  Virtual times are integers; the quiescence proof (GVT ==
+:data:`~repro.sim.event.T_END`) is emitted as ``"gvt": null`` with
+``"final": true`` alongside.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
+
+#: Compact strict JSON: a non-finite float raises, never ``Infinity``.
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 def shard_path(base: str, node: int, attempt: int = 0) -> str:
@@ -81,11 +84,8 @@ class TraceWriter:
         }
         if self.attempt:
             record["attempt"] = self.attempt
-        for key, value in fields.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                value = None
-            record[key] = value
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        record.update(fields)
+        self._fh.write(_encode(record) + "\n")
         self.records_written += 1
 
     def close(self) -> None:

@@ -27,6 +27,10 @@ SIG = 2
 
 KIND_NAMES = {CAPTURE: "CAPTURE", STIM: "STIM", SIG: "SIG"}
 
+#: The end of virtual time (the largest int64): later than any event,
+#: a GVT of ``T_END`` proves quiescence, and as a bound it means "never".
+T_END = 2**63 - 1
+
 #: Type alias for the total-order key.
 EventKey = tuple[int, int, int, int]
 

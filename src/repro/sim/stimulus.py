@@ -16,17 +16,26 @@ from collections.abc import Mapping, Sequence
 from repro.circuit.gate import FALSE, TRUE
 from repro.circuit.graph import CircuitGraph
 from repro.errors import SimulationError
+from repro.sim.event import T_END
 from repro.utils.rng import derive_rng
+
+
+def check_schedule(num_cycles: int, period: int) -> None:
+    """Reject a clock schedule no engine can run: every timestamp stays
+    far below :data:`~repro.sim.event.T_END` (and inside int64)."""
+    if num_cycles < 1:
+        raise SimulationError("need at least one stimulus cycle")
+    if period < 2:
+        raise SimulationError("clock period must be >= 2 time units")
+    if num_cycles * period > T_END // 2:
+        raise SimulationError(f"num_cycles x period must be <= {T_END // 2}")
 
 
 class Stimulus(abc.ABC):
     """Produces the value each primary input takes at each clock cycle."""
 
     def __init__(self, circuit: CircuitGraph, num_cycles: int, period: int = 10):
-        if num_cycles < 1:
-            raise SimulationError("need at least one stimulus cycle")
-        if period < 2:
-            raise SimulationError("clock period must be >= 2 time units")
+        check_schedule(num_cycles, period)
         self.circuit = circuit
         self.num_cycles = num_cycles
         self.period = period

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.sim.event import T_END
 from repro.warped.queues import NodeQueue
-
-#: GVT value meaning "simulation quiesced".
-GVT_END = float("inf")
 
 
 def compute_gvt(
     node_queues: Iterable[NodeQueue],
     in_flight_times: Iterable[int],
-) -> float:
-    """Exact GVT: min virtual time over pending and in-flight messages."""
-    gvt = GVT_END
+) -> int:
+    """Exact GVT: min virtual time over pending and in-flight messages
+    (``T_END`` once the simulation quiesced)."""
+    gvt = T_END
     for queue in node_queues:
         t = queue.min_time
         if t is not None and t < gvt:

@@ -47,9 +47,9 @@ from itertools import count
 from repro.circuit.graph import CircuitGraph
 from repro.errors import SimulationError
 from repro.partition.assignment import PartitionAssignment
-from repro.sim.event import CAPTURE, SIG, STIM
+from repro.sim.event import CAPTURE, SIG, STIM, T_END
 from repro.sim.stimulus import Stimulus
-from repro.warped.gvt import GVT_END, compute_gvt
+from repro.warped.gvt import compute_gvt
 from repro.warped.lp import (
     LogicalProcess, ProcessedRecord, flush_committed, fossil_sweep,
     trace_rollback, unwind,
@@ -195,8 +195,8 @@ class TimeWarpSimulator:
                 next_arrival = arr
             return 1
 
-        def flush_lazy(lp: LogicalProcess, now_wall: float, *, before: int | None = None) -> None:
-            """Cancel buffered sends of *lp* (all, or those with time < before).
+        def flush_lazy(lp: LogicalProcess, now_wall: float, *, before: int = T_END) -> None:
+            """Cancel buffered sends of *lp* with time < *before* (all by default).
 
             Called when re-execution diverges from the undone history,
             when virtual time passes a buffered send (it can no longer
@@ -208,7 +208,7 @@ class TimeWarpSimulator:
             node = lp.node
             depart = max(wall[node], now_wall)
             remote = 0
-            while buffer and (before is None or buffer[0].time < before):
+            while buffer and buffer[0].time < before:
                 remote += dispatch_anti(buffer.popleft(), node, depart)
             if remote:
                 node_stats[node].anti_messages_sent += remote
@@ -339,7 +339,7 @@ class TimeWarpSimulator:
         send_overhead = cost.send_overhead
         state_save_cost = cost.state_save_cost
         window = machine.optimism_window
-        gvt_now = 0.0  # current GVT estimate (for window throttling)
+        gvt_now = 0  # current GVT estimate (for window throttling)
         horizon = None if window is None else gvt_now + window
         max_events = self.max_events
 
@@ -351,7 +351,7 @@ class TimeWarpSimulator:
                 lp_activity_epoch[gate_index] = decay_epoch
             return lp_activity[gate_index]
 
-        def run_gvt_round() -> float:
+        def run_gvt_round() -> int:
             nonlocal history_total
             round_t0 = time.perf_counter()
             counters["gvt_rounds"] += 1
@@ -367,11 +367,7 @@ class TimeWarpSimulator:
                 for index, buffer in lazy_buffers.items():
                     if buffer and buffer[0].time < floor:
                         lp_ = lps[index]
-                        flush_lazy(
-                            lp_,
-                            wall[lp_.node],
-                            before=None if floor == GVT_END else int(floor),
-                        )
+                        flush_lazy(lp_, wall[lp_.node], before=floor)
                 drain_cancels(max(wall))
             # Remaining lazily-buffered sends are pending cancellation
             # obligations: they hold GVT back just like in-flight
@@ -383,8 +379,9 @@ class TimeWarpSimulator:
                     buffer[0].time for buffer in lazy_buffers.values() if buffer
                 )
             gvt = compute_gvt(queues, outstanding)
-            if gvt < GVT_END:
-                history_total -= fossil_sweep(lps, oldest_times, int(gvt), tracer)
+            final = gvt == T_END
+            if not final:
+                history_total -= fossil_sweep(lps, oldest_times, gvt, tracer)
             for node_ in range(n_nodes):
                 wall[node_] += cost.gvt_cost
                 busy[node_] += cost.gvt_cost
@@ -396,20 +393,20 @@ class TimeWarpSimulator:
             )
             for i in range(n_nodes):
                 busy_at_last_sample[i] = busy[i]
-            if migrating and gvt < GVT_END:
+            if migrating and not final:
                 migrate_load(gvt)
             if tracer is not None:
                 tracer.emit(
                     "gvt_round",
                     cid=counters["gvt_rounds"],
-                    gvt=float(gvt),
-                    final=gvt == GVT_END,
+                    gvt=None if final else gvt,
+                    final=final,
                     latency=time.perf_counter() - round_t0,
                     trips=1,
                 )
             return gvt
 
-        def migrate_load(gvt: float) -> None:
+        def migrate_load(gvt: int) -> None:
             """Move :meth:`World.migrants` of the busiest node, ranked
             by decayed activity, to the idlest node.
 
@@ -468,7 +465,7 @@ class TimeWarpSimulator:
                     dst=cold,
                     lps=len(moving),
                     pending=pending_moved,
-                    gvt=float(gvt),
+                    gvt=gvt,
                 )
             # Decay activity so the score tracks RECENT load; lazy —
             # every LP folds the halving in on its next touch.
@@ -597,7 +594,7 @@ class TimeWarpSimulator:
                         # messages will never be re-derived — cancel them all
                         # and let the cleanup cascade settle.
                         for lp_ in lps:
-                            flush_lazy(lp_, max(wall), before=None)
+                            flush_lazy(lp_, max(wall))
                         drain_cancels(max(wall))
                         sched_rebuild()
                         proc_wall, node = sched_tree[1]

@@ -107,7 +107,7 @@ def fossil_sweep(lps, oldest_times: dict[int, int], floor_t: int, tracer) -> int
                 node=lp.node,
                 lp=index,
                 n=n,
-                t_lo=int(oldest_times[index]),
+                t_lo=oldest_times[index],
                 t_hi=floor_t,
             )
         if processed:
@@ -120,7 +120,7 @@ def fossil_sweep(lps, oldest_times: dict[int, int], floor_t: int, tracer) -> int
 def flush_committed(lps, tracer) -> None:
     """Emit the quiescence ``commit`` flush for the LPs *lps*.
 
-    Called once GVT reached +inf: whatever history survived the last
+    Called once GVT reached ``T_END``: whatever history survived the last
     :func:`fossil_sweep` is committed now.  With these records the
     trace's commit-``n`` total equals ``events - rolled_back`` exactly.
     """
@@ -133,7 +133,7 @@ def flush_committed(lps, tracer) -> None:
                 node=lp.node,
                 lp=lp.gate_index,
                 n=len(lp.processed),
-                t_lo=int(lp.processed[0].msg.time),
+                t_lo=lp.processed[0].msg.time,
                 t_hi=None,
                 final=True,
             )
@@ -182,7 +182,7 @@ def trace_rollback(
         rid=rid,
         lp=lp.gate_index,
         depth=len(records),
-        t=int(to_key[0]),
+        t=to_key[0],
         cause_kind="anti" if cancel_uid is not None else "straggler",
         cause_uid=cause_msg.uid,
         cause_src=cause_msg.src,

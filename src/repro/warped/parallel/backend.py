@@ -12,7 +12,7 @@ portable default) or ``shm`` (shared-memory rings carrying
 struct-packed fixed-width records).  Either way sends are batched per
 destination.  GVT is computed by the colored token ring of
 :mod:`repro.warped.parallel.protocol` and broadcast for fossil
-collection; a GVT of ``+inf`` proves quiescence and shuts the ring
+collection; a GVT of ``T_END`` proves quiescence and shuts the ring
 down.
 
 Imports run one way: this module (the restart policy) →

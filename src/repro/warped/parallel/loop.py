@@ -19,6 +19,7 @@ import time
 
 from repro.errors import SimulationError
 from repro.obs.tracer import TraceWriter, shard_path
+from repro.sim.event import T_END
 from repro.warped.parallel import recovery as recovery_mod
 from repro.warped.parallel.node import NodeEngine
 from repro.warped.parallel.protocol import (
@@ -28,7 +29,6 @@ from repro.warped.parallel.protocol import (
     MIGRATE,
     MSG,
     TOKEN,
-    T_INF,
     GvtClerk,
     GvtToken,
 )
@@ -239,7 +239,7 @@ class NodeLoop:
         self._last_applied_cid = 0
         self._pending_adoptions: list[tuple] = []
         self.clerk = GvtClerk(node=node)
-        self.gvt = 0.0
+        self.gvt = 0
         self.done = False
         self.busy = 0.0
         #: Measured wall time inside :meth:`handle` — transport ingest
@@ -263,7 +263,7 @@ class NodeLoop:
         #: and the GVT value of the last sweep (a sweep at or below it
         #: has nothing new to free).
         self._sweep_at = len(engine.lps)
-        self._swept = 0.0
+        self._swept = 0
         if tracer is not None:
             self._handle_inner = self.handle
             self.handle = self._timed_handle
@@ -329,9 +329,9 @@ class NodeLoop:
         for dest, items in batches.items():
             _put_wire_batch(self.inboxes[dest], items, self.inbox)
 
-    def local_min(self) -> float:
+    def local_min(self) -> int:
         t = self.engine.min_pending()
-        return T_INF if t is None else float(t)
+        return T_END if t is None else t
 
     def fold_token(self, token: GvtToken) -> None:
         """Fold this node's GVT contribution — and, with migration on,
@@ -349,7 +349,7 @@ class NodeLoop:
         )
 
     # -- GVT -----------------------------------------------------------
-    def sweep(self, value: float) -> None:
+    def sweep(self, value: int) -> None:
         """Fossil-collect below *value* and set the bar for the next
         sweep by need: twice the history this one left, and at least a
         record per hosted LP.
@@ -358,7 +358,7 @@ class NodeLoop:
         (every record made since is at or above it) — polling idle
         nodes make such rounds common — and costs a compare.
         """
-        if value <= self._swept or value == T_INF:
+        if value <= self._swept or value == T_END:
             return
         engine = self.engine
         engine.fossil_collect(value)
@@ -366,7 +366,7 @@ class NodeLoop:
         self.sweeps += 1
         self._sweep_at = max(len(engine.lps), 2 * engine.history)
 
-    def apply_gvt(self, cid: int, value: float) -> None:
+    def apply_gvt(self, cid: int, value: int) -> None:
         """Apply a GVT broadcast: reset per-round bookkeeping, and
         fossil-collect at *value* if the history has grown enough to be
         worth a sweep (a checkpoint or a migration at this value sweeps
@@ -385,7 +385,7 @@ class NodeLoop:
         if self.migrating:
             self._busy_at_gvt = self.busy
             self._events_at_gvt = self.engine.counters["events"]
-        if value == T_INF:
+        if value == T_END:
             self.done = True
         else:
             self.gvt = value
@@ -398,14 +398,17 @@ class NodeLoop:
                 self.send_log[dest] = [
                     e for e in entries if e[2].time >= value
                 ]
-            if value != T_INF:
-                crossed = int(value // self.ckpt_interval)
+            if value != T_END:
+                crossed = value // self.ckpt_interval
                 if crossed > self.ckpt_mark:
                     self.ckpt_mark = crossed
                     self.write_checkpoint(cid, value)
         if self.tracer is not None:
             self.tracer.emit(
-                "inbox_depth", depth=self._inbox_depth(), gvt=value, cid=cid
+                "inbox_depth",
+                depth=self._inbox_depth(),
+                gvt=None if value == T_END else value,
+                cid=cid,
             )
         if self.status_path is not None:
             self.write_status()
@@ -424,7 +427,7 @@ class NodeLoop:
         self.gvt_busy += time.perf_counter() - t0
 
     # -- crash-recovery checkpointing ----------------------------------
-    def write_checkpoint(self, cid: int, gvt: float) -> None:
+    def write_checkpoint(self, cid: int, gvt: int) -> None:
         """Snapshot this node's full state as its file of epoch *cid*.
 
         Every node applies the identical GVT broadcast sequence, so this
@@ -515,7 +518,7 @@ class NodeLoop:
             "node": self.node,
             "run": self.run_id,
             "ts": round(time.time(), 3),
-            "gvt": None if self.done or self.gvt == T_INF else self.gvt,
+            "gvt": None if self.done else self.gvt,
             "done": self.done,
             "events": counters["events"],
             "rollbacks": counters["rollbacks"],
@@ -545,13 +548,14 @@ class NodeLoop:
         """Initiator: finish or extend the computation *token* closes."""
         if token.conclusive:
             value = token.gvt
+            final = value == T_END
             self.gvt_computations += 1
             if self.tracer is not None:
                 self.tracer.emit(
                     "gvt_round",
                     cid=token.cid,
-                    gvt=value,
-                    final=value == T_INF,
+                    gvt=None if final else value,
+                    final=final,
                     latency=time.perf_counter() - self._round_started,
                     trips=self._round_trips,
                 )
@@ -583,7 +587,7 @@ class NodeLoop:
             self.put((self.node + 1) % self.num_nodes, (TOKEN, fresh))
 
     # -- adaptive LP migration -----------------------------------------
-    def _migration_decision(self, token: GvtToken, value: float) -> tuple[int, int] | None:
+    def _migration_decision(self, token: GvtToken, value: int) -> tuple[int, int] | None:
         """Read the (hot, cold) pair off a conclusive token, or None.
 
         Only the initiator calls this, right before broadcasting the
@@ -592,9 +596,9 @@ class NodeLoop:
         so every migration is bracketed by pre-migration snapshots on
         both sides and a restore can never resurrect an LP twice.
         """
-        if not self.migrating or not token.conclusive or value == T_INF:
+        if not self.migrating or not token.conclusive or value == T_END:
             return None
-        if self.recovery and int(value // self.ckpt_interval) <= self.ckpt_mark:
+        if self.recovery and value // self.ckpt_interval <= self.ckpt_mark:
             return None
         hot, cold = token.busy_max_node, token.busy_min_node
         if hot < 0 or cold < 0 or hot == cold:
@@ -605,7 +609,7 @@ class NodeLoop:
             return None
         return hot, cold
 
-    def do_migrate(self, cid: int, value: float, dest: int) -> None:
+    def do_migrate(self, cid: int, value: int, dest: int) -> None:
         """Hot node: extract loosely-attached LPs and ship them to *dest*.
 
         Runs strictly after this node applied the GVT broadcast of
@@ -620,7 +624,7 @@ class NodeLoop:
         payload = self.engine.extract_migrants(dest, self.migration_fraction, cid)
         if payload is None:
             return
-        color = self.clerk.note_send(int(value))
+        color = self.clerk.note_send(value)
         self.put(dest, (MIGRATE, color, self.node, cid, payload))
         if self.tracer is not None:
             self.tracer.emit(
@@ -629,7 +633,7 @@ class NodeLoop:
                 dst=dest,
                 lps=len(payload["gates"]),
                 pending=len(payload["queue"]),
-                gvt=float(value),
+                gvt=value,
             )
 
     def _adopt(self, item) -> None:
@@ -641,7 +645,7 @@ class NodeLoop:
         for other in range(self.num_nodes):
             if other == self.node or other == src:
                 continue
-            ann_color = self.clerk.note_send(int(self.gvt))
+            ann_color = self.clerk.note_send(self.gvt)
             self.put(other, (MIGRATE, ann_color, self.node, cid, announcement))
 
     def maybe_initiate(self) -> None:
@@ -751,7 +755,7 @@ class NodeLoop:
             for item in batch:
                 self.handle(item)
                 if self.done:
-                    break  # GVT = +inf: nothing legitimate can follow it
+                    break  # GVT = T_END: nothing legitimate can follow it
         return handled
 
     def slice_size(self) -> int:
@@ -800,7 +804,7 @@ class NodeLoop:
         return worked
 
     def run(self) -> None:
-        """Drive the node to quiescence (GVT == +inf).
+        """Drive the node to quiescence (GVT == ``T_END``).
 
         One idle path for every channel: a node with nothing drained and
         nothing worked keeps lapping the *whole* loop — so the

@@ -31,14 +31,13 @@ from collections import deque
 from itertools import count
 
 from repro.errors import SimulationError
-from repro.sim.event import CAPTURE, SIG, STIM
+from repro.sim.event import CAPTURE, SIG, STIM, T_END
 from repro.sim.stimulus import Stimulus
 from repro.warped.lp import (
     LogicalProcess, ProcessedRecord, flush_committed, fossil_sweep,
     trace_rollback, unwind,
 )
 from repro.warped.messages import ANTI, Message, fan_out
-from repro.warped.parallel.protocol import T_INF
 from repro.warped.queues import NodeQueue
 from repro.warped.world import World
 
@@ -231,14 +230,14 @@ class NodeEngine:
         """Virtual time of the earliest pending event (None = idle)."""
         return self.queue.min_time
 
-    def processable(self, gvt: float) -> bool:
+    def processable(self, gvt: int) -> bool:
         """True iff the next pending event is inside the optimism window."""
         t = self.queue.min_time
         if t is None:
             return False
         return self.window is None or t <= gvt + self.window
 
-    def backlog(self, gvt: float) -> int:
+    def backlog(self, gvt: int) -> int:
         """Pending events inside the optimism window at *gvt* — what
         :meth:`run_batch` could process before it has to stop."""
         if self.window is None:
@@ -252,9 +251,9 @@ class NodeEngine:
 
     def process_one(self) -> int:
         """Process the earliest pending event (1), or nothing if idle (0)."""
-        return self.run_batch(1, T_INF)
+        return self.run_batch(1, T_END)
 
-    def run_batch(self, limit: int, gvt: float) -> int:
+    def run_batch(self, limit: int, gvt: int) -> int:
         """Process up to *limit* pending events inside the optimism
         window at *gvt*; returns how many ran.
 
@@ -288,7 +287,7 @@ class NodeEngine:
         capture_log = self.capture_log
         oldest_setdefault = self._oldest.setdefault
         counters = self.counters
-        horizon = T_INF if self.window is None else gvt + self.window
+        horizon = T_END if self.window is None else gvt + self.window
         stride = self.num_nodes
         msg_new = Message.__new__
         rec_new = ProcessedRecord.__new__
@@ -506,14 +505,12 @@ class NodeEngine:
         self._history = history_total
         self.peak_history = peak_history
 
-    def fossil_collect(self, gvt: float) -> None:
+    def fossil_collect(self, gvt: int) -> None:
         """Free history below *gvt* through the executives' shared
         :func:`~repro.warped.lp.fossil_sweep` (one ``commit`` record per
         LP freed from, with tracing on)."""
-        if gvt != T_INF:
-            self._history -= fossil_sweep(
-                self.lps, self._oldest, int(gvt), self.tracer
-            )
+        if gvt != T_END:
+            self._history -= fossil_sweep(self.lps, self._oldest, gvt, self.tracer)
 
     def flush_committed(self) -> None:
         """Emit the quiescence ``commit`` flush for this node's LPs
@@ -669,7 +666,7 @@ class NodeEngine:
 
     # ------------------------------------------------------------------
     def check_quiescent(self) -> None:
-        """Invariant checks once GVT reached +inf."""
+        """Invariant checks once GVT reached ``T_END``."""
         if self._waiting_antis:
             raise SimulationError(
                 f"node {self.node}: {len(self._waiting_antis)} anti-messages "

@@ -23,8 +23,8 @@ sender has joined.  For computation ``C``:
 When a round returns to the initiator with ``count == 0``,
 ``min(m_clock, m_send)`` is a valid GVT lower bound; otherwise the
 initiator circulates another round of the same computation.  A GVT of
-``+inf`` proves global quiescence (no pending events anywhere, nothing
-in flight) and doubles as the shutdown signal.
+:data:`~repro.sim.event.T_END` proves global quiescence (no pending
+events anywhere, nothing in flight) and doubles as the shutdown signal.
 
 Crash recovery rides on the same broadcast: when checkpointing is on,
 every node snapshots its state upon *applying* a GVT value that crosses
@@ -39,6 +39,8 @@ message as the ``MSG`` items the wire would have delivered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.sim.event import T_END
 
 #: Wire tags (first element of every inter-process tuple).
 MSG = "msg"        # ("msg", color, Message[, src, chan_seq])  node -> node
@@ -63,9 +65,6 @@ CKPT = "ckpt"      # ("ckpt", node, cid, gvt)          node -> parent
 MIGCMD = "migcmd"    # ("migcmd", cid, gvt, dest)        node 0 -> hot node
 MIGRATE = "migrate"  # ("migrate", color, src, cid, payload)  node -> node
 
-#: Virtual-time infinity (quiescence) on the wire.
-T_INF = float("inf")
-
 
 @dataclass
 class GvtToken:
@@ -82,8 +81,8 @@ class GvtToken:
     """
 
     cid: int              # computation id, strictly increasing
-    m_clock: float = T_INF  # min pending virtual time seen this round
-    m_send: float = T_INF   # min timestamp sent with color == cid
+    m_clock: int = T_END    # min pending virtual time seen this round
+    m_send: int = T_END     # min timestamp sent with color == cid
     count: int = 0          # white (color < cid) sent - received
     # -- load fold (µs busy windows; node -1 = nothing folded yet) ----
     busy_max: int = -1
@@ -92,7 +91,7 @@ class GvtToken:
     busy_min: int = -1
     busy_min_node: int = -1
 
-    def fold(self, local_min: float, red_min: float, white_balance: int) -> None:
+    def fold(self, local_min: int, red_min: int, white_balance: int) -> None:
         """Accumulate one node's contribution into the token."""
         if local_min < self.m_clock:
             self.m_clock = local_min
@@ -127,7 +126,7 @@ class GvtToken:
         return self.count == 0
 
     @property
-    def gvt(self) -> float:
+    def gvt(self) -> int:
         """The GVT bound this (conclusive) round establishes."""
         return min(self.m_clock, self.m_send)
 
@@ -148,14 +147,14 @@ class GvtClerk:
     sent: dict[int, int] = field(default_factory=dict)
     received: dict[int, int] = field(default_factory=dict)
     #: Min timestamp ever sent with a given color.
-    send_min: dict[int, float] = field(default_factory=dict)
+    send_min: dict[int, int] = field(default_factory=dict)
 
     # -- the node loop calls these on every application message --------
     def note_send(self, timestamp: int) -> int:
         """Record an outgoing message; returns the color to stamp on it."""
         color = self.cur_cid
         self.sent[color] = self.sent.get(color, 0) + 1
-        if timestamp < self.send_min.get(color, T_INF):
+        if timestamp < self.send_min.get(color, T_END):
             self.send_min[color] = timestamp
         return color
 
@@ -170,13 +169,13 @@ class GvtClerk:
             n for color, n in self.sent.items() if color < cid
         ) - sum(n for color, n in self.received.items() if color < cid)
 
-    def fold_token(self, token: GvtToken, local_min: float) -> None:
+    def fold_token(self, token: GvtToken, local_min: int) -> None:
         """Join *token*'s computation and add this node's contribution."""
         if token.cid > self.cur_cid:
             self.cur_cid = token.cid  # turn red for this computation
         token.fold(
             local_min,
-            self.send_min.get(token.cid, T_INF),
+            self.send_min.get(token.cid, T_END),
             self.white_balance(token.cid),
         )
 

@@ -45,8 +45,9 @@ any store-reordering window on weakly ordered hardware.
 Every record is :data:`RECORD_SIZE` bytes::
 
     <BB2xI  u8 tag, u8 flags, 2 pad, u32 crc
-    10q     ten int64 fields   (meaning depends on the tag)
-    2d      two float64 fields (GVT values, token minima)
+    12q     twelve int64 fields (meaning depends on the tag; virtual
+            times, GVT values and token minima are ints, quiescence
+            is ``T_END``, the largest int64)
 
 The crc is CRC-32 over the record with its own crc field zeroed, so
 *any* error burst up to 32 bits — in particular any single corrupt
@@ -71,6 +72,7 @@ reassembles per producer pid and delivers only when complete.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import queue as queue_mod
@@ -96,8 +98,9 @@ from repro.warped.parallel.protocol import (
 # ----------------------------------------------------------------------
 # fixed-width record codec
 # ----------------------------------------------------------------------
-_RECORD = struct.Struct("<BB2xI10q2d")
-#: Bytes per wire record (104: 8 header + 10 int64 + 2 float64).
+_INTS = 12
+_RECORD = struct.Struct(f"<BB2xI{_INTS}q")
+#: Bytes per wire record (104: 8 header + 12 int64).
 RECORD_SIZE = _RECORD.size
 #: CRC field location in the header (u32 at bytes 4-8).
 _CRC = struct.Struct("<I")
@@ -110,12 +113,14 @@ _TAG_TOKEN = 2
 _TAG_GVT = 3
 _TAG_MIGCMD = 4
 _TAG_MIGR = 5
+#: Slots a TOKEN record fills: every GvtToken field is an int.
+_TOKEN_INTS = len(dataclasses.fields(GvtToken))
 
-#: Payload bytes per MIGRATE chunk record: the 10 i64 slots minus the
+#: Payload bytes per MIGRATE chunk record: the 12 i64 slots minus the
 #: six header ints (color, src, cid, chunk index, chunk count, chunk
-#: length) leave four slots of 8 bytes each.
+#: length) leave six slots of 8 bytes each.
 _MIG_HDR_INTS = 6
-_MIG_CHUNK_BYTES = (10 - _MIG_HDR_INTS) * 8
+_MIG_CHUNK_BYTES = (_INTS - _MIG_HDR_INTS) * 8
 
 #: Record flag bits.
 _F_ANTI = 0x01    # the carried Message is an anti-message
@@ -133,10 +138,10 @@ _CAP = 2
 _MIGCHUNK = "_migchunk"
 
 
-def _pack(tag: int, flags: int, ints, f0: float = 0.0, f1: float = 0.0) -> bytes:
-    fields = list(ints) + [0] * (10 - len(ints))
+def _pack(tag: int, flags: int, ints) -> bytes:
+    fields = list(ints) + [0] * (_INTS - len(ints))
     try:
-        raw = bytearray(_RECORD.pack(tag, flags, 0, *fields, f0, f1))
+        raw = bytearray(_RECORD.pack(tag, flags, 0, *fields))
     except struct.error as exc:
         raise ProtocolError(
             f"wire field out of range for a fixed-width record: {exc}"
@@ -169,18 +174,11 @@ def encode_record(item: tuple) -> bytes:
              msg.value, msg.dest, msg.uid, src, seq),
         )
     if tag == TOKEN:
-        token = item[1]
-        return _pack(
-            _TAG_TOKEN, 0,
-            (token.cid, token.count, token.busy_max, token.busy_max_node,
-             token.ev_max, token.busy_min, token.busy_min_node),
-            token.m_clock, token.m_send,
-        )
+        return _pack(_TAG_TOKEN, 0, dataclasses.astuple(item[1]))
     if tag == GVT:
-        return _pack(_TAG_GVT, 0, (item[1],), float(item[2]))
+        return _pack(_TAG_GVT, 0, item[1:])
     if tag == MIGCMD:
-        _, cid, gvt, dest = item
-        return _pack(_TAG_MIGCMD, 0, (cid, dest), float(gvt))
+        return _pack(_TAG_MIGCMD, 0, item[1:])
     raise ProtocolError(f"cannot encode wire item with tag {tag!r}")
 
 
@@ -246,9 +244,7 @@ def decode_record(data: bytes) -> tuple:
         )
     tag = data[0]
     flags = data[1]
-    fields = _RECORD.unpack(data)
-    ints = fields[3:13]
-    f0, f1 = fields[13], fields[14]
+    ints = _RECORD.unpack(data)[3:]
     if tag == _TAG_MSG:
         msg = Message(
             ints[1], ints[2], ints[3], ints[4], ints[5], ints[6], ints[7],
@@ -258,18 +254,11 @@ def decode_record(data: bytes) -> tuple:
             return (MSG, ints[0], msg, ints[8], ints[9])
         return (MSG, ints[0], msg)
     if tag == _TAG_TOKEN:
-        return (
-            TOKEN,
-            GvtToken(
-                cid=ints[0], m_clock=f0, m_send=f1, count=ints[1],
-                busy_max=ints[2], busy_max_node=ints[3], ev_max=ints[4],
-                busy_min=ints[5], busy_min_node=ints[6],
-            ),
-        )
+        return (TOKEN, GvtToken(*ints[:_TOKEN_INTS]))
     if tag == _TAG_GVT:
-        return (GVT, ints[0], f0)
+        return (GVT, ints[0], ints[1])
     if tag == _TAG_MIGCMD:
-        return (MIGCMD, ints[0], f0, ints[1])
+        return (MIGCMD, ints[0], ints[1], ints[2])
     if tag == _TAG_MIGR:
         # One chunk of a MIGRATE blob; the channel consumer reassembles
         # the contiguous chunk run into the full tuple.

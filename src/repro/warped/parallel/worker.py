@@ -289,7 +289,7 @@ def worker_main(
             if shipped is not None:
                 worlds[spec.world] = shipped
             # Re-arm the transport: a healthy previous job quiesced with
-            # empty channels (GVT == +inf proves it), but drain anyway
+            # empty channels (GVT == T_END proves it), but drain anyway
             # so one poisoned job can never leak messages into the next.
             drain_queue(inboxes[node])
             barrier.wait(timeout=_ARM_PATIENCE)
@@ -386,7 +386,7 @@ def _run_node(
                 # event is processed, so a crash at *any* moment —
                 # including before the first GVT-crossing checkpoint —
                 # leaves something to restart from.
-                loop.write_checkpoint(0, 0.0)
+                loop.write_checkpoint(0, 0)
         # The loop allocates heavily (messages, history records, key
         # tuples) but never creates reference cycles: everything dies
         # by refcount.  Generational GC passes over the live history are

@@ -189,7 +189,7 @@ class NodeQueue:
             heapify(self._times)
         return True
 
-    def count_through(self, time: float) -> int:
+    def count_through(self, time: int) -> int:
         """How many pending messages carry a virtual time <= *time*."""
         min_time = self.min_time
         if min_time is None or min_time > time:

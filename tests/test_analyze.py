@@ -376,12 +376,12 @@ class TestMigrationSummary:
 
         records = [
             {"kind": "migr", "src": 0, "dst": 1, "lps": 2, "pending": 5,
-             "gvt": 60.0},
+             "gvt": 60},
             {"kind": "migr", "src": 0, "dst": 1, "lps": 1, "pending": 0,
-             "gvt": 120.0},
+             "gvt": 120},
             {"kind": "migr", "src": 2, "dst": 0, "lps": 3, "pending": 7,
-             "gvt": 180.0},
-            {"kind": "gvt_round", "cid": 1, "gvt": 60.0},
+             "gvt": 180},
+            {"kind": "gvt_round", "cid": 1, "gvt": 60},
         ]
         summary = migration_summary(records)
         assert summary["migrations"] == 3

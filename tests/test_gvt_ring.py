@@ -22,21 +22,23 @@ before a checkpoint or a migration).
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import queue
 import threading
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
+from repro.obs.tracer import shard_path
 from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
-from repro.sim.event import SIG
+from repro.sim.event import SIG, T_END
 from repro.warped.messages import Message
 from repro.warped.parallel import NodeEngine, NodeLoop
 from repro.warped.parallel import loop as loop_mod
 from repro.warped.parallel import transport as transport_mod
-from repro.warped.parallel.protocol import GVT, MSG, T_INF
+from repro.warped.parallel.protocol import GVT, MSG
 from repro.warped.world import World
 
 
@@ -290,9 +292,29 @@ class TestInconclusiveRound:
         l1.poll()
         assert l1.gvt == 42 and not l1.done
 
+    def test_live_status_gvt_is_an_integer_until_done(self, tmp_path):
+        status = str(tmp_path / "run.status")
+        l0, l1 = make_ring(
+            2, [IdleEngine(), PendingEngine()], status_path=status
+        )
+        l0.engine.counters = Counter()  # every count the snapshot reads is 0
+        l0.maybe_initiate()  # node 1's pending minimum (42) is the GVT
+        l1.poll()
+        l0.poll()
+
+        def snapshot():
+            with open(shard_path(status, 0)) as fh:
+                return json.load(fh)
+
+        gvt = snapshot()["gvt"]
+        assert gvt == 42 and type(gvt) is int
+        l0.done = True
+        l0.write_status(force=True)
+        assert snapshot()["gvt"] is None
+
     def test_idle_engine_min_is_infinite(self):
         (loop,) = make_ring(1)
-        assert loop.local_min() == T_INF
+        assert loop.local_min() == T_END
 
 
 class FixedLoadLoop(NodeLoop):
@@ -472,7 +494,7 @@ class TestPollBeforePark:
         self, monkeypatch
     ):
         monkeypatch.setattr(loop_mod, "_IDLE_SPIN", 60.0)
-        inbox = ScriptedInbox([(GVT, 1, T_INF)], empty_polls=25)
+        inbox = ScriptedInbox([(GVT, 1, T_END)], empty_polls=25)
         loop = self.idle_follower(inbox)
         loop.run()
         assert loop.done
@@ -482,7 +504,7 @@ class TestPollBeforePark:
     def test_parks_once_the_window_passes_with_nothing_arriving(self):
         # Nothing is ever polled in; the terminating broadcast is only
         # reachable through the blocking receive.
-        inbox = ScriptedInbox([(GVT, 1, T_INF)], empty_polls=10**9)
+        inbox = ScriptedInbox([(GVT, 1, T_END)], empty_polls=10**9)
         loop = self.idle_follower(inbox)
         loop.run()
         assert loop.done
@@ -531,13 +553,13 @@ def test_shm_get_of_a_published_record_skips_the_doorbell_select(monkeypatch):
     transport = transport_mod.make_transport("shm")
     (chan,) = transport.make_inboxes(mp.get_context("fork"), 1, 16)
     try:
-        chan.put_nowait((GVT, 7, 42.0))
+        chan.put_nowait((GVT, 7, 42))
 
         def no_select(*args, **kwargs):
             raise AssertionError("parked on the doorbell")
 
         monkeypatch.setattr(transport_mod.select, "select", no_select)
-        assert chan.get(timeout=0.5) == (GVT, 7, 42.0)
+        assert chan.get(timeout=0.5) == (GVT, 7, 42)
     finally:
         chan.close()
         transport.cleanup()
@@ -579,7 +601,7 @@ class TestSliceByBacklog:
     def test_loaded_queue_takes_its_share_up_to_the_cap(self, s27):
         engine, loop = loaded_loop(s27)
         pending = len(engine.queue)
-        assert engine.backlog(0.0) == pending  # unbounded window: all of it
+        assert engine.backlog(0) == pending  # unbounded window: all of it
         assert loop.slice_size() == min(
             pending // loop_mod._SLICE_SHARE, loop_mod._SLICE_MAX
         )
@@ -643,7 +665,7 @@ class SweepSpy(NodeLoop):
     def apply_gvt(self, cid, value):
         covered = self._swept
         super().apply_gvt(cid, value)
-        if covered < value < T_INF:
+        if covered < value < T_END:
             # Either nothing was due, or the sweep ran and doubled the bar.
             assert self.engine.history < self._sweep_at
 

@@ -27,7 +27,7 @@ from repro.errors import SimulationError
 from repro.harness.regression import load_case
 from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
-from repro.sim.event import CAPTURE
+from repro.sim.event import CAPTURE, T_END
 from repro.warped.parallel import NodeEngine, NodeLoop
 from repro.warped.parallel.worker import JobSpec, _run_node
 from repro.warped.parallel.protocol import DONE
@@ -37,7 +37,6 @@ from tests.test_gvt_ring import BatchQueue
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 LIMITS = (1, 3, 16, 10**9)
-INF = float("inf")
 
 
 # ----------------------------------------------------------------------
@@ -71,10 +70,10 @@ def reference_process_one(self: NodeEngine) -> None:
     self._drain_cancels()
 
 
-def reference_fossil_collect(self: NodeEngine, gvt: float) -> None:
-    if gvt == float("inf"):
+def reference_fossil_collect(self: NodeEngine, gvt: int) -> None:
+    if gvt == T_END:
         return
-    floor_t = int(gvt)
+    floor_t = gvt
     tracer = self.tracer
     oldest_times = self._oldest
     for index, oldest in list(oldest_times.items()):
@@ -97,7 +96,7 @@ def reference_fossil_collect(self: NodeEngine, gvt: float) -> None:
             )
 
 
-def reference_batch(engine: NodeEngine, limit: int, gvt: float) -> int:
+def reference_batch(engine: NodeEngine, limit: int, gvt: int) -> int:
     """*limit* reference steps under the worker loop's window test."""
     worked = 0
     while worked < limit and engine.processable(gvt):
@@ -184,12 +183,12 @@ def make_world(circuit, assignment, k, stimulus, window):
     return engines
 
 
-def exact_gvt(engines, delivering) -> float:
+def exact_gvt(engines, delivering) -> int:
     """Min over everything pending or in flight (``delivering`` is all
     of it: a round starts with the wire's whole content in hand)."""
     times = [e.min_pending() for e in engines if e.min_pending() is not None]
     times.extend(msg.time for _, msg in delivering)
-    return float(min(times)) if times else INF
+    return min(times) if times else T_END
 
 
 def shuttle(circuit, assignment, k, stimulus, window, limit):
@@ -209,7 +208,7 @@ def shuttle(circuit, assignment, k, stimulus, window, limit):
         new_delivering, new_wire = new_wire, []
         gvt = exact_gvt(ref, ref_delivering)
         assert exact_gvt(new, new_delivering) == gvt
-        if gvt == INF:
+        if gvt == T_END:
             break
         for dest, msg in ref_delivering:
             ref[dest].handle_remote(msg)
@@ -309,7 +308,7 @@ def test_max_events_trip_leaves_scalars_consistent(s27):
     initial = len(guarded.queue)
     with pytest.raises(SimulationError, match="max_events=50"):
         while True:
-            guarded.run_batch(16, INF)
+            guarded.run_batch(16, T_END)
     events = guarded.counters["events"]
     assert events == 64  # 4 whole batches
     assert guarded._history == sum(
@@ -320,7 +319,7 @@ def test_max_events_trip_leaves_scalars_consistent(s27):
     assert guarded._uid_next == 1 + minted
     free = NodeEngine(world, 0, stimulus, tracer=ListTracer())
     free.schedule_initial()
-    assert reference_batch(free, events, INF) == events
+    assert reference_batch(free, events, T_END) == events
     assert_same(free, guarded, "after the guard tripped")
 
 

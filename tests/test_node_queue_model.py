@@ -40,6 +40,7 @@ from repro.circuit import GeneratorSpec, generate_circuit
 from repro.harness.regression import load_case
 from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus
+from repro.sim.event import T_END
 from repro.warped import VirtualMachine
 from repro.warped.messages import Message
 from repro.warped.queues import NodeQueue, bucketed
@@ -178,7 +179,7 @@ class Model:
 
     def count(self, offset) -> None:
         base = self.queue.min_time or 0
-        for through in (base + offset, base + offset + 0.5, float("inf")):
+        for through in (base + offset, T_END):
             assert self.queue.count_through(through) == sum(
                 1 for msg in self.live.values() if msg.time <= through
             )

@@ -70,14 +70,17 @@ class TestTracer:
         path = str(tmp_path / "t.jsonl")
         with TraceWriter(path, node=2) as w:
             w.emit("rollback", lp=5, depth=3)
-            w.emit("gvt_round", gvt=float("inf"), latency=0.25)
+            w.emit("gvt_round", gvt=None, final=True, latency=0.25)
+            # Strict JSON or nothing: a non-finite float is refused
+            # before a byte of it is written.
+            with pytest.raises(ValueError):
+                w.emit("gvt_round", gvt=None, latency=float("inf"))
         records = read_trace(path)
         assert [r["kind"] for r in records] == ["rollback", "gvt_round"]
         assert records[0]["node"] == 2
         assert records[0]["lp"] == 5
         assert all(r["ts"] >= 0 for r in records)
-        # +inf (the quiescence proof) must serialize as strict JSON.
-        assert records[1]["gvt"] is None
+        assert records[1]["gvt"] is None and records[1]["final"]
         for line in open(path):
             json.loads(line)
 

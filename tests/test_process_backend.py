@@ -17,10 +17,10 @@ import pytest
 from repro.errors import ConfigError, SimulationError
 from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
+from repro.sim.event import T_END
 from repro.warped import ProcessTimeWarpSimulator, TimeWarpSimulator, VirtualMachine
 from repro.warped.messages import Message
 from repro.warped.parallel import GvtClerk, GvtToken, NodeEngine
-from repro.warped.parallel.protocol import T_INF
 from repro.warped.world import World
 
 
@@ -40,37 +40,37 @@ class TestGvtProtocol:
         clerk = GvtClerk(node=1)
         clerk.note_send(40)                      # white for cid 1
         token = GvtToken(cid=1)
-        clerk.fold_token(token, local_min=75.0)
+        clerk.fold_token(token, local_min=75)
         assert clerk.cur_cid == 1
-        assert token.m_clock == 75.0
-        assert token.m_send == T_INF             # nothing sent red yet
+        assert token.m_clock == 75
+        assert token.m_send == T_END             # nothing sent red yet
         assert token.count == 1                  # the white send
         clerk.note_send(60)                      # now colored 1 = red
         token2 = GvtToken(cid=1)
-        clerk.fold_token(token2, local_min=75.0)
+        clerk.fold_token(token2, local_min=75)
         assert token2.m_send == 60
 
     def test_conclusive_round_yields_min(self):
         token = GvtToken(cid=3)
-        token.fold(local_min=120.0, red_min=90.0, white_balance=0)
-        token.fold(local_min=80.0, red_min=T_INF, white_balance=0)
+        token.fold(local_min=120, red_min=90, white_balance=0)
+        token.fold(local_min=80, red_min=T_END, white_balance=0)
         assert token.conclusive
-        assert token.gvt == 80.0
+        assert token.gvt == 80
 
     def test_inconclusive_round_when_whites_in_flight(self):
         sender = GvtClerk(node=0)
         receiver = GvtClerk(node=1)
         sender.note_send(10)  # in flight: receiver has not seen it
         token = GvtToken(cid=1)
-        sender.fold_token(token, local_min=T_INF)
-        receiver.fold_token(token, local_min=T_INF)
+        sender.fold_token(token, local_min=T_END)
+        receiver.fold_token(token, local_min=T_END)
         assert not token.conclusive  # count == 1: retry the round
         receiver.note_receive(0)
         token2 = GvtToken(cid=1)
-        sender.fold_token(token2, local_min=T_INF)
-        receiver.fold_token(token2, local_min=T_INF)
+        sender.fold_token(token2, local_min=T_END)
+        receiver.fold_token(token2, local_min=T_END)
         assert token2.conclusive
-        assert token2.gvt == T_INF
+        assert token2.gvt == T_END
 
     def test_two_node_ring_quiesces_to_infinity(self):
         """Full protocol walk: messages drain, then GVT proves it."""
@@ -80,9 +80,9 @@ class TestGvtProtocol:
         for cid in (1, 2):
             token = GvtToken(cid=cid)
             for clerk in clerks:
-                clerk.fold_token(token, local_min=T_INF)
+                clerk.fold_token(token, local_min=T_END)
             assert token.conclusive
-            assert token.gvt == T_INF
+            assert token.gvt == T_END
             clerks[0].forget_before(cid)
 
     def test_forget_before_preserves_balances(self):

@@ -29,7 +29,7 @@ from repro.warped.world import World
 # Epoch store (files on disk)
 # ----------------------------------------------------------------------
 def _payload(node, cid, **loop):
-    return {"node": node, "cid": cid, "gvt": float(cid), "engine": {},
+    return {"node": node, "cid": cid, "gvt": cid, "engine": {},
             "loop": loop}
 
 

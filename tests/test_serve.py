@@ -28,6 +28,7 @@ from repro.serve.app import _MAX_HEADERS, ServeApp
 from repro.serve.cache import LruCache
 from repro.serve.jobs import JobManager, JobRequest, JobState
 from repro.serve.pool import RingPool
+from repro.sim.event import T_END
 from repro.sim.kernel import SequentialSimulator
 from repro.sim.stimulus import RandomStimulus
 
@@ -250,6 +251,22 @@ def test_reordered_netlist_is_its_own_job(manager):
         "result": "miss", "partition": "hit",
     }
     assert run(dict(inline_job, stimulus_seed=7)) == {"result": "hit"}
+
+
+def test_period_up_to_the_schedule_bound_is_served(manager):
+    """A served job may reach virtual times near 2**62: with integer
+    GVT the optimism window still opens past every cycle."""
+    payload = dict(S27_JOB, num_cycles=4, period=T_END // 2 // 4)
+    job = manager.wait(manager.submit(JobRequest.from_dict(payload)).id, 60)
+    assert job.state is JobState.DONE, job.error
+    circuit = parse_bench(S27_BENCH, name="s27")
+    stimulus = RandomStimulus(
+        circuit, num_cycles=4, period=payload["period"],
+        activity=job.request.activity, seed=job.request.stimulus_seed,
+    )
+    oracle = SequentialSimulator(circuit, stimulus).run()
+    assert job.result.final_values == oracle.final_values
+    assert job.result.committed_captures == oracle.committed_captures
 
 
 def test_partition_cache_hit_on_stimulus_change(manager):
@@ -576,7 +593,9 @@ def test_http_rejects_bad_requests(server):
         # Ceilings: asking is all these cases do; no ring is leased.
         ("nodes", jobs_mod.MAX_NODES + 1),
         ("num_cycles", jobs_mod.MAX_CYCLES + 1),
-        ("period", jobs_mod.MAX_PERIOD + 1),
+        # The stimulus' own schedule check: no virtual time may come
+        # near the end of time (and a clock period is >= 2, below).
+        ("period", T_END // 2 // S27_JOB["num_cycles"] + 1),
         # Field types: the request is the cache key.
         ("nodes", 2.5),
         ("nodes", True),
@@ -587,6 +606,7 @@ def test_http_rejects_bad_requests(server):
         ("optimism_window", 1e9),
         ("circuit", ["s27"]),
         ("scale", float("nan")),
+        ("period", 1),
     ],
 )
 def test_invalid_job_is_rejected_at_submission(server, field, value):

@@ -57,6 +57,19 @@ def _assert_schema(records: list[dict], engine: str) -> set[str]:
         missing = REQUIRED[kind] - record.keys()
         assert not missing, f"{engine}: {kind} lacks {missing}: {record}"
         seen.add(kind)
+        # Virtual time is an integer; a null GVT is the quiescence
+        # proof, so only the final round (and the inbox_depth record
+        # of its application) carries one.
+        if "gvt" in record:
+            gvt = record["gvt"]
+            if gvt is None:
+                assert record.get("final", kind == "inbox_depth"), (
+                    f"{engine}: null gvt off the final round: {record}"
+                )
+            else:
+                assert type(gvt) is int and not record.get("final"), (
+                    f"{engine}: gvt is not an integer time: {record}"
+                )
         # seq is per-writer monotonic.
         node = record["node"]
         if node in last_seq:
@@ -88,6 +101,20 @@ def test_virtual_schema(s27, tmp_path):
     assert result.rollbacks > 0
     seen = _assert_schema(read_trace(path), "virtual")
     assert {"rollback", "commit", "gvt_round", "node_summary"} <= seen
+
+
+def test_migration_schema(s27, tmp_path):
+    path = str(tmp_path / "migrating.jsonl")
+    stimulus = RandomStimulus(s27, num_cycles=20, period=20, seed=5)
+    assignment = get_partitioner("Random", seed=4).partition(s27, 3)
+    machine = VirtualMachine(
+        num_nodes=3, gvt_interval=64, migration_threshold=1.2
+    )
+    with TraceWriter(path) as tracer:
+        TimeWarpSimulator(
+            s27, assignment, stimulus, machine, tracer=tracer
+        ).run()
+    assert "migr" in _assert_schema(read_trace(path), "virtual+migration")
 
 
 def test_process_schema(s27, tmp_path):

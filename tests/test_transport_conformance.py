@@ -5,8 +5,9 @@ safe is this suite — a single parameterized contract run against BOTH
 substrates (``queue`` pipe channels and ``shm`` fixed-width rings):
 
 - every wire tag round-trips the channel intact (MSG with and without
-  its recovery tail, anti-messages, TOKEN, GVT incl. the +inf
-  quiescence broadcast, MIGCMD), restart replays included;
+  its recovery tail and at the end of virtual time, anti-messages,
+  TOKEN, GVT incl. the ``T_END`` quiescence broadcast, MIGCMD), restart
+  replays included;
 - delivery is FIFO and recovery sequence numbers arrive monotonic;
 - a bounded channel backpressures (``Full``) but never deadlocks once
   the consumer drains;
@@ -45,6 +46,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SimulationError
+from repro.sim.event import T_END
 from repro.warped.messages import ANTI, POSITIVE, Message
 from repro.warped.parallel import loop as loop_mod
 from repro.warped.parallel import recovery
@@ -54,7 +56,6 @@ from repro.warped.parallel.protocol import (
     MIGRATE,
     MSG,
     TOKEN,
-    T_INF,
     GvtToken,
 )
 from repro.warped.parallel.transport import (
@@ -125,13 +126,14 @@ WIRE_SAMPLES = [
     (MSG, 3, _msg(7)),
     (MSG, 4, _msg(8, sign=ANTI)),
     (MSG, 9, _msg(11, value=-1), 2, 41),       # recovery (src, seq) tail
-    (TOKEN, GvtToken(cid=5, m_clock=12.0, m_send=T_INF, count=-3)),
-    (TOKEN, GvtToken(cid=6, m_clock=T_INF, m_send=T_INF, count=0)),
-    (GVT, 9, 128.0),
-    (GVT, 12, T_INF),                           # quiescence broadcast
-    (MIGCMD, 7, 144.0, 2),                      # migrate order to the hot node
+    (MSG, 5, Message(T_END - 1, 2, 3, 4, 0, 5, 6)),  # the last real time
+    (TOKEN, GvtToken(cid=5, m_clock=12, m_send=T_END, count=-3)),
+    (TOKEN, GvtToken(cid=6, m_clock=T_END, m_send=T_END, count=0)),
+    (GVT, 9, 128),
+    (GVT, 12, T_END),                           # quiescence broadcast
+    (MIGCMD, 7, 144, 2),                        # migrate order to the hot node
     (TOKEN, GvtToken(                           # load fold riding the token
-        cid=8, m_clock=64.0, m_send=T_INF, count=0,
+        cid=8, m_clock=64, m_send=T_END, count=0,
         busy_max=125_000, busy_max_node=1, ev_max=4096,
         busy_min=30, busy_min_node=0,
     )),
@@ -211,9 +213,9 @@ def test_bounded_backpressure_without_deadlock(channels):
 def test_full_channel_raises_full(channels):
     (chan,) = channels(maxsize=4)
     for i in range(4):
-        chan.put((GVT, i, 1.0), timeout=10)
+        chan.put((GVT, i, 1), timeout=10)
     with pytest.raises(queue_mod.Full):
-        chan.put((GVT, 99, 1.0), timeout=0.2)
+        chan.put((GVT, 99, 1), timeout=0.2)
 
 
 def test_retry_then_dead_single(channels, monkeypatch):
@@ -223,9 +225,9 @@ def test_retry_then_dead_single(channels, monkeypatch):
     monkeypatch.setattr(loop_mod, "_PUT_BACKOFF", 0.001)
     (chan,) = channels(maxsize=2)
     for i in range(2):
-        chan.put((GVT, i, 1.0), timeout=10)
+        chan.put((GVT, i, 1), timeout=10)
     with pytest.raises(SimulationError, match="transport put failed"):
-        loop_mod._put_wire(chan, (GVT, 9, 2.0))
+        loop_mod._put_wire(chan, (GVT, 9, 2))
 
 
 def test_retry_then_dead_batch(channels, monkeypatch):
@@ -233,16 +235,16 @@ def test_retry_then_dead_batch(channels, monkeypatch):
     monkeypatch.setattr(loop_mod, "_PUT_BACKOFF", 0.001)
     (chan,) = channels(maxsize=2)
     for i in range(2):
-        chan.put((GVT, i, 1.0), timeout=10)
+        chan.put((GVT, i, 1), timeout=10)
     with pytest.raises(SimulationError, match="transport put failed"):
-        loop_mod._put_wire_batch(chan, [(GVT, 9, 2.0), (GVT, 10, 3.0)])
+        loop_mod._put_wire_batch(chan, [(GVT, 9, 2), (GVT, 10, 3)])
 
 
 def test_put_wire_batch_drains_clean(channels):
     """The batched send path delivers everything, in order, on both
     substrates (one frame per write on queue, one locked write on shm)."""
     (chan,) = channels()
-    items = [(GVT, i, float(i)) for i in range(64)]
+    items = [(GVT, i, i) for i in range(64)]
     loop_mod._put_wire_batch(chan, list(items))
     got = [chan.get(timeout=10) for _ in items]
     assert got == items
@@ -299,11 +301,11 @@ def test_take_keeps_per_producer_fifo_across_processes(channels):
 def test_take_reassembles_a_blob_in_its_fifo_place(channels):
     (chan,) = channels()
     payload = _migrate_payload(n_lps=8, n_pending=12)
-    chan.put_nowait((GVT, 4, 64.0))
+    chan.put_nowait((GVT, 4, 64))
     chan.put_nowait((MIGRATE, 1, 0, 4, payload))
     chan.put_nowait((MSG, 2, _msg(21)))
     first, blob, last = _take_all(chan, 3)
-    assert first == (GVT, 4, 64.0) and last[0] == MSG
+    assert first == (GVT, 4, 64) and last[0] == MSG
     assert blob[:4] == (MIGRATE, 1, 0, 4)
     _assert_payloads_match(blob[4], payload)
 
@@ -313,16 +315,16 @@ def test_take_shares_one_stream_with_get_and_drain(channels):
     same stream: whatever one of them took, the others never see."""
     (chan,) = channels()
     for i in range(5):
-        chan.put_nowait((GVT, i, float(i)))
-    assert chan.get_nowait() == (GVT, 0, 0.0)
-    assert chan.get(timeout=10) == (GVT, 1, 1.0)
-    assert list(_take_all(chan, 3)) == [(GVT, i, float(i)) for i in (2, 3, 4)]
+        chan.put_nowait((GVT, i, i))
+    assert chan.get_nowait() == (GVT, 0, 0)
+    assert chan.get(timeout=10) == (GVT, 1, 1)
+    assert list(_take_all(chan, 3)) == [(GVT, i, i) for i in (2, 3, 4)]
     for i in range(5, 8):
-        chan.put_nowait((GVT, i, float(i)))
+        chan.put_nowait((GVT, i, i))
     assert drain_queue(chan) == 3
     assert len(chan.take()) == 0
-    chan.put_nowait((GVT, 8, 8.0))
-    assert list(_take_all(chan, 1)) == [(GVT, 8, 8.0)]
+    chan.put_nowait((GVT, 8, 8))
+    assert list(_take_all(chan, 1)) == [(GVT, 8, 8)]
 
 
 def _echo_child(inbox, outbox, total: int) -> None:
@@ -409,7 +411,7 @@ def test_pipe_concurrent_producers_stay_intact_and_fifo(pipes):
 
 def _blob_producer(chan, payload: dict) -> None:
     loop_mod._put_wire(chan, (MIGRATE, 3, 0, 7, payload))
-    loop_mod._put_wire(chan, (GVT, 8, 1.0))  # FIFO behind the blob
+    loop_mod._put_wire(chan, (GVT, 8, 1))  # FIFO behind the blob
 
 
 def test_pipe_blob_larger_than_pipe_interleaves_with_msg_frames(pipes):
@@ -438,7 +440,7 @@ def test_pipe_blob_larger_than_pipe_interleaves_with_msg_frames(pipes):
     assert values == list(range(60 * 40))
     assert got_blob[:4] == (MIGRATE, 3, 0, 7)
     _assert_payloads_match(got_blob[4], payload)
-    assert after_blob == (GVT, 8, 1.0)
+    assert after_blob == (GVT, 8, 1)
 
 
 def test_pipe_full_raises_full_and_never_blocks(pipes):
@@ -446,11 +448,11 @@ def test_pipe_full_raises_full_and_never_blocks(pipes):
     sent = 0
     with pytest.raises(queue_mod.Full):
         for sent in range(100_000):
-            chan.put_nowait((GVT, sent, 1.0))
+            chan.put_nowait((GVT, sent, 1))
     assert sent > 256, "an unbounded inbox must hold the probe's 256 records"
     start = time.monotonic()
     with pytest.raises(queue_mod.Full):
-        chan.put((GVT, -1, 1.0), timeout=0.2)
+        chan.put((GVT, -1, 1), timeout=0.2)
     assert time.monotonic() - start < 5
     assert [chan.get(timeout=10)[1] for _ in range(sent)] == list(range(sent))
 
@@ -499,9 +501,9 @@ def test_pipe_drain_discards_deque_and_partial_blob(pipes):
     whose sender died between fragments — and returns their slots."""
     (chan,) = pipes(maxsize=8)
     for i in range(3):
-        chan.put_nowait((GVT, i, 1.0))
+        chan.put_nowait((GVT, i, 1))
     assert chan.qsize() == 3  # now in the local deque
-    chan.put_nowait((GVT, 3, 1.0))
+    chan.put_nowait((GVT, 3, 1))
     blob = (MIGRATE, 1, 0, 3, _migrate_payload(n_lps=8, n_pending=400))
     frames = _fragment(pickle.dumps([blob], pickle.HIGHEST_PROTOCOL))
     assert len(frames) > 1 and chan._take_slots(1) == 1
@@ -511,7 +513,7 @@ def test_pipe_drain_discards_deque_and_partial_blob(pipes):
         chan.get_nowait()
     assert not chan._partial
     for i in range(8):  # every record slot came back
-        chan.put_nowait((GVT, i, 1.0))
+        chan.put_nowait((GVT, i, 1))
     assert chan.qsize() == 8
 
 
@@ -548,7 +550,7 @@ def test_shm_default_capacity():
 def test_shm_attach_capacity_mismatch():
     transport, chan = _shm_channel(16)
     try:
-        chan.put_nowait((GVT, 1, 1.0))
+        chan.put_nowait((GVT, 1, 1))
         impostor = ShmChannel(chan.name, 32, _CTX.Lock())
         with pytest.raises(ProtocolError, match="capacity mismatch"):
             impostor.qsize()
@@ -583,19 +585,19 @@ def test_shm_zeroed_read_cursor_never_drops_a_record():
     transport, chan = _shm_channel(8)
     try:
         for i in range(10):  # carry the ring past its capacity
-            chan.put_nowait((GVT, i, float(i)))
-            assert chan.get_nowait() == (GVT, i, float(i))
+            chan.put_nowait((GVT, i, i))
+            assert chan.get_nowait() == (GVT, i, i)
         chan._cur[_READ] = 0  # what a torn cursor read used to look like
         assert chan.qsize() == 10
         with pytest.raises(queue_mod.Full):
-            chan.put_nowait((GVT, 99, 2.0))
-        assert chan.put_batch([(GVT, 99, 2.0), (GVT, 100, 2.0)]) == 0
+            chan.put_nowait((GVT, 99, 2))
+        assert chan.put_batch([(GVT, 99, 2), (GVT, 100, 2)]) == 0
         with pytest.raises(queue_mod.Full):
             chan.put_nowait((MIGRATE, 1, 0, 3, {"gates": [4], "owner": 2}))
         assert chan.qsize() == 10  # nothing written, nothing lost
         chan._cur[_READ] = 10  # the consumer's real position
-        chan.put_nowait((GVT, 99, 2.0))
-        assert chan.take() == [(GVT, 99, 2.0)]
+        chan.put_nowait((GVT, 99, 2))
+        assert chan.take() == [(GVT, 99, 2)]
     finally:
         chan.close()
         transport.cleanup()
@@ -635,7 +637,7 @@ def test_shm_cursor_reads_only_values_that_were_written():
 
 def test_shm_close_and_unlink_idempotent():
     transport, chan = _shm_channel(8)
-    chan.put_nowait((GVT, 1, 1.0))
+    chan.put_nowait((GVT, 1, 1))
     chan.close()
     chan.close()
     chan.unlink()
@@ -663,7 +665,6 @@ def test_shm_cleanup_removes_segments():
 # codec properties (hypothesis)
 # ----------------------------------------------------------------------
 i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
-_floats = st.floats(allow_nan=False)  # inf allowed: T_INF rides the wire
 _signs = st.sampled_from((POSITIVE, ANTI))
 _messages = st.tuples(i64, i64, i64, i64, i64, i64, i64, _signs).map(
     lambda t: Message(*t)
@@ -673,12 +674,12 @@ wire_items = st.one_of(
     st.tuples(st.just(MSG), i64, _messages),
     st.tuples(st.just(MSG), i64, _messages, i64, i64),
     st.builds(
-        GvtToken, cid=i64, m_clock=_floats, m_send=_floats, count=i64,
+        GvtToken, cid=i64, m_clock=i64, m_send=i64, count=i64,
         busy_max=i64, busy_max_node=i64, ev_max=i64,
         busy_min=i64, busy_min_node=i64,
     ).map(lambda token: (TOKEN, token)),
-    st.tuples(st.just(GVT), i64, _floats),
-    st.tuples(st.just(MIGCMD), i64, _floats, i64),
+    st.tuples(st.just(GVT), i64, i64),
+    st.tuples(st.just(MIGCMD), i64, i64, i64),
 )
 
 
@@ -723,9 +724,14 @@ def test_codec_rejects_unknown_tag():
 
 
 def test_codec_field_overflow_is_protocol_error():
-    too_big = Message(2**63, 0, 0, 0, 0, 0, 0)
+    too_big = Message(T_END + 1, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ProtocolError, match="out of range"):
         encode_record((MSG, 0, too_big))
+    # Virtual time is an int on the wire: past int64, or a float, is
+    # refused rather than rounded.
+    for value in (T_END + 1, 128.0):
+        with pytest.raises(ProtocolError, match="out of range"):
+            encode_record((GVT, 1, value))
 
 
 # ----------------------------------------------------------------------
@@ -770,7 +776,7 @@ def test_migrate_interleaves_fifo_with_fixed_records(channels):
     """A chunked blob between fixed records must not reorder the
     channel: FIFO is what the GVT-before-MIGCMD ordering relies on."""
     (chan,) = channels()
-    chan.put_nowait((GVT, 4, 64.0))
+    chan.put_nowait((GVT, 4, 64))
     chan.put_nowait((MIGRATE, 1, 0, 4, _migrate_payload(n_lps=8)))
     chan.put_nowait((MSG, 2, _msg(21)))
     assert chan.get(timeout=10)[0] == GVT
@@ -797,12 +803,12 @@ def test_shm_migrate_blob_is_all_or_nothing():
         assert 4 < nchunks <= 64  # spans many slots, fits an empty ring
         backlog = 64 - nchunks + 1  # one slot short of fitting the blob
         for i in range(backlog):
-            chan.put_nowait((GVT, i, float(i)))
+            chan.put_nowait((GVT, i, i))
         with pytest.raises(queue_mod.Full):
             chan.put_nowait((MIGRATE, 1, 0, 3, payload))
         # Nothing was written: the backlog drains clean...
         for i in range(backlog):
-            assert chan.get_nowait() == (GVT, i, float(i))
+            assert chan.get_nowait() == (GVT, i, i)
         # ... and the retry lands intact.
         chan.put_nowait((MIGRATE, 1, 0, 3, payload))
         tag, _, _, _, got = chan.get_nowait()

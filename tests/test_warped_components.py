@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from repro.circuit import GateType, parse_bench
 from repro.circuit.gate import FALSE, TRUE, UNKNOWN
 from repro.errors import SimulationError
-from repro.sim.event import CAPTURE, SIG, STIM
-from repro.warped.gvt import GVT_END, compute_gvt
+from repro.sim.event import CAPTURE, SIG, STIM, T_END
+from repro.warped.gvt import compute_gvt
 from repro.warped.lp import MIN_KEY, LogicalProcess
 from repro.warped.messages import ANTI, POSITIVE, Message
 from repro.warped.queues import NodeQueue
@@ -380,7 +380,7 @@ class TestNodeQueue:
 
 class TestGVT:
     def test_end_when_nothing_outstanding(self):
-        assert compute_gvt([NodeQueue()], []) == GVT_END
+        assert compute_gvt([NodeQueue()], []) == T_END
 
     def test_min_over_queues_and_flight(self):
         q1, q2 = NodeQueue(), NodeQueue()

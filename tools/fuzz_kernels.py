@@ -13,7 +13,9 @@ circuit, a random partitioner, and a random Time Warp policy mix
 through ``repro.harness.regression.run_case``, which checks every
 engine against the sequential oracle.  A quarter of the iterations add
 the conservative kernel; a slice (``--process-fraction``, default 5%)
-runs the real multiprocess backend instead.
+runs the real multiprocess backend instead.  Time Warp cases draw the
+clock period log-uniformly up to the schedule bound (virtual times
+near 2**62); cases with the conservative kernel keep periods of 10-119.
 
 With ``--corpus DIR``, every failing case is written there as JSON in
 the exact format ``tests/test_regression_corpus.py`` replays — promote
@@ -27,6 +29,7 @@ import traceback
 import _checkout  # noqa: F401
 from repro.harness.regression import run_case, write_case
 from repro.partition.registry import all_partitioners
+from repro.sim.event import T_END
 from repro.utils.rng import make_rng
 
 
@@ -94,6 +97,15 @@ def random_case(rng, names, *, process: bool) -> dict:
         )
         if rng.random() < 0.25:
             case["engines"].append("conservative")
+    if "conservative" not in case["engines"]:
+        # Time Warp reaches large virtual times too: the period is
+        # scaled by 2**s, s uniform up to the schedule bound (cycles x
+        # period <= T_END // 2), so periods spread log-uniformly.  The
+        # conservative kernel keeps the small ones: its null messages
+        # grow with the period.
+        stimulus = case["stimulus"]
+        room = T_END // 2 // (stimulus["num_cycles"] * stimulus["period"])
+        stimulus["period"] <<= int(rng.integers(0, room.bit_length()))
     return case
 
 
