@@ -16,56 +16,58 @@ the other two kernels — only the synchronization differs:
   freed — the null-message traffic this generates is the quantity the
   optimistic literature holds against CMB at gate-level lookahead.
 
-Primary-input stimulus and flip-flop reset fan-out are distributed at
-initialisation (they are static, known to all nodes), so channels only
-ever carry gate-output events, whose lookahead is >= 1 gate delay —
-without this, PI-fed channels would have zero lookahead and CMB would
-deadlock.
+Every node's LPs and initial schedule (flip-flop resets, CAPTUREs, its
+own stimulus) come from the :class:`~repro.warped.world.World`, as in
+the Time Warp executives.  The primary-input fan-out copies are
+distributed at initialisation too (they are static, known to all
+nodes), so channels only ever carry gate-output events, whose lookahead
+is >= 1 gate delay — without this, PI-fed channels would have zero
+lookahead and CMB would deadlock.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from dataclasses import dataclass
+from itertools import count
 
-from repro.circuit.gate import FALSE
+from repro.circuit.gate import UNKNOWN
 from repro.circuit.graph import CircuitGraph
 from repro.errors import SimulationError
 from repro.partition.assignment import PartitionAssignment
-from repro.sim.event import CAPTURE, SIG, STIM, T_END
+from repro.sim.event import CAPTURE, STIM, T_END
 from repro.sim.stimulus import Stimulus
 from repro.warped.lp import LogicalProcess
 from repro.warped.machine import VirtualMachine, check_job
 from repro.warped.messages import Message
 from repro.warped.queues import NodeQueue
+from repro.warped.world import World
 
 
+@dataclass
 class ConservativeResult:
     """Outcome of one conservative run (no rollbacks by construction)."""
 
-    def __init__(
-        self,
-        circuit_name: str,
-        algorithm: str,
-        num_nodes: int,
-        num_cycles: int,
-        execution_time: float,
-        events_processed: int,
-        app_messages: int,
-        null_messages: int,
-        null_rounds: int,
-        final_values: list[int],
-    ) -> None:
-        self.circuit_name = circuit_name
-        self.algorithm = algorithm
-        self.num_nodes = num_nodes
-        self.num_cycles = num_cycles
-        self.execution_time = execution_time
-        self.events_processed = events_processed
-        self.app_messages = app_messages
-        self.null_messages = null_messages
-        self.null_rounds = null_rounds
-        self.final_values = final_values
+    circuit_name: str
+    algorithm: str
+    num_nodes: int
+    num_cycles: int
+    execution_time: float
+    events_processed: int
+    app_messages: int
+    null_messages: int
+    null_rounds: int
+    final_values: list[int]
+    #: DFF capture history as sorted (gate, cycle, value) triples, one
+    #: per capture that changed its flip-flop — the sequential oracle's
+    #: form (:class:`~repro.sim.kernel.SequentialResult`).
+    committed_captures: list[tuple[int, int, int]]
+
+    @property
+    def events_committed(self) -> int:
+        """Every processed event commits: nothing rolls back."""
+        return self.events_processed
 
     def summary(self) -> str:
         """One-line human-readable digest."""
@@ -107,11 +109,20 @@ class ConservativeSimulator:
         n_nodes = machine.num_nodes
         stim = self.stimulus
 
-        lps = [
-            LogicalProcess(gate, self.assignment[gate.index])
-            for gate in circuit.gates
-        ]
+        # LPs and each node's resets, CAPTUREs and own STIMs as the
+        # world mints them; runtime uids start above the world's, as in
+        # the virtual kernel.
+        world = World.of(self.assignment)
+        lps: list[LogicalProcess] = [None] * circuit.num_gates
         queues = [NodeQueue() for _ in range(n_nodes)]
+        first_uid = 1
+        for node, queue in enumerate(queues):
+            for index, lp in world.roster_lps(node).items():
+                lps[index] = lp
+            buckets, next_free = world.initial_schedule(node, stim)
+            queue.load(buckets)
+            first_uid = max(first_uid, next_free)
+        next_uid = count(first_uid).__next__
         wall = [0.0] * n_nodes
 
         # --- channels: (src node -> dst node) with per-channel lookahead
@@ -138,44 +149,18 @@ class ConservativeSimulator:
         #: Sender-side floor already promised (avoid duplicate nulls).
         promised: dict[tuple[int, int], int] = dict.fromkeys(lookahead, -1)
 
-        uid_counter = 0
-
-        def next_uid() -> int:
-            nonlocal uid_counter
-            uid_counter += 1
-            return uid_counter
-
-        # --- static schedule, distributed at init (see module docstring):
-        # stimulus, captures AND the pre-known PI/reset fan-out copies.
-        # Stimulus copies are fanned out here because a runtime STIM copy
-        # carries the SAME timestamp as the event that produced it — a
-        # zero-lookahead channel message that conservative synchronization
-        # cannot admit. The fan-out is static, so every node can hold its
-        # copies from the start (the same value-change suppression the
-        # LPs apply is applied here).
-        from repro.circuit.gate import UNKNOWN
-
-        for ff in circuit.dffs:
-            for sink in lps[ff]._sink_list:
-                queues[lps[sink].node].push(
-                    Message(0, SIG, ff, 0, FALSE, sink, next_uid())
-                )
-        for cycle in range(stim.num_cycles):
-            t = stim.cycle_time(cycle)
-            if cycle > 0:
-                for ff in circuit.dffs:
-                    queues[lps[ff].node].push(
-                        Message(t, CAPTURE, ff, cycle, 0, ff, next_uid())
-                    )
+        # Static STIM fan-out copies, distributed at init (see module
+        # docstring): a runtime copy carries the SAME timestamp as the
+        # event that produced it — a zero-lookahead channel message that
+        # conservative synchronization cannot admit. The fan-out is
+        # static, so every node holds its copies from the start (with
+        # the value-change suppression the LPs apply).
         for pi in circuit.primary_inputs:
             previous = UNKNOWN
             for cycle in range(stim.num_cycles):
-                t = stim.cycle_time(cycle)
                 value = stim.value(pi, cycle)
-                queues[lps[pi].node].push(
-                    Message(t, STIM, pi, cycle, value, pi, next_uid())
-                )
                 if value != previous:
+                    t = stim.cycle_time(cycle)
                     for sink in lps[pi]._sink_list:
                         queues[lps[sink].node].push(
                             Message(t, STIM, pi, cycle, value, sink, next_uid())
@@ -183,6 +168,7 @@ class ConservativeSimulator:
                 previous = value
 
         in_flight: list[tuple[float, int, object]] = []
+        captures: list[tuple[int, int, int]] = []
         flight_seq = 0
         counters = {
             "events": 0,
@@ -283,7 +269,7 @@ class ConservativeSimulator:
                     msg = payload
                     dst = lps[msg.dest].node
                     wall[dst] = max(wall[dst], arrival) + cost.recv_overhead
-                    channel = (msg_src_node(msg, lps), dst)
+                    channel = (lps[msg.src].node, dst)
                     # With heterogeneous gate delays, emission times on a
                     # channel are NOT monotone (a later event through a
                     # faster gate can emit earlier). The guarantee a real
@@ -305,6 +291,8 @@ class ConservativeSimulator:
             msg = queues[node].pop()
             lp = lps[msg.dest]
             record = lp.process(msg, next_uid)
+            if msg.prio == CAPTURE and lp.output_value != record.old_output:
+                captures.append((msg.dest, msg.n, lp.output_value))
             if msg.prio == STIM and msg.src == msg.dest:
                 # The stimulus fan-out was distributed at init; the self
                 # event only updates the PI's own output value here.
@@ -354,9 +342,6 @@ class ConservativeSimulator:
             null_messages=counters["null_messages"],
             null_rounds=counters["null_rounds"],
             final_values=[lp.output_value for lp in lps],
+            committed_captures=sorted(captures),
         )
 
-
-def msg_src_node(msg: Message, lps) -> int:
-    """Node that emitted *msg* (the source gate's home node)."""
-    return lps[msg.src].node

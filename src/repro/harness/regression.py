@@ -9,10 +9,12 @@ under ``tests/corpus/`` — so once a fuzz finding is fixed, the exact
 configuration that exposed it keeps running in CI forever.
 
 ``run_case`` is the single replay path both of them share: it rebuilds
-the world from the case, runs every requested engine, and returns a
-list of human-readable mismatch descriptions (empty = the case is
-clean).  Engine crashes propagate as exceptions; callers that must not
-die (the fuzzer) catch them.
+the job from the case and hands it to ``check_engines``, the one check
+that runs engines against the sequential oracle (the differential and
+property tests call it directly).  Both return a list of
+human-readable mismatch descriptions (empty = clean).  Engine crashes
+propagate as exceptions; callers that must not die (the fuzzer) catch
+them.
 """
 
 from __future__ import annotations
@@ -40,86 +42,93 @@ _PROCESS_MACHINE_KEYS = (
 )
 
 
+def check_engines(
+    circuit,
+    assignment,
+    stimulus,
+    machine: VirtualMachine,
+    engines,
+    *,
+    timeout: float = 120.0,
+) -> list[str]:
+    """Run the sequential oracle once and every engine named in
+    *engines* on one job; returns mismatch descriptions (empty = every
+    engine agrees).
+
+    Engines are ``timewarp``, ``process``, ``process-shm``, ``served``,
+    ``served-shm`` and ``conservative``; a name may repeat.  The plain
+    process and served engines take the default wire; the process
+    engines drop the machine knobs they do not implement.  Each engine
+    must match the oracle (final values, then committed captures), the
+    ``-shm`` engines must report the shm wire, and all engines must
+    commit the same number of events: rollback makes the committed
+    count schedule-independent, so any drift means an engine lost,
+    duplicated or misdecoded a message.
+    """
+    oracle = SequentialSimulator(circuit, stimulus).run()
+    process_machine = VirtualMachine(
+        num_nodes=machine.num_nodes,
+        **{key: getattr(machine, key) for key in _PROCESS_MACHINE_KEYS},
+    )
+    failures: list[str] = []
+    # (engine, committed events) of the first engine run.
+    first: tuple[str, int] | None = None
+    for engine in engines:
+        wire = "shm" if engine.endswith("-shm") else None
+        if engine == "timewarp":
+            result = TimeWarpSimulator(circuit, assignment, stimulus, machine).run()
+        elif engine == "conservative":
+            result = ConservativeSimulator(
+                circuit, assignment, stimulus, machine
+            ).run()
+        elif engine in ("process", "process-shm"):
+            result = ProcessTimeWarpSimulator(
+                circuit, assignment, stimulus, process_machine,
+                transport=wire, timeout=timeout,
+            ).run()
+        elif engine in ("served", "served-shm"):
+            # The warm-ring path the job server executes on: a ring
+            # started empty that is shipped the world, where a process
+            # run forks its ring with it.
+            from repro.warped.parallel.ring import WorkerRing
+
+            with WorkerRing(machine.num_nodes, transport=wire) as ring:
+                result = ring.run_job(
+                    circuit, assignment, stimulus, process_machine,
+                    timeout=timeout,
+                )
+        else:
+            raise ValueError(f"unknown engine {engine!r}")
+        why = oracle.disagreement(result)
+        if why is not None:
+            failures.append(f"{engine}: {why}")
+        if wire is not None and result.transport != wire:
+            failures.append(f"{engine}: ran on the {result.transport} wire")
+        n = result.events_committed
+        if first is None:
+            first = (engine, n)
+        elif n != first[1]:
+            failures.append(
+                f"engines diverged: {first[0]} committed {first[1]} "
+                f"events, {engine} {n}"
+            )
+    return failures
+
+
 def run_case(case: dict) -> list[str]:
     """Replay *case*; returns mismatch descriptions (empty = clean)."""
-    spec = GeneratorSpec(**case["spec"])
-    circuit = generate_circuit(spec)
-    stimulus = RandomStimulus(circuit, **case["stimulus"])
-    sequential = SequentialSimulator(circuit, stimulus).run()
+    circuit = generate_circuit(GeneratorSpec(**case["spec"]))
     k = case["k"]
     assignment = get_partitioner(
         case["partitioner"], seed=case.get("partitioner_seed", 0)
     ).partition(circuit, k)
-    machine_kwargs = dict(case.get("machine", {}))
-    failures: list[str] = []
-
-    def check(engine: str, result) -> None:
-        why = sequential.disagreement(result)
-        if why is not None:
-            failures.append(f"{engine}: {why}")
-
-    process_committed: dict[str, int] = {}
-    for engine in case.get("engines", ("timewarp",)):
-        if engine == "timewarp":
-            machine = VirtualMachine(num_nodes=k, **machine_kwargs)
-            result = TimeWarpSimulator(circuit, assignment, stimulus, machine).run()
-        elif engine in ("process", "process-shm"):
-            machine = VirtualMachine(
-                num_nodes=k,
-                **{
-                    key: value
-                    for key, value in machine_kwargs.items()
-                    if key in _PROCESS_MACHINE_KEYS
-                },
-            )
-            result = ProcessTimeWarpSimulator(
-                circuit, assignment, stimulus, machine,
-                transport="shm" if engine == "process-shm" else None,
-            ).run()
-            process_committed[engine] = result.events_committed
-        elif engine in ("served", "served-shm"):
-            # The warm-ring path the job server executes on: a ring
-            # started empty that is shipped the world, where a process
-            # run forks its ring with it.  Running it through the
-            # differential layer holds warm-pool results to the exact
-            # committed output of every other engine.
-            from repro.warped.parallel.ring import WorkerRing
-
-            machine = VirtualMachine(
-                num_nodes=k,
-                **{
-                    key: value
-                    for key, value in machine_kwargs.items()
-                    if key in _PROCESS_MACHINE_KEYS
-                },
-            )
-            with WorkerRing(
-                k, transport="shm" if engine == "served-shm" else None
-            ) as ring:
-                result = ring.run_job(circuit, assignment, stimulus, machine)
-            process_committed[engine] = result.events_committed
-        elif engine == "conservative":
-            result = ConservativeSimulator(
-                circuit, assignment, stimulus, VirtualMachine(num_nodes=k)
-            ).run()
-        else:
-            raise ValueError(f"unknown engine {engine!r} in case")
-        check(engine, result)
-    if len(process_committed) >= 2:
-        # Cross-engine determinism: rollback makes the *committed*
-        # event count interleaving-independent, so every process-family
-        # engine (cold queue/shm, warm served rings) must agree on it
-        # exactly — any drift means an engine lost, duplicated, or
-        # misdecoded a message.
-        counts = sorted(process_committed.items())
-        reference_engine, reference_n = counts[0]
-        for engine, n in counts[1:]:
-            if n != reference_n:
-                failures.append(
-                    f"engines diverged: {reference_engine} committed "
-                    f"{reference_n} events, {engine} {n}"
-                )
-    return failures
+    return check_engines(
+        circuit,
+        assignment,
+        RandomStimulus(circuit, **case["stimulus"]),
+        VirtualMachine(num_nodes=k, **case.get("machine", {})),
+        case.get("engines", ("timewarp",)),
+    )
 
 
 def load_case(path: str | Path) -> dict:

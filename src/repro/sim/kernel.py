@@ -35,9 +35,9 @@ class SequentialResult:
     execution_time: float
     trace: Trace | None = None
     #: DFF capture history as sorted (gate, cycle, value) triples — one
-    #: entry per capture that changed the flip-flop's output.  The Time
-    #: Warp backends produce the identical committed log; the
-    #: differential tests compare against this oracle.
+    #: entry per capture that changed the flip-flop's output.  Every
+    #: parallel engine produces the identical committed log;
+    #: :meth:`disagreement` compares it against this oracle.
     committed_captures: list[tuple[int, int, int]] | None = None
 
     def value_of(self, circuit: CircuitGraph, name: str) -> int:
@@ -46,12 +46,11 @@ class SequentialResult:
 
     def disagreement(self, result) -> str | None:
         """The first way a parallel *result* differs from this oracle
-        run, or None: final values, then the committed capture history
-        when *result* keeps one."""
+        run, or None: final values, then the committed capture
+        history."""
         if result.final_values != self.final_values:
             return "final values differ from the sequential oracle"
-        captures = getattr(result, "committed_captures", None)
-        if captures is not None and captures != self.committed_captures:
+        if result.committed_captures != self.committed_captures:
             return "committed captures differ from the sequential oracle"
         return None
 

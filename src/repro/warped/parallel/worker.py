@@ -139,7 +139,7 @@ def _apply_startup_faults(
                     # otherwise deadlock the injector against its own
                     # flood.  Dropping is fine — the point is a full
                     # inbox, which the successful puts already achieve.
-                    inboxes[dest].put_nowait((GVT, 0, 0.0))
+                    inboxes[dest].put_nowait((GVT, 0, 0))
                 except queue_mod.Full:
                     dropped += 1
             if dropped:  # pragma: no cover - depends on inbox bound

@@ -99,8 +99,8 @@ class TimeWarpResult:
     )
     #: Committed DFF capture history as sorted (gate, cycle, value)
     #: triples — one entry per capture that changed the flip-flop's
-    #: output.  Identical across the sequential kernel and both Time
-    #: Warp backends; the differential test layer compares it directly.
+    #: output.  Identical across the sequential kernel and every
+    #: parallel engine (``SequentialResult.disagreement``).
     committed_captures: list[tuple[int, int, int]] | None = None
     #: Which execution substrate produced this result: "virtual" (the
     #: deterministic modelled machine) or "process" (real OS processes,

@@ -31,9 +31,9 @@ same assignment — the identity a ring's residency table keys on.
 Pickling carries the pair only; derived structure is rebuilt where it
 is used.
 
-Both Time Warp executives build from a world — the virtual kernel every
-node's LPs and schedule, a process node its own — and both pick
-migrants with :meth:`World.migrants`.
+Every executive builds from a world — the virtual and conservative
+kernels every node's LPs and schedule, a process node its own — and
+both Time Warp executives pick migrants with :meth:`World.migrants`.
 """
 
 from __future__ import annotations

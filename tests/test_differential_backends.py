@@ -18,17 +18,23 @@ import pytest
 from repro.circuit import GeneratorSpec, generate_circuit
 from repro.circuit.netlists import load_s27
 from repro.harness.config import ALGORITHMS
+from repro.harness.regression import check_engines
 from repro.partition.registry import get_partitioner
 from repro.sim import RandomStimulus, SequentialSimulator
 from repro.warped import ProcessTimeWarpSimulator, TimeWarpSimulator, VirtualMachine
 
 NODE_COUNTS = (1, 2, 4)
+#: The virtual kernel and the process backend once per wire transport:
+#: the queue and shm substrates race messages completely differently
+#: (pickled batches over pipes vs. fixed-width records in locked
+#: rings), yet rollback must erase every trace of that.
+BACKENDS = ("timewarp", "process", "process-shm")
 
 
 def _setup(circuit, *, cycles, period, seed):
-    stimulus = RandomStimulus(circuit, num_cycles=cycles, period=period, seed=seed)
-    sequential = SequentialSimulator(circuit, stimulus).run()
-    return circuit, stimulus, sequential
+    return circuit, RandomStimulus(
+        circuit, num_cycles=cycles, period=period, seed=seed
+    )
 
 
 @pytest.fixture(scope="module")
@@ -51,33 +57,13 @@ def generated_case():
 
 
 def _assert_backends_agree(case, algorithm, k, *, window=None, gvt_interval=64):
-    circuit, stimulus, sequential = case
+    circuit, stimulus = case
     k = min(k, circuit.num_gates)
     assignment = get_partitioner(algorithm, seed=3).partition(circuit, k)
     machine = VirtualMachine(
         num_nodes=k, gvt_interval=gvt_interval, optimism_window=window
     )
-    virtual = TimeWarpSimulator(circuit, assignment, stimulus, machine).run()
-    # The process backend runs once per wire transport: the queue and
-    # shm substrates race messages completely differently (pickled
-    # batches over pipes vs. fixed-width records in locked rings), yet
-    # rollback must erase every trace of that.
-    by_transport = {
-        transport: ProcessTimeWarpSimulator(
-            circuit, assignment, stimulus, machine, transport=transport
-        ).run()
-        for transport in ("queue", "shm")
-    }
-    # Sequential is the oracle; virtual and process must both match it —
-    # and therefore each other.
-    assert virtual.final_values == sequential.final_values
-    assert virtual.committed_captures == sequential.committed_captures
-    for transport, process in by_transport.items():
-        assert process.transport == transport
-        assert process.final_values == virtual.final_values, transport
-        assert process.committed_captures == virtual.committed_captures, transport
-        # Both backends process at least the committed workload.
-        assert process.events_committed == virtual.events_committed, transport
+    assert check_engines(circuit, assignment, stimulus, machine, BACKENDS) == []
 
 
 @pytest.mark.parametrize("k", NODE_COUNTS)
@@ -113,24 +99,14 @@ def _skewed(circuit, k):
 
 @pytest.mark.parametrize("k", (2, 4))
 def test_migration_matches_oracle(s27_case, k):
-    circuit, stimulus, sequential = s27_case
-    assignment = _skewed(circuit, k)
+    circuit, stimulus = s27_case
     machine = VirtualMachine(
         num_nodes=k, gvt_interval=16,
         migration_threshold=1.2, migration_fraction=0.25,
     )
-    virtual = TimeWarpSimulator(circuit, assignment, stimulus, machine).run()
-    assert virtual.final_values == sequential.final_values
-    assert virtual.committed_captures == sequential.committed_captures
-    for transport in ("queue", "shm"):
-        process = ProcessTimeWarpSimulator(
-            circuit, assignment, stimulus, machine, transport=transport
-        ).run()
-        assert process.final_values == sequential.final_values, transport
-        assert process.committed_captures == sequential.committed_captures, (
-            transport
-        )
-        assert process.events_committed == virtual.events_committed, transport
+    assert check_engines(
+        circuit, _skewed(circuit, k), stimulus, machine, BACKENDS
+    ) == []
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +117,8 @@ def test_migration_matches_oracle(s27_case, k):
 @pytest.mark.parametrize("transport", ("queue", "shm"))
 @pytest.mark.parametrize("k", (2, 4))
 def test_recovery_matches_oracle(s27_case, monkeypatch, k, transport):
-    circuit, stimulus, sequential = s27_case
+    circuit, stimulus = s27_case
+    sequential = SequentialSimulator(circuit, stimulus).run()
     assignment = get_partitioner("Multilevel", seed=3).partition(circuit, k)
     machine = VirtualMachine(
         num_nodes=k, gvt_interval=32, checkpoint_interval=60

@@ -14,22 +14,22 @@ ALL_NAMES = sorted(PARTITIONERS)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-@pytest.mark.parametrize("k", [1, 2, 4, 8])
 class TestUniversalInvariants:
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_valid_complete_assignment(self, name, k, medium_circuit):
         a = get_partitioner(name, seed=11).partition(medium_circuit, k)
         a.validate()
         assert a.k == k
         assert len(a) == medium_circuit.num_gates
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_no_empty_partition(self, name, k, medium_circuit):
         a = get_partitioner(name, seed=11).partition(medium_circuit, k)
         assert all(size > 0 for size in a.sizes())
 
+    @pytest.mark.parametrize("k", [1])
     def test_single_partition_zero_cut(self, name, k, medium_circuit):
-        if k != 1:
-            pytest.skip("only meaningful for k=1")
-        a = get_partitioner(name, seed=11).partition(medium_circuit, 1)
+        a = get_partitioner(name, seed=11).partition(medium_circuit, k)
         assert edge_cut(a) == 0
 
 

@@ -360,8 +360,9 @@ class TestWorkerDeath:
         assert sim.worker_exitcodes[0] is not None
         assert sim.worker_exitcodes[0] != 0
 
+    @pytest.mark.parametrize("transport", ("queue", "shm"))
     def test_shutdown_drains_wedged_queue_feeder(
-        self, s27_setup, monkeypatch
+        self, s27_setup, monkeypatch, transport
     ):
         """Regression for the shutdown-path queue handling.
 
@@ -371,11 +372,15 @@ class TestWorkerDeath:
         into the full pipe and the process could not exit on its own;
         shutdown drains inboxes *while* joining to unwedge it.  The pipe
         channel has no feeder — the flood stops at ``Full`` — and the
-        contract stands: the flooder exits cleanly, exitcode 0.
+        contract stands: the flooder exits cleanly, exitcode 0.  The
+        flood is a valid GVT record on either wire: the run fails
+        because node 0 never reports, not on an encode error.
         """
         monkeypatch.setenv("REPRO_TW_FAULT", "0:flood:0")
-        sim = self._sim(s27_setup, timeout=2.0)
-        with pytest.raises(SimulationError):
+        sim = self._sim(s27_setup, timeout=2.0, transport=transport)
+        with pytest.raises(
+            SimulationError, match="died without reporting a result"
+        ):
             sim.run()
         assert sim.worker_exitcodes[0] == 0, (
             "flooding worker should exit cleanly once the parent "
@@ -432,8 +437,9 @@ class TestWorkerDeath:
         assert node_faults(1, attempt=0) == [("exit-at", "200")]
         assert node_faults(1, attempt=3) == [("exit-at", "200")]
 
+    @pytest.mark.parametrize("transport", ("queue", "shm"))
     def test_flood_fault_terminates_against_bounded_inbox(
-        self, s27_setup, monkeypatch
+        self, s27_setup, monkeypatch, transport
     ):
         """Regression: the flood injector used blocking ``put`` and could
         deadlock itself against a full bounded queue.  With a tiny
@@ -441,10 +447,12 @@ class TestWorkerDeath:
         drops instead of blocking)."""
         monkeypatch.setenv("REPRO_TW_FAULT", "0:flood:0")
         sim = self._sim(
-            s27_setup, timeout=5.0, inbox_maxsize=64
+            s27_setup, timeout=5.0, inbox_maxsize=64, transport=transport
         )
         start = time.monotonic()
-        with pytest.raises(SimulationError):
+        with pytest.raises(
+            SimulationError, match="died without reporting a result"
+        ):
             sim.run()
         assert time.monotonic() - start < 20
 

@@ -19,16 +19,12 @@ from repro.circuit import (
     validate_circuit,
     write_bench,
 )
+from repro.harness.regression import check_engines
 from repro.partition import PARTITIONERS, edge_cut, get_partitioner
 from repro.partition.multilevel import CoarseGraph, coarsen_once
 from repro.partition.multilevel.refine_greedy import cut_weight, greedy_refine
-from repro.sim import RandomStimulus, SequentialSimulator
-from repro.conservative import ConservativeSimulator
-from repro.warped import (
-    ProcessTimeWarpSimulator,
-    TimeWarpSimulator,
-    VirtualMachine,
-)
+from repro.sim import RandomStimulus
+from repro.warped import VirtualMachine
 
 # One shared strategy for small circuits: hypothesis drives the spec,
 # the generator guarantees structural validity (checked anyway).
@@ -119,11 +115,11 @@ def test_time_warp_equals_sequential(spec, k, name, window):
     if k > circuit.num_gates:
         k = circuit.num_gates
     stimulus = RandomStimulus(circuit, num_cycles=12, seed=spec.seed % 997)
-    sequential = SequentialSimulator(circuit, stimulus).run()
     assignment = get_partitioner(name, seed=2).partition(circuit, k)
     machine = VirtualMachine(num_nodes=k, optimism_window=window)
-    parallel = TimeWarpSimulator(circuit, assignment, stimulus, machine).run()
-    assert parallel.final_values == sequential.final_values
+    assert check_engines(
+        circuit, assignment, stimulus, machine, ("timewarp",)
+    ) == []
 
 
 @settings(relaxed, derandomize=True)
@@ -165,22 +161,18 @@ def test_multilevel_beats_random_on_cut(spec, k):
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec=specs, k=st.integers(2, 4))
 def test_three_kernels_agree(spec, k):
-    """Sequential, optimistic and conservative engines reach the same
-    quiescent state on arbitrary circuits and partitions."""
+    """Sequential, optimistic and conservative engines commit the same
+    state, captures and event count on arbitrary circuits and
+    partitions."""
     circuit = generate_circuit(spec)
     if k > circuit.num_gates:
         k = circuit.num_gates
     stimulus = RandomStimulus(circuit, num_cycles=10, seed=spec.seed % 499)
-    sequential = SequentialSimulator(circuit, stimulus).run()
     assignment = get_partitioner("Cluster", seed=2).partition(circuit, k)
-    optimistic = TimeWarpSimulator(
-        circuit, assignment, stimulus, VirtualMachine(num_nodes=k)
-    ).run()
-    conservative = ConservativeSimulator(
-        circuit, assignment, stimulus, VirtualMachine(num_nodes=k)
-    ).run()
-    assert optimistic.final_values == sequential.final_values
-    assert conservative.final_values == sequential.final_values
+    assert check_engines(
+        circuit, assignment, stimulus, VirtualMachine(num_nodes=k),
+        ("timewarp", "conservative"),
+    ) == []
 
 
 @settings(max_examples=5, deadline=None,
@@ -195,24 +187,18 @@ def test_process_backend_deterministic_and_sequential(spec, k, name):
 
     Committed results must not depend on OS scheduling: two runs on
     real processes agree with each other and with the sequential
-    oracle, on final values and on the committed capture history.
+    oracle, on final values, the committed capture history and the
+    committed event count.
     """
     circuit = generate_circuit(spec)
     if k > circuit.num_gates:
         k = circuit.num_gates
     stimulus = RandomStimulus(circuit, num_cycles=8, seed=spec.seed % 997)
-    sequential = SequentialSimulator(circuit, stimulus).run()
     assignment = get_partitioner(name, seed=2).partition(circuit, k)
     machine = VirtualMachine(num_nodes=k, gvt_interval=64)
-    first, second = (
-        ProcessTimeWarpSimulator(circuit, assignment, stimulus, machine).run()
-        for _ in range(2)
-    )
-    for run in (first, second):
-        assert run.final_values == sequential.final_values
-        assert run.committed_captures == sequential.committed_captures
-    assert first.final_values == second.final_values
-    assert first.committed_captures == second.committed_captures
+    assert check_engines(
+        circuit, assignment, stimulus, machine, ("process", "process")
+    ) == []
 
 
 @settings(max_examples=10, deadline=None,
@@ -227,14 +213,10 @@ def test_kernel_policies_preserve_results(spec, checkpoint, cancellation):
     circuit = generate_circuit(spec)
     k = min(4, circuit.num_gates)
     stimulus = RandomStimulus(circuit, num_cycles=10, seed=spec.seed % 499)
-    sequential = SequentialSimulator(circuit, stimulus).run()
     assignment = get_partitioner("Random", seed=2).partition(circuit, k)
-    result = TimeWarpSimulator(
-        circuit, assignment, stimulus,
-        VirtualMachine(
-            num_nodes=k,
-            checkpoint_interval=checkpoint,
-            cancellation=cancellation,
-        ),
-    ).run()
-    assert result.final_values == sequential.final_values
+    machine = VirtualMachine(
+        num_nodes=k, checkpoint_interval=checkpoint, cancellation=cancellation
+    )
+    assert check_engines(
+        circuit, assignment, stimulus, machine, ("timewarp",)
+    ) == []

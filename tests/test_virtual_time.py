@@ -2,11 +2,12 @@
 
 A :class:`~repro.sim.stimulus.Stimulus` keeps ``num_cycles x period``
 at or below ``T_END // 2``.  Inside that bound every engine must commit
-the sequential oracle's final values and DFF captures, whatever the
-clock period and the optimism window: the virtual kernel, and the
-process backend on both wires.  With a float GVT, ``gvt + window``
-rounds back to GVT once times pass ~2**59 (float spacing >= 128), and a
-windowed process node processed nothing until the run timed out.
+the sequential oracle's final values and DFF captures, and the same
+number of events, whatever the clock period and the optimism window:
+the virtual kernel, and the process backend on both wires.  With a
+float GVT, ``gvt + window`` rounds back to GVT once times pass ~2**59
+(float spacing >= 128), and a windowed process node processed nothing
+until the run timed out.
 
 The conservative kernel joins only at periods up to 2**10: its null
 messages grow with the period (~6 x period on s27 at 4 cycles), which
@@ -23,12 +24,12 @@ from hypothesis import strategies as st
 
 from repro.circuit import GeneratorSpec, generate_circuit
 from repro.circuit.netlists import load_s27
-from repro.conservative import ConservativeSimulator
 from repro.errors import SimulationError
+from repro.harness.regression import check_engines
 from repro.partition.registry import get_partitioner
-from repro.sim import RandomStimulus, SequentialSimulator
+from repro.sim import RandomStimulus
 from repro.sim.event import T_END
-from repro.warped import ProcessTimeWarpSimulator, TimeWarpSimulator, VirtualMachine
+from repro.warped import VirtualMachine
 
 CYCLES = 4
 #: Largest period the conservative kernel is asked to run.
@@ -50,26 +51,14 @@ def _assert_engines_match_oracle(name, num_cycles, period, window, *, cmb):
     stimulus = RandomStimulus(
         circuit, num_cycles=num_cycles, period=period, seed=7
     )
-    oracle = SequentialSimulator(circuit, stimulus).run()
     assignment = get_partitioner("Multilevel", seed=3).partition(circuit, 2)
     machine = VirtualMachine(num_nodes=2, optimism_window=window)
-    runs = {
-        "virtual": TimeWarpSimulator(circuit, assignment, stimulus, machine),
-        **{
-            f"process-{wire}": ProcessTimeWarpSimulator(
-                circuit, assignment, stimulus, machine, transport=wire,
-                timeout=20,
-            )
-            for wire in ("queue", "shm")
-        },
-    }
+    engines = ("timewarp", "process", "process-shm")
     if cmb:
-        runs["conservative"] = ConservativeSimulator(
-            circuit, assignment, stimulus, VirtualMachine(num_nodes=2)
-        )
-    for engine, simulator in runs.items():
-        why = oracle.disagreement(simulator.run())
-        assert why is None, f"{engine} at period {period}: {why}"
+        engines += ("conservative",)
+    assert check_engines(
+        circuit, assignment, stimulus, machine, engines, timeout=20
+    ) == [], f"period {period}"
 
 
 #: Log-uniform over 2..2**60: a bit length, then a value of that length.

@@ -13,9 +13,10 @@ circuit, a random partitioner, and a random Time Warp policy mix
 through ``repro.harness.regression.run_case``, which checks every
 engine against the sequential oracle.  A quarter of the iterations add
 the conservative kernel; a slice (``--process-fraction``, default 5%)
-runs the real multiprocess backend instead.  Time Warp cases draw the
-clock period log-uniformly up to the schedule bound (virtual times
-near 2**62); cases with the conservative kernel keep periods of 10-119.
+runs the real multiprocess backend instead, half of it with adaptive
+migration.  Time Warp cases draw the clock period log-uniformly up to
+the schedule bound (virtual times near 2**62); cases with the
+conservative kernel keep periods of 10-119.
 
 With ``--corpus DIR``, every failing case is written there as JSON in
 the exact format ``tests/test_regression_corpus.py`` replays — promote
@@ -36,7 +37,7 @@ from repro.utils.rng import make_rng
 def random_case(rng, names, *, process: bool) -> dict:
     """Draw one fuzz case. Process-backend cases stick to the policies
     that backend supports (aggressive cancellation, incremental state
-    saving, no migration)."""
+    saving); half of them migrate."""
     num_gates = int(rng.integers(25, 220))
     case = {
         "description": "fuzz-generated",
@@ -73,7 +74,7 @@ def random_case(rng, names, *, process: bool) -> dict:
         # them on BOTH wire transports, so every fuzzed configuration
         # doubles as a queue-vs-shm differential (final values and
         # captures against sequential, committed counts against each
-        # other; see run_case).
+        # other; see check_engines).
         case["spec"]["num_gates"] = int(rng.integers(25, 90))
         case["stimulus"]["num_cycles"] = int(rng.integers(4, 12))
         case["k"] = int(rng.integers(2, 5))
@@ -84,6 +85,10 @@ def random_case(rng, names, *, process: bool) -> dict:
         if rng.random() < 0.5:
             case["engines"].append(
                 "served-shm" if rng.random() < 0.5 else "served"
+            )
+        if rng.random() < 0.5:
+            case["machine"]["migration_threshold"] = float(
+                rng.uniform(1.2, 3.0)
             )
     else:
         case["machine"].update(
